@@ -63,7 +63,7 @@ def _load_partition(path: str):
 
 def _nodal_config(args) -> NodalConfig:
     kwargs = {}
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         kwargs["n"] = args.n
     if getattr(args, "max_refine", None) is not None:
         kwargs["max_refine"] = args.max_refine
@@ -117,6 +117,8 @@ def cmd_nodal(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.count < 2:
+        raise EulerPartError("--count must be at least 2")
     thetas = [
         args.theta_min + i * (args.theta_max - args.theta_min) / (args.count - 1)
         for i in range(args.count)

@@ -20,8 +20,12 @@ Conventions, fixed once and used everywhere:
   compactly in increasing order of their smallest raw representative.
 
 Seam orbits are closed under *both* gluing maps (corner orbits of the
-projective model need the composition of the two), which the union-find
-canonicalization handles by construction.
+projective model need the composition of the two), which taking connected
+components of the seam identifications handles by construction.
+
+``components`` is the one graph primitive of the package: every count of
+domains, sheets, corner orbits, boundary cycles and boundary-set arcs is a
+``scipy.sparse.csgraph`` component labelling over index arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvariantViolation
-from .unionfind import UnionFind
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -302,25 +305,11 @@ def build_complex(spec: SurfaceSpec) -> CellComplex:
         epairs.append((he(ie, H), he(W - 1 - ie, 0)))
         seam_adj.append((he(ie, H), fid(ie, H - 1), SIDE_N, fid(W - 1 - ie, 0), SIDE_S, -1))
 
-    # vertex orbits: union-find over the (few) seam vertices; corner orbits
-    # close up under the composition of both seam maps automatically
-    vroot = np.arange(n_raw_v, dtype=np.int64)
-    if vpairs:
-        touched = np.unique(np.concatenate([np.concatenate(p) for p in vpairs]))
-        uf = UnionFind(len(touched))
-        local = {int(r): k for k, r in enumerate(touched)}
-        for a_arr, b_arr in vpairs:
-            for a, b in zip(np.atleast_1d(a_arr), np.atleast_1d(b_arr)):
-                uf.union(local[int(a)], local[int(b)])
-        # canonical representative: smallest raw id in the orbit
-        rep = {}
-        for k, r in enumerate(touched):
-            root = uf.find(k)
-            rep[root] = min(rep.get(root, int(r)), int(r))
-        for k, r in enumerate(touched):
-            vroot[int(r)] = rep[uf.find(k)]
-    uniq_v, vertex_map = np.unique(vroot, return_inverse=True)
-    n_vertices = len(uniq_v)
+    # vertex orbits: components of the seam identifications, numbered by
+    # their smallest raw id; corner orbits close up under the composition
+    # of both seam maps automatically
+    va, vb = np.concatenate(vpairs, axis=1) if vpairs else ((), ())
+    n_vertices, vertex_map = components(n_raw_v, va, vb)
 
     # edge orbits have at most two members; pair straight to the minimum
     eroot = np.arange(n_raw_e, dtype=np.int64)
@@ -418,23 +407,44 @@ def euler_characteristic(c: CellComplex) -> int:
     return c.euler_characteristic
 
 
+def components(n: int, a, b) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on nodes ``0..n-1``
+    with edges ``a[k]-b[k]``.
+
+    Returns ``(count, labels)``; component ids increase with each
+    component's smallest node, so node 0 is always in component 0.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    g = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    count, comp = connected_components(g, directed=False)
+    first = np.full(count, n, dtype=np.int64)
+    np.minimum.at(first, comp, np.arange(n, dtype=np.int64))
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(count)
+    return int(count), rank[comp]
+
+
+def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Components of an edge subgraph over the vertices its edges touch.
+
+    Returns ``(verts, labels)``: the touched canonical vertices in
+    increasing order and the component id of each.
+    """
+    ev = c.edge_vertices[np.asarray(edge_ids, dtype=np.int64)]
+    verts, idx = np.unique(ev, return_inverse=True)
+    idx = idx.reshape(ev.shape)
+    return verts, components(len(verts), idx[:, 0], idx[:, 1])[1]
+
+
 def subgraph_component_count(c: CellComplex, edge_ids: np.ndarray) -> int:
     """Number of connected components of an edge subgraph.
 
     Components are counted over the vertices actually touched by the given
     edges; isolated vertices of the ambient complex do not contribute.
     """
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    if edge_ids.size == 0:
-        return 0
-    ev = c.edge_vertices[edge_ids]
-    verts, idx = np.unique(ev, return_inverse=True)
-    idx = idx.reshape(ev.shape)
-    n = len(verts)
-    data = np.ones(len(edge_ids), dtype=np.int8)
-    g = coo_matrix((data, (idx[:, 0], idx[:, 1])), shape=(n, n))
-    count, _ = connected_components(g, directed=False)
-    return int(count)
+    _verts, labels = edge_components(c, edge_ids)
+    return int(labels.max()) + 1 if labels.size else 0
 
 
 def boundary_components(c: CellComplex) -> int:

@@ -8,7 +8,7 @@ map sends a cover face ``(i, j)`` with ``j >= H`` to the base face
 
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
-character computed by the sign-tracking union-find.
+character computed as the balance of the signed double face graph.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CellComplex, SurfaceSpec, build_complex
+from .complexes import CellComplex, SurfaceSpec, build_complex, edge_components
 from .errors import InvariantViolation
 from .partition import Partition, from_labels, invariants
 
@@ -200,23 +200,10 @@ def cover_bookkeeping(cs: CoverStructure, p: Partition) -> CoverReport:
 def _cover_boundary_joined(lifted: Partition) -> bool:
     """Do the two cover boundary circles share a component of the lifted
     boundary set united with the cover boundary?"""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     c = lifted.complex
     if c.spec.closed:
         return False
-    union_ids = np.concatenate([lifted.boundary_set, c.boundary_edges])
-    if union_ids.size == 0:
-        return False
-    ev = c.edge_vertices[union_ids]
-    verts, idx = np.unique(ev, return_inverse=True)
-    idx = idx.reshape(ev.shape)
-    g = coo_matrix(
-        (np.ones(len(union_ids), dtype=np.int8), (idx[:, 0], idx[:, 1])),
-        shape=(len(verts), len(verts)),
-    )
-    _n, comp = connected_components(g, directed=False)
+    verts, comp = edge_components(c, np.concatenate([lifted.boundary_set, c.boundary_edges]))
     # the cylinder cover's boundary circles are the seams x=0 and x=W
     lo = c.vertex_id(0, 0)
     hi = c.vertex_id(c.spec.width, 0)

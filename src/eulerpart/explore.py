@@ -18,6 +18,8 @@ from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
 from .errors import InstabilityError, InvariantViolation
 from .nodal import FAMILIES, NodalConfig, stable_invariants
 from .partition import (
+    CONJECTURED_DEFECT,
+    EXPECTED_DEFECT,
     Partition,
     check_chi_sigma,
     from_labels,
@@ -304,9 +306,9 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
             passes += 1
         else:
             failures.append(partition_to_json(p))
-    if surface in ("rectangle", "moebius"):
+    if surface in EXPECTED_DEFECT:
         mode = "pass_fail"
-    elif surface in ("projective", "klein"):
+    elif surface in CONJECTURED_DEFECT:
         mode = "conjecture"
     else:
         mode = "report_only"

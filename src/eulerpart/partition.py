@@ -15,8 +15,10 @@ beta    components of (boundary set union surface boundary) minus
 sigma   half the total singular index, where an interior vertex meeting
         nu >= 3 boundary-set edges contributes nu - 2 and a surface
         boundary vertex hit by rho >= 1 boundary-set edges contributes rho;
-omega   1 iff some domain is non-orientable (detected by sign-tracking
-        union-find over the face adjacencies inside each domain);
+omega   1 iff some domain is non-orientable (detected as an unbalanced
+        signed double graph: each face has two sheets, glued edges join
+        equal sheets across +1 parity and opposite sheets across -1, and a
+        domain is non-orientable iff some face meets its own other sheet);
 delta   omega + beta + sigma - kappa.  The *defect* is -delta.
 
 Closed domains are analysed through an abstract closure: the faces of a
@@ -33,18 +35,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .complexes import (
     CellComplex,
     SurfaceSpec,
     boundary_components,
     build_complex,
+    components,
+    edge_components,
     subgraph_component_count,
 )
 from .errors import CutError, InvariantViolation, NormalizationError
-from .unionfind import ParityUnionFind, UnionFind
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,22 +95,11 @@ class Partition:
         return _ClosureTables(self)
 
 
-def _split_components(c: CellComplex, labels: np.ndarray, wall_mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Connected components of equal-label faces; ids in scan order."""
-    fa, fb, _, ids = c.adjacency
-    keep = (labels[fa] == labels[fb]) & ~wall_mask[ids]
-    n = c.n_faces
-    g = coo_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int8), (fa[keep], fb[keep])),
-        shape=(n, n),
-    )
-    n_comp, comp = connected_components(g, directed=False)
-    # renumber so that component ids increase with their smallest face index
-    first = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(first, comp, np.arange(n, dtype=np.int64))
-    rank = np.empty(n_comp, dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(n_comp)
-    return rank[comp].astype(np.int64), int(n_comp)
+def _glued_adjacency(p: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``complex.adjacency`` restricted to non-wall edges inside one domain."""
+    fa, fb, par, ids = p.complex.adjacency
+    keep = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
+    return fa[keep], fb[keep], par[keep], ids[keep]
 
 
 def from_labels(c: CellComplex, labels, walls=()) -> Partition:
@@ -131,7 +121,10 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     wall_mask = np.zeros(c.n_edges, dtype=bool)
     if wall_ids:
         wall_mask[np.fromiter(wall_ids, dtype=np.int64)] = True
-    domains, n_domains = _split_components(c, labels, wall_mask)
+    # domains: components of equal-label faces, ids by smallest face index
+    fa, fb, _, ids = c.adjacency
+    keep = (labels[fa] == labels[fb]) & ~wall_mask[ids]
+    n_domains, domains = components(c.n_faces, fa[keep], fb[keep])
     p = Partition(complex=c, domains=domains, n_domains=n_domains, walls=wall_ids)
     # reject dangling cracks: every vertex of the boundary set must be a
     # genuine crossing, junction, or a transversal hit on the boundary
@@ -202,20 +195,22 @@ def _compute_boundary_graph(p: Partition) -> BoundaryGraph:
 
 
 def orientability_bits(p: Partition) -> np.ndarray:
-    """Per-domain orientability via sign-tracking union-find on faces."""
+    """Per-domain orientability via the balance of the signed face graph."""
     return p._orientability
 
 
 def _compute_orientability(p: Partition) -> np.ndarray:
-    c = p.complex
-    fa, fb, par, ids = c.adjacency
-    keep = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
-    uf = ParityUnionFind(c.n_faces)
+    # signed double graph: face f has sheets f and f + F; a glued edge of
+    # parity +1 joins equal sheets, of parity -1 opposite sheets.  A domain
+    # is orientable iff it is balanced, i.e. no face meets its other sheet.
+    F = p.complex.n_faces
+    a, b, par, _ = _glued_adjacency(p)
+    b = np.where(par > 0, b, b + F)
+    _n, sheet = components(
+        2 * F, np.concatenate([a, a + F]), np.concatenate([b, (b + F) % (2 * F)])
+    )
     bad = np.zeros(p.n_domains, dtype=bool)
-    dom = p.domains
-    for a, b, s in zip(fa[keep].tolist(), fb[keep].tolist(), par[keep].tolist()):
-        if not uf.union(a, b, s):
-            bad[dom[a]] = True
+    bad[p.domains[sheet[:F] == sheet[F:]]] = True
     return ~bad
 
 
@@ -251,17 +246,8 @@ def _beta_counts(p: Partition) -> tuple[int, int]:
     union_ids = np.concatenate([ids, c.boundary_edges])
     beta = subgraph_component_count(c, union_ids) - b0_surface
     # components of the boundary set alone that avoid the surface boundary
-    if ids.size == 0:
-        return beta, 0
-    ev = c.edge_vertices[ids]
-    verts, idx = np.unique(ev, return_inverse=True)
-    idx = idx.reshape(ev.shape)
-    n = len(verts)
-    g = coo_matrix((np.ones(len(ids), dtype=np.int8), (idx[:, 0], idx[:, 1])), shape=(n, n))
-    n_comp, comp = connected_components(g, directed=False)
-    touches = np.zeros(n_comp, dtype=bool)
-    np.logical_or.at(touches, comp, c.vertex_is_boundary[verts])
-    beta_i = int(np.sum(~touches))
+    verts, comp = edge_components(c, ids)
+    beta_i = len(np.setdiff1d(comp, comp[c.vertex_is_boundary[verts]]))
     return beta, beta_i
 
 
@@ -350,73 +336,61 @@ class _ClosureTables:
     Slots are (face, corner) pairs, id = 4*face + corner.  Two corner
     slots are identified when their faces are glued along a shared
     non-wall edge interior to one domain; the orbits are the vertices of
-    the abstract closed domains.
+    the abstract closed domains.  Every orbit lies over one vertex of the
+    complex and inside one domain.
     """
 
     def __init__(self, p: Partition):
         c = p.complex
-        fa, fb, _, ids = c.adjacency
-        glued = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
-        self.glued_edges = ids[glued]
-        ga, gb = fa[glued], fb[glued]
-        sa = c.edge_sides[self.glued_edges, 0]
-        sb = c.edge_sides[self.glued_edges, 1]
+        ga, gb, _, glued = _glued_adjacency(p)
+        sa = c.edge_sides[glued, 0]
+        sb = c.edge_sides[glued, 1]
         # edge_faces slot order may list the faces either way round
-        swap = c.edge_faces[self.glued_edges, 0] != ga
-        sa2 = np.where(swap, sb, sa)
-        sb2 = np.where(swap, sa, sb)
+        swap = c.edge_faces[glued, 0] != ga
+        sa, sb = np.where(swap, sb, sa), np.where(swap, sa, sb)
 
-        n_slots = 4 * c.n_faces
-        uf = UnionFind(n_slots)
         fv = c.face_vertices
-        ca, cb = sa2, (sa2 + 1) % 4
-        da, db = sb2, (sb2 + 1) % 4
+        ca, cb = sa, (sa + 1) % 4
+        da, db = sb, (sb + 1) % 4
         # match the two corners of the shared edge by underlying vertex
         va = fv[ga, ca]
         wa = fv[gb, da]
         straight = va == wa
         if not np.all(np.where(straight, fv[ga, cb] == fv[gb, db], (va == fv[gb, db]) & (fv[ga, cb] == wa))):
             raise InvariantViolation("edge corner matching failed")
-        pair_a = np.where(straight, 4 * gb + da, 4 * gb + db)
-        pair_b = np.where(straight, 4 * gb + db, 4 * gb + da)
-        for x, y in zip((4 * ga + ca).tolist(), pair_a.tolist()):
-            uf.union(x, y)
-        for x, y in zip((4 * ga + cb).tolist(), pair_b.tolist()):
-            uf.union(x, y)
-        self.slot_root = np.fromiter(
-            (uf.find(s) for s in range(n_slots)), dtype=np.int64, count=n_slots
+        pair_a = 4 * gb + np.where(straight, da, db)
+        pair_b = 4 * gb + np.where(straight, db, da)
+        n_orbits, slot_orbit = components(
+            4 * c.n_faces,
+            np.concatenate([4 * ga + ca, 4 * ga + cb]),
+            np.concatenate([pair_a, pair_b]),
         )
-        self.p = p
 
         dom = p.domains
-        self.slot_domain = np.repeat(dom, 4)
-        self.slot_vertex = fv.ravel()
+        self.n_domains = p.n_domains
+        self.orbit_vertex = np.empty(n_orbits, dtype=np.int64)
+        self.orbit_vertex[slot_orbit] = fv.ravel()
+        self.orbit_domain = np.empty(n_orbits, dtype=np.int64)
+        self.orbit_domain[slot_orbit] = np.repeat(dom, 4)
 
-        # per-domain face and glued-edge counts
+        # per-domain face, glued-edge and abstract vertex counts
         self.faces_per_domain = np.bincount(dom, minlength=p.n_domains)
         self.glued_per_domain = np.bincount(dom[ga], minlength=p.n_domains)
+        self.vertices_per_domain = np.bincount(self.orbit_domain, minlength=p.n_domains)
 
-        # abstract vertex count per domain: distinct slot roots
-        pairs = np.unique(np.stack([self.slot_domain, self.slot_root], axis=1), axis=0)
-        self.vertices_per_domain = np.bincount(pairs[:, 0], minlength=p.n_domains)
-
-        # boundary cycles: unglued (face, side) slots chain through corner orbits
-        glued_slot = np.zeros(4 * c.n_faces, dtype=bool)
-        for f_arr, s_arr in ((ga, sa2), (gb, sb2)):
-            glued_slot[4 * f_arr + s_arr] = True
-        all_sides = np.arange(4 * c.n_faces, dtype=np.int64)
-        self.boundary_sides = all_sides[~glued_slot]
-        bf, bs = np.divmod(self.boundary_sides, 4)
-        end_a = self.slot_root[4 * bf + bs]
-        end_b = self.slot_root[4 * bf + (bs + 1) % 4]
-        uf2 = UnionFind(n_slots)
-        for x, y in zip(end_a.tolist(), end_b.tolist()):
-            uf2.union(x, y)
-        cyc_root = np.fromiter((uf2.find(int(r)) for r in end_a), dtype=np.int64)
-        cyc_pairs = np.unique(np.stack([dom[bf], cyc_root], axis=1), axis=0)
-        self.cycles_per_domain = np.bincount(
-            cyc_pairs[:, 0], minlength=p.n_domains
-        )
+        # boundary cycles: unglued (face, side) slots chain corner orbits
+        glued_side = np.zeros(4 * c.n_faces, dtype=bool)
+        glued_side[4 * ga + sa] = True
+        glued_side[4 * gb + sb] = True
+        bf, bs = np.divmod(np.flatnonzero(~glued_side), 4)
+        end_a = slot_orbit[4 * bf + bs]
+        n_cyc, cyc = components(n_orbits, end_a, slot_orbit[4 * bf + (bs + 1) % 4])
+        # orbits off every boundary side stay singleton components
+        on_side = np.zeros(n_cyc, dtype=bool)
+        on_side[cyc[end_a]] = True
+        cycle_domain = np.empty(n_cyc, dtype=np.int64)
+        cycle_domain[cyc] = self.orbit_domain
+        self.cycles_per_domain = np.bincount(cycle_domain[on_side], minlength=p.n_domains)
 
     def chi(self, d: int) -> int:
         f = int(self.faces_per_domain[d])
@@ -430,12 +404,10 @@ class _ClosureTables:
     @cached_property
     def non_normal_pairs(self) -> np.ndarray:
         """(vertex, domain) pairs where a domain meets >= 2 corner sectors."""
-        triples = np.unique(
-            np.stack([self.slot_vertex, self.slot_domain, self.slot_root], axis=1), axis=0
+        keys, counts = np.unique(
+            self.orbit_vertex * self.n_domains + self.orbit_domain, return_counts=True
         )
-        vd = triples[:, :2]
-        keys, counts = np.unique(vd, axis=0, return_counts=True)
-        return keys[counts > 1]
+        return np.stack(np.divmod(keys[counts > 1], self.n_domains), axis=1)
 
 
 def closure_tables(p: Partition) -> _ClosureTables:

@@ -24,6 +24,13 @@ def _ukey(i, j):
     return ("u", i, j)  # edge (i,j)-(i,j+1)
 
 
+def _raw_ends(raw):
+    kind, i, j = raw
+    if kind == "h":
+        return (_vkey(i, j), _vkey(i + 1, j))
+    return (_vkey(i, j), _vkey(i, j + 1))
+
+
 class RefSurface:
     """Quotient grid built from explicit identification of raw cells."""
 
@@ -96,12 +103,7 @@ class RefSurface:
         return False
 
     def edge_endpoints(self, e):
-        kind, i, j = e
-        if kind == "h":
-            ends = (_vkey(i, j), _vkey(i + 1, j))
-        else:
-            ends = (_vkey(i, j), _vkey(i, j + 1))
-        return tuple(self.find(v) for v in ends)
+        return tuple(self.find(v) for v in _raw_ends(e))
 
     def euler_characteristic(self):
         verts = set()
@@ -195,3 +197,82 @@ def ref_invariants(surface: RefSurface, labels):
         list(surface.boundary_edges)
     )
     return kappa, beta, sigma, omega
+
+
+def _bfs_components(nodes, neigh):
+    """Node -> component number, numbered in order of first appearance."""
+    comp = {}
+    k = -1
+    for s in nodes:
+        if s in comp:
+            continue
+        k += 1
+        comp[s] = k
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in neigh[u]:
+                if w not in comp:
+                    comp[w] = k
+                    queue.append(w)
+    return comp
+
+
+def ref_closure(surface: RefSurface, labels):
+    """Per-domain (chi, boundary circles) of the abstract domain closures.
+
+    Corner slots are (face, raw corner) pairs.  Gluing two faces of one
+    domain along a shared edge identifies the slots at matching endpoints;
+    the slot orbits (by BFS) are the closure's vertices, so
+    chi = V - (4f - g) + f with g glued edges.  Boundary circles come from
+    walking the unglued sides from orbit to orbit.
+    """
+    W, H = surface.W, surface.H
+    faces = [(i, j) for j in range(H) for i in range(W)]
+
+    def lab(f):
+        return labels[f[1] * W + f[0]]
+
+    same = defaultdict(list)
+    for f1, f2, _s, _e in surface.adjacency:
+        if lab(f1) == lab(f2):
+            same[f1].append(f2)
+            same[f2].append(f1)
+    domain = _bfs_components(faces, same)
+
+    slots = []
+    for i, j in faces:
+        for corner in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
+            slots.append(((i, j), _vkey(*corner)))
+    link = defaultdict(list)
+    glued = defaultdict(int)
+    unglued = []  # (face, raw edge) sides left open in the closure
+    for e, inc in surface.edge_faces.items():
+        if len(inc) == 2 and domain[inc[0][0]] == domain[inc[1][0]]:
+            (f1, r1), (f2, r2) = inc
+            glued[domain[f1]] += 1
+            ends2 = _raw_ends(r2)
+            for p in _raw_ends(r1):
+                (q,) = [q for q in ends2 if surface.find(q) == surface.find(p)]
+                link[(f1, p)].append((f2, q))
+                link[(f2, q)].append((f1, p))
+        else:
+            unglued.extend(inc)
+    orbit = _bfs_components(slots, link)
+
+    walk = defaultdict(list)
+    for f, raw in unglued:
+        a, b = (orbit[(f, p)] for p in _raw_ends(raw))
+        walk[a].append(b)
+        walk[b].append(a)
+    cycle = _bfs_components(list(walk), walk)
+
+    n_domains = len(set(domain.values()))
+    out = []
+    for d in range(n_domains):
+        f = sum(1 for g in faces if domain[g] == d)
+        v = len({orbit[s] for s in slots if domain[s[0]] == d})
+        q = len({cycle[orbit[(g, p)]] for g, raw in unglued if domain[g] == d
+                 for p in _raw_ends(raw)})
+        out.append((v - (4 * f - glued[d]) + f, q))
+    return out

@@ -169,3 +169,15 @@ def test_invariant_violation_exit_code(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc))
     assert main(["invariants", str(f)]) == 1
+
+
+def test_nodal_rejects_zero_resolution(capsys):
+    # --n 0 must reach the NodalConfig check, not fall back to the default
+    assert main(["nodal", "--family", "bands", "--m", "3", "--n", "0"]) == 2
+    assert "resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["1", "0"])
+def test_sweep_rejects_count_below_two(count, capsys):
+    assert main(["sweep", "--count", count]) == 2
+    assert "--count" in capsys.readouterr().err

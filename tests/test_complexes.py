@@ -116,3 +116,14 @@ def test_spec_flags():
     assert not SurfaceSpec.klein(3, 3).orientable
     assert SurfaceSpec.klein(3, 3).closed
     assert not SurfaceSpec.moebius(4, 4).closed
+
+
+def test_components_numbered_by_smallest_node():
+    from eulerpart.complexes import components
+
+    count, labels = components(6, [5, 1, 4], [3, 4, 1])
+    assert count == 4
+    assert labels.tolist() == [0, 1, 2, 3, 1, 3]
+    count, labels = components(3, [], [])
+    assert (count, labels.tolist()) == (3, [0, 1, 2])
+    assert components(0, [], [])[0] == 0

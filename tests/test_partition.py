@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -261,3 +263,17 @@ def test_chi_sigma_rejects_walls():
     p2 = cut(p, [c.vertical_edge(2, 0)])
     with pytest.raises(ValueError):
         check_chi_sigma(p2)
+
+
+def test_closure_tables_do_not_keep_partition_alive():
+    # the cached closure tables must not point back at their partition, or
+    # every partition with domain reports lives until a cyclic collection
+    gc.disable()
+    try:
+        p = moebius_bands(3)
+        domain_reports(p)
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()

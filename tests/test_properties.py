@@ -1,6 +1,7 @@
 """Property-based checks against the exact identities and the reference oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerpart import (
@@ -15,7 +16,7 @@ from eulerpart import (
     orientability_bits,
 )
 
-from reference import RefSurface, ref_invariants
+from reference import RefSurface, ref_closure, ref_invariants
 
 _COMPLEX_CACHE = {}
 
@@ -111,3 +112,18 @@ def test_sigma_index_sum_even(case):
     bg = boundary_graph(p)
     assert bg.index_sum % 2 == 0
     assert bg.sigma >= 0
+
+
+@pytest.mark.parametrize("name", ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"])
+def test_closure_matches_reference_oracle(name):
+    # seeded arbitrary labellings: pinched, non-normal and multiply
+    # connected domains all occur on grids this small
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        W, H = (int(x) for x in rng.integers(2, 7, size=2))
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=W * H).tolist()
+        spec = SurfaceSpec.named(name, W, H)
+        p = from_labels(get_complex(name, W, H), labels)
+        ref = RefSurface(W, H, spec.x_gluing, spec.y_gluing)
+        got = [(r.chi, r.boundary_circles) for r in domain_reports(p)]
+        assert got == ref_closure(ref, labels), (name, seed)
