@@ -393,12 +393,12 @@ def _validate_complex(c: CellComplex) -> None:
             f"chi = {c.euler_characteristic} for {kind}, expected {EXPECTED_CHI[kind]}"
         )
     # a loop around any interior vertex is contractible, so the parities of
-    # its incident edges must multiply to +1 even at reversed seams
-    prod = np.ones(c.n_vertices, dtype=np.int64)
+    # its incident edges must multiply to +1 even at reversed seams: each
+    # interior vertex meets an even number of -1 endpoint slots
     ids = c.interior_edges
-    np.multiply.at(prod, c.edge_vertices[ids].ravel(), np.repeat(c.edge_parity[ids], 2))
-    interior = ~c.vertex_is_boundary
-    if not np.all(prod[interior] == 1):
+    flipped = ids[c.edge_parity[ids] == -1]
+    odd = np.bincount(c.edge_vertices[flipped].ravel(), minlength=c.n_vertices) % 2
+    if np.any(odd[~c.vertex_is_boundary]):
         raise InvariantViolation("orientation parities inconsistent around a vertex")
 
 

@@ -118,10 +118,9 @@ def lift_partition(cs: CoverStructure, p: Partition) -> Partition:
 def preimage_component_counts(cs: CoverStructure, p: Partition, lifted: Partition | None = None) -> np.ndarray:
     """Number of cover components over each base domain (always 1 or 2)."""
     lifted = lifted or lift_partition(cs, p)
-    pairs = np.unique(
-        np.stack([p.domains[cs.face_projection], lifted.domains], axis=1), axis=0
-    )
-    counts = np.bincount(pairs[:, 0], minlength=p.n_domains)
+    # one key per (base domain, lifted domain) pair that occurs
+    keys = np.unique(p.domains[cs.face_projection] * lifted.n_domains + lifted.domains)
+    counts = np.bincount(keys // lifted.n_domains, minlength=p.n_domains)
     if not np.all((counts == 1) | (counts == 2)):
         raise InvariantViolation(f"preimage component counts {counts.tolist()} outside {{1,2}}")
     return counts

@@ -43,8 +43,12 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
 
     k seed faces are drawn uniformly without replacement; unlabelled faces
     are claimed through interior adjacencies in rounds, with the claim
-    order shuffled each round.  Identical seeds reproduce the partition
-    bit for bit.
+    order shuffled each round.  Every open target is claimed in the round
+    it appears, so a round only follows the out-edges of the faces the
+    previous round labelled (its frontier).  Those candidate edges are
+    taken in the order of a full scan of the directed adjacencies, so each
+    round draws the same permutation a full scan would, and identical
+    seeds reproduce the partition bit for bit.
     """
     if spec.k > c.n_faces:
         raise ValueError(f"k={spec.k} exceeds the {c.n_faces} available faces")
@@ -55,17 +59,25 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
 
     fa, fb, _, _ids = c.adjacency
     both = np.concatenate([np.stack([fa, fb], 1), np.stack([fb, fa], 1)])
+    # CSR table of the directed adjacencies grouped by source face
+    by_src = np.argsort(both[:, 0], kind="stable")
+    start = np.searchsorted(both[by_src, 0], np.arange(c.n_faces + 1))
+    frontier = sources
     while True:
-        src_lab = labels[both[:, 0]]
-        open_edges = (src_lab >= 0) & (labels[both[:, 1]] < 0)
-        if not np.any(open_edges):
+        lo = start[frontier]
+        deg = start[frontier + 1] - lo
+        offsets = np.repeat(lo - (np.cumsum(deg) - deg), deg)
+        out = by_src[offsets + np.arange(len(offsets))]
+        out = np.sort(out[labels[both[out, 1]] < 0])
+        if not len(out):
             break
-        cand = both[open_edges]
-        cand_lab = src_lab[open_edges]
+        cand = both[out]
+        cand_lab = labels[cand[:, 0]]
         order = rng.permutation(len(cand))
         targets = cand[order, 1]
         first = np.unique(targets, return_index=True)[1]
-        labels[targets[first]] = cand_lab[order][first]
+        frontier = targets[first]
+        labels[frontier] = cand_lab[order][first]
     if np.any(labels < 0):
         raise InvariantViolation("flood fill left unlabelled faces")
     return from_labels(c, labels)
@@ -174,11 +186,14 @@ def bisect_transition(beta: float, tol: float = 1e-3,
                       theta_high: float = math.pi / 2 - 0.05) -> TransitionEstimate:
     """Bracket the orientability transition of the phi family in theta.
 
-    Requires omega = 0 at ``theta_low`` and omega = 1 at ``theta_high``.
-    Midpoints that fail to stabilize are skipped by probing nearby offsets;
-    if no probe in a step stabilizes the bracket cannot shrink further and
-    an InstabilityError is raised.
+    Requires omega = 0 at ``theta_low`` and omega = 1 at ``theta_high``
+    and a positive ``tol``.  Midpoints that fail to stabilize are skipped
+    by probing nearby offsets; if no probe in a step stabilizes the
+    bracket cannot shrink further and an InstabilityError is raised.
     """
+    # the bracket stops shrinking at adjacent floats, so tol <= 0 never ends
+    if not tol > 0:
+        raise ValueError("tol must be positive")
 
     def stable_omega(theta: float) -> tuple[int, int]:
         sr = stable_invariants(FAMILIES["phi"](beta, theta), "moebius", config)
@@ -261,6 +276,8 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     """
     from .jsonio import partition_to_json
 
+    if count < 1:
+        raise ValueError("count must be at least 1")
     c = build_complex(SurfaceSpec.named(surface, size, size))
     cover = None
     if with_cover is None:

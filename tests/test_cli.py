@@ -181,3 +181,16 @@ def test_nodal_rejects_zero_resolution(capsys):
 def test_sweep_rejects_count_below_two(count, capsys):
     assert main(["sweep", "--count", count]) == 2
     assert "--count" in capsys.readouterr().err
+
+
+def test_bisect_rejects_zero_tol(capsys):
+    assert main(["bisect", "--beta", "0.5236", "--tol", "0"]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["random-check", "cover-check"])
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_batch_commands_reject_count_below_one(command, count, capsys):
+    surface = "moebius" if command == "random-check" else "klein"
+    assert main([command, "--surface", surface, "--count", count]) == 2
+    assert "count" in capsys.readouterr().err

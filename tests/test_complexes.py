@@ -127,3 +127,18 @@ def test_components_numbered_by_smallest_node():
     count, labels = components(3, [], [])
     assert (count, labels.tolist()) == (3, [0, 1, 2])
     assert components(0, [], [])[0] == 0
+
+
+def test_validate_rejects_flipped_parity():
+    import dataclasses
+
+    from eulerpart import InvariantViolation
+    from eulerpart.complexes import _validate_complex
+
+    c = build_complex(SurfaceSpec.moebius(6, 4))
+    interior_end = ~c.vertex_is_boundary[c.edge_vertices]
+    e = c.interior_edges[np.any(interior_end[c.interior_edges], axis=1)][0]
+    parity = c.edge_parity.copy()
+    parity[e] = -parity[e]
+    with pytest.raises(InvariantViolation, match="parities inconsistent"):
+        _validate_complex(dataclasses.replace(c, edge_parity=parity))

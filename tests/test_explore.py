@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eulerpart import (
+    EXPECTED_CHI,
     InstabilityError,
     NodalConfig,
     RandomSpec,
@@ -11,6 +12,7 @@ from eulerpart import (
     batch_verify,
     bisect_transition,
     build_complex,
+    from_labels,
     invariants,
     random_partition,
     sweep,
@@ -49,6 +51,41 @@ def test_random_partition_regression_fixture():
     rr = invariants(random_partition(cr, RandomSpec(seed=42, k=5)))
     assert rr.key() == (5, 0, 4, 0)
     assert rr.defect == 1
+
+
+def _scan_flood_fill(c, spec):
+    """The full-scan flood fill that the frontier fill replaced: every round
+    rescans all directed adjacencies for open edges."""
+    rng = np.random.default_rng(spec.seed)
+    labels = np.full(c.n_faces, -1, dtype=np.int64)
+    sources = rng.choice(c.n_faces, size=spec.k, replace=False)
+    labels[sources] = np.arange(spec.k)
+    fa, fb, _, _ids = c.adjacency
+    both = np.concatenate([np.stack([fa, fb], 1), np.stack([fb, fa], 1)])
+    while True:
+        src_lab = labels[both[:, 0]]
+        open_edges = (src_lab >= 0) & (labels[both[:, 1]] < 0)
+        if not np.any(open_edges):
+            break
+        cand = both[open_edges]
+        cand_lab = src_lab[open_edges]
+        order = rng.permutation(len(cand))
+        targets = cand[order, 1]
+        first = np.unique(targets, return_index=True)[1]
+        labels[targets[first]] = cand_lab[order][first]
+    return labels
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_CHI))
+@pytest.mark.parametrize("size", [(2, 2), (7, 5), (32, 32)])
+def test_random_partition_matches_full_scan(name, size):
+    c = build_complex(SurfaceSpec.named(name, *size))
+    # k = n_faces labels every face up front and runs no round at all
+    for k in sorted({1, min(5, c.n_faces), c.n_faces}):
+        for seed in range(3):
+            spec = RandomSpec(seed=seed, k=k)
+            expected = from_labels(c, _scan_flood_fill(c, spec)).domains
+            assert np.array_equal(random_partition(c, spec).domains, expected)
 
 
 def test_random_partition_k_validation():
@@ -139,6 +176,13 @@ def test_bisect_wide_tol_returns_initial_bracket():
     est = bisect_transition(PI / 6, tol=2.0, config=NodalConfig(n=48))
     assert est.theta_low == 0.05
     assert est.theta_high == pytest.approx(PI / 2 - 0.05)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+def test_bisect_rejects_nonpositive_tol(tol):
+    # rejected before the first probe
+    with pytest.raises(ValueError, match="tol must be positive"):
+        bisect_transition(0.5236, tol=tol)
 
 
 def test_bisect_no_sign_change_rejected():
