@@ -203,6 +203,45 @@ class CellComplex:
         starts = np.searchsorted(corners[order], np.arange(self.n_vertices + 1))
         return starts, faces[order]
 
+    @cached_property
+    def slot_partners(self) -> np.ndarray:
+        """(4F, 2) corner slot matched to each slot across its two sides.
+
+        Slots are ``4*face + corner``.  Slot ``(f, c)`` touches side ``c``
+        (where corner ``c`` starts) and side ``c - 1`` (where it ends);
+        column 0 holds the slot over the same vertex in the face across
+        side ``c``, column 1 the one across side ``c - 1``, and -1 marks a
+        side on the surface boundary.  Built once per complex from the
+        corner matching across every interior edge.
+        """
+        ids = self.interior_edges
+        fa, fb = self.edge_faces[ids, 0], self.edge_faces[ids, 1]
+        sa, sb = self.edge_sides[ids, 0], self.edge_sides[ids, 1]
+        fv = self.face_vertices
+        ca, cb = sa, (sa + 1) % 4
+        da, db = sb, (sb + 1) % 4
+        # match the two corners of each edge by underlying vertex
+        va, wa = fv[fa, ca], fv[fb, da]
+        straight = va == wa
+        if not np.all(np.where(straight, fv[fa, cb] == fv[fb, db], (va == fv[fb, db]) & (fv[fa, cb] == wa))):
+            raise InvariantViolation("edge corner matching failed")
+        a0, a1 = 4 * fa + ca, 4 * fa + cb
+        b0, b1 = 4 * fb + da, 4 * fb + db
+        out = np.full((4 * self.n_faces, 2), -1, dtype=np.int64)
+        # a corner that starts its side looks across it from column 0
+        out[a0, 0] = np.where(straight, b0, b1)
+        out[a1, 1] = np.where(straight, b1, b0)
+        out[b0, 0] = np.where(straight, a0, a1)
+        out[b1, 1] = np.where(straight, a1, a0)
+        return out
+
+    @cached_property
+    def vertex_slot(self) -> np.ndarray:
+        """(V,) one corner slot over each vertex (which one is unspecified)."""
+        out = np.empty(self.n_vertices, dtype=np.int64)
+        out[self.face_vertices.ravel()] = np.arange(4 * self.n_faces, dtype=np.int64)
+        return out
+
     def faces_at_vertex(self, v: int) -> np.ndarray:
         starts, faces = self.vertex_faces
         return np.unique(faces[starts[v]:starts[v + 1]])

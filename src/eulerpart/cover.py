@@ -9,11 +9,18 @@ map sends a cover face ``(i, j)`` with ``j >= H`` to the base face
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
 character computed as the balance of the signed double face graph.
+
+``lift_partition`` memoizes the lift per (cover, base partition) in a weak
+mapping held by the ``CoverStructure``, so the bookkeeping and the preimage
+count share one lift, and the lift goes when its base partition does.
+Lifted partitions live on orientable covers, where no glued edge reverses,
+so their orientability needs no double graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +38,10 @@ class CoverStructure:
     face_projection: np.ndarray   # cover face -> base face
     face_deck: np.ndarray         # cover face -> cover face, the involution
     edge_projection: np.ndarray   # cover edge -> base edge
+    # base partition -> its lift; an entry lives as long as its base
+    _lifts: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
+    )
 
 
 def double_cover(c: CellComplex) -> CoverStructure:
@@ -107,17 +118,25 @@ def _validate_cover(cs: CoverStructure) -> None:
 
 
 def lift_partition(cs: CoverStructure, p: Partition) -> Partition:
-    """Pull a base partition back through the covering map."""
+    """Pull a base partition back through the covering map.
+
+    The lift is computed once per (cover, base partition) and shared by
+    every later call; it holds no reference to its base, so the cache
+    entry goes when the base partition does.
+    """
     if p.complex is not cs.base and p.complex.spec != cs.base.spec:
         raise ValueError("partition does not live on the base of this cover")
-    labels = p.domains[cs.face_projection]
-    walls = np.flatnonzero(np.isin(cs.edge_projection, np.fromiter(p.walls, dtype=np.int64))) if p.walls else ()
-    return from_labels(cs.cover, labels, walls=walls)
+    lifted = cs._lifts.get(p)
+    if lifted is None:
+        labels = p.domains[cs.face_projection]
+        walls = np.flatnonzero(np.isin(cs.edge_projection, np.fromiter(p.walls, dtype=np.int64))) if p.walls else ()
+        lifted = cs._lifts[p] = from_labels(cs.cover, labels, walls=walls)
+    return lifted
 
 
-def preimage_component_counts(cs: CoverStructure, p: Partition, lifted: Partition | None = None) -> np.ndarray:
+def preimage_component_counts(cs: CoverStructure, p: Partition) -> np.ndarray:
     """Number of cover components over each base domain (always 1 or 2)."""
-    lifted = lifted or lift_partition(cs, p)
+    lifted = lift_partition(cs, p)
     # one key per (base domain, lifted domain) pair that occurs
     keys = np.unique(p.domains[cs.face_projection] * lifted.n_domains + lifted.domains)
     counts = np.bincount(keys // lifted.n_domains, minlength=p.n_domains)
@@ -159,7 +178,7 @@ def cover_bookkeeping(cs: CoverStructure, p: Partition) -> CoverReport:
     lifted = lift_partition(cs, p)
     base_rep = invariants(p)
     cover_rep = invariants(lifted)
-    counts = preimage_component_counts(cs, p, lifted)
+    counts = preimage_component_counts(cs, p)
     n_bad = int(np.sum(counts == 1))
 
     if cover_rep.kappa != 2 * base_rep.kappa - n_bad:

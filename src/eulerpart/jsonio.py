@@ -80,12 +80,21 @@ def surface_to_json(spec: SurfaceSpec) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def surface_from_json(obj: dict) -> SurfaceSpec:
+    width = _integer(obj["width"], "surface width")
+    height = _integer(obj["height"], "surface height")
     if "surface" in obj:
-        return SurfaceSpec.named(obj["surface"], int(obj["width"]), int(obj["height"]))
+        return SurfaceSpec.named(obj["surface"], width, height)
     return SurfaceSpec(
-        int(obj["width"]),
-        int(obj["height"]),
+        width,
+        height,
         obj.get("x_gluing", "open"),
         obj.get("y_gluing", "open"),
     )
@@ -108,9 +117,9 @@ def partition_from_json(obj: dict, complex: CellComplex | None = None) -> Partit
     raw_walls = obj.get("walls", [])
     for group in raw_walls:
         if isinstance(group, list):
-            walls.extend(int(w) for w in group)
+            walls.extend(_integer(w, "wall edge id") for w in group)
         else:
-            walls.append(int(group))
+            walls.append(_integer(group, "wall edge id"))
     return from_labels(c, obj["labels"], walls=walls)
 
 

@@ -18,7 +18,9 @@ sigma   half the total singular index, where an interior vertex meeting
 omega   1 iff some domain is non-orientable (detected as an unbalanced
         signed double graph: each face has two sheets, glued edges join
         equal sheets across +1 parity and opposite sheets across -1, and a
-        domain is non-orientable iff some face meets its own other sheet);
+        domain is non-orientable iff some face meets its own other sheet;
+        when no glued edge has parity -1 the graph is skipped, since its
+        sheets are then two disjoint copies and every domain is balanced);
 delta   omega + beta + sigma - kappa.  The *defect* is -delta.
 
 Closed domains are analysed through an abstract closure: the faces of a
@@ -26,7 +28,10 @@ domain are glued only along shared non-wall edges interior to the domain,
 so each domain becomes a combinatorial surface with boundary regardless
 of pinch points or walls in the ambient embedding.  This is the closure
 for which chi(surface) + sigma equals the sum of the closed domain Euler
-characteristics.
+characteristics.  Its cost follows the boundary set: the corner matching
+across interior edges is the complex's ``slot_partners`` table, built once
+per complex, and corner orbits are labelled only at vertices touched by
+boundary-set edges (see ``_ClosureTables``).
 """
 
 from __future__ import annotations
@@ -95,23 +100,20 @@ class Partition:
         return _ClosureTables(self)
 
 
-def _glued_adjacency(p: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``complex.adjacency`` restricted to non-wall edges inside one domain."""
-    fa, fb, par, ids = p.complex.adjacency
-    keep = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
-    return fa[keep], fb[keep], par[keep], ids[keep]
-
-
 def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     """Build a partition from a total face->label map.
 
     Equal-label faces are re-split into connected domains; domain ids are
-    assigned in order of each domain's smallest face index.  Wall edges
-    must be interior and may not leave dangling ends.
+    assigned in order of each domain's smallest face index.  Labels must be
+    integers (floats, strings and booleans are rejected, never truncated).
+    Wall edges must be interior and may not leave dangling ends.
     """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = np.asarray(labels).ravel()
     if labels.shape != (c.n_faces,):
         raise ValueError(f"labels must cover all {c.n_faces} faces, got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels.dtype} values")
+    labels = labels.astype(np.int64, copy=False)
     wall_ids = frozenset(int(w) for w in walls)
     for w in wall_ids:
         if not 0 <= w < c.n_edges:
@@ -204,7 +206,13 @@ def _compute_orientability(p: Partition) -> np.ndarray:
     # parity +1 joins equal sheets, of parity -1 opposite sheets.  A domain
     # is orientable iff it is balanced, i.e. no face meets its other sheet.
     F = p.complex.n_faces
-    a, b, par, _ = _glued_adjacency(p)
+    fa, fb, par, ids = p.complex.adjacency
+    glued = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
+    a, b, par = fa[glued], fb[glued], par[glued]
+    if np.all(par > 0):
+        # no glued edge reverses: the sheets are two disjoint copies of the
+        # face graph, so every domain is balanced
+        return np.ones(p.n_domains, dtype=bool)
     b = np.where(par > 0, b, b + F)
     _n, sheet = components(
         2 * F, np.concatenate([a, a + F]), np.concatenate([b, (b + F) % (2 * F)])
@@ -327,9 +335,6 @@ def verify_euler(p: Partition) -> Verdict:
 # ---------------------------------------------------------------------------
 # abstract domain closures
 
-_SIDE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))  # side s spans corners s, s+1
-
-
 class _ClosureTables:
     """Corner-slot gluing data for the closed domains of a partition.
 
@@ -338,59 +343,71 @@ class _ClosureTables:
     non-wall edge interior to one domain; the orbits are the vertices of
     the abstract closed domains.  Every orbit lies over one vertex of the
     complex and inside one domain.
+
+    The work follows the boundary set.  At a vertex that no boundary-set
+    edge touches every edge is glued, and since the vertex links of these
+    quotient grids are connected, all of its slots form one orbit.  Orbits
+    are therefore labelled as components only among the slots at touched
+    vertices, using the complex's ``slot_partners`` table; each untouched
+    vertex counts as one orbit of the domain around it.  Boundary cycles
+    chain orbits along the unglued sides, which lie on boundary-set edges
+    and on the surface boundary.
     """
 
     def __init__(self, p: Partition):
         c = p.complex
-        ga, gb, _, glued = _glued_adjacency(p)
-        sa = c.edge_sides[glued, 0]
-        sb = c.edge_sides[glued, 1]
-        # edge_faces slot order may list the faces either way round
-        swap = c.edge_faces[glued, 0] != ga
-        sa, sb = np.where(swap, sb, sa), np.where(swap, sa, sb)
-
-        fv = c.face_vertices
-        ca, cb = sa, (sa + 1) % 4
-        da, db = sb, (sb + 1) % 4
-        # match the two corners of the shared edge by underlying vertex
-        va = fv[ga, ca]
-        wa = fv[gb, da]
-        straight = va == wa
-        if not np.all(np.where(straight, fv[ga, cb] == fv[gb, db], (va == fv[gb, db]) & (fv[ga, cb] == wa))):
-            raise InvariantViolation("edge corner matching failed")
-        pair_a = 4 * gb + np.where(straight, da, db)
-        pair_b = 4 * gb + np.where(straight, db, da)
-        n_orbits, slot_orbit = components(
-            4 * c.n_faces,
-            np.concatenate([4 * ga + ca, 4 * ga + cb]),
-            np.concatenate([pair_a, pair_b]),
-        )
-
         dom = p.domains
-        self.n_domains = p.n_domains
-        self.orbit_vertex = np.empty(n_orbits, dtype=np.int64)
-        self.orbit_vertex[slot_orbit] = fv.ravel()
-        self.orbit_domain = np.empty(n_orbits, dtype=np.int64)
-        self.orbit_domain[slot_orbit] = np.repeat(dom, 4)
+        n = p.n_domains
+        fv = c.face_vertices.ravel()
+        bset = p.boundary_set
 
-        # per-domain face, glued-edge and abstract vertex counts
-        self.faces_per_domain = np.bincount(dom, minlength=p.n_domains)
-        self.glued_per_domain = np.bincount(dom[ga], minlength=p.n_domains)
-        self.vertices_per_domain = np.bincount(self.orbit_domain, minlength=p.n_domains)
+        touched = np.zeros(c.n_vertices, dtype=bool)
+        touched[c.edge_vertices[bset].ravel()] = True
+        slots = np.flatnonzero(touched[fv])
+        faces, corners = np.divmod(slots, 4)
+        partner = c.slot_partners[slots]
+        sides = c.face_edges[faces[:, None], np.stack([corners, (corners + 3) % 4], axis=1)]
+        glued = (partner >= 0) & (dom[partner // 4] == dom[faces][:, None]) & ~p.wall_mask[sides]
+        rows = np.broadcast_to(np.arange(len(slots))[:, None], glued.shape)
+        n_touched, orbit = components(
+            len(slots), rows[glued], np.searchsorted(slots, partner[glued])
+        )
+        orbit_domain = np.empty(n_touched, dtype=np.int64)
+        orbit_domain[orbit] = dom[faces]
+        orbit_vertex = np.empty(n_touched, dtype=np.int64)
+        orbit_vertex[orbit] = fv[slots]
+        self.n_domains = n
+        self._orbit_keys = orbit_vertex * n + orbit_domain
 
-        # boundary cycles: unglued (face, side) slots chain corner orbits
-        glued_side = np.zeros(4 * c.n_faces, dtype=bool)
-        glued_side[4 * ga + sa] = True
-        glued_side[4 * gb + sb] = True
-        bf, bs = np.divmod(np.flatnonzero(~glued_side), 4)
-        end_a = slot_orbit[4 * bf + bs]
-        n_cyc, cyc = components(n_orbits, end_a, slot_orbit[4 * bf + (bs + 1) % 4])
-        # orbits off every boundary side stay singleton components
-        on_side = np.zeros(n_cyc, dtype=bool)
-        on_side[cyc[end_a]] = True
+        # unglued sides: both sides of boundary-set edges, and the surface
+        # boundary; (face, side) runs from corner side to corner side + 1
+        bdy = c.boundary_edges
+        side_face = np.concatenate([c.edge_faces[bset].ravel(), c.edge_faces[bdy, 0]])
+        side = np.concatenate([c.edge_sides[bset].ravel(), c.edge_sides[bdy, 0]])
+        side_domain = dom[side_face]
+
+        def orbit_of(slot):
+            # untouched vertex v is the single orbit n_touched + v
+            out = n_touched + fv[slot]
+            hit = touched[fv[slot]]
+            out[hit] = orbit[np.searchsorted(slots, slot[hit])]
+            return out
+
+        ends = np.concatenate([orbit_of(4 * side_face + side), orbit_of(4 * side_face + (side + 1) % 4)])
+        nodes, ends = np.unique(ends, return_inverse=True)
+        n_cyc, cyc = components(len(nodes), ends[: len(side)], ends[len(side):])
         cycle_domain = np.empty(n_cyc, dtype=np.int64)
-        cycle_domain[cyc] = self.orbit_domain
-        self.cycles_per_domain = np.bincount(cycle_domain[on_side], minlength=p.n_domains)
+        cycle_domain[cyc[ends[: len(side)]]] = side_domain
+
+        # per-domain face, glued-edge and abstract vertex counts; each face
+        # has four sides, and every glued edge takes two of them
+        untouched_faces = c.vertex_slot[~touched] // 4
+        self.faces_per_domain = np.bincount(dom, minlength=n)
+        self.glued_per_domain = (4 * self.faces_per_domain - np.bincount(side_domain, minlength=n)) // 2
+        self.vertices_per_domain = np.bincount(orbit_domain, minlength=n) + np.bincount(
+            dom[untouched_faces], minlength=n
+        )
+        self.cycles_per_domain = np.bincount(cycle_domain, minlength=n)
 
     def chi(self, d: int) -> int:
         f = int(self.faces_per_domain[d])
@@ -403,10 +420,12 @@ class _ClosureTables:
 
     @cached_property
     def non_normal_pairs(self) -> np.ndarray:
-        """(vertex, domain) pairs where a domain meets >= 2 corner sectors."""
-        keys, counts = np.unique(
-            self.orbit_vertex * self.n_domains + self.orbit_domain, return_counts=True
-        )
+        """(vertex, domain) pairs where a domain meets >= 2 corner sectors.
+
+        An untouched vertex holds a single orbit, so only touched orbits
+        can pair up.
+        """
+        keys, counts = np.unique(self._orbit_keys, return_counts=True)
         return np.stack(np.divmod(keys[counts > 1], self.n_domains), axis=1)
 
 
@@ -437,46 +456,46 @@ def domain_reports(p: Partition, tables: _ClosureTables | None = None) -> list[D
     """Classify every closed domain as a surface with boundary."""
     tables = tables or closure_tables(p)
     bits = orientability_bits(p)
-    bad_pairs = tables.non_normal_pairs
-    non_normal_domains = set(int(d) for d in bad_pairs[:, 1]) if len(bad_pairs) else set()
-    out = []
-    for d in range(p.n_domains):
-        chi = tables.chi(d)
-        q = tables.boundary_cycles(d)
-        orientable = bool(bits[d])
-        if orientable:
-            g2 = 2 - q - chi
-            if g2 < 0 or g2 % 2:
-                raise InvariantViolation(
-                    f"domain {d}: chi={chi}, q={q} not an orientable surface"
-                )
-            genus, crosscaps = g2 // 2, None
-        else:
-            cc = 2 - q - chi
-            if cc < 1:
-                raise InvariantViolation(
-                    f"domain {d}: chi={chi}, q={q} not a non-orientable surface"
-                )
-            genus, crosscaps = None, cc
-        out.append(
-            DomainReport(
-                domain=d,
-                n_faces=int(tables.faces_per_domain[d]),
-                chi=chi,
-                orientable=orientable,
-                boundary_circles=q,
-                genus=genus,
-                crosscaps=crosscaps,
-                normal=d not in non_normal_domains,
-            )
-        )
-    return out
+    non_normal = set(tables.non_normal_pairs[:, 1].tolist())
+    return [_domain_report(tables, bool(bits[d]), d not in non_normal, d) for d in range(p.n_domains)]
 
 
 def domain_report(p: Partition, d: int) -> DomainReport:
+    """Classify one closed domain as a surface with boundary."""
     if not 0 <= d < p.n_domains:
         raise KeyError(f"unknown domain id {d}")
-    return domain_reports(p)[d]
+    tables = closure_tables(p)
+    normal = not np.any(tables.non_normal_pairs[:, 1] == d)
+    return _domain_report(tables, bool(orientability_bits(p)[d]), normal, d)
+
+
+def _domain_report(tables: _ClosureTables, orientable: bool, normal: bool, d: int) -> DomainReport:
+    chi = tables.chi(d)
+    q = tables.boundary_cycles(d)
+    if orientable:
+        g2 = 2 - q - chi
+        if g2 < 0 or g2 % 2:
+            raise InvariantViolation(
+                f"domain {d}: chi={chi}, q={q} not an orientable surface"
+            )
+        genus, crosscaps = g2 // 2, None
+    else:
+        cc = 2 - q - chi
+        if cc < 1:
+            raise InvariantViolation(
+                f"domain {d}: chi={chi}, q={q} not a non-orientable surface"
+            )
+        genus, crosscaps = None, cc
+    return DomainReport(
+        domain=d,
+        n_faces=int(tables.faces_per_domain[d]),
+        chi=chi,
+        orientable=orientable,
+        boundary_circles=q,
+        genus=genus,
+        crosscaps=crosscaps,
+        normal=normal,
+    )
 
 
 @dataclass(frozen=True)

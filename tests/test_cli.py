@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +173,20 @@ def test_invariant_violation_exit_code(tmp_path):
     assert main(["invariants", str(f)]) == 1
 
 
+@pytest.mark.parametrize("key,value,field", [
+    ("labels", [0.7, 0.2, 1.9, 1.1], "labels"),
+    ("labels", ["1", "1", "0", "0"], "labels"),
+    ("surface", {"surface": "rectangle", "width": 2.9, "height": 2}, "surface width"),
+], ids=["float-labels", "string-labels", "float-width"])
+def test_non_integer_input_is_a_usage_error(key, value, field, tmp_path, capsys):
+    doc = {"surface": {"surface": "rectangle", "width": 2, "height": 2}, "labels": [0, 0, 1, 1]}
+    doc[key] = value
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc))
+    assert main(["invariants", str(f)]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_nodal_rejects_zero_resolution(capsys):
     # --n 0 must reach the NodalConfig check, not fall back to the default
     assert main(["nodal", "--family", "bands", "--m", "3", "--n", "0"]) == 2
@@ -194,3 +210,23 @@ def test_batch_commands_reject_count_below_one(command, count, capsys):
     surface = "moebius" if command == "random-check" else "klein"
     assert main([command, "--surface", surface, "--count", count]) == 2
     assert "count" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+# sha256 of stdout for a fixed command set; any change to the computed
+# invariants, the batch bookkeeping or the JSON layout moves a digest
+PINNED_STDOUT = [
+    (["random-check", "--surface", "moebius", "--count", "20", "--seed", "7"],
+     "02a9721428e59427dcad4dad815ba7d29acf4f831d86da9f77dd3ab44bd012bf"),
+    (["cover-check", "--surface", "klein", "--count", "20", "--seed", "3"],
+     "7c7b003bac3fc0e374e584ae0bd59760c7f11f92584f6f3165c9fb637f078411"),
+    (["invariants", str(DATA / "moebius_8x8.json")],
+     "d010d35f2444ad4a769dfafa0f1748ded8a64fbb76caafccbbc701a5c9eccb00"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=[a[0] for a, _ in PINNED_STDOUT])
+def test_stdout_digests_pinned(args, digest, capsys):
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -142,3 +142,33 @@ def test_validate_rejects_flipped_parity():
     parity[e] = -parity[e]
     with pytest.raises(InvariantViolation, match="parities inconsistent"):
         _validate_complex(dataclasses.replace(c, edge_parity=parity))
+
+
+@pytest.mark.parametrize("name", ALL_SURFACES)
+def test_slot_partners_pair_corners_over_one_vertex(name):
+    c = build_complex(SurfaceSpec.named(name, 5, 4))
+    partners = c.slot_partners
+    fv = c.face_vertices.ravel()
+    slots = np.arange(4 * c.n_faces)
+    for col in (0, 1):
+        has = partners[:, col] >= 0
+        # matched slots lie over the same vertex and match back
+        assert np.array_equal(fv[partners[has, col]], fv[slots[has]])
+        assert np.all(np.any(partners[partners[has, col]] == slots[has, None], axis=1))
+    # exactly the sides on the surface boundary have no partner
+    f, corner = np.divmod(slots, 4)
+    for col, side in ((0, corner), (1, (corner + 3) % 4)):
+        assert np.array_equal(partners[:, col] < 0, c.edge_is_boundary[c.face_edges[f, side]])
+    assert np.array_equal(fv[c.vertex_slot], np.arange(c.n_vertices))
+
+
+def test_slot_partners_reject_mismatched_corners():
+    import dataclasses
+
+    from eulerpart import InvariantViolation
+
+    c = build_complex(SurfaceSpec.torus(4, 4))
+    fv = c.face_vertices.copy()
+    fv[5] = np.roll(fv[5], 1)
+    with pytest.raises(InvariantViolation, match="corner matching"):
+        dataclasses.replace(c, face_vertices=fv).slot_partners

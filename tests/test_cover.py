@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from eulerpart import (
+    RandomSpec,
     SurfaceSpec,
     build_complex,
     boundary_components,
@@ -15,6 +18,7 @@ from eulerpart import (
     lift_partition,
     omega_via_cover,
     orientability_bits,
+    random_partition,
 )
 
 def bands(m, n):
@@ -141,3 +145,42 @@ def test_lift_preserves_walls():
     lifted = lift_partition(cs, p)
     assert len(lifted.walls) == 2 * len(p.walls)
     assert invariants(lifted).sigma == 2 * invariants(p).sigma
+
+
+def test_lift_is_shared_per_partition():
+    c, p = bands(3, 12)
+    cs = double_cover(c)
+    lifted = lift_partition(cs, p)
+    assert lift_partition(cs, p) is lifted
+    # an equal partition built separately gets its own lift
+    again = from_labels(c, p.domains)
+    assert lift_partition(cs, again) is not lifted
+
+
+def test_cached_lift_dies_with_its_base():
+    # the cache must key on the base weakly, and the lift must not point
+    # back at its base, or both live until a cyclic collection
+    gc.disable()
+    try:
+        c, p = bands(3, 12)
+        cs = double_cover(c)
+        cover_bookkeeping(cs, p)
+        omega_via_cover(cs, p)
+        base, lifted = weakref.ref(p), weakref.ref(lift_partition(cs, p))
+        del p
+        assert base() is None
+        assert lifted() is None
+        assert len(cs._lifts) == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["moebius", "klein"])
+def test_orientability_routes_agree_on_32_grids(name):
+    c = build_complex(SurfaceSpec.named(name, 32, 32))
+    cs = double_cover(c)
+    for seed in range(16):
+        p = random_partition(c, RandomSpec(seed=seed, k=1 + seed % 10))
+        assert np.array_equal(orientability_bits(p), omega_via_cover(cs, p))
+        # covers are orientable: every lifted domain is balanced
+        assert orientability_bits(lift_partition(cs, p)).all()

@@ -39,6 +39,21 @@ def test_surface_roundtrip():
     assert jsonio.surface_from_json(doc) == custom
 
 
+@pytest.mark.parametrize("field,value", [("width", 4.9), ("height", 4.0), ("width", "4"), ("height", True)])
+def test_surface_size_must_be_an_integer(field, value):
+    # a width of 4.9 must be rejected, not truncated to 4
+    doc = {"surface": "moebius", "width": 4, "height": 4, field: value}
+    with pytest.raises(ValueError, match=f"surface {field} must be an integer"):
+        jsonio.surface_from_json(doc)
+
+
+def test_wall_ids_must_be_integers():
+    doc = jsonio.partition_to_json(bands3_partition())
+    doc["walls"] = [[12.5]]
+    with pytest.raises(ValueError, match="wall edge id must be an integer"):
+        jsonio.partition_from_json(doc)
+
+
 def test_partition_roundtrip():
     p = bands3_partition()
     doc = jsonio.partition_to_json(p)

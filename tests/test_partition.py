@@ -17,6 +17,10 @@ from eulerpart import (
     invariants,
     verify_euler,
 )
+from eulerpart.complexes import components
+from eulerpart.partition import closure_tables
+
+from cutgen import random_admissible_cut
 
 
 def moebius_bands(m, n=12):
@@ -67,6 +71,15 @@ def test_labels_must_be_total():
     c = build_complex(SurfaceSpec.rectangle(2, 2))
     with pytest.raises(ValueError):
         from_labels(c, [0, 1, 2])
+
+
+@pytest.mark.parametrize("labels", [[0.7, 0.2, 1.9, 1.1], ["1", "1", "0", "0"], [True, True, False, False]],
+                         ids=["float", "string", "bool"])
+def test_labels_must_be_integers(labels):
+    # never truncated or parsed: [0.7, 0.2, 1.9, 1.1] must not become [0, 0, 1, 1]
+    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        from_labels(c, labels)
 
 
 def test_wall_ids_validated():
@@ -226,6 +239,18 @@ def test_domain_report_unknown_id():
         domain_report(p, 3)
 
 
+def test_domain_report_matches_domain_reports():
+    c = build_complex(SurfaceSpec.moebius(8, 8))
+    seen = []
+    for seed in range(30):
+        # two labels give pinched, non-normal and non-orientable domains
+        p = from_labels(c, np.random.default_rng(seed).integers(0, 2, 64))
+        reports = domain_reports(p)
+        assert [domain_report(p, d) for d in range(p.n_domains)] == reports
+        seen += reports
+    assert not all(r.normal for r in seen) and not all(r.orientable for r in seen)
+
+
 def test_whole_surface_closure_chi():
     for name in ("rectangle", "moebius", "torus", "klein", "projective", "cylinder"):
         c = build_complex(SurfaceSpec.named(name, 4, 4))
@@ -277,3 +302,89 @@ def test_closure_tables_do_not_keep_partition_alive():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- boundary-local closure tables against the full slot graph ---------------
+
+
+def _slot_graph_closure(p):
+    """The closure route that the boundary-local tables replaced: corner
+    orbits are components of the full 4F corner-slot graph, matched across
+    every glued edge of the partition, and boundary cycles chain the orbits
+    along every unglued side."""
+    c = p.complex
+    fa, fb, _, ids = c.adjacency
+    keep = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
+    ga, gb, glued = fa[keep], fb[keep], ids[keep]
+    sa = c.edge_sides[glued, 0]
+    sb = c.edge_sides[glued, 1]
+    fv = c.face_vertices
+    ca, cb = sa, (sa + 1) % 4
+    da, db = sb, (sb + 1) % 4
+    straight = fv[ga, ca] == fv[gb, da]
+    pair_a = 4 * gb + np.where(straight, da, db)
+    pair_b = 4 * gb + np.where(straight, db, da)
+    n_orbits, slot_orbit = components(
+        4 * c.n_faces,
+        np.concatenate([4 * ga + ca, 4 * ga + cb]),
+        np.concatenate([pair_a, pair_b]),
+    )
+    dom, n = p.domains, p.n_domains
+    orbit_vertex = np.empty(n_orbits, dtype=np.int64)
+    orbit_vertex[slot_orbit] = fv.ravel()
+    orbit_domain = np.empty(n_orbits, dtype=np.int64)
+    orbit_domain[slot_orbit] = np.repeat(dom, 4)
+
+    glued_side = np.zeros(4 * c.n_faces, dtype=bool)
+    glued_side[4 * ga + sa] = True
+    glued_side[4 * gb + sb] = True
+    bf, bs = np.divmod(np.flatnonzero(~glued_side), 4)
+    end_a = slot_orbit[4 * bf + bs]
+    n_cyc, cyc = components(n_orbits, end_a, slot_orbit[4 * bf + (bs + 1) % 4])
+    on_side = np.zeros(n_cyc, dtype=bool)
+    on_side[cyc[end_a]] = True
+    cycle_domain = np.empty(n_cyc, dtype=np.int64)
+    cycle_domain[cyc] = orbit_domain
+
+    keys, counts = np.unique(orbit_vertex * n + orbit_domain, return_counts=True)
+    return {
+        "faces": np.bincount(dom, minlength=n),
+        "glued": np.bincount(dom[ga], minlength=n),
+        "vertices": np.bincount(orbit_domain, minlength=n),
+        "cycles": np.bincount(cycle_domain[on_side], minlength=n),
+        "non_normal": np.stack(np.divmod(keys[counts > 1], n), axis=1),
+    }
+
+
+def _closure_corpus(name, size):
+    c = build_complex(SurfaceSpec.named(name, *size))
+    yield from_labels(c, np.zeros(c.n_faces, dtype=np.int64))
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        p = from_labels(c, rng.integers(0, 1 + seed % 5, size=c.n_faces))
+        yield p
+        # walled partitions: promote admissible cut paths to walls (without
+        # cut's delta check, which holds only on some surfaces)
+        for _ in range(2):
+            path = random_admissible_cut(p, rng)
+            if path is None:
+                break
+            p = from_labels(c, p.domains, walls=p.walls | set(path.edges))
+            yield p
+
+
+@pytest.mark.parametrize("name", ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"])
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (32, 32)])
+def test_closure_tables_match_slot_graph(name, size):
+    n_walled = 0
+    for p in _closure_corpus(name, size):
+        n_walled += bool(p.walls)
+        got = closure_tables(p)
+        want = _slot_graph_closure(p)
+        assert np.array_equal(got.faces_per_domain, want["faces"])
+        assert np.array_equal(got.glued_per_domain, want["glued"])
+        assert np.array_equal(got.vertices_per_domain, want["vertices"])
+        assert np.array_equal(got.cycles_per_domain, want["cycles"])
+        assert np.array_equal(got.non_normal_pairs, want["non_normal"])
+    if size != (2, 2):
+        assert n_walled > 0
