@@ -25,7 +25,7 @@ from .errors import (
     SymmetryError,
 )
 from .explore import batch_verify, bisect_transition, sweep
-from .nodal import FAMILIES, NodalConfig, stable_invariants
+from .nodal import FAMILIES, NodalConfig, family, stable_invariants
 from .partition import (
     classify_circle_complement,
     cut,
@@ -70,20 +70,6 @@ def _nodal_config(args) -> NodalConfig:
     return NodalConfig(**kwargs)
 
 
-def _family_function(args):
-    if args.family == "phi":
-        if args.beta is None or args.theta is None:
-            raise EulerPartError("the phi family needs --beta and --theta")
-        return FAMILIES["phi"](args.beta, args.theta)
-    if args.family == "bands":
-        if args.m is None:
-            raise EulerPartError("the bands family needs --m")
-        return FAMILIES["bands"](args.m)
-    if args.theta is None:
-        raise EulerPartError("the ex3b family needs --theta")
-    return FAMILIES["ex3b"](args.theta)
-
-
 def cmd_invariants(args) -> int:
     p = _load_partition(args.partition)
     rep = invariants(p)
@@ -100,7 +86,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nodal(args) -> int:
-    f = _family_function(args)
+    f = family(args.family, vars(args))
     sr = stable_invariants(f, args.surface, _nodal_config(args))
     p = sr.partition
     v = verify_euler(p)

@@ -314,35 +314,30 @@ def build_complex(spec: SurfaceSpec) -> CellComplex:
     def ve(i, j):
         return HOFF + j * (W + 1) + i
 
-    def fid(i, j):
-        return j * W + i
-
     vpairs: list[tuple[np.ndarray, np.ndarray]] = []
     epairs: list[tuple[np.ndarray, np.ndarray]] = []
-    # seam adjacency: (raw edge, face_a, side_a, face_b, side_b, parity)
-    seam_adj: list[tuple[np.ndarray, ...]] = []
+    # raw edges of the reversed seams, where orientation flips
+    flipped_raw: list[np.ndarray] = []
 
     jv = np.arange(H + 1)
     je = np.arange(H)
     if spec.x_gluing == PERIODIC:
         vpairs.append((vid(W, jv), vid(0, jv)))
         epairs.append((ve(W, je), ve(0, je)))
-        seam_adj.append((ve(W, je), fid(W - 1, je), SIDE_E, fid(0, je), SIDE_W, +1))
     elif spec.x_gluing == REVERSED:
         vpairs.append((vid(W, jv), vid(0, H - jv)))
         epairs.append((ve(W, je), ve(0, H - 1 - je)))
-        seam_adj.append((ve(W, je), fid(W - 1, je), SIDE_E, fid(0, H - 1 - je), SIDE_W, -1))
+        flipped_raw.append(ve(W, je))
 
     iv = np.arange(W + 1)
     ie = np.arange(W)
     if spec.y_gluing == PERIODIC:
         vpairs.append((vid(iv, H), vid(iv, 0)))
         epairs.append((he(ie, H), he(ie, 0)))
-        seam_adj.append((he(ie, H), fid(ie, H - 1), SIDE_N, fid(ie, 0), SIDE_S, +1))
     elif spec.y_gluing == REVERSED:
         vpairs.append((vid(iv, H), vid(W - iv, 0)))
         epairs.append((he(ie, H), he(W - 1 - ie, 0)))
-        seam_adj.append((he(ie, H), fid(ie, H - 1), SIDE_N, fid(W - 1 - ie, 0), SIDE_S, -1))
+        flipped_raw.append(he(ie, H))
 
     # vertex orbits: components of the seam identifications, numbered by
     # their smallest raw id; corner orbits close up under the composition
@@ -391,9 +386,8 @@ def build_complex(spec: SurfaceSpec) -> CellComplex:
     edge_sides[two, 1] = flat_sides[order[first[two] + 1]]
 
     edge_parity = np.ones(n_edges, dtype=np.int8)
-    for raw, _fa, _sa, _fb, _sb, par in seam_adj:
-        if par == -1:
-            edge_parity[edge_map[raw]] = -1
+    for raw in flipped_raw:
+        edge_parity[edge_map[raw]] = -1
 
     edge_is_boundary = ~two
     edge_is_horizontal = uniq_e < HOFF

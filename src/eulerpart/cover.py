@@ -6,6 +6,12 @@ map sends a cover face ``(i, j)`` with ``j >= H`` to the base face
 ``(W-1-i, j-H)``, and the deck involution is
 ``(i, j) -> (W-1-i, (j+H) mod 2H)``.
 
+Edges project through the face tables of the two complexes, so the cover
+needs no raw edge numbering of its own: side ``s`` of a cover face lies
+over side ``s`` of the base face below it, except that on the mirrored
+upper sheet E and W swap.  An edge between two cover faces is reached
+from each of them, and the two must name the same base edge.
+
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
 character computed as the balance of the signed double face graph.
@@ -24,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import CellComplex, SurfaceSpec, build_complex, edge_components
+from .complexes import (SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec,
+                        build_complex, edge_components)
 from .errors import InvariantViolation
 from .partition import Partition, from_labels, invariants
 
@@ -63,7 +70,11 @@ def double_cover(c: CellComplex) -> CoverStructure:
     deck_j = (jj + H) % (2 * H)
     face_deck = deck_j * W + deck_i
 
-    edge_projection = _edge_projection(c, cover)
+    # the upper sheet, cover faces from c.n_faces on, is mirrored in x
+    below = c.face_edges[face_projection]
+    below[c.n_faces:] = below[c.n_faces:, [SIDE_S, SIDE_W, SIDE_N, SIDE_E]]
+    edge_projection = np.empty(cover.n_edges, dtype=np.int64)
+    edge_projection[cover.face_edges] = below
 
     cs = CoverStructure(
         base=c,
@@ -72,37 +83,11 @@ def double_cover(c: CellComplex) -> CoverStructure:
         face_deck=face_deck,
         edge_projection=edge_projection,
     )
-    _validate_cover(cs)
+    _validate_cover(cs, below)
     return cs
 
 
-def _edge_projection(base: CellComplex, cover: CellComplex) -> np.ndarray:
-    """Map each canonical cover edge to the canonical base edge below it."""
-    W, H = base.spec.width, base.spec.height
-    H2 = 2 * H
-    HOFF_cov = W * (H2 + 1)
-    HOFF_base = W * (H + 1)
-    n_raw = HOFF_cov + (W + 1) * H2
-
-    raw_base = np.empty(n_raw, dtype=np.int64)
-    # horizontal cover edge (i, j): segment (i,j)-(i+1,j)
-    j, i = np.divmod(np.arange(HOFF_cov), W)
-    low = j <= H  # rows 0..H project straight (row H is the mid seam)
-    raw_base[:HOFF_cov] = np.where(low, j * W + i, (j - H) * W + (W - 1 - i))
-    # vertical cover edge (i, j): segment (i,j)-(i,j+1)
-    j, i = np.divmod(np.arange((W + 1) * H2), W + 1)
-    low = j < H
-    raw_base[HOFF_cov:] = HOFF_base + np.where(
-        low, j * (W + 1) + i, (j - H) * (W + 1) + (W - i)
-    )
-
-    out = np.empty(cover.n_edges, dtype=np.int64)
-    # scatter through the cover's raw->canonical map; orbit members agree
-    out[cover.edge_map] = base.edge_map[raw_base]
-    return out
-
-
-def _validate_cover(cs: CoverStructure) -> None:
+def _validate_cover(cs: CoverStructure, below: np.ndarray) -> None:
     a, pi = cs.face_deck, cs.face_projection
     if not np.array_equal(a[a], np.arange(len(a))):
         raise InvariantViolation("deck map is not an involution")
@@ -112,6 +97,9 @@ def _validate_cover(cs: CoverStructure) -> None:
         raise InvariantViolation("deck map does not commute with the projection")
     if np.any(np.bincount(pi, minlength=cs.base.n_faces) != 2):
         raise InvariantViolation("base face without exactly two preimages")
+    # an edge is written once from each of its faces; the writes must agree
+    if not np.array_equal(cs.edge_projection[cs.cover.face_edges], below):
+        raise InvariantViolation("the two faces of a cover edge project it differently")
     ids = cs.cover.interior_edges
     if not np.all(cs.cover.edge_parity[ids] == 1):
         raise InvariantViolation("cover complex is not orientable")

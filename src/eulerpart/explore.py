@@ -16,7 +16,8 @@ import numpy as np
 from .complexes import CellComplex, SurfaceSpec, build_complex
 from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
 from .errors import InstabilityError, InvariantViolation
-from .nodal import FAMILIES, NodalConfig, stable_invariants
+from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, phi_family, stable_invariants
+from .nodal import family as family_member
 from .partition import (
     CONJECTURED_DEFECT,
     EXPECTED_DEFECT,
@@ -113,13 +114,13 @@ class SweepResult:
 
 
 def sweep(family: str, thetas, beta: float | None = None,
-          config: NodalConfig = NodalConfig(), surface: str = "moebius") -> SweepResult:
+          config: NodalConfig | None = None, surface: str = "moebius") -> SweepResult:
     """One stabilized invariant row per parameter value.
 
-    For the ``phi`` family ``beta`` is fixed and ``thetas`` vary; for
-    ``bands`` the values are the integer frequencies.  Rows that fail to
-    stabilize are marked rather than dropped.  Monotonicity violations of
-    the omega column are reported as findings, never silently ignored.
+    The values vary the family's last parameter: ``theta`` for ``phi``
+    (``beta`` fixed) and ``ex3b``, the integer ``m`` for ``bands``.  Rows
+    that fail to stabilize are marked rather than dropped.  Monotonicity
+    violations of the omega column are reported as findings.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
@@ -128,16 +129,10 @@ def sweep(family: str, thetas, beta: float | None = None,
         b < a for a, b in zip(values, values[1:])
     ):
         raise ValueError("parameter values must be monotone")
+    varied = FAMILY_PARAMS[family][-1]
     rows = []
     for v in values:
-        if family == "phi":
-            if beta is None:
-                raise ValueError("the phi family needs beta")
-            f = FAMILIES["phi"](beta, v)
-        elif family == "bands":
-            f = FAMILIES["bands"](int(v))
-        else:
-            f = FAMILIES["ex3b"](v)
+        f = family_member(family, {"beta": beta, varied: v})
         try:
             sr = stable_invariants(f, surface, config)
         except InstabilityError as e:
@@ -181,7 +176,7 @@ _PROBE_OFFSETS = (0.0, -1 / 16, 1 / 16, -1 / 8, 1 / 8, -3 / 16, 3 / 16)
 
 
 def bisect_transition(beta: float, tol: float = 1e-3,
-                      config: NodalConfig = NodalConfig(),
+                      config: NodalConfig | None = None,
                       theta_low: float = 0.05,
                       theta_high: float = math.pi / 2 - 0.05) -> TransitionEstimate:
     """Bracket the orientability transition of the phi family in theta.
@@ -196,7 +191,7 @@ def bisect_transition(beta: float, tol: float = 1e-3,
         raise ValueError("tol must be positive")
 
     def stable_omega(theta: float) -> tuple[int, int]:
-        sr = stable_invariants(FAMILIES["phi"](beta, theta), "moebius", config)
+        sr = stable_invariants(phi_family(beta, theta), "moebius", config)
         return sr.report.omega, sr.n
 
     evaluations = 0

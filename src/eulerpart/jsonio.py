@@ -13,9 +13,8 @@ from importlib import resources
 
 from .complexes import PRESETS, CellComplex, SurfaceSpec, build_complex
 from .cover import CoverReport
-from .errors import EulerPartError
 from .explore import BatchResult, SweepResult, TransitionEstimate
-from .nodal import Eigenfunction, Factor, Term, FAMILIES
+from .nodal import Eigenfunction, Factor, Term, family
 from .partition import (
     ChiSigmaReport,
     ComplementClass,
@@ -87,7 +86,17 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _require_object(obj, what: str, *fields: str) -> None:
+    """Reject anything but a JSON object holding every required field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for name in fields:
+        if name not in obj:
+            raise ValueError(f"{what} is missing the field {name!r}")
+
+
 def surface_from_json(obj: dict) -> SurfaceSpec:
+    _require_object(obj, "surface", "width", "height")
     width = _integer(obj["width"], "surface width")
     height = _integer(obj["height"], "surface height")
     if "surface" in obj:
@@ -111,6 +120,7 @@ def partition_to_json(p: Partition) -> dict:
 
 
 def partition_from_json(obj: dict, complex: CellComplex | None = None) -> Partition:
+    _require_object(obj, "partition", "surface", "labels")
     spec = surface_from_json(obj["surface"])
     c = complex if complex is not None and complex.spec == spec else build_complex(spec)
     walls: list[int] = []
@@ -129,14 +139,7 @@ def partition_from_json(obj: dict, complex: CellComplex | None = None) -> Partit
 
 def eigenfunction_from_json(obj: dict) -> Eigenfunction:
     if "family" in obj:
-        name = obj["family"]
-        if name not in FAMILIES:
-            raise EulerPartError(f"unknown family {name!r}")
-        if name == "phi":
-            return FAMILIES["phi"](float(obj["beta"]), float(obj["theta"]))
-        if name == "bands":
-            return FAMILIES["bands"](int(obj["m"]))
-        return FAMILIES["ex3b"](float(obj["theta"]))
+        return family(obj["family"], obj)
     terms = []
     for t in obj["terms"]:
         terms.append(

@@ -20,6 +20,7 @@ levels agree on (kappa, beta, sigma, omega).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -33,10 +34,10 @@ DEFAULT_MAX_REFINE_ENV = "NODAL_MAX_REFINE"
 
 
 def _max_refine_default() -> int:
-    try:
-        return int(os.environ.get(DEFAULT_MAX_REFINE_ENV, "5"))
-    except ValueError:
-        return 5
+    raw = os.environ.get(DEFAULT_MAX_REFINE_ENV, "5")
+    if not raw.isdecimal():
+        raise ValueError(f"{DEFAULT_MAX_REFINE_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,29 @@ def ex3b_family(theta: float) -> Eigenfunction:
 
 
 FAMILIES = {"phi": phi_family, "bands": bands_family, "ex3b": ex3b_family}
+#: family name -> its parameters in call order; sweeps vary the last one
+FAMILY_PARAMS = {"phi": ("beta", "theta"), "bands": ("m",), "ex3b": ("theta",)}
+
+
+def family(name: str, params: dict) -> Eigenfunction:
+    """The member of a named family; ``params`` keys it does not take are ignored.
+
+    ``m`` must be an integer and ``beta`` / ``theta`` real numbers, booleans
+    being neither; a value is never truncated or parsed, a wrong or missing
+    one raises ``ValueError`` naming the parameter.
+    """
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
+    args = []
+    for key in FAMILY_PARAMS[name]:
+        value = params.get(key)
+        if value is None:
+            raise ValueError(f"the {name} family needs {key}")
+        kind, noun = (numbers.Integral, "an integer") if key == "m" else (numbers.Real, "a number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} parameter {key} must be {noun}, got {value!r}")
+        args.append(value)
+    return FAMILIES[name](*args)
 
 
 @dataclass(frozen=True)
@@ -153,16 +177,17 @@ def symmetry_residual(f: Eigenfunction, surface: str) -> float:
     raise ValueError(f"symmetry check supports moebius and rectangle, not {surface!r}")
 
 
-def check_symmetry(f: Eigenfunction, surface: str, config: NodalConfig = NodalConfig()) -> bool:
-    return symmetry_residual(f, surface) <= config.sym_tol
+def check_symmetry(f: Eigenfunction, surface: str, config: NodalConfig | None = None) -> bool:
+    return symmetry_residual(f, surface) <= (config or NodalConfig()).sym_tol
 
 
-def rasterize(f: Eigenfunction, surface: str, config: NodalConfig = NodalConfig(), n: int | None = None) -> Partition:
+def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None, n: int | None = None) -> Partition:
     """Partition an N x N grid by the sign of f at face centers.
 
     Raises ResolutionError when a face center lands on the zero set, and
     SymmetryError when f fails the surface's symmetry gate.
     """
+    config = config or NodalConfig()
     n = config.n if n is None else n
     if surface == "moebius" and n % 2:
         raise ValueError("moebius rasterization needs an even resolution")
@@ -205,8 +230,9 @@ class StableResult:
     levels: tuple                # (n, kappa, beta, sigma, omega) per level
 
 
-def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig = NodalConfig()) -> StableResult:
+def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig | None = None) -> StableResult:
     """Invariants at increasing resolution until two levels agree."""
+    config = config or NodalConfig()
     history = []
     prev_key = None
     prev_n = None

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eulerpart
 from eulerpart import SurfaceSpec, build_complex, from_labels
 from eulerpart.cli import main
 from eulerpart.jsonio import dumps, partition_to_json
@@ -215,18 +219,89 @@ def test_batch_commands_reject_count_below_one(command, count, capsys):
 DATA = Path(__file__).parent / "data"
 
 # sha256 of stdout for a fixed command set; any change to the computed
-# invariants, the batch bookkeeping or the JSON layout moves a digest
-PINNED_STDOUT = [
-    (["random-check", "--surface", "moebius", "--count", "20", "--seed", "7"],
-     "02a9721428e59427dcad4dad815ba7d29acf4f831d86da9f77dd3ab44bd012bf"),
-    (["cover-check", "--surface", "klein", "--count", "20", "--seed", "3"],
-     "7c7b003bac3fc0e374e584ae0bd59760c7f11f92584f6f3165c9fb637f078411"),
-    (["invariants", str(DATA / "moebius_8x8.json")],
-     "d010d35f2444ad4a769dfafa0f1748ded8a64fbb76caafccbbc701a5c9eccb00"),
-]
+# invariants, the batch bookkeeping, the nodal stabilization or the JSON
+# layout moves a digest
+PINNED_STDOUT = {
+    "random-check": (
+        ["random-check", "--surface", "moebius", "--count", "20", "--seed", "7"],
+        "02a9721428e59427dcad4dad815ba7d29acf4f831d86da9f77dd3ab44bd012bf"),
+    "cover-check": (
+        ["cover-check", "--surface", "klein", "--count", "20", "--seed", "3"],
+        "7c7b003bac3fc0e374e584ae0bd59760c7f11f92584f6f3165c9fb637f078411"),
+    "invariants": (
+        ["invariants", str(DATA / "moebius_8x8.json")],
+        "d010d35f2444ad4a769dfafa0f1748ded8a64fbb76caafccbbc701a5c9eccb00"),
+    "nodal-phi": (
+        ["nodal", "--family", "phi", "--beta", "0.5236", "--theta", "1.2", "--n", "64"],
+        "82e27c93ea00b17f624c0c5e9f39398fbfc472f47caeed9dce90831aac688865"),
+    "nodal-bands": (
+        ["nodal", "--family", "bands", "--m", "3", "--n", "32"],
+        "4c1b7fed5505932aec6389acd5de4492e9bb27cd64cd6165bfdbce4559bf7884"),
+    "nodal-ex3b": (
+        ["nodal", "--family", "ex3b", "--theta", "1.2566", "--n", "64"],
+        "8d2a024fc391edf1ba536ca3d3e1526379fcb5316ad5fcede75a585831928216"),
+    "sweep": (
+        ["sweep", "--family", "phi", "--beta", "0.5236", "--count", "3", "--n", "32"],
+        "b4ca1701d5ee3e8d7868c80c109ea484e2c16b1fc52a4b20f6e9402bc2748d61"),
+    "bisect": (
+        ["bisect", "--beta", "0.5236", "--tol", "1e-2", "--n", "32"],
+        "483a819618987f50f50339ec044af8452a440a3a2d99211bd97953498fb2411d"),
+}
 
 
-@pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=[a[0] for a, _ in PINNED_STDOUT])
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT.values(), ids=list(PINNED_STDOUT))
 def test_stdout_digests_pinned(args, digest, capsys):
     assert main(args) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_sweep_bands_rejects_float_values(capsys):
+    # the theta range is not a list of frequencies; it must not truncate to m = 0
+    assert main(["sweep", "--family", "bands", "--count", "3", "--n", "16"]) == 2
+    assert "bands parameter m must be an integer, got 0.02" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,deltas", [("torus", (-1, 0)), ("klein", (0, 1))])
+def test_cut_on_closed_surface_may_change_delta(name, deltas, tmp_path, capsys):
+    # a meridian does not separate a closed surface, so delta is not invariant
+    c = build_complex(SurfaceSpec.named(name, 12, 12))
+    pf = tmp_path / "p.json"
+    pf.write_text(dumps(partition_to_json(from_labels(c, np.zeros(144, dtype=int)))))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps([c.vertical_edge(6, j) for j in range(12)]))  # bare list
+    code, doc = run(["cut", pf, "--path", path], capsys)
+    assert code == 0
+    assert (doc["before"]["delta"], doc["after"]["delta"]) == deltas
+    assert doc["after"]["kappa"] == 1
+
+
+GOOD_PARTITION = {"surface": {"surface": "rectangle", "width": 2, "height": 2},
+                  "labels": [0, 0, 1, 1]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "partition must be a JSON object, got list"),
+    ({**GOOD_PARTITION, "surface": [2, 2]}, "surface must be a JSON object, got list"),
+    ({"surface": GOOD_PARTITION["surface"]}, "partition is missing the field 'labels'"),
+    ({"labels": [0, 0, 1, 1]}, "partition is missing the field 'surface'"),
+    ({**GOOD_PARTITION, "surface": {"surface": "rectangle", "height": 2}},
+     "surface is missing the field 'width'"),
+], ids=["list-partition", "list-surface", "no-labels", "no-surface", "no-width"])
+def test_malformed_partition_document_is_a_usage_error(doc, message, tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc))
+    assert main(["invariants", str(f)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_max_refine_env(monkeypatch, capsys):
+    monkeypatch.setenv("NODAL_MAX_REFINE", "abc")
+    assert main(["nodal", "--family", "bands", "--m", "3", "--n", "30"]) == 2
+    assert "NODAL_MAX_REFINE must be a non-negative integer" in capsys.readouterr().err
+    # no NodalConfig is built at import, so help still works in a fresh process
+    package_root = str(Path(eulerpart.__file__).parents[1])
+    env = {**os.environ, "NODAL_MAX_REFINE": "abc", "PYTHONPATH": package_root}
+    done = subprocess.run([sys.executable, "-m", "eulerpart", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: eulerpart" in done.stdout

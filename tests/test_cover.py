@@ -184,3 +184,38 @@ def test_orientability_routes_agree_on_32_grids(name):
         assert np.array_equal(orientability_bits(p), omega_via_cover(cs, p))
         # covers are orientable: every lifted domain is balanced
         assert orientability_bits(lift_partition(cs, p)).all()
+
+
+def _edge_projection(base, cover):
+    """The raw-grid edge projection, kept as the oracle for the face-table one.
+
+    Horizontal cover edges of rows 0..H (row H is the mid seam) and vertical
+    cover edges of rows below H project straight; above, the sheet is the
+    base mirrored in x and shifted down by H.
+    """
+    W, H = base.spec.width, base.spec.height
+    H2 = 2 * H
+    HOFF_cov = W * (H2 + 1)
+    HOFF_base = W * (H + 1)
+    n_raw = HOFF_cov + (W + 1) * H2
+
+    raw_base = np.empty(n_raw, dtype=np.int64)
+    j, i = np.divmod(np.arange(HOFF_cov), W)
+    low = j <= H
+    raw_base[:HOFF_cov] = np.where(low, j * W + i, (j - H) * W + (W - 1 - i))
+    j, i = np.divmod(np.arange((W + 1) * H2), W + 1)
+    low = j < H
+    raw_base[HOFF_cov:] = HOFF_base + np.where(
+        low, j * (W + 1) + i, (j - H) * (W + 1) + (W - i)
+    )
+    out = np.empty(cover.n_edges, dtype=np.int64)
+    out[cover.edge_map] = base.edge_map[raw_base]
+    return out
+
+
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (5, 3), (6, 4), (7, 5), (32, 32)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("name", ["moebius", "klein"])
+def test_edge_projection_matches_raw_grid_oracle(name, size):
+    cs = double_cover(build_complex(SurfaceSpec.named(name, *size)))
+    assert np.array_equal(cs.edge_projection, _edge_projection(cs.base, cs.cover))

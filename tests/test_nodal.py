@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from eulerpart import (
     stable_invariants,
     verify_euler,
 )
-from eulerpart.nodal import symmetry_residual
+from eulerpart.explore import sweep
+from eulerpart.jsonio import eigenfunction_from_json
+from eulerpart.nodal import family, symmetry_residual
 
 PI = math.pi
 
@@ -198,3 +201,29 @@ def test_max_refine_env_default(monkeypatch):
     assert NodalConfig(n=16).max_refine == 2
     monkeypatch.delenv("NODAL_MAX_REFINE")
     assert NodalConfig(n=16).max_refine == 5
+    for bad in ("abc", "-1", "2.5", ""):
+        monkeypatch.setenv("NODAL_MAX_REFINE", bad)
+        with pytest.raises(ValueError, match="NODAL_MAX_REFINE must be a non-negative integer"):
+            NodalConfig(n=16)
+
+
+def _via_sweep(name, params):
+    varied = params.get("m", params.get("theta"))
+    return sweep(name, [varied], beta=params.get("beta"), config=NodalConfig(n=16, max_refine=0))
+
+
+@pytest.mark.parametrize("build", [
+    family,
+    lambda name, params: eigenfunction_from_json({"family": name, **params}),
+    _via_sweep,
+], ids=["family", "eigenfunction_from_json", "sweep"])
+@pytest.mark.parametrize("name,params,message", [
+    ("nope", {"theta": 0.3}, "unknown family 'nope'"),
+    ("phi", {"theta": 1.2}, "the phi family needs beta"),
+    ("bands", {"m": 3.7}, "bands parameter m must be an integer, got 3.7"),
+    ("phi", {"beta": "0.5", "theta": 1.2}, "phi parameter beta must be a number, got '0.5'"),
+    ("ex3b", {"theta": True}, "ex3b parameter theta must be a number, got True"),
+], ids=["unknown", "missing", "float-m", "string-beta", "bool-theta"])
+def test_family_parameters_are_checked_not_coerced(build, name, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(name, params)
