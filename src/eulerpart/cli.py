@@ -146,6 +146,7 @@ def cmd_cover_check(args) -> int:
 
 def cmd_circle(args) -> int:
     doc = _load_json(args.cycle)
+    jsonio._require_object(doc, "cycle document", "surface", "cycle")
     spec = jsonio.surface_from_json(doc["surface"])
     c = build_complex(spec)
     cycle = doc["cycle"]

@@ -26,12 +26,20 @@ components of the seam identifications handles by construction.
 ``components`` is the one graph primitive of the package: every count of
 domains, sheets, corner orbits, boundary cycles and boundary-set arcs is a
 ``scipy.sparse.csgraph`` component labelling over index arrays.
+
+Complexes are shared.  ``build_complex`` returns one complex per
+``SurfaceSpec`` and keeps the ``SHARED_COMPLEXES`` most recently used ones
+alive, so a caller that asks again for a spec it used lately (the levels
+of a nodal refinement, a JSON reload) gets the complex it had, with every
+per-complex table already computed.  A shared complex must not change, so
+its arrays and cached tables are read-only; ``dataclasses.replace`` with
+copied arrays makes a modified complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -75,6 +83,10 @@ EXPECTED_BOUNDARY_COMPONENTS = {
     "klein": 0,
     "projective": 0,
 }
+
+#: complexes kept alive by ``build_complex``: the six presets at one size
+#: plus two covers, or a nodal refinement ladder (up to six sizes)
+SHARED_COMPLEXES = 8
 
 # face side order: 0=S, 1=E, 2=N, 3=W; side s runs from corner s to corner
 # (s+1) % 4 in the cyclic corner order 0=SW, 1=SE, 2=NE, 3=NW.
@@ -171,26 +183,37 @@ class CellComplex:
     vertex_map: np.ndarray        # raw vertex id -> canonical id
     edge_map: np.ndarray          # raw edge id -> canonical id
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                _read_only(value)
+
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
     @cached_property
     def interior_edges(self) -> np.ndarray:
-        return np.flatnonzero(~self.edge_is_boundary)
+        return _read_only(np.flatnonzero(~self.edge_is_boundary))
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_is_boundary)
+        return _read_only(np.flatnonzero(self.edge_is_boundary))
+
+    @cached_property
+    def n_boundary_components(self) -> int:
+        """Number of connected components of the surface boundary."""
+        return subgraph_component_count(self, self.boundary_edges)
 
     @cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(face_a, face_b, parity, edge_id) over all interior edges."""
         ids = self.interior_edges
         return (
-            self.edge_faces[ids, 0],
-            self.edge_faces[ids, 1],
-            self.edge_parity[ids],
+            _read_only(self.edge_faces[ids, 0]),
+            _read_only(self.edge_faces[ids, 1]),
+            _read_only(self.edge_parity[ids]),
             ids,
         )
 
@@ -201,7 +224,7 @@ class CellComplex:
         faces = np.repeat(np.arange(self.n_faces, dtype=np.int64), 4)
         order = np.argsort(corners, kind="stable")
         starts = np.searchsorted(corners[order], np.arange(self.n_vertices + 1))
-        return starts, faces[order]
+        return _read_only(starts), _read_only(faces[order])
 
     @cached_property
     def slot_partners(self) -> np.ndarray:
@@ -233,14 +256,14 @@ class CellComplex:
         out[a1, 1] = np.where(straight, b1, b0)
         out[b0, 0] = np.where(straight, a0, a1)
         out[b1, 1] = np.where(straight, a1, a0)
-        return out
+        return _read_only(out)
 
     @cached_property
     def vertex_slot(self) -> np.ndarray:
         """(V,) one corner slot over each vertex (which one is unspecified)."""
         out = np.empty(self.n_vertices, dtype=np.int64)
         out[self.face_vertices.ravel()] = np.arange(4 * self.n_faces, dtype=np.int64)
-        return out
+        return _read_only(out)
 
     def faces_at_vertex(self, v: int) -> np.ndarray:
         starts, faces = self.vertex_faces
@@ -276,11 +299,16 @@ class CellComplex:
         return j * W + i
 
     @cached_property
-    def edge_raw_representatives(self) -> list[np.ndarray]:
+    def edge_raw_representatives(self) -> tuple[np.ndarray, ...]:
         """Raw edge ids in each canonical orbit (1 or 2 entries)."""
-        order = np.argsort(self.edge_map, kind="stable")
+        order = _read_only(np.argsort(self.edge_map, kind="stable"))
         starts = np.searchsorted(self.edge_map[order], np.arange(self.n_edges + 1))
-        return [order[starts[k]:starts[k + 1]] for k in range(self.n_edges)]
+        return tuple(order[starts[k]:starts[k + 1]] for k in range(self.n_edges))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _raw_edge_endpoints(W: int, H: int) -> np.ndarray:
@@ -298,6 +326,20 @@ def _raw_edge_endpoints(W: int, H: int) -> np.ndarray:
 
 
 def build_complex(spec: SurfaceSpec) -> CellComplex:
+    """The canonical cell complex of a quotient grid surface.
+
+    One read-only complex is shared per spec; a spec among the
+    ``SHARED_COMPLEXES`` most recently used is not built again.
+    """
+    return _shared_complex(spec)
+
+
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def _shared_complex(spec: SurfaceSpec) -> CellComplex:
+    return _build_complex(spec)
+
+
+def _build_complex(spec: SurfaceSpec) -> CellComplex:
     """Construct the canonical cell complex of a quotient grid surface."""
     W, H = spec.width, spec.height
     n_faces = W * H
@@ -425,6 +467,11 @@ def _validate_complex(c: CellComplex) -> None:
         raise InvariantViolation(
             f"chi = {c.euler_characteristic} for {kind}, expected {EXPECTED_CHI[kind]}"
         )
+    if c.n_boundary_components != EXPECTED_BOUNDARY_COMPONENTS[kind]:
+        raise InvariantViolation(
+            f"{c.n_boundary_components} boundary components for {kind}, "
+            f"expected {EXPECTED_BOUNDARY_COMPONENTS[kind]}"
+        )
     # a loop around any interior vertex is contractible, so the parities of
     # its incident edges must multiply to +1 even at reversed seams: each
     # interior vertex meets an even number of -1 endpoint slots
@@ -481,5 +528,6 @@ def subgraph_component_count(c: CellComplex, edge_ids: np.ndarray) -> int:
 
 
 def boundary_components(c: CellComplex) -> int:
-    """Number of connected components of the surface boundary."""
-    return subgraph_component_count(c, c.boundary_edges)
+    """Number of connected components of the surface boundary, counted
+    once per complex."""
+    return c.n_boundary_components

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .complexes import PRESETS, CellComplex, SurfaceSpec, build_complex
+from .complexes import PRESETS, SurfaceSpec, build_complex
 from .cover import CoverReport
 from .explore import BatchResult, SweepResult, TransitionEstimate
-from .nodal import Eigenfunction, Factor, Term, family
+from .nodal import Eigenfunction, Factor, Term, family, finite_real
 from .partition import (
     ChiSigmaReport,
     ComplementClass,
@@ -119,10 +119,9 @@ def partition_to_json(p: Partition) -> dict:
     return out
 
 
-def partition_from_json(obj: dict, complex: CellComplex | None = None) -> Partition:
+def partition_from_json(obj: dict) -> Partition:
     _require_object(obj, "partition", "surface", "labels")
-    spec = surface_from_json(obj["surface"])
-    c = complex if complex is not None and complex.spec == spec else build_complex(spec)
+    c = build_complex(surface_from_json(obj["surface"]))
     walls: list[int] = []
     raw_walls = obj.get("walls", [])
     for group in raw_walls:
@@ -138,18 +137,30 @@ def partition_from_json(obj: dict, complex: CellComplex | None = None) -> Partit
 
 
 def eigenfunction_from_json(obj: dict) -> Eigenfunction:
+    """A family member or an explicit term list; values are checked, never coerced."""
+    _require_object(obj, "eigenfunction")
     if "family" in obj:
         return family(obj["family"], obj)
-    terms = []
-    for t in obj["terms"]:
-        terms.append(
-            Term(
-                float(t["c"]),
-                Factor(t["fx"]["k"], int(t["fx"]["m"]), float(t["fx"].get("p", 0.0))),
-                Factor(t["fy"]["k"], int(t["fy"]["m"]), float(t["fy"].get("p", 0.0))),
-            )
-        )
-    return Eigenfunction(terms=tuple(terms))
+    _require_object(obj, "eigenfunction", "terms")
+    if not isinstance(obj["terms"], list):
+        raise ValueError(f"eigenfunction terms must be a list, got {type(obj['terms']).__name__}")
+    return Eigenfunction(terms=tuple(_term_from_json(t) for t in obj["terms"]))
+
+
+def _term_from_json(t) -> Term:
+    _require_object(t, "eigenfunction term", "c", "fx", "fy")
+    return Term(
+        finite_real(t["c"], "term coefficient c"), _factor_from_json(t["fx"]), _factor_from_json(t["fy"])
+    )
+
+
+def _factor_from_json(fac) -> Factor:
+    _require_object(fac, "term factor", "k", "m")
+    return Factor(
+        fac["k"],
+        _integer(fac["m"], "factor frequency m"),
+        finite_real(fac.get("p", 0.0), "factor phase p"),
+    )
 
 
 def eigenfunction_to_json(f: Eigenfunction) -> dict:

@@ -119,9 +119,9 @@ FAMILY_PARAMS = {"phi": ("beta", "theta"), "bands": ("m",), "ex3b": ("theta",)}
 def family(name: str, params: dict) -> Eigenfunction:
     """The member of a named family; ``params`` keys it does not take are ignored.
 
-    ``m`` must be an integer and ``beta`` / ``theta`` real numbers, booleans
-    being neither; a value is never truncated or parsed, a wrong or missing
-    one raises ``ValueError`` naming the parameter.
+    ``m`` must be an integer and ``beta`` / ``theta`` finite real numbers,
+    booleans being neither; a value is never truncated or parsed, a wrong
+    or missing one raises ``ValueError`` naming the parameter.
     """
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
@@ -130,11 +130,24 @@ def family(name: str, params: dict) -> Eigenfunction:
         value = params.get(key)
         if value is None:
             raise ValueError(f"the {name} family needs {key}")
-        kind, noun = (numbers.Integral, "an integer") if key == "m" else (numbers.Real, "a number")
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name} parameter {key} must be {noun}, got {value!r}")
-        args.append(value)
+        what = f"{name} parameter {key}"
+        if key == "m":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{what} must be an integer, got {value!r}")
+            args.append(value)
+        else:
+            args.append(finite_real(value, what))
     return FAMILIES[name](*args)
+
+
+def finite_real(value, what: str) -> float:
+    """``value`` itself if it is a finite real number; booleans, strings,
+    NaN and infinities raise ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -161,23 +174,26 @@ def symmetry_residual(f: Eigenfunction, surface: str) -> float:
     s = np.linspace(0.0, math.pi, _SYM_LATTICE)
     x, y = np.meshgrid(s, s, indexing="ij")
     if surface == "moebius":
-        deck = np.abs(evaluate(f, x, y) - evaluate(f, math.pi - x, y + math.pi))
-        dirichlet = max(
-            float(np.max(np.abs(evaluate(f, 0.0, s)))),
-            float(np.max(np.abs(evaluate(f, math.pi, s)))),
-        )
-        return max(float(np.max(deck)), dirichlet)
-    if surface == "rectangle":
-        return max(
-            float(np.max(np.abs(evaluate(f, 0.0, s)))),
-            float(np.max(np.abs(evaluate(f, math.pi, s)))),
-            float(np.max(np.abs(evaluate(f, s, 0.0)))),
-            float(np.max(np.abs(evaluate(f, s, math.pi)))),
-        )
-    raise ValueError(f"symmetry check supports moebius and rectangle, not {surface!r}")
+        parts = [
+            evaluate(f, x, y) - evaluate(f, math.pi - x, y + math.pi),
+            evaluate(f, 0.0, s),
+            evaluate(f, math.pi, s),
+        ]
+    elif surface == "rectangle":
+        parts = [
+            evaluate(f, 0.0, s),
+            evaluate(f, math.pi, s),
+            evaluate(f, s, 0.0),
+            evaluate(f, s, math.pi),
+        ]
+    else:
+        raise ValueError(f"symmetry check supports moebius and rectangle, not {surface!r}")
+    # np.max keeps a NaN, where the builtin max may drop it
+    return float(np.max([np.max(np.abs(part)) for part in parts]))
 
 
 def check_symmetry(f: Eigenfunction, surface: str, config: NodalConfig | None = None) -> bool:
+    """True iff the residual is within tolerance; a NaN residual fails."""
     return symmetry_residual(f, surface) <= (config or NodalConfig()).sym_tol
 
 
@@ -192,7 +208,7 @@ def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None,
     if surface == "moebius" and n % 2:
         raise ValueError("moebius rasterization needs an even resolution")
     res = symmetry_residual(f, surface)
-    if res > config.sym_tol:
+    if not res <= config.sym_tol:
         raise SymmetryError(
             f"{f.name or 'function'} violates the {surface} symmetry: residual {res:.3e}"
         )

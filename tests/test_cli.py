@@ -279,19 +279,28 @@ GOOD_PARTITION = {"surface": {"surface": "rectangle", "width": 2, "height": 2},
                   "labels": [0, 0, 1, 1]}
 
 
-@pytest.mark.parametrize("doc,message", [
-    ([1, 2], "partition must be a JSON object, got list"),
-    ({**GOOD_PARTITION, "surface": [2, 2]}, "surface must be a JSON object, got list"),
-    ({"surface": GOOD_PARTITION["surface"]}, "partition is missing the field 'labels'"),
-    ({"labels": [0, 0, 1, 1]}, "partition is missing the field 'surface'"),
-    ({**GOOD_PARTITION, "surface": {"surface": "rectangle", "height": 2}},
+@pytest.mark.parametrize("command,doc,message", [
+    ("invariants", [1, 2], "partition must be a JSON object, got list"),
+    ("invariants", {**GOOD_PARTITION, "surface": [2, 2]}, "surface must be a JSON object, got list"),
+    ("invariants", {"surface": GOOD_PARTITION["surface"]}, "partition is missing the field 'labels'"),
+    ("invariants", {"labels": [0, 0, 1, 1]}, "partition is missing the field 'surface'"),
+    ("invariants", {**GOOD_PARTITION, "surface": {"surface": "rectangle", "height": 2}},
      "surface is missing the field 'width'"),
-], ids=["list-partition", "list-surface", "no-labels", "no-surface", "no-width"])
-def test_malformed_partition_document_is_a_usage_error(doc, message, tmp_path, capsys):
-    f = tmp_path / "p.json"
+    ("circle", [1, 2], "cycle document must be a JSON object, got list"),
+    ("circle", {"surface": {"surface": "projective", "width": 8, "height": 8}},
+     "cycle document is missing the field 'cycle'"),
+], ids=["list-partition", "list-surface", "no-labels", "no-surface", "no-width",
+        "list-cycle", "no-cycle"])
+def test_malformed_partition_document_is_a_usage_error(command, doc, message, tmp_path, capsys):
+    f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
-    assert main(["invariants", str(f)]) == 2
+    assert main([command, str(f)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_nodal_rejects_nan_parameters(capsys):
+    assert main(["nodal", "--family", "phi", "--beta", "nan", "--theta", "1.2", "--n", "16"]) == 2
+    assert "phi parameter beta must be finite, got nan" in capsys.readouterr().err
 
 
 def test_malformed_max_refine_env(monkeypatch, capsys):

@@ -172,3 +172,67 @@ def test_slot_partners_reject_mismatched_corners():
     fv[5] = np.roll(fv[5], 1)
     with pytest.raises(InvariantViolation, match="corner matching"):
         dataclasses.replace(c, face_vertices=fv).slot_partners
+
+
+def test_build_complex_shares_one_complex_per_spec():
+    spec = SurfaceSpec.klein(7, 5)
+    assert build_complex(spec) is build_complex(spec)
+    assert build_complex(SurfaceSpec.klein(7, 5)) is build_complex(spec)
+    assert build_complex(SurfaceSpec.klein(5, 7)) is not build_complex(spec)
+
+
+def _arrays_and_tables(c):
+    """Every array field, then every cached table, by name."""
+    import dataclasses
+
+    out = [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)
+           if isinstance(getattr(c, f.name), np.ndarray)]
+    out += [("interior_edges", c.interior_edges), ("boundary_edges", c.boundary_edges),
+            ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot)]
+    out += [(f"adjacency[{k}]", a) for k, a in enumerate(c.adjacency)]
+    out += [(f"vertex_faces[{k}]", a) for k, a in enumerate(c.vertex_faces)]
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_SURFACES)
+def test_shared_complex_is_read_only(name):
+    c = build_complex(SurfaceSpec.named(name, 5, 4))
+    tables = _arrays_and_tables(c)
+    assert len(tables) == 11 + 4 + 4 + 2
+    for what, a in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        assert not a.flags.writeable, what
+
+
+@pytest.mark.parametrize("name", ALL_SURFACES)
+@pytest.mark.parametrize("size", [(2, 2), (7, 5), (6, 4)])
+def test_shared_complex_equals_a_fresh_build(name, size):
+    import dataclasses
+
+    from eulerpart.complexes import _build_complex
+
+    spec = SurfaceSpec.named(name, *size)
+    shared, fresh = build_complex(spec), _build_complex(spec)
+    assert fresh is not shared
+    for f in dataclasses.fields(shared):
+        a, b = getattr(shared, f.name), getattr(fresh, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+    for (what, a), (_, b) in zip(_arrays_and_tables(shared), _arrays_and_tables(fresh)):
+        assert np.array_equal(a, b), what
+    assert boundary_components(shared) == boundary_components(fresh)
+
+
+def test_validate_rejects_wrong_boundary_count():
+    import dataclasses
+
+    from eulerpart import InvariantViolation
+    from eulerpart.complexes import _validate_complex
+
+    # chi is 0 on both, so only the boundary count tells them apart
+    c = build_complex(SurfaceSpec.moebius(6, 4))
+    with pytest.raises(InvariantViolation, match="1 boundary components for cylinder, expected 2"):
+        _validate_complex(dataclasses.replace(c, spec=SurfaceSpec.cylinder(6, 4)))

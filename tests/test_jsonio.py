@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,3 +157,24 @@ def test_schema_rejects_bad_documents():
         jsonio.validate("surface", {"surface": "sphere", "width": 4, "height": 4})
     with pytest.raises(jsonschema.ValidationError):
         jsonio.validate("invariants", {"kappa": 1})
+
+
+_SIN2 = {"k": "sin", "m": 2}
+
+
+@pytest.mark.parametrize("terms,message", [
+    ([{"c": "1.0", "fx": _SIN2, "fy": _SIN2}], "term coefficient c must be a number, got '1.0'"),
+    ([{"c": 1.0, "fx": {"k": "sin", "m": 2.7}, "fy": _SIN2}], "factor frequency m must be an integer, got 2.7"),
+    ([{"c": 1.0, "fx": _SIN2, "fy": {"k": "sin", "m": "3"}}], "factor frequency m must be an integer, got '3'"),
+    ([{"c": True, "fx": _SIN2, "fy": _SIN2}], "term coefficient c must be a number, got True"),
+    ([{"c": 1.0, "fx": {"k": "sin", "m": True}, "fy": _SIN2}], "factor frequency m must be an integer, got True"),
+    ([{"c": math.nan, "fx": _SIN2, "fy": _SIN2}], "term coefficient c must be finite, got nan"),
+    ([{"c": 1.0, "fx": _SIN2, "fy": {"k": "sin", "m": 2, "p": math.inf}}], "factor phase p must be finite, got inf"),
+    ([[1.0, 2, 3]], "eigenfunction term must be a JSON object, got list"),
+    ([{"c": 1.0, "fx": _SIN2}], "eigenfunction term is missing the field 'fy'"),
+    ({"c": 1.0, "fx": _SIN2, "fy": _SIN2}, "eigenfunction terms must be a list, got dict"),
+], ids=["string-c", "float-m", "string-m", "bool-c", "bool-m", "nan-c", "inf-phase",
+        "list-term", "no-fy", "dict-terms"])
+def test_eigenfunction_terms_are_checked_not_coerced(terms, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        jsonio.eigenfunction_from_json({"terms": terms})

@@ -223,7 +223,37 @@ def _via_sweep(name, params):
     ("bands", {"m": 3.7}, "bands parameter m must be an integer, got 3.7"),
     ("phi", {"beta": "0.5", "theta": 1.2}, "phi parameter beta must be a number, got '0.5'"),
     ("ex3b", {"theta": True}, "ex3b parameter theta must be a number, got True"),
-], ids=["unknown", "missing", "float-m", "string-beta", "bool-theta"])
+    ("phi", {"beta": math.nan, "theta": 1.2}, "phi parameter beta must be finite, got nan"),
+    ("ex3b", {"theta": -math.inf}, "ex3b parameter theta must be finite, got -inf"),
+], ids=["unknown", "missing", "float-m", "string-beta", "bool-theta", "nan-beta", "inf-theta"])
 def test_family_parameters_are_checked_not_coerced(build, name, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build(name, params)
+
+
+def test_nan_residual_fails_the_symmetry_gate():
+    f = Eigenfunction((Term(math.nan, Factor("sin", 3), Factor("cos", 0)),), name="nan")
+    assert math.isnan(symmetry_residual(f, "moebius"))
+    assert not check_symmetry(f, "moebius")
+    with pytest.raises(SymmetryError, match="residual nan"):
+        rasterize(f, "moebius", NodalConfig(n=16))
+
+
+def test_stable_invariants_builds_each_resolution_once(monkeypatch):
+    from eulerpart import complexes
+
+    built = []
+    fresh = complexes._build_complex
+
+    def counting(spec):
+        built.append(spec)
+        return fresh(spec)
+
+    monkeypatch.setattr(complexes, "_build_complex", counting)
+    complexes._shared_complex.cache_clear()
+    cfg = NodalConfig(n=20)
+    first = stable_invariants(bands_family(3), "moebius", cfg)
+    second = stable_invariants(bands_family(3), "moebius", cfg)
+    assert first.levels == second.levels and len(first.levels) >= 2
+    assert sorted(s.width for s in built) == [level[0] for level in first.levels]
+    assert second.partition.complex is first.partition.complex

@@ -18,16 +18,6 @@ from eulerpart import (
 
 from reference import RefSurface, ref_closure, ref_invariants
 
-_COMPLEX_CACHE = {}
-
-
-def get_complex(name, W, H):
-    key = (name, W, H)
-    if key not in _COMPLEX_CACHE:
-        _COMPLEX_CACHE[key] = build_complex(SurfaceSpec.named(name, W, H))
-    return _COMPLEX_CACHE[key]
-
-
 def labellings(max_side=6, max_labels=5):
     @st.composite
     def build(draw):
@@ -46,7 +36,7 @@ def labellings(max_side=6, max_labels=5):
 @given(labellings())
 def test_rectangle_formula_all_labellings(case):
     W, H, labels = case
-    p = from_labels(get_complex("rectangle", W, H), labels)
+    p = from_labels(build_complex(SurfaceSpec.named("rectangle", W, H)), labels)
     assert invariants(p).defect == 1
 
 
@@ -54,7 +44,7 @@ def test_rectangle_formula_all_labellings(case):
 @given(labellings())
 def test_moebius_formula_all_labellings(case):
     W, H, labels = case
-    p = from_labels(get_complex("moebius", W, H), labels)
+    p = from_labels(build_complex(SurfaceSpec.named("moebius", W, H)), labels)
     assert invariants(p).defect == 0
 
 
@@ -63,7 +53,7 @@ def test_moebius_formula_all_labellings(case):
     ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"]))
 def test_chi_sigma_identity_everywhere(case, name):
     W, H, labels = case
-    p = from_labels(get_complex(name, W, H), labels)
+    p = from_labels(build_complex(SurfaceSpec.named(name, W, H)), labels)
     assert check_chi_sigma(p).holds
 
 
@@ -73,7 +63,7 @@ def test_chi_sigma_identity_everywhere(case, name):
 def test_matches_reference_oracle(case, name):
     W, H, labels = case
     spec = SurfaceSpec.named(name, W, H)
-    p = from_labels(get_complex(name, W, H), labels)
+    p = from_labels(build_complex(spec), labels)
     ref = RefSurface(W, H, spec.x_gluing, spec.y_gluing)
     assert invariants(p).key() == ref_invariants(ref, labels)
 
@@ -82,7 +72,7 @@ def test_matches_reference_oracle(case, name):
 @given(labellings(max_side=6), st.sampled_from(["moebius", "klein"]))
 def test_orientability_routes_agree(case, name):
     W, H, labels = case
-    c = get_complex(name, W, H)
+    c = build_complex(SurfaceSpec.named(name, W, H))
     p = from_labels(c, labels)
     cs = double_cover(c)
     assert np.array_equal(omega_via_cover(cs, p), orientability_bits(p))
@@ -92,7 +82,7 @@ def test_orientability_routes_agree(case, name):
 @given(labellings())
 def test_moebius_domain_classifications(case):
     W, H, labels = case
-    p = from_labels(get_complex("moebius", W, H), labels)
+    p = from_labels(build_complex(SurfaceSpec.named("moebius", W, H)), labels)
     bits = orientability_bits(p)
     assert int(np.sum(~bits)) <= 1  # at most one non-orientable domain
     for r in domain_reports(p):
@@ -108,7 +98,7 @@ def test_sigma_index_sum_even(case):
     from eulerpart import boundary_graph
 
     W, H, labels = case
-    p = from_labels(get_complex("klein", W, H), labels)
+    p = from_labels(build_complex(SurfaceSpec.named("klein", W, H)), labels)
     bg = boundary_graph(p)
     assert bg.index_sum % 2 == 0
     assert bg.sigma >= 0
@@ -123,7 +113,7 @@ def test_closure_matches_reference_oracle(name):
         W, H = (int(x) for x in rng.integers(2, 7, size=2))
         labels = rng.integers(0, int(rng.integers(1, 6)), size=W * H).tolist()
         spec = SurfaceSpec.named(name, W, H)
-        p = from_labels(get_complex(name, W, H), labels)
+        p = from_labels(build_complex(spec), labels)
         ref = RefSurface(W, H, spec.x_gluing, spec.y_gluing)
         got = [(r.chi, r.boundary_circles) for r in domain_reports(p)]
         assert got == ref_closure(ref, labels), (name, seed)
