@@ -24,7 +24,7 @@ projective model need the composition of the two), which taking connected
 components of the seam identifications handles by construction.
 
 ``components`` is the one graph primitive of the package: every count of
-domains, sheets, corner orbits, boundary cycles and boundary-set arcs is a
+domains, pieces, corner orbits, boundary cycles and boundary-set arcs is a
 ``scipy.sparse.csgraph`` component labelling over index arrays.
 
 Complexes are shared.  ``build_complex`` returns one complex per
@@ -216,6 +216,23 @@ class CellComplex:
             _read_only(self.edge_parity[ids]),
             ids,
         )
+
+    @cached_property
+    def directed_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(source, target, by_source, start), int32: the flood-fill table.
+
+        Rows are the interior adjacencies in both directions, the
+        ``adjacency`` pairs (face_a, face_b) first and then (face_b,
+        face_a).  The rows leaving face f are
+        ``by_source[start[f]:start[f + 1]]``, in increasing row order.
+        """
+        fa, fb, _par, _ids = self.adjacency
+        source = np.concatenate([fa, fb]).astype(np.int32)
+        target = np.concatenate([fb, fa]).astype(np.int32)
+        by_source = np.argsort(source, kind="stable").astype(np.int32)
+        start = np.zeros(self.n_faces + 1, dtype=np.int32)
+        np.cumsum(np.bincount(source, minlength=self.n_faces), out=start[1:])
+        return _read_only(source), _read_only(target), _read_only(by_source), _read_only(start)
 
     @cached_property
     def vertex_faces(self):

@@ -14,13 +14,16 @@ from each of them, and the two must name the same base edge.
 
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
-character computed as the balance of the signed double face graph.
+bits that ``from_labels`` finds from the balance of the pieces joined
+across the reversed seams.  The preimage count reads each lifted domain's
+base domain back from every lifted face, so a lift that straddles two
+base domains is an invariant violation rather than a miscount.
 
 ``lift_partition`` memoizes the lift per (cover, base partition) in a weak
 mapping held by the ``CoverStructure``, so the bookkeeping and the preimage
 count share one lift, and the lift goes when its base partition does.
 Lifted partitions live on orientable covers, where no glued edge reverses,
-so their orientability needs no double graph.
+so their labelling is a single component pass.
 """
 
 from __future__ import annotations
@@ -125,9 +128,12 @@ def lift_partition(cs: CoverStructure, p: Partition) -> Partition:
 def preimage_component_counts(cs: CoverStructure, p: Partition) -> np.ndarray:
     """Number of cover components over each base domain (always 1 or 2)."""
     lifted = lift_partition(cs, p)
-    # one key per (base domain, lifted domain) pair that occurs
-    keys = np.unique(p.domains[cs.face_projection] * lifted.n_domains + lifted.domains)
-    counts = np.bincount(keys // lifted.n_domains, minlength=p.n_domains)
+    below = p.domains[cs.face_projection]
+    base_of = np.empty(lifted.n_domains, dtype=np.int64)
+    base_of[lifted.domains] = below
+    if not np.array_equal(base_of[lifted.domains], below):
+        raise InvariantViolation("a lifted domain lies over more than one base domain")
+    counts = np.bincount(base_of, minlength=p.n_domains)
     if not np.all((counts == 1) | (counts == 2)):
         raise InvariantViolation(f"preimage component counts {counts.tolist()} outside {{1,2}}")
     return counts

@@ -46,10 +46,13 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
     are claimed through interior adjacencies in rounds, with the claim
     order shuffled each round.  Every open target is claimed in the round
     it appears, so a round only follows the out-edges of the faces the
-    previous round labelled (its frontier).  Those candidate edges are
-    taken in the order of a full scan of the directed adjacencies, so each
-    round draws the same permutation a full scan would, and identical
-    seeds reproduce the partition bit for bit.
+    previous round labelled (its frontier), read from the complex's
+    ``directed_adjacency`` table, which is built once per complex.  Those
+    candidate edges are taken in the order of a full scan of the directed
+    adjacencies, so each round draws the same permutation a full scan
+    would, and identical seeds reproduce the partition bit for bit.  The
+    first claimant of each target in the shuffled order wins; it is found
+    by scattering candidate positions with ``np.minimum.at``.
     """
     if spec.k > c.n_faces:
         raise ValueError(f"k={spec.k} exceeds the {c.n_faces} available faces")
@@ -58,27 +61,26 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
     sources = rng.choice(c.n_faces, size=spec.k, replace=False)
     labels[sources] = np.arange(spec.k)
 
-    fa, fb, _, _ids = c.adjacency
-    both = np.concatenate([np.stack([fa, fb], 1), np.stack([fb, fa], 1)])
-    # CSR table of the directed adjacencies grouped by source face
-    by_src = np.argsort(both[:, 0], kind="stable")
-    start = np.searchsorted(both[by_src, 0], np.arange(c.n_faces + 1))
+    source, target, by_source, start = c.directed_adjacency
+    # first claimant position per face; every target is claimed in the
+    # round it appears and never targeted again, so no entry is reused
+    best = np.full(c.n_faces, len(source), dtype=np.int64)
     frontier = sources
     while True:
         lo = start[frontier]
         deg = start[frontier + 1] - lo
         offsets = np.repeat(lo - (np.cumsum(deg) - deg), deg)
-        out = by_src[offsets + np.arange(len(offsets))]
-        out = np.sort(out[labels[both[out, 1]] < 0])
+        out = by_source[offsets + np.arange(len(offsets))]
+        out = np.sort(out[labels[target[out]] < 0])
         if not len(out):
             break
-        cand = both[out]
-        cand_lab = labels[cand[:, 0]]
-        order = rng.permutation(len(cand))
-        targets = cand[order, 1]
-        first = np.unique(targets, return_index=True)[1]
+        out = out[rng.permutation(len(out))]
+        targets = target[out]
+        position = np.arange(len(out))
+        np.minimum.at(best, targets, position)
+        first = best[targets] == position
         frontier = targets[first]
-        labels[frontier] = cand_lab[order][first]
+        labels[frontier] = labels[source[out[first]]]
     if np.any(labels < 0):
         raise InvariantViolation("flood fill left unlabelled faces")
     return from_labels(c, labels)

@@ -15,12 +15,13 @@ beta    components of (boundary set union surface boundary) minus
 sigma   half the total singular index, where an interior vertex meeting
         nu >= 3 boundary-set edges contributes nu - 2 and a surface
         boundary vertex hit by rho >= 1 boundary-set edges contributes rho;
-omega   1 iff some domain is non-orientable (detected as an unbalanced
-        signed double graph: each face has two sheets, glued edges join
-        equal sheets across +1 parity and opposite sheets across -1, and a
-        domain is non-orientable iff some face meets its own other sheet;
-        when no glued edge has parity -1 the graph is skipped, since its
-        sheets are then two disjoint copies and every domain is balanced);
+omega   1 iff some domain is non-orientable, found while the domains are
+        labelled: *pieces* are the components over glued edges of parity
+        +1, the few glued edges of parity -1 (on the reversed seams) join
+        pieces into domains, and a domain is non-orientable iff its piece
+        graph is not bipartite (a balance test on a graph the size of the
+        seam); when no glued edge has parity -1 the pieces are the domains
+        and every domain is orientable;
 delta   omega + beta + sigma - kappa.  The *defect* is -delta.
 
 Closed domains are analysed through an abstract closure: the faces of a
@@ -48,7 +49,6 @@ from .complexes import (
     build_complex,
     components,
     edge_components,
-    subgraph_component_count,
 )
 from .errors import CutError, InvariantViolation, NormalizationError
 
@@ -61,6 +61,7 @@ class Partition:
     domains: np.ndarray          # (F,) domain id per face, 0..n_domains-1
     n_domains: int
     walls: frozenset
+    orientable: np.ndarray       # (n_domains,) orientability bit per domain
 
     @cached_property
     def wall_mask(self) -> np.ndarray:
@@ -92,10 +93,6 @@ class Partition:
         return _compute_boundary_graph(self)
 
     @cached_property
-    def _orientability(self) -> np.ndarray:
-        return _compute_orientability(self)
-
-    @cached_property
     def _closure(self) -> "_ClosureTables":
         return _ClosureTables(self)
 
@@ -123,15 +120,46 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     wall_mask = np.zeros(c.n_edges, dtype=bool)
     if wall_ids:
         wall_mask[np.fromiter(wall_ids, dtype=np.int64)] = True
-    # domains: components of equal-label faces, ids by smallest face index
-    fa, fb, _, ids = c.adjacency
-    keep = (labels[fa] == labels[fb]) & ~wall_mask[ids]
-    n_domains, domains = components(c.n_faces, fa[keep], fb[keep])
-    p = Partition(complex=c, domains=domains, n_domains=n_domains, walls=wall_ids)
+    domains, n_domains, orientable = _label_domains(c, labels, wall_mask)
+    p = Partition(complex=c, domains=domains, n_domains=n_domains, walls=wall_ids,
+                  orientable=orientable)
     # reject dangling cracks: every vertex of the boundary set must be a
     # genuine crossing, junction, or a transversal hit on the boundary
     boundary_graph(p)
     return p
+
+
+def _label_domains(c: CellComplex, labels: np.ndarray, wall_mask: np.ndarray):
+    """(domains, n_domains, orientable bits) in one labelling pass.
+
+    Glued edges join equal-label faces across non-wall interior edges.
+    *Pieces* are the components over glued edges of parity +1; the glued
+    edges of parity -1 lie on the reversed seams and join pieces into
+    domains.  Pieces are numbered by their smallest face and domains by
+    their smallest piece, so domain ids follow each domain's smallest face.
+    Every edge of the piece graph reverses orientation, so a domain is
+    orientable iff its piece graph is bipartite (Harary's balance test):
+    in the double graph over two sheets per piece, each such edge joins
+    opposite sheets, and a domain is non-orientable iff some piece meets
+    its own other sheet.
+    """
+    fa, fb, par, ids = c.adjacency
+    glued = (labels[fa] == labels[fb]) & ~wall_mask[ids]
+    flip = glued & (par < 0)
+    if not flip.any():
+        # nothing reverses: pieces are domains and every domain is balanced
+        n_domains, domains = components(c.n_faces, fa[glued], fb[glued])
+        return domains, n_domains, np.ones(n_domains, dtype=bool)
+    glued &= ~flip
+    n_pieces, piece = components(c.n_faces, fa[glued], fb[glued])
+    pa, pb = piece[fa[flip]], piece[fb[flip]]
+    n_domains, piece_domain = components(n_pieces, pa, pb)
+    _n, sheet = components(
+        2 * n_pieces, np.concatenate([pa, pa + n_pieces]), np.concatenate([pb + n_pieces, pb])
+    )
+    orientable = np.ones(n_domains, dtype=bool)
+    orientable[piece_domain[sheet[:n_pieces] == sheet[n_pieces:]]] = False
+    return piece_domain[piece], n_domains, orientable
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +225,8 @@ def _compute_boundary_graph(p: Partition) -> BoundaryGraph:
 
 
 def orientability_bits(p: Partition) -> np.ndarray:
-    """Per-domain orientability via the balance of the signed face graph."""
-    return p._orientability
-
-
-def _compute_orientability(p: Partition) -> np.ndarray:
-    # signed double graph: face f has sheets f and f + F; a glued edge of
-    # parity +1 joins equal sheets, of parity -1 opposite sheets.  A domain
-    # is orientable iff it is balanced, i.e. no face meets its other sheet.
-    F = p.complex.n_faces
-    fa, fb, par, ids = p.complex.adjacency
-    glued = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
-    a, b, par = fa[glued], fb[glued], par[glued]
-    if np.all(par > 0):
-        # no glued edge reverses: the sheets are two disjoint copies of the
-        # face graph, so every domain is balanced
-        return np.ones(p.n_domains, dtype=bool)
-    b = np.where(par > 0, b, b + F)
-    _n, sheet = components(
-        2 * F, np.concatenate([a, a + F]), np.concatenate([b, (b + F) % (2 * F)])
-    )
-    bad = np.zeros(p.n_domains, dtype=bool)
-    bad[p.domains[sheet[:F] == sheet[F:]]] = True
-    return ~bad
+    """Per-domain orientability, found when the partition was labelled."""
+    return p.orientable
 
 
 @dataclass(frozen=True)
@@ -247,16 +254,15 @@ class InvariantReport:
 
 
 def _beta_counts(p: Partition) -> tuple[int, int]:
-    """(beta, beta_interior) of the partition's boundary set."""
+    """(beta, beta_interior) from one labelling of the boundary set united
+    with the surface boundary.  A component of the union that holds no
+    surface-boundary vertex is a boundary-set component off the surface
+    boundary, so beta_interior counts those."""
     c = p.complex
-    ids = p.boundary_set
-    b0_surface = boundary_components(c)
-    union_ids = np.concatenate([ids, c.boundary_edges])
-    beta = subgraph_component_count(c, union_ids) - b0_surface
-    # components of the boundary set alone that avoid the surface boundary
-    verts, comp = edge_components(c, ids)
-    beta_i = len(np.setdiff1d(comp, comp[c.vertex_is_boundary[verts]]))
-    return beta, beta_i
+    verts, comp = edge_components(c, np.concatenate([p.boundary_set, c.boundary_edges]))
+    n = int(comp.max()) + 1 if comp.size else 0
+    beta_i = n - len(np.unique(comp[c.vertex_is_boundary[verts]]))
+    return n - boundary_components(c), beta_i
 
 
 def invariants(p: Partition) -> InvariantReport:

@@ -113,8 +113,12 @@ class RefSurface:
         return len(verts) - len(self.edge_faces) + self.W * self.H
 
 
-def ref_invariants(surface: RefSurface, labels):
-    """(kappa, beta, sigma, omega) computed with BFS and cycle signs."""
+def ref_domains(surface: RefSurface, labels):
+    """(face -> domain, per-domain orientable list) by BFS and cycle signs.
+
+    Faces are ``(i, j)`` pairs; domains are numbered in row-major order of
+    their first face.
+    """
     W, H = surface.W, surface.H
 
     def lab(f):
@@ -150,6 +154,12 @@ def ref_invariants(surface: RefSurface, labels):
                     elif sgn[h] != want:
                         ok = False
             orientable.append(ok)
+    return domain, orientable
+
+
+def ref_invariants(surface: RefSurface, labels):
+    """(kappa, beta, sigma, omega) computed with BFS and cycle signs."""
+    domain, orientable = ref_domains(surface, labels)
     kappa = len(orientable)
     omega = 0 if all(orientable) else 1
 

@@ -127,6 +127,29 @@ def test_components_numbered_by_smallest_node():
     count, labels = components(3, [], [])
     assert (count, labels.tolist()) == (3, [0, 1, 2])
     assert components(0, [], [])[0] == 0
+    # the one-pass labelling numbers pieces by their smallest face and
+    # domains by their smallest piece, so it relies on this numbering
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * n))
+        # sparse graphs leave isolated nodes; about one edge in ten is a loop
+        a = rng.integers(0, n, size=m)
+        b = np.where(rng.random(m) < 0.1, a, rng.integers(0, n, size=m))
+        count, labels = components(n, a, b)
+        assert set(labels.tolist()) == set(range(count)), seed
+        smallest = [int(np.flatnonzero(labels == k)[0]) for k in range(count)]
+        assert smallest == sorted(smallest), seed
+        # each label holds exactly the nodes reached from its smallest node
+        for k, s in enumerate(smallest):
+            reached, frontier = {s}, [s]
+            while frontier:
+                v = frontier.pop()
+                for w in np.concatenate([b[a == v], a[b == v]]).tolist():
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
+            assert sorted(reached) == np.flatnonzero(labels == k).tolist(), seed
 
 
 def test_validate_rejects_flipped_parity():
@@ -191,6 +214,7 @@ def _arrays_and_tables(c):
             ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot)]
     out += [(f"adjacency[{k}]", a) for k, a in enumerate(c.adjacency)]
     out += [(f"vertex_faces[{k}]", a) for k, a in enumerate(c.vertex_faces)]
+    out += [(f"directed_adjacency[{k}]", a) for k, a in enumerate(c.directed_adjacency)]
     return out
 
 
@@ -198,7 +222,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 11 + 4 + 4 + 2
+    assert len(tables) == 11 + 4 + 4 + 2 + 4
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -222,7 +246,7 @@ def test_shared_complex_equals_a_fresh_build(name, size):
         else:
             assert a == b, f.name
     for (what, a), (_, b) in zip(_arrays_and_tables(shared), _arrays_and_tables(fresh)):
-        assert np.array_equal(a, b), what
+        assert a.dtype == b.dtype and np.array_equal(a, b), what
     assert boundary_components(shared) == boundary_components(fresh)
 
 
@@ -236,3 +260,18 @@ def test_validate_rejects_wrong_boundary_count():
     c = build_complex(SurfaceSpec.moebius(6, 4))
     with pytest.raises(InvariantViolation, match="1 boundary components for cylinder, expected 2"):
         _validate_complex(dataclasses.replace(c, spec=SurfaceSpec.cylinder(6, 4)))
+
+
+@pytest.mark.parametrize("name", ALL_SURFACES)
+@pytest.mark.parametrize("size", [(2, 2), (7, 5)])
+def test_directed_adjacency_groups_rows_by_source(name, size):
+    c = build_complex(SurfaceSpec.named(name, *size))
+    source, target, by_source, start = c.directed_adjacency
+    fa, fb, _par, _ids = c.adjacency
+    assert all(a.dtype == np.int32 for a in c.directed_adjacency)
+    assert np.array_equal(source, np.concatenate([fa, fb]))
+    assert np.array_equal(target, np.concatenate([fb, fa]))
+    assert (start[0], start[-1]) == (0, len(source))
+    for f in range(c.n_faces):
+        rows = by_source[start[f]:start[f + 1]]
+        assert rows.tolist() == np.flatnonzero(source == f).tolist()

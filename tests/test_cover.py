@@ -186,6 +186,20 @@ def test_orientability_routes_agree_on_32_grids(name):
         assert orientability_bits(lift_partition(cs, p)).all()
 
 
+def test_preimage_count_rejects_a_lift_straddling_two_base_domains():
+    from eulerpart import InvariantViolation
+    from eulerpart.cover import preimage_component_counts
+
+    c, p = bands(3, 12)
+    cs = double_cover(c)
+    assert preimage_component_counts(cs, p).tolist() == [2, 1]
+    # one lifted domain over both base domains: a pair count would read
+    # one preimage component over each
+    cs._lifts[p] = from_labels(cs.cover, np.zeros(cs.cover.n_faces, dtype=np.int64))
+    with pytest.raises(InvariantViolation, match="more than one base domain"):
+        preimage_component_counts(cs, p)
+
+
 def _edge_projection(base, cover):
     """The raw-grid edge projection, kept as the oracle for the face-table one.
 

@@ -77,11 +77,11 @@ def _scan_flood_fill(c, spec):
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_CHI))
-@pytest.mark.parametrize("size", [(2, 2), (7, 5), (32, 32)])
+@pytest.mark.parametrize("size", [(2, 2), (7, 5), (32, 32), (33, 17)])
 def test_random_partition_matches_full_scan(name, size):
     c = build_complex(SurfaceSpec.named(name, *size))
     # k = n_faces labels every face up front and runs no round at all
-    for k in sorted({1, min(5, c.n_faces), c.n_faces}):
+    for k in sorted({1, min(5, c.n_faces), min(16, c.n_faces), c.n_faces}):
         for seed in range(3):
             spec = RandomSpec(seed=seed, k=k)
             expected = from_labels(c, _scan_flood_fill(c, spec)).domains

@@ -7,6 +7,7 @@ import pytest
 
 from eulerpart import (
     InvariantViolation,
+    RandomSpec,
     SurfaceSpec,
     boundary_graph,
     build_complex,
@@ -15,12 +16,18 @@ from eulerpart import (
     domain_reports,
     from_labels,
     invariants,
+    orientability_bits,
+    random_partition,
     verify_euler,
 )
-from eulerpart.complexes import components
+from eulerpart.complexes import (boundary_components, components, edge_components,
+                                 subgraph_component_count)
 from eulerpart.partition import closure_tables
 
 from cutgen import random_admissible_cut
+from reference import RefSurface, ref_domains
+
+SURFACES = ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"]
 
 
 def moebius_bands(m, n=12):
@@ -356,24 +363,47 @@ def _slot_graph_closure(p):
     }
 
 
-def _closure_corpus(name, size):
+def _labelling_corpus(name, size):
+    """(complex, labels, walls): the constant labelling, seeded arbitrary
+    labellings (pinched, non-normal and multiply connected domains occur)
+    and flood-filled ones, each followed by walls along admissible cut
+    paths, and the single domain walled along every reversed seam where
+    that is a valid partition."""
     c = build_complex(SurfaceSpec.named(name, *size))
-    yield from_labels(c, np.zeros(c.n_faces, dtype=np.int64))
-    for seed in range(12):
+    zeros = np.zeros(c.n_faces, dtype=np.int64)
+    yield c, zeros, frozenset()
+    for seed in range(18):
         rng = np.random.default_rng(seed)
-        p = from_labels(c, rng.integers(0, 1 + seed % 5, size=c.n_faces))
-        yield p
+        if seed < 12:
+            labels = rng.integers(0, 1 + seed % 5, size=c.n_faces)
+        else:
+            labels = random_partition(c, RandomSpec(seed=seed, k=min(seed - 10, c.n_faces))).domains
+        yield c, labels, frozenset()
         # walled partitions: promote admissible cut paths to walls (without
         # cut's delta check, which holds only on some surfaces)
+        p = from_labels(c, labels)
         for _ in range(2):
             path = random_admissible_cut(p, rng)
             if path is None:
                 break
-            p = from_labels(c, p.domains, walls=p.walls | set(path.edges))
-            yield p
+            walls = p.walls | set(path.edges)
+            yield c, p.domains, walls
+            p = from_labels(c, p.domains, walls=walls)
+    seam = frozenset(c.interior_edges[c.edge_parity[c.interior_edges] < 0].tolist())
+    if seam:
+        try:
+            from_labels(c, zeros, walls=seam)
+        except InvariantViolation:
+            return  # the seam edges leave dangling ends
+        yield c, zeros, seam
 
 
-@pytest.mark.parametrize("name", ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"])
+def _closure_corpus(name, size):
+    for c, labels, walls in _labelling_corpus(name, size):
+        yield from_labels(c, labels, walls=walls)
+
+
+@pytest.mark.parametrize("name", SURFACES)
 @pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (32, 32)])
 def test_closure_tables_match_slot_graph(name, size):
     n_walled = 0
@@ -388,3 +418,73 @@ def test_closure_tables_match_slot_graph(name, size):
         assert np.array_equal(got.non_normal_pairs, want["non_normal"])
     if size != (2, 2):
         assert n_walled > 0
+
+
+# -- one-pass domains and orientation against the signed double graph -------
+
+
+def _signed_double_graph(c, labels, walls):
+    """The labelling that the one-pass pieces replaced: domains are the
+    components of faces glued across equal labels and non-wall interior
+    edges, and each face has two sheets in a double graph over 2F nodes,
+    where a glued edge joins equal sheets across parity +1 and opposite
+    sheets across -1.  A domain is orientable iff no face meets its own
+    other sheet.  Returns (domains, orientable bits)."""
+    F = c.n_faces
+    fa, fb, par, ids = c.adjacency
+    wall = np.isin(ids, np.fromiter(walls, dtype=np.int64, count=len(walls)))
+    glued = (labels[fa] == labels[fb]) & ~wall
+    n, domains = components(F, fa[glued], fb[glued])
+    a, b, par = fa[glued], fb[glued], par[glued]
+    b = np.where(par > 0, b, b + F)
+    _n, sheet = components(2 * F, np.concatenate([a, a + F]), np.concatenate([b, (b + F) % (2 * F)]))
+    bits = np.ones(n, dtype=bool)
+    bits[domains[sheet[:F] == sheet[F:]]] = False
+    return domains, bits
+
+
+@pytest.mark.parametrize("name", SURFACES)
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (33, 17), (32, 32)])
+def test_one_pass_labelling_matches_signed_double_graph(name, size):
+    spec = SurfaceSpec.named(name, *size)
+    ref = RefSurface(spec.width, spec.height, spec.x_gluing, spec.y_gluing)
+    faces = [(i, j) for j in range(spec.height) for i in range(spec.width)]
+    seen_walled = seen_nonorientable = seen_seam_wall = False
+    for c, labels, walls in _labelling_corpus(name, size):
+        p = from_labels(c, labels, walls=walls)
+        domains, bits = _signed_double_graph(c, labels, walls)
+        assert p.n_domains == len(bits)
+        assert np.array_equal(p.domains, domains)
+        assert np.array_equal(orientability_bits(p), bits)
+        if not walls:
+            ref_domain, ref_bits = ref_domains(ref, labels.tolist())
+            assert p.domains.tolist() == [ref_domain[f] for f in faces]
+            assert bits.tolist() == ref_bits
+        seen_walled |= bool(walls)
+        seen_nonorientable |= not bits.all()
+        seen_seam_wall |= any(c.edge_parity[e] < 0 for e in walls)
+    if size != (2, 2):
+        assert seen_walled
+    # a wall on a reversed seam edge and a non-orientable domain both occur
+    # wherever the surface has reversed seams
+    assert seen_nonorientable == seen_seam_wall == (not spec.orientable)
+
+
+def _two_labelling_beta(p):
+    """beta and beta_interior as two edge labellings counted them: the
+    boundary set united with the surface boundary for beta, and the
+    boundary set alone for the components off the surface boundary."""
+    c = p.complex
+    ids = p.boundary_set
+    beta = subgraph_component_count(c, np.concatenate([ids, c.boundary_edges])) - boundary_components(c)
+    verts, comp = edge_components(c, ids)
+    return beta, len(np.setdiff1d(comp, comp[c.vertex_is_boundary[verts]]))
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_beta_counts_match_two_labellings(name):
+    for size in [(2, 2), (3, 2), (7, 5), (33, 17)]:
+        for c, labels, walls in _labelling_corpus(name, size):
+            p = from_labels(c, labels, walls=walls)
+            r = invariants(p)
+            assert (r.beta, r.beta_interior) == _two_labelling_beta(p)
