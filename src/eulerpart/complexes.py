@@ -20,8 +20,22 @@ Conventions, fixed once and used everywhere:
   compactly in increasing order of their smallest raw representative.
 
 Seam orbits are closed under *both* gluing maps (corner orbits of the
-projective model need the composition of the two), which taking connected
-components of the seam identifications handles by construction.
+projective model need the composition of the two): the orbit labelling
+lowers both ends of every seam pair to their smallest raw id until nothing
+changes, so a corner orbit collects all its members after a few passes.
+
+Every table comes from the grid in closed form; nothing is sorted.  An
+edge orbit holds one raw edge or a seam pair, and the pair's larger raw
+id is dropped, so ``edge_map`` is the running count of kept raw edges
+read at each raw edge's smallest orbit member.  The two slots of
+``edge_faces`` / ``edge_sides`` hold an edge's incident (face, side)
+pairs in (f, s) lex order, which the grid gives directly: a horizontal
+raw edge has the face below it (side N) and then the face above it (side
+S), a vertical one the face to its left (side E) and then the face to its
+right (side W).  A grid-border edge has one incidence, in slot 0; a glued
+seam pair joins the lone incidences of its two raw edges, smaller face
+first.  ``face_edges``, ``face_vertices`` and ``edge_vertices`` are
+reshaped slices of ``edge_map`` and ``vertex_map``.
 
 ``components`` is the one graph primitive of the package: every count of
 domains, pieces, corner orbits, boundary cycles and boundary-set arcs is a
@@ -88,6 +102,12 @@ EXPECTED_BOUNDARY_COMPONENTS = {
 #: plus two covers, or a nodal refinement ladder (up to six sizes)
 SHARED_COMPLEXES = 8
 
+#: largest grid accepted, in faces (2**23): it admits the 2048x4096 cover of
+#: a 2048² moebius grid and the deepest nodal ladder from the default
+#: resolution (n = 64 doubled five times, each level perturbed by up to +10,
+#: ends at 2678²), and stops a mistyped size before any allocation
+MAX_FACES = 1 << 23
+
 # face side order: 0=S, 1=E, 2=N, 3=W; side s runs from corner s to corner
 # (s+1) % 4 in the cyclic corner order 0=SW, 1=SE, 2=NE, 3=NW.
 SIDE_S, SIDE_E, SIDE_N, SIDE_W = 0, 1, 2, 3
@@ -109,6 +129,11 @@ class SurfaceSpec:
             raise ValueError("width and height must be at least 2")
         if self.x_gluing not in GLUINGS or self.y_gluing not in GLUINGS:
             raise ValueError(f"gluings must be one of {GLUINGS}")
+        if self.width * self.height > MAX_FACES:
+            raise ValueError(
+                f"a {self.width}x{self.height} grid has {self.width * self.height} faces, "
+                f"above the cap of {MAX_FACES}"
+            )
 
     @property
     def kind(self) -> str:
@@ -316,30 +341,22 @@ class CellComplex:
         return j * W + i
 
     @cached_property
-    def edge_raw_representatives(self) -> tuple[np.ndarray, ...]:
-        """Raw edge ids in each canonical orbit (1 or 2 entries)."""
-        order = _read_only(np.argsort(self.edge_map, kind="stable"))
-        starts = np.searchsorted(self.edge_map[order], np.arange(self.n_edges + 1))
-        return tuple(order[starts[k]:starts[k + 1]] for k in range(self.n_edges))
+    def edge_raw_representatives(self) -> np.ndarray:
+        """(E, 2) raw edge ids of each edge: the smallest raw edge of its
+        orbit, then its seam partner or -1."""
+        out = np.full((self.n_edges, 2), -1, dtype=np.int64)
+        keep = np.ones(len(self.edge_map), dtype=bool)
+        for a, b in _seams(self.spec)[1]:
+            hi = np.maximum(a, b)
+            keep[hi] = False
+            out[self.edge_map[hi], 1] = hi
+        out[:, 0] = np.flatnonzero(keep)
+        return _read_only(out)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _raw_edge_endpoints(W: int, H: int) -> np.ndarray:
-    """Raw endpoint vertex ids of every raw edge, horizontal block first."""
-    n_h = W * (H + 1)
-    n_v = (W + 1) * H
-    out = np.empty((n_h + n_v, 2), dtype=np.int64)
-    j, i = np.divmod(np.arange(n_h), W)
-    out[:n_h, 0] = j * (W + 1) + i
-    out[:n_h, 1] = j * (W + 1) + i + 1
-    j, i = np.divmod(np.arange(n_v), W + 1)
-    out[n_h:, 0] = j * (W + 1) + i
-    out[n_h:, 1] = (j + 1) * (W + 1) + i
-    return out
 
 
 def build_complex(spec: SurfaceSpec) -> CellComplex:
@@ -356,13 +373,15 @@ def _shared_complex(spec: SurfaceSpec) -> CellComplex:
     return _build_complex(spec)
 
 
-def _build_complex(spec: SurfaceSpec) -> CellComplex:
-    """Construct the canonical cell complex of a quotient grid surface."""
+def _seams(spec: SurfaceSpec):
+    """The seam identifications of a spec as raw id pairs.
+
+    Returns ``(vertex_pairs, edge_pairs, flipped)``: lists of ``(far,
+    near)`` raw id arrays, one per glued seam, and the raw edges of the
+    reversed seams, where orientation flips.  No raw edge is in two pairs.
+    """
     W, H = spec.width, spec.height
-    n_faces = W * H
-    n_raw_v = (W + 1) * (H + 1)
     HOFF = W * (H + 1)  # vertical raw edges start here
-    n_raw_e = HOFF + (W + 1) * H
 
     def vid(i, j):
         return j * (W + 1) + i
@@ -375,8 +394,7 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
 
     vpairs: list[tuple[np.ndarray, np.ndarray]] = []
     epairs: list[tuple[np.ndarray, np.ndarray]] = []
-    # raw edges of the reversed seams, where orientation flips
-    flipped_raw: list[np.ndarray] = []
+    flipped: list[np.ndarray] = []
 
     jv = np.arange(H + 1)
     je = np.arange(H)
@@ -386,7 +404,7 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     elif spec.x_gluing == REVERSED:
         vpairs.append((vid(W, jv), vid(0, H - jv)))
         epairs.append((ve(W, je), ve(0, H - 1 - je)))
-        flipped_raw.append(ve(W, je))
+        flipped.append(ve(W, je))
 
     iv = np.arange(W + 1)
     ie = np.arange(W)
@@ -396,63 +414,92 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     elif spec.y_gluing == REVERSED:
         vpairs.append((vid(iv, H), vid(W - iv, 0)))
         epairs.append((he(ie, H), he(W - 1 - ie, 0)))
-        flipped_raw.append(he(ie, H))
+        flipped.append(he(ie, H))
+    return vpairs, epairs, flipped
 
-    # vertex orbits: components of the seam identifications, numbered by
-    # their smallest raw id; corner orbits close up under the composition
-    # of both seam maps automatically
-    va, vb = np.concatenate(vpairs, axis=1) if vpairs else ((), ())
-    n_vertices, vertex_map = components(n_raw_v, va, vb)
 
-    # edge orbits have at most two members; pair straight to the minimum
-    eroot = np.arange(n_raw_e, dtype=np.int64)
-    for a_arr, b_arr in epairs:
-        lo = np.minimum(a_arr, b_arr)
-        hi = np.maximum(a_arr, b_arr)
-        eroot[hi] = lo
-    uniq_e, edge_map = np.unique(eroot, return_inverse=True)
-    n_edges = len(uniq_e)
+def _seam_orbits(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the raw ids ``0..n-1`` under the seam pairs.
 
-    # face incidence tables straight from the grid
-    jj, ii = np.divmod(np.arange(n_faces), W)
-    face_edges = np.empty((n_faces, 4), dtype=np.int64)
-    face_edges[:, SIDE_S] = edge_map[he(ii, jj)]
-    face_edges[:, SIDE_E] = edge_map[ve(ii + 1, jj)]
-    face_edges[:, SIDE_N] = edge_map[he(ii, jj + 1)]
-    face_edges[:, SIDE_W] = edge_map[ve(ii, jj)]
-    face_vertices = np.empty((n_faces, 4), dtype=np.int64)
-    face_vertices[:, 0] = vertex_map[vid(ii, jj)]
-    face_vertices[:, 1] = vertex_map[vid(ii + 1, jj)]
-    face_vertices[:, 2] = vertex_map[vid(ii + 1, jj + 1)]
-    face_vertices[:, 3] = vertex_map[vid(ii, jj + 1)]
+    Returns ``(keep, labels)``: ``keep`` marks the smallest raw id of each
+    orbit, and orbits are numbered in increasing order of it.  Each pass
+    lowers both ends of every pair to their minimum; within one seam no id
+    repeats, and a few passes reach the corner orbits.
+    """
+    root = np.arange(n, dtype=np.int64)
+    changed = bool(pairs)
+    while changed:
+        changed = False
+        for a, b in pairs:
+            low = np.minimum(root[a], root[b])
+            if np.any(low != root[a]) or np.any(low != root[b]):
+                root[a] = low
+                root[b] = low
+                changed = True
+    keep = root == np.arange(n)
+    labels = np.cumsum(keep, dtype=np.int64) - 1
+    return keep, labels[root]
 
-    # scatter (face, side) incidences into per-edge slots, (f, s) lex order
-    flat_edges = face_edges.ravel()
-    flat_faces = np.repeat(np.arange(n_faces, dtype=np.int64), 4)
-    flat_sides = np.tile(np.arange(4, dtype=np.int64), n_faces)
-    order = np.argsort(flat_edges, kind="stable")
-    sorted_e = flat_edges[order]
-    first = np.searchsorted(sorted_e, np.arange(n_edges))
-    counts = np.searchsorted(sorted_e, np.arange(n_edges), side="right") - first
-    if counts.min() < 1 or counts.max() > 2:
+
+def _build_complex(spec: SurfaceSpec) -> CellComplex:
+    """Construct the canonical cell complex of a quotient grid surface."""
+    W, H = spec.width, spec.height
+    n_faces = W * H
+    HOFF = W * (H + 1)  # vertical raw edges start here
+    n_raw_e = HOFF + (W + 1) * H
+
+    vpairs, epairs, flipped = _seams(spec)
+    vkeep, vertex_map = _seam_orbits((W + 1) * (H + 1), vpairs)
+    ekeep, edge_map = _seam_orbits(n_raw_e, epairs)
+    n_vertices = int(np.count_nonzero(vkeep))
+    n_edges = int(np.count_nonzero(ekeep))
+
+    # face tables from slices of the raw numbering
+    vm = vertex_map.reshape(H + 1, W + 1)
+    emh = edge_map[:HOFF].reshape(H + 1, W)
+    emv = edge_map[HOFF:].reshape(H, W + 1)
+    face_edges = np.stack([emh[:H], emv[:, 1:], emh[1:], emv[:, :W]], axis=-1).reshape(n_faces, 4)
+    face_vertices = np.stack([vm[:H, :W], vm[:H, 1:], vm[1:, 1:], vm[1:, :W]], axis=-1).reshape(n_faces, 4)
+
+    # the one or two faces of every raw edge, in (f, s) lex order: the face
+    # below a horizontal edge (side N) before the one above it (side S), the
+    # face left of a vertical edge (side E) before the one right of it (side
+    # W); a grid-border edge has its one face in slot 0
+    faces = np.arange(n_faces, dtype=np.int64).reshape(H, W)
+    raw_faces = np.full((n_raw_e, 2), -1, dtype=np.int64)
+    raw_sides = np.full((n_raw_e, 2), -1, dtype=np.int64)
+    hf, hs = raw_faces[:HOFF].reshape(H + 1, W, 2), raw_sides[:HOFF].reshape(H + 1, W, 2)
+    hf[1:, :, 0], hs[1:, :, 0] = faces, SIDE_N
+    hf[1:H, :, 1], hs[1:H, :, 1] = faces[1:], SIDE_S
+    hf[0, :, 0], hs[0, :, 0] = faces[0], SIDE_S
+    vf, vs = raw_faces[HOFF:].reshape(H, W + 1, 2), raw_sides[HOFF:].reshape(H, W + 1, 2)
+    vf[:, 1:, 0], vs[:, 1:, 0] = faces, SIDE_E
+    vf[:, 1:W, 1], vs[:, 1:W, 1] = faces[:, 1:], SIDE_W
+    vf[:, 0, 0], vs[:, 0, 0] = faces[:, 0], SIDE_W
+    edge_faces = raw_faces[ekeep]
+    edge_sides = raw_sides[ekeep]
+    # a glued seam pair joins the lone incidences of its two raw edges
+    if epairs:
+        ab = np.stack([np.concatenate(side) for side in zip(*epairs)], axis=1)
+        ab = np.where((raw_faces[ab[:, 0], 0] > raw_faces[ab[:, 1], 0])[:, None], ab[:, ::-1], ab)
+        e = edge_map[ab[:, 0]]
+        edge_faces[e] = raw_faces[ab, 0]
+        edge_sides[e] = raw_sides[ab, 0]
+
+    edge_is_boundary = edge_faces[:, 1] < 0
+    counts = np.bincount(face_edges.ravel(), minlength=n_edges)
+    if not np.array_equal(counts, 2 - edge_is_boundary):
         raise InvariantViolation("edge incident to zero or more than two faces")
-    edge_faces = np.full((n_edges, 2), -1, dtype=np.int64)
-    edge_sides = np.full((n_edges, 2), -1, dtype=np.int64)
-    edge_faces[:, 0] = flat_faces[order[first]]
-    edge_sides[:, 0] = flat_sides[order[first]]
-    two = counts == 2
-    edge_faces[two, 1] = flat_faces[order[first[two] + 1]]
-    edge_sides[two, 1] = flat_sides[order[first[two] + 1]]
 
     edge_parity = np.ones(n_edges, dtype=np.int8)
-    for raw in flipped_raw:
+    for raw in flipped:
         edge_parity[edge_map[raw]] = -1
 
-    edge_is_boundary = ~two
-    edge_is_horizontal = uniq_e < HOFF
+    edge_is_horizontal = np.arange(n_edges) < np.count_nonzero(ekeep[:HOFF])
 
-    raw_ev = _raw_edge_endpoints(W, H)
-    edge_vertices = np.sort(vertex_map[raw_ev[uniq_e]], axis=1)
+    ends = [np.concatenate([vm[:, :W].ravel(), vm[:H].ravel()])[ekeep],
+            np.concatenate([vm[:, 1:].ravel(), vm[1:].ravel()])[ekeep]]
+    edge_vertices = np.stack([np.minimum(*ends), np.maximum(*ends)], axis=1)
 
     vertex_is_boundary = np.zeros(n_vertices, dtype=bool)
     vertex_is_boundary[edge_vertices[edge_is_boundary].ravel()] = True

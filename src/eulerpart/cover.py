@@ -64,18 +64,16 @@ def double_cover(c: CellComplex) -> CoverStructure:
     W, H = c.spec.width, c.spec.height
     cover = build_complex(SurfaceSpec.named(COVERABLE[kind], W, 2 * H))
 
-    jj, ii = np.divmod(np.arange(W * 2 * H), W)
-    upper = jj >= H
-    proj_i = np.where(upper, W - 1 - ii, ii)
-    proj_j = np.where(upper, jj - H, jj)
-    face_projection = proj_j * W + proj_i
-    deck_i = W - 1 - ii
-    deck_j = (jj + H) % (2 * H)
-    face_deck = deck_j * W + deck_i
+    # the lower sheet, cover faces below c.n_faces, lies over the base as it
+    # is; the upper sheet is mirrored in x, and the deck swaps the sheets
+    straight = np.arange(c.n_faces, dtype=np.int64)
+    mirrored = straight.reshape(H, W)[:, ::-1].ravel()
+    face_projection = np.concatenate([straight, mirrored])
+    face_deck = np.concatenate([mirrored + c.n_faces, mirrored])
 
-    # the upper sheet, cover faces from c.n_faces on, is mirrored in x
-    below = c.face_edges[face_projection]
-    below[c.n_faces:] = below[c.n_faces:, [SIDE_S, SIDE_W, SIDE_N, SIDE_E]]
+    # on the mirrored sheet E and W swap
+    upper = c.face_edges.reshape(H, W, 4)[:, ::-1][..., [SIDE_S, SIDE_W, SIDE_N, SIDE_E]]
+    below = np.concatenate([c.face_edges, upper.reshape(c.n_faces, 4)])
     edge_projection = np.empty(cover.n_edges, dtype=np.int64)
     edge_projection[cover.face_edges] = below
 

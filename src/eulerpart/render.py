@@ -46,30 +46,20 @@ def _edge_segments(p: Partition, edge_ids) -> list[tuple[int, int, int, int]]:
     c = p.complex
     W, H = c.spec.width, c.spec.height
     HOFF = W * (H + 1)
-    segs = []
-    reps = c.edge_raw_representatives
-    for e in edge_ids:
-        for raw in reps[int(e)]:
-            raw = int(raw)
-            if raw < HOFF:
-                j, i = divmod(raw, W)
-                segs.append((i, j, i + 1, j))
-            else:
-                j, i = divmod(raw - HOFF, W + 1)
-                segs.append((i, j, i, j + 1))
-    return segs
+    raw = c.edge_raw_representatives[np.asarray(edge_ids, dtype=np.int64)].ravel()
+    raw = raw[raw >= 0]
+    vertical = raw >= HOFF
+    j, i = np.where(vertical, np.divmod(raw - HOFF, W + 1), np.divmod(raw, W))
+    i1, j1 = np.where(vertical, i, i + 1), np.where(vertical, j + 1, j)
+    return list(zip(i.tolist(), j.tolist(), i1.tolist(), j1.tolist()))
 
 
 def _vertex_points(p: Partition, vertex_ids) -> list[tuple[int, int]]:
+    """Grid points (x, y) of every raw vertex over the given vertices."""
     c = p.complex
-    W, H = c.spec.width, c.spec.height
-    wanted = set(int(v) for v in vertex_ids)
-    pts = []
-    for raw in range((W + 1) * (H + 1)):
-        if int(c.vertex_map[raw]) in wanted:
-            j, i = divmod(raw, W + 1)
-            pts.append((i, j))
-    return pts
+    raw = np.flatnonzero(np.isin(c.vertex_map, np.asarray(vertex_ids, dtype=np.int64)))
+    j, i = np.divmod(raw, c.spec.width + 1)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def _overlay_data(p: Partition):

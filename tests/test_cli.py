@@ -314,3 +314,25 @@ def test_malformed_max_refine_env(monkeypatch, capsys):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: eulerpart" in done.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["random-check", "--surface", "moebius", "--size", "1000000"],
+    ["cover-check", "--surface", "klein", "--size", "1000000"],
+], ids=["random-check", "cover-check"])
+def test_grid_above_the_cap_is_a_usage_error(args, capsys):
+    assert main(args) == 2
+    assert "above the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("invariants", {"surface": {"surface": "moebius", "width": 1000000, "height": 16},
+                    "labels": [0, 0, 1, 1]}),
+    ("circle", {"surface": {"surface": "projective", "width": 1000000, "height": 16},
+                "cycle": {"midline": "horizontal"}}),
+], ids=["partition", "cycle"])
+def test_document_grid_above_the_cap_is_a_usage_error(command, doc, tmp_path, capsys):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main([command, str(f)]) == 2
+    assert "1000000x16 grid has 16000000 faces, above the cap" in capsys.readouterr().err

@@ -211,7 +211,8 @@ def _arrays_and_tables(c):
     out = [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)
            if isinstance(getattr(c, f.name), np.ndarray)]
     out += [("interior_edges", c.interior_edges), ("boundary_edges", c.boundary_edges),
-            ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot)]
+            ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot),
+            ("edge_raw_representatives", c.edge_raw_representatives)]
     out += [(f"adjacency[{k}]", a) for k, a in enumerate(c.adjacency)]
     out += [(f"vertex_faces[{k}]", a) for k, a in enumerate(c.vertex_faces)]
     out += [(f"directed_adjacency[{k}]", a) for k, a in enumerate(c.directed_adjacency)]
@@ -222,7 +223,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 11 + 4 + 4 + 2 + 4
+    assert len(tables) == 11 + 5 + 4 + 2 + 4
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -275,3 +276,153 @@ def test_directed_adjacency_groups_rows_by_source(name, size):
     for f in range(c.n_faces):
         rows = by_source[start[f]:start[f + 1]]
         assert rows.tolist() == np.flatnonzero(source == f).tolist()
+
+
+def _sorted_incidence_build(spec):
+    """The complex built by sorting the 4F face-side incidences by edge.
+
+    An independent route to every table: vertex orbits from ``components``,
+    edge orbits from ``np.unique`` of the seam roots, edge slots from a
+    stable ``argsort`` of the incidences (so slot 0 is the smaller face
+    side in (f, s) lex order), endpoints from a raw endpoint table.
+    """
+    from eulerpart.complexes import (PERIODIC, REVERSED, SIDE_E, SIDE_N, SIDE_S, SIDE_W,
+                                     CellComplex, components)
+
+    W, H = spec.width, spec.height
+    n_faces = W * H
+    n_raw_v = (W + 1) * (H + 1)
+    HOFF = W * (H + 1)
+    n_raw_e = HOFF + (W + 1) * H
+
+    def vid(i, j):
+        return j * (W + 1) + i
+
+    def he(i, j):
+        return j * W + i
+
+    def ve(i, j):
+        return HOFF + j * (W + 1) + i
+
+    vpairs, epairs, flipped_raw = [], [], []
+    jv, je = np.arange(H + 1), np.arange(H)
+    if spec.x_gluing == PERIODIC:
+        vpairs.append((vid(W, jv), vid(0, jv)))
+        epairs.append((ve(W, je), ve(0, je)))
+    elif spec.x_gluing == REVERSED:
+        vpairs.append((vid(W, jv), vid(0, H - jv)))
+        epairs.append((ve(W, je), ve(0, H - 1 - je)))
+        flipped_raw.append(ve(W, je))
+    iv, ie = np.arange(W + 1), np.arange(W)
+    if spec.y_gluing == PERIODIC:
+        vpairs.append((vid(iv, H), vid(iv, 0)))
+        epairs.append((he(ie, H), he(ie, 0)))
+    elif spec.y_gluing == REVERSED:
+        vpairs.append((vid(iv, H), vid(W - iv, 0)))
+        epairs.append((he(ie, H), he(W - 1 - ie, 0)))
+        flipped_raw.append(he(ie, H))
+
+    va, vb = np.concatenate(vpairs, axis=1) if vpairs else ((), ())
+    n_vertices, vertex_map = components(n_raw_v, va, vb)
+
+    eroot = np.arange(n_raw_e, dtype=np.int64)
+    for a_arr, b_arr in epairs:
+        eroot[np.maximum(a_arr, b_arr)] = np.minimum(a_arr, b_arr)
+    uniq_e, edge_map = np.unique(eroot, return_inverse=True)
+    n_edges = len(uniq_e)
+
+    jj, ii = np.divmod(np.arange(n_faces), W)
+    face_edges = np.empty((n_faces, 4), dtype=np.int64)
+    face_edges[:, SIDE_S] = edge_map[he(ii, jj)]
+    face_edges[:, SIDE_E] = edge_map[ve(ii + 1, jj)]
+    face_edges[:, SIDE_N] = edge_map[he(ii, jj + 1)]
+    face_edges[:, SIDE_W] = edge_map[ve(ii, jj)]
+    face_vertices = np.empty((n_faces, 4), dtype=np.int64)
+    face_vertices[:, 0] = vertex_map[vid(ii, jj)]
+    face_vertices[:, 1] = vertex_map[vid(ii + 1, jj)]
+    face_vertices[:, 2] = vertex_map[vid(ii + 1, jj + 1)]
+    face_vertices[:, 3] = vertex_map[vid(ii, jj + 1)]
+
+    flat_edges = face_edges.ravel()
+    flat_faces = np.repeat(np.arange(n_faces, dtype=np.int64), 4)
+    flat_sides = np.tile(np.arange(4, dtype=np.int64), n_faces)
+    order = np.argsort(flat_edges, kind="stable")
+    sorted_e = flat_edges[order]
+    first = np.searchsorted(sorted_e, np.arange(n_edges))
+    counts = np.searchsorted(sorted_e, np.arange(n_edges), side="right") - first
+    assert counts.min() >= 1 and counts.max() <= 2
+    edge_faces = np.full((n_edges, 2), -1, dtype=np.int64)
+    edge_sides = np.full((n_edges, 2), -1, dtype=np.int64)
+    edge_faces[:, 0] = flat_faces[order[first]]
+    edge_sides[:, 0] = flat_sides[order[first]]
+    two = counts == 2
+    edge_faces[two, 1] = flat_faces[order[first[two] + 1]]
+    edge_sides[two, 1] = flat_sides[order[first[two] + 1]]
+
+    edge_parity = np.ones(n_edges, dtype=np.int8)
+    for raw in flipped_raw:
+        edge_parity[edge_map[raw]] = -1
+
+    raw_ev = np.empty((n_raw_e, 2), dtype=np.int64)
+    j, i = np.divmod(np.arange(HOFF), W)
+    raw_ev[:HOFF] = np.stack([vid(i, j), vid(i + 1, j)], axis=1)
+    j, i = np.divmod(np.arange(n_raw_e - HOFF), W + 1)
+    raw_ev[HOFF:] = np.stack([vid(i, j), vid(i, j + 1)], axis=1)
+    edge_vertices = np.sort(vertex_map[raw_ev[uniq_e]], axis=1)
+    vertex_is_boundary = np.zeros(n_vertices, dtype=bool)
+    vertex_is_boundary[edge_vertices[~two].ravel()] = True
+
+    c = CellComplex(
+        spec=spec, n_vertices=n_vertices, n_edges=n_edges, n_faces=n_faces,
+        edge_vertices=edge_vertices, edge_faces=edge_faces, edge_sides=edge_sides,
+        edge_parity=edge_parity, edge_is_horizontal=uniq_e < HOFF, edge_is_boundary=~two,
+        vertex_is_boundary=vertex_is_boundary, face_edges=face_edges,
+        face_vertices=face_vertices, vertex_map=vertex_map, edge_map=edge_map,
+    )
+    # raw members of each edge orbit, in increasing order, -1 padded
+    by_edge = np.argsort(edge_map, kind="stable")
+    starts = np.searchsorted(edge_map[by_edge], np.arange(n_edges + 1))
+    reps = np.full((n_edges, 2), -1, dtype=np.int64)
+    for k in range(n_edges):
+        members = by_edge[starts[k]:starts[k + 1]]
+        reps[k, :len(members)] = members
+    return c, reps
+
+
+ORACLE_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (6, 4), (5, 8), (33, 17), (128, 64)]
+
+
+@pytest.mark.parametrize("name", ALL_SURFACES)
+@pytest.mark.parametrize("size", ORACLE_SIZES, ids=[f"{w}x{h}" for w, h in ORACLE_SIZES])
+def test_closed_form_build_matches_sorted_incidences(size, name):
+    import dataclasses
+
+    from eulerpart.complexes import _build_complex
+
+    spec = SurfaceSpec.named(name, *size)
+    built = _build_complex(spec)
+    oracle, reps = _sorted_incidence_build(spec)
+    for f in dataclasses.fields(built):
+        a, b = getattr(built, f.name), getattr(oracle, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+    tables = _arrays_and_tables(built)
+    assert len(tables) == len(_arrays_and_tables(oracle))
+    for (what, a), (_, b) in zip(tables, _arrays_and_tables(oracle)):
+        if what == "edge_raw_representatives":
+            b = reps
+        assert a.dtype == b.dtype and np.array_equal(a, b), what
+
+
+def test_grid_size_cap():
+    from eulerpart.complexes import MAX_FACES
+
+    # sizes reached today: 512² covers, the 2048² cover, and the deepest
+    # default nodal ladder (64 doubled five times, each level perturbed +10)
+    for w, h in ((512, 1024), (2048, 4096), (2678, 2678), (2, MAX_FACES // 2)):
+        assert SurfaceSpec.cylinder(w, h).width == w
+    for w, h in ((2, MAX_FACES // 2 + 1), (1_000_000, 16), (1_000_000, 1_000_000)):
+        with pytest.raises(ValueError, match=f"{w}x{h} grid has {w * h} faces"):
+            SurfaceSpec.moebius(w, h)

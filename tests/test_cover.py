@@ -233,3 +233,19 @@ def _edge_projection(base, cover):
 def test_edge_projection_matches_raw_grid_oracle(name, size):
     cs = double_cover(build_complex(SurfaceSpec.named(name, *size)))
     assert np.array_equal(cs.edge_projection, _edge_projection(cs.base, cs.cover))
+
+
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (5, 3), (7, 5), (32, 32)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("name", ["moebius", "klein"])
+def test_face_maps_match_the_coordinate_formulas(name, size):
+    # cover face (i, j) lies over (i, j) below the mid seam and over
+    # (W-1-i, j-H) above it; the deck map is (W-1-i, (j+H) mod 2H)
+    cs = double_cover(build_complex(SurfaceSpec.named(name, *size)))
+    W, H = size
+    j, i = np.divmod(np.arange(2 * W * H), W)
+    upper = j >= H
+    projection = np.where(upper, (j - H) * W + W - 1 - i, j * W + i)
+    deck = (j + H) % (2 * H) * W + W - 1 - i
+    for got, want in ((cs.face_projection, projection), (cs.face_deck, deck)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)

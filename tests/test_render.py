@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eulerpart import RenderStyle, SurfaceSpec, build_complex, cut, from_labels, render
+from eulerpart import RenderStyle, SurfaceSpec, build_complex, cut, from_labels, jsonio, render
 from eulerpart.render import domain_color, render_ppm, render_svg
 
 
@@ -81,3 +84,18 @@ def test_flat_rectangle_single_color():
     fills = {part.split('"')[0] for part in svg.split('fill="#')[1:]}
     # background white + one domain color
     assert len(fills) == 2
+
+
+# sha256 of the default-style renders of tests/data/moebius_8x8.json, which
+# has a boundary set, a surface boundary and seven singular vertices
+PINNED_RENDER = {
+    "ppm": "d5d6c90487ee866a5736edb89caa3b427af59ed1b61726d71776fa31ef55a73e",
+    "svg": "6b94fa780e7f4782999fbc25d737942908fbd8655100e46cd777463fd29f1b61",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_RENDER))
+def test_render_bytes_pinned(fmt):
+    doc = json.loads((Path(__file__).parent / "data" / "moebius_8x8.json").read_text())
+    data = render(jsonio.partition_from_json(doc), fmt=fmt)
+    assert hashlib.sha256(data).hexdigest() == PINNED_RENDER[fmt]
