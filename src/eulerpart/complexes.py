@@ -555,18 +555,16 @@ def components(n: int, a, b) -> tuple[int, np.ndarray]:
     """Connected components of the undirected graph on nodes ``0..n-1``
     with edges ``a[k]-b[k]``.
 
-    Returns ``(count, labels)``; component ids increase with each
-    component's smallest node, so node 0 is always in component 0.
+    Returns ``(count, labels)`` with int64 labels; component ids increase
+    with each component's smallest node, so node 0 is always in component
+    0.  scipy's undirected labelling already numbers them so, since it
+    starts a new component at each unlabelled node in increasing order.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     g = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
     count, comp = connected_components(g, directed=False)
-    first = np.full(count, n, dtype=np.int64)
-    np.minimum.at(first, comp, np.arange(n, dtype=np.int64))
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(count)
-    return int(count), rank[comp]
+    return int(count), comp.astype(np.int64)
 
 
 def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:

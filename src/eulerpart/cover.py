@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import (SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec,
-                        build_complex, edge_components)
+from .complexes import SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec, build_complex
 from .errors import InvariantViolation
-from .partition import Partition, from_labels, invariants
+from .partition import Partition, boundary_union, from_labels, invariants
 
 COVERABLE = {"moebius": "cylinder", "klein": "torus"}
 
@@ -209,11 +208,12 @@ def cover_bookkeeping(cs: CoverStructure, p: Partition) -> CoverReport:
 
 def _cover_boundary_joined(lifted: Partition) -> bool:
     """Do the two cover boundary circles share a component of the lifted
-    boundary set united with the cover boundary?"""
+    boundary set united with the cover boundary?  Reads the labelling that
+    the lift's beta already made."""
     c = lifted.complex
     if c.spec.closed:
         return False
-    verts, comp = edge_components(c, np.concatenate([lifted.boundary_set, c.boundary_edges]))
+    verts, comp = boundary_union(lifted)
     # the cylinder cover's boundary circles are the seams x=0 and x=W
     lo = c.vertex_id(0, 0)
     hi = c.vertex_id(c.spec.width, 0)

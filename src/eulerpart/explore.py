@@ -19,8 +19,7 @@ from .errors import InstabilityError, InvariantViolation
 from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, phi_family, stable_invariants
 from .nodal import family as family_member
 from .partition import (
-    CONJECTURED_DEFECT,
-    EXPECTED_DEFECT,
+    VERDICT_MODES,
     Partition,
     check_chi_sigma,
     from_labels,
@@ -320,18 +319,12 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
             passes += 1
         else:
             failures.append(partition_to_json(p))
-    if surface in EXPECTED_DEFECT:
-        mode = "pass_fail"
-    elif surface in CONJECTURED_DEFECT:
-        mode = "conjecture"
-    else:
-        mode = "report_only"
     return BatchResult(
         surface=surface,
         count=count,
         seed=seed,
         k_range=(k_lo, k_hi),
-        verdict_mode=mode,
+        verdict_mode=VERDICT_MODES[surface][0],
         passes=passes,
         failures=tuple(failures),
         defect_histogram=dict(sorted(hist.items())),

@@ -16,7 +16,6 @@ from .cover import CoverReport
 from .explore import BatchResult, SweepResult, TransitionEstimate
 from .nodal import Eigenfunction, Factor, Term, family, finite_real
 from .partition import (
-    ChiSigmaReport,
     ComplementClass,
     DomainReport,
     InvariantReport,
@@ -30,7 +29,7 @@ _REGISTRY = None
 
 SCHEMA_NAMES = (
     "surface", "partition", "invariants", "verdict", "cover_report",
-    "complement", "transition", "sweep", "batch", "chi_sigma",
+    "complement", "transition", "sweep", "batch",
     "eigenfunction", "surgery", "nodal_result",
 )
 
@@ -221,17 +220,6 @@ def verdict_to_json(v: Verdict) -> dict:
         "status": v.status,
         "conjecture": v.conjecture,
         "invariants": invariants_to_json(v.report),
-    }
-
-
-def chi_sigma_to_json(r: ChiSigmaReport) -> dict:
-    return {
-        "chi_surface": r.chi_surface,
-        "sigma": r.sigma,
-        "domain_chis": list(r.domain_chis),
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "holds": r.holds,
     }
 
 

@@ -37,7 +37,7 @@ boundary-set edges (see ``_ClosureTables``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -91,6 +91,13 @@ class Partition:
     @cached_property
     def _boundary_graph(self) -> "BoundaryGraph":
         return _compute_boundary_graph(self)
+
+    @cached_property
+    def _boundary_union(self) -> tuple[np.ndarray, np.ndarray]:
+        c = self.complex
+        verts, labels = edge_components(c, np.concatenate([self.boundary_set, c.boundary_edges]))
+        verts.flags.writeable = labels.flags.writeable = False
+        return verts, labels
 
     @cached_property
     def _closure(self) -> "_ClosureTables":
@@ -166,23 +173,27 @@ def _label_domains(c: CellComplex, labels: np.ndarray, wall_mask: np.ndarray):
 # boundary graph and scalar invariants
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryGraph:
-    """The boundary-set subgraph with its singular vertex census."""
+    """The boundary-set subgraph with its vertex census.
+
+    ``degree[v]`` is the number of boundary-set edges at vertex ``v`` (an
+    edge whose two ends meet at ``v`` counts twice).  An interior vertex
+    of degree nu >= 3 is singular with index nu - 2; a surface-boundary
+    vertex of degree rho >= 1 (rho is always 1) is singular with index
+    rho.  The singular vertex arrays are sorted, and they and ``degree``
+    are read-only.
+    """
 
     edge_ids: np.ndarray          # boundary-set edges
-    nu: dict                      # interior vertex -> number of incident edges (nu > 0 only)
-    rho: dict                     # surface-boundary vertex -> incident boundary-set edges
-    singular_interior: tuple      # (vertex, nu) with nu >= 3
-    singular_boundary: tuple      # (vertex, rho) with rho >= 1
-    index_sum: int                # sum of iota over singular vertices
-    sigma: int
+    degree: np.ndarray            # (V,) boundary-set edges at each vertex
+    singular_interior: np.ndarray  # interior vertices with degree >= 3
+    singular_boundary: np.ndarray  # surface-boundary vertices with degree >= 1
+    sigma: int                    # half the singular index sum
 
     @property
     def singular_vertices(self) -> frozenset:
-        return frozenset(v for v, _ in self.singular_interior) | frozenset(
-            v for v, _ in self.singular_boundary
-        )
+        return frozenset(self.singular_interior.tolist()) | frozenset(self.singular_boundary.tolist())
 
 
 def boundary_graph(p: Partition) -> BoundaryGraph:
@@ -192,36 +203,31 @@ def boundary_graph(p: Partition) -> BoundaryGraph:
 def _compute_boundary_graph(p: Partition) -> BoundaryGraph:
     c = p.complex
     ids = p.boundary_set
-    counts = np.zeros(c.n_vertices, dtype=np.int64)
-    if ids.size:
-        np.add.at(counts, c.edge_vertices[ids].ravel(), 1)
-    interior = ~c.vertex_is_boundary
-    if np.any((counts == 1) & interior):
-        bad = np.flatnonzero((counts == 1) & interior)[:4]
+    degree = np.bincount(c.edge_vertices[ids].ravel(), minlength=c.n_vertices)
+    on_bdy = c.vertex_is_boundary
+    dangling = (degree == 1) & ~on_bdy
+    if dangling.any():
         raise InvariantViolation(
-            f"boundary set has dangling ends at interior vertices {bad.tolist()}"
+            f"boundary set has dangling ends at interior vertices {np.flatnonzero(dangling)[:4].tolist()}"
         )
-    if np.any(counts[~interior] > 1):
+    if np.any(degree[on_bdy] > 1):
         raise InvariantViolation("boundary vertex met by more than one interior edge")
 
-    int_hit = np.flatnonzero((counts > 0) & interior)
-    bdy_hit = np.flatnonzero((counts > 0) & ~interior)
-    nu = {int(v): int(counts[v]) for v in int_hit}
-    rho = {int(v): int(counts[v]) for v in bdy_hit}
-    sing_i = tuple((int(v), int(counts[v])) for v in int_hit if counts[v] >= 3)
-    sing_b = tuple((int(v), int(counts[v])) for v in bdy_hit)
-    index_sum = sum(n - 2 for _, n in sing_i) + sum(r for _, r in sing_b)
+    sing_i = np.flatnonzero((degree >= 3) & ~on_bdy)
+    sing_b = np.flatnonzero((degree > 0) & on_bdy)
+    index_sum = int(degree[sing_i].sum()) - 2 * len(sing_i) + int(degree[sing_b].sum())
     if index_sum % 2:
         raise InvariantViolation(f"odd singular index sum {index_sum}")
-    return BoundaryGraph(
-        edge_ids=ids,
-        nu=nu,
-        rho=rho,
-        singular_interior=sing_i,
-        singular_boundary=sing_b,
-        index_sum=index_sum,
-        sigma=index_sum // 2,
-    )
+    for a in (degree, sing_i, sing_b):
+        a.flags.writeable = False
+    return BoundaryGraph(ids, degree, sing_i, sing_b, sigma=index_sum // 2)
+
+
+def boundary_union(p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """``(verts, labels)``: one component labelling of the boundary set
+    united with the surface boundary, over the vertices its edges touch
+    (increasing), computed once per partition and read-only."""
+    return p._boundary_union
 
 
 def orientability_bits(p: Partition) -> np.ndarray:
@@ -259,7 +265,7 @@ def _beta_counts(p: Partition) -> tuple[int, int]:
     surface-boundary vertex is a boundary-set component off the surface
     boundary, so beta_interior counts those."""
     c = p.complex
-    verts, comp = edge_components(c, np.concatenate([p.boundary_set, c.boundary_edges]))
+    verts, comp = boundary_union(p)
     n = int(comp.max()) + 1 if comp.size else 0
     beta_i = n - len(np.unique(comp[c.vertex_is_boundary[verts]]))
     return n - boundary_components(c), beta_i
@@ -298,10 +304,18 @@ def _compute_invariants(p: Partition) -> InvariantReport:
 # ---------------------------------------------------------------------------
 # verdicts
 
-#: surfaces with a proven formula -> expected defect kappa - (omega+beta+sigma)
-EXPECTED_DEFECT = {"rectangle": 1, "moebius": 0}
-#: surfaces where the same formula is conjectural
-CONJECTURED_DEFECT = {"projective": 0, "klein": 0}
+#: surface -> (verdict mode, expected defect kappa - (omega+beta+sigma)).
+#: "pass_fail": the formula is proven and the defect asserted;
+#: "conjecture": the same formula is conjectural and only reported;
+#: "report_only": no claim.
+VERDICT_MODES = {
+    "rectangle": ("pass_fail", 1),
+    "moebius": ("pass_fail", 0),
+    "projective": ("conjecture", 0),
+    "klein": ("conjecture", 0),
+    "cylinder": ("report_only", None),
+    "torus": ("report_only", None),
+}
 
 
 @dataclass(frozen=True)
@@ -328,14 +342,13 @@ def verify_euler(p: Partition) -> Verdict:
     """
     rep = invariants(p)
     kind = p.complex.spec.kind
+    mode, expected = VERDICT_MODES[kind]
     measured = rep.defect
-    if kind in EXPECTED_DEFECT:
-        expected = EXPECTED_DEFECT[kind]
+    if mode == "pass_fail":
         status = "pass" if measured == expected else "fail"
-        return Verdict(kind, expected, measured, status, False, rep)
-    if kind in CONJECTURED_DEFECT:
-        return Verdict(kind, CONJECTURED_DEFECT[kind], measured, "conjecture", True, rep)
-    return Verdict(kind, None, measured, "report_only", False, rep)
+    else:
+        status = mode
+    return Verdict(kind, expected, measured, status, mode == "conjecture", rep)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +380,7 @@ class _ClosureTables:
         fv = c.face_vertices.ravel()
         bset = p.boundary_set
 
-        touched = np.zeros(c.n_vertices, dtype=bool)
-        touched[c.edge_vertices[bset].ravel()] = True
+        touched = boundary_graph(p).degree > 0
         slots = np.flatnonzero(touched[fv])
         faces, corners = np.divmod(slots, 4)
         partner = c.slot_partners[slots]
@@ -692,35 +704,28 @@ def plan_cut(p: Partition, edges) -> CutPath:
             raise CutError(f"edge {e} lies on the surface boundary")
         if e in p.walls:
             raise CutError(f"edge {e} is already a wall")
-    bset = set(p.boundary_set.tolist())
-    for e in edge_list:
-        if e in bset:
-            raise CutError(f"edge {e} runs along the existing boundary set")
+    ids = p.boundary_set
+    along = np.flatnonzero(np.isin(edge_list, ids))
+    if along.size:
+        raise CutError(f"edge {edge_list[along[0]]} runs along the existing boundary set")
 
     verts, is_cycle = _chain_edges(c, edge_list)
     bg = boundary_graph(p)
     singular = bg.singular_vertices
-
-    # incident boundary-set edges per vertex, with orientation classes
-    ids = p.boundary_set
-    incident: dict[int, list[int]] = {}
-    for e in ids.tolist():
-        a, b = c.edge_vertices[e]
-        incident.setdefault(int(a), []).append(e)
-        incident.setdefault(int(b), []).append(e)
+    # a degree-2 vertex turns a corner iff exactly one of its edges is horizontal
+    degree = bg.degree
+    horizontal = np.bincount(c.edge_vertices[ids[c.edge_is_horizontal[ids]]].ravel(), minlength=c.n_vertices)
 
     interior_vertices = verts[1:-1] if not is_cycle else verts[:-1]
     crossings = []
     for v in interior_vertices:
         if v in singular:
             raise CutError(f"path passes through singular vertex {v}")
-        here = incident.get(v, [])
-        if not here:
+        if not degree[v]:
             continue
-        if len(here) != 2:
+        if degree[v] != 2:
             raise CutError(f"path meets boundary set non-transversally at vertex {v}")
-        ha, hb = (bool(c.edge_is_horizontal[e]) for e in here)
-        if ha != hb:
+        if horizontal[v] == 1:
             raise CutError(
                 f"boundary set turns a corner at vertex {v}; crossing is not transversal"
             )
@@ -733,7 +738,7 @@ def plan_cut(p: Partition, edges) -> CutPath:
                 raise CutError(f"path endpoint {v} is a singular vertex")
             if c.vertex_is_boundary[v]:
                 endpoints.append((int(v), "surface"))
-            elif incident.get(v):
+            elif degree[v]:
                 endpoints.append((int(v), "boundary_set"))
             else:
                 raise CutError(
@@ -752,10 +757,10 @@ def plan_cut(p: Partition, edges) -> CutPath:
 def cut(p: Partition, path) -> Partition:
     """Promote the path's edges to walls and re-split the domains.
 
-    On the surfaces with a proven formula (``EXPECTED_DEFECT``: rectangle,
-    moebius) delta is constant, so a cut that changes it can only come from
-    an inadmissible path that slipped through validation or from a genuine
-    bug, and raises.  Elsewhere an admissible cut along a non-separating
+    On the surfaces with a proven formula (mode ``pass_fail`` in
+    ``VERDICT_MODES``: rectangle, moebius) delta is constant, so a cut that
+    changes it can only come from an inadmissible path that slipped through
+    validation or from a genuine bug, and raises.  Elsewhere an admissible cut along a non-separating
     cycle can change delta (a torus meridian takes it from -1 to 0), and
     the cut partition is returned as it is.
     """
@@ -766,7 +771,7 @@ def cut(p: Partition, path) -> Partition:
     before = invariants(p)
     out = from_labels(p.complex, p.domains, walls=p.walls | set(path.edges))
     after = invariants(out)
-    if after.delta != before.delta and p.complex.spec.kind in EXPECTED_DEFECT:
+    if after.delta != before.delta and VERDICT_MODES[p.complex.spec.kind][0] == "pass_fail":
         raise InvariantViolation(
             f"cut changed delta: {before.delta} -> {after.delta}"
         )
@@ -826,7 +831,7 @@ def classify_circle_complement(c: CellComplex, cycle) -> ComplementClass:
                 f"one-component complement is not a disk: chi={piece.chi}, "
                 f"orientable={piece.orientable}, q={piece.boundary_circles}"
             )
-        return ComplementClass(1, (ComplementPiece(piece.faces, 1, True, 1, "disk"),))
+        return ComplementClass(1, (replace(piece, kind="disk"),))
     if len(pieces) == 2:
         disks = [x for x in pieces if x.orientable]
         bands = [x for x in pieces if not x.orientable]
@@ -837,11 +842,5 @@ def classify_circle_complement(c: CellComplex, cycle) -> ComplementClass:
             raise InvariantViolation(f"orientable piece is not a disk: chi={d0.chi}")
         if not (m0.chi == 0 and m0.boundary_circles == 1):
             raise InvariantViolation(f"non-orientable piece is not a Moebius strip: chi={m0.chi}")
-        return ComplementClass(
-            2,
-            (
-                ComplementPiece(d0.faces, 1, True, 1, "disk"),
-                ComplementPiece(m0.faces, 0, False, 1, "moebius"),
-            ),
-        )
+        return ComplementClass(2, (replace(d0, kind="disk"), replace(m0, kind="moebius")))
     raise InvariantViolation(f"complement has {len(pieces)} components")

@@ -65,8 +65,8 @@ def _vertex_points(p: Partition, vertex_ids) -> list[tuple[int, int]]:
 def _overlay_data(p: Partition):
     bg = boundary_graph(p)
     walls = sorted(p.walls)
-    bset = [int(e) for e in bg.edge_ids if int(e) not in p.walls]
-    singular = sorted(bg.singular_vertices)
+    bset = bg.edge_ids[~p.wall_mask[bg.edge_ids]]
+    singular = np.concatenate([bg.singular_interior, bg.singular_boundary])
     return bset, walls, singular
 
 

@@ -151,8 +151,8 @@ def test_criterion_3_figure_fixtures(nodal_fixtures):
     srp = by_name["phi(pi/3,0.4pi)"]
     bg = boundary_graph(srp.partition)
     okp = (
-        sorted(n for _v, n in bg.singular_interior) == [4, 4]
-        and [r for _v, r in bg.singular_boundary] == [1, 1, 1, 1]
+        sorted(bg.degree[bg.singular_interior].tolist()) == [4, 4]
+        and bg.degree[bg.singular_boundary].tolist() == [1, 1, 1, 1]
         and srp.report.sigma == 4
     )
 

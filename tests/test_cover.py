@@ -249,3 +249,30 @@ def test_face_maps_match_the_coordinate_formulas(name, size):
     deck = (j + H) % (2 * H) * W + W - 1 - i
     for got, want in ((cs.face_projection, projection), (cs.face_deck, deck)):
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_cover_bookkeeping_labels_the_lifted_union_once(monkeypatch):
+    # beta of the lift and the joined-circles check read one labelling of
+    # (lifted boundary set united with the cover boundary)
+    import sys
+
+    from eulerpart.complexes import edge_components
+
+    cs = double_cover(build_complex(SurfaceSpec.moebius(8, 8)))
+    p = random_partition(cs.base, RandomSpec(seed=3, k=4))
+    labelled = []
+
+    def counting(c, edge_ids):
+        labelled.append(c)
+        return edge_components(c, edge_ids)
+
+    # every package module that binds the labelling
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("eulerpart") and getattr(mod, "edge_components", None) is edge_components:
+            monkeypatch.setattr(mod, "edge_components", counting)
+    rep = cover_bookkeeping(cs, p)
+    assert sum(c is cs.cover for c in labelled) == 1
+    assert sum(c is cs.base for c in labelled) == 1
+    assert len(labelled) == 2
+    assert cover_bookkeeping(cs, p) == rep
+    assert len(labelled) == 2

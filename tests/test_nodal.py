@@ -128,7 +128,8 @@ def test_sign_rasterization_nu_even():
     for theta in (0.3, 0.9, 1.2):
         p = rasterize(phi_family(PI / 6, theta), "moebius", NodalConfig(n=48))
         bg = boundary_graph(p)
-        assert all(n in (2, 4) for n in bg.nu.values())
+        nu = bg.degree[(bg.degree > 0) & ~p.complex.vertex_is_boundary]
+        assert np.all((nu == 2) | (nu == 4))
 
 
 # -- stabilization ------------------------------------------------------------
@@ -149,7 +150,7 @@ def test_phi_small_theta_orientable():
 def test_phi_figure_fixture():
     sr = stable_invariants(phi_family(PI / 3, 0.4 * PI), "moebius", NodalConfig(n=128))
     bg = boundary_graph(sr.partition)
-    assert sorted(n for _, n in bg.singular_interior) == [4, 4]
+    assert sorted(bg.degree[bg.singular_interior].tolist()) == [4, 4]
     assert len(bg.singular_boundary) == 4
     assert sr.report.sigma == 4
     assert sr.report.defect == 0

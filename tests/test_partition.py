@@ -9,6 +9,7 @@ from eulerpart import (
     InvariantViolation,
     RandomSpec,
     SurfaceSpec,
+    batch_verify,
     boundary_graph,
     build_complex,
     check_chi_sigma,
@@ -22,7 +23,7 @@ from eulerpart import (
 )
 from eulerpart.complexes import (boundary_components, components, edge_components,
                                  subgraph_component_count)
-from eulerpart.partition import closure_tables
+from eulerpart.partition import VERDICT_MODES, closure_tables
 
 from cutgen import random_admissible_cut
 from reference import RefSurface, ref_domains
@@ -120,9 +121,9 @@ def test_one_domain_boundary_graph_empty():
 
 def test_rect_sin2x_sin3y_singular_census():
     bg = boundary_graph(rect_sin2x_sin3y())
-    assert sorted(n for _, n in bg.singular_interior) == [4, 4]
+    assert sorted(bg.degree[bg.singular_interior].tolist()) == [4, 4]
     assert len(bg.singular_boundary) == 6
-    assert all(r == 1 for _, r in bg.singular_boundary)
+    assert np.all(bg.degree[bg.singular_boundary] == 1)
     assert bg.sigma == 5
 
 
@@ -132,8 +133,9 @@ def test_interior_nu_in_range():
     for _ in range(50):
         p = from_labels(c, rng.integers(0, 4, 36))
         bg = boundary_graph(p)
-        assert all(n in (2, 3, 4) for n in bg.nu.values())
-        assert all(r == 1 for r in bg.rho.values())
+        touched = bg.degree > 0
+        assert np.all(np.isin(bg.degree[touched & ~c.vertex_is_boundary], (2, 3, 4)))
+        assert np.all(bg.degree[touched & c.vertex_is_boundary] == 1)
 
 
 # -- invariants -------------------------------------------------------------
@@ -488,3 +490,66 @@ def test_beta_counts_match_two_labellings(name):
             p = from_labels(c, labels, walls=walls)
             r = invariants(p)
             assert (r.beta, r.beta_interior) == _two_labelling_beta(p)
+
+
+def _dict_census(p):
+    """The vertex census that the degree array replaced: a Python walk over
+    the boundary-set edges counts each vertex's edges into ``nu`` (interior
+    vertices) and ``rho`` (surface-boundary vertices), and the singular
+    vertices are the ``(vertex, count)`` tuples with nu >= 3 or rho >= 1.
+    Returns (nu, rho, singular_interior, singular_boundary, sigma)."""
+    c = p.complex
+    count = {}
+    for e in p.boundary_set.tolist():
+        for v in c.edge_vertices[e].tolist():
+            count[v] = count.get(v, 0) + 1
+    nu = {v: n for v, n in sorted(count.items()) if not c.vertex_is_boundary[v]}
+    rho = {v: n for v, n in sorted(count.items()) if c.vertex_is_boundary[v]}
+    sing_i = tuple((v, n) for v, n in nu.items() if n >= 3)
+    sing_b = tuple(rho.items())
+    index_sum = sum(n - 2 for _, n in sing_i) + sum(r for _, r in sing_b)
+    assert index_sum % 2 == 0
+    return nu, rho, sing_i, sing_b, index_sum // 2
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_degree_census_matches_dict_census(name):
+    seen_singular = False
+    for size in [(2, 2), (3, 2), (7, 5), (33, 17)]:
+        for c, labels, walls in _labelling_corpus(name, size):
+            p = from_labels(c, labels, walls=walls)
+            bg = boundary_graph(p)
+            nu, rho, sing_i, sing_b, sigma = _dict_census(p)
+            deg, on_bdy = bg.degree, c.vertex_is_boundary
+            assert deg.shape == (c.n_vertices,) and not deg.flags.writeable
+            touched = np.flatnonzero(deg).tolist()
+            assert {v: int(deg[v]) for v in touched if not on_bdy[v]} == nu
+            assert {v: int(deg[v]) for v in touched if on_bdy[v]} == rho
+            assert tuple(zip(bg.singular_interior.tolist(), deg[bg.singular_interior].tolist())) == sing_i
+            assert tuple(zip(bg.singular_boundary.tolist(), deg[bg.singular_boundary].tolist())) == sing_b
+            assert bg.sigma == sigma
+            assert bg.singular_vertices == {v for v, _ in sing_i + sing_b}
+            seen_singular |= bool(sing_i)
+    assert seen_singular
+
+
+def test_verdict_modes_cover_every_surface():
+    assert sorted(VERDICT_MODES) == sorted(SURFACES)
+    assert {mode for mode, _ in VERDICT_MODES.values()} == {"pass_fail", "conjecture", "report_only"}
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_verify_euler_and_batch_verify_follow_the_mode_table(name):
+    mode, expected = VERDICT_MODES[name]
+    res = batch_verify(name, 4, seed=3, k_range=(1, 4), size=6, with_cover=False)
+    assert res.verdict_mode == mode
+    c = build_complex(SurfaceSpec.named(name, 6, 6))
+    for seed in range(4):
+        v = verify_euler(random_partition(c, RandomSpec(seed=seed, k=1 + seed)))
+        assert v.expected_defect == expected
+        assert v.conjecture == (mode == "conjecture")
+        if mode == "pass_fail":
+            assert v.status == ("pass" if v.measured_defect == expected else "fail")
+        else:
+            assert v.status == mode
+        assert v.ok

@@ -100,8 +100,9 @@ def test_sigma_index_sum_even(case):
     W, H, labels = case
     p = from_labels(build_complex(SurfaceSpec.named("klein", W, H)), labels)
     bg = boundary_graph(p)
-    assert bg.index_sum % 2 == 0
-    assert bg.sigma >= 0
+    index_sum = int(np.sum(bg.degree[bg.singular_interior] - 2) + np.sum(bg.degree[bg.singular_boundary]))
+    assert index_sum % 2 == 0
+    assert bg.sigma == index_sum // 2 >= 0
 
 
 @pytest.mark.parametrize("name", ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"])
