@@ -75,7 +75,6 @@ from .partition import (
     check_chi_sigma,
     classify_circle_complement,
     cut,
-    domain_report,
     domain_reports,
     from_labels,
     invariants,
@@ -86,6 +85,6 @@ from .partition import (
     refine,
     verify_euler,
 )
-from .render import RenderStyle, render, render_ppm, render_svg
+from .render import render, render_ppm, render_svg
 
 __version__ = "0.1.0"

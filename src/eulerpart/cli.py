@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .complexes import build_complex
-from .cover import cover_bookkeeping, double_cover
+from .complexes import PRESETS
+from .cover import COVERABLE, cover_bookkeeping, double_cover
 from .errors import (
     CutError,
     EulerPartError,
@@ -35,7 +35,7 @@ from .partition import (
     plan_cut,
     verify_euler,
 )
-from .render import RenderStyle, render
+from .render import render
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -62,12 +62,7 @@ def _load_partition(path: str):
 
 
 def _nodal_config(args) -> NodalConfig:
-    kwargs = {}
-    if getattr(args, "n", None) is not None:
-        kwargs["n"] = args.n
-    if getattr(args, "max_refine", None) is not None:
-        kwargs["max_refine"] = args.max_refine
-    return NodalConfig(**kwargs)
+    return NodalConfig(n=args.n, max_refine=args.max_refine)
 
 
 def cmd_invariants(args) -> int:
@@ -130,48 +125,19 @@ def cmd_random_check(args) -> int:
 
 
 def cmd_cover_check(args) -> int:
-    if args.partition:
-        p = _load_partition(args.partition)
-        cs = double_cover(p.complex)
-        rep = cover_bookkeeping(cs, p)
-        _emit(jsonio.cover_report_to_json(rep), args.out, schema="cover_report")
-        return EXIT_OK
-    res = batch_verify(
-        args.surface, args.count, args.seed,
-        k_range=(args.k_min, args.k_max), size=args.size, with_cover=True,
-    )
-    _emit(jsonio.batch_to_json(res), args.out, schema="batch")
-    return EXIT_OK if res.all_passed else EXIT_FAIL
-
-
-def cmd_circle(args) -> int:
-    doc = _load_json(args.cycle)
-    jsonio._require_object(doc, "cycle document", "surface", "cycle")
-    spec = jsonio.surface_from_json(doc["surface"])
-    c = build_complex(spec)
-    cycle = doc["cycle"]
-    if isinstance(cycle, dict):
-        cycle = _cycle_from_description(c, cycle)
-    res = classify_circle_complement(c, cycle)
-    _emit(jsonio.complement_to_json(res), args.out, schema="complement")
+    if not args.partition:
+        return cmd_random_check(args)  # every cover-check surface is coverable
+    p = _load_partition(args.partition)
+    rep = cover_bookkeeping(double_cover(p.complex), p)
+    _emit(jsonio.cover_report_to_json(rep), args.out, schema="cover_report")
     return EXIT_OK
 
 
-def _cycle_from_description(c, desc: dict) -> list[int]:
-    """Convenience cycle constructors: grid block boundaries and midlines."""
-    W, H = c.spec.width, c.spec.height
-    if "midline" in desc:
-        if desc["midline"] == "horizontal":
-            return [c.horizontal_edge(i, H // 2) for i in range(W)]
-        return [c.vertical_edge(W // 2, j) for j in range(H)]
-    if "block" in desc:
-        i0, j0, i1, j1 = desc["block"]
-        edges = [c.horizontal_edge(i, j0) for i in range(i0, i1)]
-        edges += [c.vertical_edge(i1, j) for j in range(j0, j1)]
-        edges += [c.horizontal_edge(i, j1) for i in range(i1 - 1, i0 - 1, -1)]
-        edges += [c.vertical_edge(i0, j) for j in range(j1 - 1, j0 - 1, -1)]
-        return edges
-    raise EulerPartError("cycle description needs 'midline' or 'block'")
+def cmd_circle(args) -> int:
+    c, cycle = jsonio.cycle_from_json(_load_json(args.cycle))
+    res = classify_circle_complement(c, cycle)
+    _emit(jsonio.complement_to_json(res), args.out, schema="complement")
+    return EXIT_OK
 
 
 def cmd_normalize(args) -> int:
@@ -191,8 +157,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_cut(args) -> int:
     p = _load_partition(args.partition)
-    path_doc = _load_json(args.path)
-    edges = path_doc["edges"] if isinstance(path_doc, dict) else path_doc
+    edges = jsonio.cut_path_from_json(_load_json(args.path))
     before = invariants(p)
     planned = plan_cut(p, edges)
     q = cut(p, planned)
@@ -210,8 +175,7 @@ def cmd_cut(args) -> int:
 def cmd_render(args) -> int:
     p = _load_partition(args.partition)
     fmt = "svg" if args.out.endswith(".svg") else "ppm"
-    style = RenderStyle(cell_px=args.cell_px)
-    Path(args.out).write_bytes(render(p, style, fmt=fmt))
+    Path(args.out).write_bytes(render(p, args.cell_px, fmt=fmt))
     return EXIT_OK
 
 
@@ -224,6 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_out(sp):
         sp.add_argument("--out", help="write JSON here instead of stdout")
+
+    def add_resolution(sp):
+        sp.add_argument("--n", type=int, default=NodalConfig.n, help="base resolution")
+        sp.add_argument("--max-refine", type=int, default=NodalConfig.max_refine, dest="max_refine")
+
+    def add_batch(sp):
+        for flag, default in (("--count", 100), ("--seed", 0), ("--k-min", 1), ("--k-max", 10), ("--size", 32)):
+            sp.add_argument(flag, type=int, default=default)
+        add_out(sp)
 
     sp = sub.add_parser("invariants", help="invariant report for a partition file")
     sp.add_argument("partition")
@@ -241,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float)
     sp.add_argument("--m", type=int)
     sp.add_argument("--surface", choices=["moebius", "rectangle"], default="moebius")
-    sp.add_argument("--n", type=int, help="base resolution")
-    sp.add_argument("--max-refine", type=int, dest="max_refine")
+    add_resolution(sp)
     add_out(sp)
     sp.set_defaults(func=cmd_nodal)
 
@@ -252,39 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-min", type=float, default=0.02)
     sp.add_argument("--theta-max", type=float, default=math.pi / 2 - 0.02)
     sp.add_argument("--count", type=int, default=25)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--max-refine", type=int, dest="max_refine")
+    add_resolution(sp)
     add_out(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("bisect", help="bracket the orientability transition in theta")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--max-refine", type=int, dest="max_refine")
+    add_resolution(sp)
     add_out(sp)
     sp.set_defaults(func=cmd_bisect)
 
     sp = sub.add_parser("random-check", help="seeded random partitions through all checks")
-    sp.add_argument("--surface", required=True,
-                    choices=["rectangle", "cylinder", "moebius", "torus", "klein", "projective"])
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--k-min", type=int, default=1)
-    sp.add_argument("--k-max", type=int, default=10)
-    sp.add_argument("--size", type=int, default=32)
-    add_out(sp)
+    sp.add_argument("--surface", required=True, choices=list(PRESETS))
+    add_batch(sp)
     sp.set_defaults(func=cmd_random_check)
 
     sp = sub.add_parser("cover-check", help="double-cover bookkeeping and orientability")
     sp.add_argument("partition", nargs="?", help="partition file (otherwise random batch)")
-    sp.add_argument("--surface", choices=["moebius", "klein"], default="moebius")
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--k-min", type=int, default=1)
-    sp.add_argument("--k-max", type=int, default=10)
-    sp.add_argument("--size", type=int, default=32)
-    add_out(sp)
+    sp.add_argument("--surface", choices=list(COVERABLE), default="moebius")
+    add_batch(sp)
     sp.set_defaults(func=cmd_cover_check)
 
     sp = sub.add_parser("circle", help="classify a circle complement in the projective plane")

@@ -261,7 +261,7 @@ class BatchResult:
 
 
 def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
-                 size: int = 32, with_cover: bool | None = None) -> BatchResult:
+                 size: int = 32) -> BatchResult:
     """Run seeded random partitions through every applicable check.
 
     On surfaces with a proven formula any wrong defect is a failure and
@@ -275,11 +275,7 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     if count < 1:
         raise ValueError("count must be at least 1")
     c = build_complex(SurfaceSpec.named(surface, size, size))
-    cover = None
-    if with_cover is None:
-        with_cover = surface in COVERABLE
-    if with_cover:
-        cover = double_cover(c)
+    cover = double_cover(c) if surface in COVERABLE else None
     k_lo, k_hi = k_range
     if not 1 <= k_lo <= k_hi:
         raise ValueError("bad k range")

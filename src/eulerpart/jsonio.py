@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .complexes import PRESETS, SurfaceSpec, build_complex
+from .complexes import PRESETS, CellComplex, SurfaceSpec, build_complex
 from .cover import CoverReport
 from .explore import BatchResult, SweepResult, TransitionEstimate
 from .nodal import Eigenfunction, Factor, Term, family, finite_real
@@ -129,6 +129,55 @@ def partition_from_json(obj: dict) -> Partition:
         else:
             walls.append(_integer(group, "wall edge id"))
     return from_labels(c, obj["labels"], walls=walls)
+
+
+def _edge_ids(value, what: str) -> list[int]:
+    """A JSON list of integer edge ids; floats, strings and booleans are rejected."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of edge ids, got {type(value).__name__}")
+    return [_integer(e, f"{what} edge id") for e in value]
+
+
+def cut_path_from_json(doc) -> list[int]:
+    """The edge ids of a cut-path document: ``{"edges": [...]}`` or a bare list."""
+    if isinstance(doc, list):
+        return _edge_ids(doc, "cut path")
+    _require_object(doc, "cut path", "edges")
+    return _edge_ids(doc["edges"], "cut path")
+
+
+def cycle_from_json(doc) -> tuple[CellComplex, list[int]]:
+    """The complex and edge ids of a cycle document; ``cycle`` is a list of
+    edge ids or one of the descriptions ``_cycle_from_description`` reads."""
+    _require_object(doc, "cycle document", "surface", "cycle")
+    c = build_complex(surface_from_json(doc["surface"]))
+    cycle = doc["cycle"]
+    if isinstance(cycle, dict):
+        return c, _cycle_from_description(c, cycle)
+    return c, _edge_ids(cycle, "cycle")
+
+
+def _cycle_from_description(c: CellComplex, desc: dict) -> list[int]:
+    """Grid conveniences: ``{"midline": "horizontal" | "vertical"}`` and
+    ``{"block": [i0, j0, i1, j1]}``, the boundary of a block of faces."""
+    W, H = c.spec.width, c.spec.height
+    if "midline" in desc:
+        if desc["midline"] == "horizontal":
+            return [c.horizontal_edge(i, H // 2) for i in range(W)]
+        if desc["midline"] == "vertical":
+            return [c.vertical_edge(W // 2, j) for j in range(H)]
+        raise ValueError(f"cycle midline must be 'horizontal' or 'vertical', got {desc['midline']!r}")
+    if "block" in desc:
+        block = desc["block"]
+        if not isinstance(block, list) or len(block) != 4:
+            raise ValueError(f"cycle block must be a list [i0, j0, i1, j1], got {block!r}")
+        i0, j0, i1, j1 = (_integer(v, "cycle block corner") for v in block)
+        edges = [c.horizontal_edge(i, j0) for i in range(i0, i1)]
+        edges += [c.vertical_edge(i1, j) for j in range(j0, j1)]
+        edges += [c.horizontal_edge(i, j1) for i in range(i1 - 1, i0 - 1, -1)]
+        edges += [c.vertical_edge(i0, j) for j in range(j1 - 1, j0 - 1, -1)]
+        return edges
+    raise ValueError("cycle description needs 'midline' or 'block'")
 
 
 # ---------------------------------------------------------------------------

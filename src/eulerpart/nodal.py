@@ -10,7 +10,7 @@ all four sides.  ``check_symmetry`` tests these numerically on a fixed
 lattice and gates ``rasterize``.
 
 Rasterization samples signs at face centers only.  A sample landing on
-the zero set (within ``zero_tol``) raises ``ResolutionError`` rather than
+the zero set (within ``ZERO_TOL``) raises ``ResolutionError`` rather than
 being tie-broken; callers perturb the resolution instead, which keeps the
 extracted boundary set an honest primal-edge subgraph.  ``stable_invariants``
 runs the rasterization at N, 2N, 4N, ... and accepts once two consecutive
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,8 @@ from .complexes import SurfaceSpec, build_complex
 from .errors import InstabilityError, ResolutionError, SymmetryError
 from .partition import InvariantReport, Partition, from_labels, invariants
 
-DEFAULT_MAX_REFINE_ENV = "NODAL_MAX_REFINE"
-
-
-def _max_refine_default() -> int:
-    raw = os.environ.get(DEFAULT_MAX_REFINE_ENV, "5")
-    if not raw.isdecimal():
-        raise ValueError(f"{DEFAULT_MAX_REFINE_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
+ZERO_TOL = 1e-12                 # |sample| at or below this is a resolution error
+SYM_TOL = 1e-9                   # symmetry / Dirichlet residual bound
 
 
 @dataclass(frozen=True)
@@ -153,15 +146,11 @@ def finite_real(value, what: str) -> float:
 @dataclass(frozen=True)
 class NodalConfig:
     n: int = 64                  # base grid resolution (N x N)
-    zero_tol: float = 1e-12      # |sample| below this is a resolution error
-    sym_tol: float = 1e-9        # symmetry / Dirichlet residual bound
-    max_refine: int = field(default_factory=_max_refine_default)
+    max_refine: int = 5          # doublings of n before stabilization gives up
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("resolution must be at least 2")
-        if self.zero_tol <= 0 or self.sym_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_refine < 0:
             raise ValueError("max_refine must be non-negative")
 
@@ -192,9 +181,9 @@ def symmetry_residual(f: Eigenfunction, surface: str) -> float:
     return float(np.max([np.max(np.abs(part)) for part in parts]))
 
 
-def check_symmetry(f: Eigenfunction, surface: str, config: NodalConfig | None = None) -> bool:
-    """True iff the residual is within tolerance; a NaN residual fails."""
-    return symmetry_residual(f, surface) <= (config or NodalConfig()).sym_tol
+def check_symmetry(f: Eigenfunction, surface: str) -> bool:
+    """True iff the residual is within ``SYM_TOL``; a NaN residual fails."""
+    return symmetry_residual(f, surface) <= SYM_TOL
 
 
 def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None, n: int | None = None) -> Partition:
@@ -208,7 +197,7 @@ def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None,
     if surface == "moebius" and n % 2:
         raise ValueError("moebius rasterization needs an even resolution")
     res = symmetry_residual(f, surface)
-    if not res <= config.sym_tol:
+    if not res <= SYM_TOL:
         raise SymmetryError(
             f"{f.name or 'function'} violates the {surface} symmetry: residual {res:.3e}"
         )
@@ -217,7 +206,7 @@ def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None,
     xc = (np.arange(n) + 0.5) * h
     yc = (np.arange(n) + 0.5) * h
     vals = evaluate(f, xc[None, :], yc[:, None])  # row j, column i
-    bad = int(np.sum(np.abs(vals) <= config.zero_tol))
+    bad = int(np.sum(np.abs(vals) <= ZERO_TOL))
     if bad:
         raise ResolutionError(
             f"{bad} face-center samples on the zero set at n={n}", n=n, n_bad=bad

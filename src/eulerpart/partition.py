@@ -76,7 +76,7 @@ class Partition:
         c = self.complex
         fa, fb, _, ids = c.adjacency
         change = self.domains[fa] != self.domains[fb]
-        return np.sort(ids[change | self.wall_mask[ids]])
+        return ids[change | self.wall_mask[ids]]  # ids increase, so the mask keeps them sorted
 
     def domain_faces(self, d: int) -> np.ndarray:
         if not 0 <= d < self.n_domains:
@@ -470,21 +470,12 @@ class DomainReport:
         return f"S(1,{self.crosscaps},{q})"
 
 
-def domain_reports(p: Partition, tables: _ClosureTables | None = None) -> list[DomainReport]:
+def domain_reports(p: Partition) -> list[DomainReport]:
     """Classify every closed domain as a surface with boundary."""
-    tables = tables or closure_tables(p)
+    tables = closure_tables(p)
     bits = orientability_bits(p)
     non_normal = set(tables.non_normal_pairs[:, 1].tolist())
     return [_domain_report(tables, bool(bits[d]), d not in non_normal, d) for d in range(p.n_domains)]
-
-
-def domain_report(p: Partition, d: int) -> DomainReport:
-    """Classify one closed domain as a surface with boundary."""
-    if not 0 <= d < p.n_domains:
-        raise KeyError(f"unknown domain id {d}")
-    tables = closure_tables(p)
-    normal = not np.any(tables.non_normal_pairs[:, 1] == d)
-    return _domain_report(tables, bool(orientability_bits(p)[d]), normal, d)
 
 
 def _domain_report(tables: _ClosureTables, orientable: bool, normal: bool, d: int) -> DomainReport:

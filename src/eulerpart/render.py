@@ -3,7 +3,7 @@
 The fundamental domain is drawn with one colored block per face, the
 boundary set in black, walls dashed, the surface boundary as a thick
 frame on the open seams, and singular vertices circled.  Identical
-partition + style always produces byte-identical output: the palette is
+partition + cell size always produces byte-identical output: the palette is
 a fixed table extended by golden-angle hues, floats are formatted with a
 fixed precision, and nothing time- or environment-dependent is emitted.
 """
@@ -11,11 +11,15 @@ fixed precision, and nothing time- or environment-dependent is emitted.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import Partition, boundary_graph
+
+BOUNDARY_PX = 2                  # boundary-set and wall stroke width
+FRAME_PX = 4                     # surface-boundary stroke width
+RING_RADIUS_PX = 5               # singular-vertex ring radius
+DASH_PX = 4                      # wall dash and gap length
 
 _BASE_PALETTE = (
     (141, 211, 199), (255, 255, 179), (190, 186, 218), (251, 128, 114),
@@ -30,15 +34,6 @@ def domain_color(d: int) -> tuple[int, int, int]:
     hue = (d * 0.6180339887498949) % 1.0
     r, g, b = colorsys.hsv_to_rgb(hue, 0.45, 0.95)
     return int(round(r * 255)), int(round(g * 255)), int(round(b * 255))
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    cell_px: int = 12
-    boundary_px: int = 2
-    frame_px: int = 4
-    singular_radius_px: int = 5
-    dash_px: int = 4
 
 
 def _edge_segments(p: Partition, edge_ids) -> list[tuple[int, int, int, int]]:
@@ -70,12 +65,12 @@ def _overlay_data(p: Partition):
     return bset, walls, singular
 
 
-def render_ppm(p: Partition, style: RenderStyle = RenderStyle()) -> bytes:
+def render_ppm(p: Partition, cell_px: int = 12) -> bytes:
     """Binary PPM (P6) image of the partition."""
     c = p.complex
     W, H = c.spec.width, c.spec.height
-    s = style.cell_px
-    m = style.frame_px + 2
+    s = cell_px
+    m = FRAME_PX + 2
     width_px = W * s + 2 * m
     height_px = H * s + 2 * m
     img = np.full((height_px, width_px, 3), 255, dtype=np.uint8)
@@ -101,43 +96,41 @@ def render_ppm(p: Partition, style: RenderStyle = RenderStyle()) -> bytes:
             lo, hi = sorted((ax, bx))
             xs = np.arange(lo, hi)
             if dashed:
-                xs = xs[(xs - lo) % (2 * style.dash_px) < style.dash_px]
+                xs = xs[(xs - lo) % (2 * DASH_PX) < DASH_PX]
             img[max(ay - half, 0):ay + width - half, xs] = color
         else:
             lo, hi = sorted((ay, by))
             ys = np.arange(lo, hi)
             if dashed:
-                ys = ys[(ys - lo) % (2 * style.dash_px) < style.dash_px]
+                ys = ys[(ys - lo) % (2 * DASH_PX) < DASH_PX]
             img[ys, max(ax - half, 0):ax + width - half] = color
 
     bset, walls, singular = _overlay_data(p)
     for seg in _edge_segments(p, bset):
-        draw_segment(*seg, width=style.boundary_px, color=0)
+        draw_segment(*seg, width=BOUNDARY_PX, color=0)
     for seg in _edge_segments(p, walls):
-        draw_segment(*seg, width=style.boundary_px, color=0, dashed=True)
+        draw_segment(*seg, width=BOUNDARY_PX, color=0, dashed=True)
     for seg in _edge_segments(p, c.boundary_edges):
-        draw_segment(*seg, width=style.frame_px, color=40)
+        draw_segment(*seg, width=FRAME_PX, color=40)
 
     # singular vertices: dark red rings
     yy, xx = np.mgrid[0:height_px, 0:width_px]
     for gx, gy in _vertex_points(p, singular):
         cx, cy = px(gx, gy)
         r2 = (xx - cx) ** 2 + (yy - cy) ** 2
-        ring = (r2 >= (style.singular_radius_px - 1) ** 2) & (
-            r2 <= (style.singular_radius_px + 1) ** 2
-        )
+        ring = (r2 >= (RING_RADIUS_PX - 1) ** 2) & (r2 <= (RING_RADIUS_PX + 1) ** 2)
         img[ring] = (170, 20, 20)
 
     header = f"P6\n{width_px} {height_px}\n255\n".encode("ascii")
     return header + img.tobytes()
 
 
-def render_svg(p: Partition, style: RenderStyle = RenderStyle()) -> bytes:
+def render_svg(p: Partition, cell_px: int = 12) -> bytes:
     """SVG image of the partition; same overlays as the PPM renderer."""
     c = p.complex
     W, H = c.spec.width, c.spec.height
-    s = style.cell_px
-    m = style.frame_px + 2
+    s = cell_px
+    m = FRAME_PX + 2
     width_px = W * s + 2 * m
     height_px = H * s + 2 * m
 
@@ -169,7 +162,7 @@ def render_svg(p: Partition, style: RenderStyle = RenderStyle()) -> bytes:
     bset, walls, singular = _overlay_data(p)
 
     def lines(edge_ids, stroke, width, dashed=False):
-        dash = f' stroke-dasharray="{style.dash_px} {style.dash_px}"' if dashed else ""
+        dash = f' stroke-dasharray="{DASH_PX} {DASH_PX}"' if dashed else ""
         for x0, y0, x1, y1 in _edge_segments(p, edge_ids):
             ax, ay = px(x0, y0)
             bx, by = px(x1, y1)
@@ -178,22 +171,22 @@ def render_svg(p: Partition, style: RenderStyle = RenderStyle()) -> bytes:
                 f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
             )
 
-    lines(bset, "#000000", style.boundary_px)
-    lines(walls, "#000000", style.boundary_px, dashed=True)
-    lines(c.boundary_edges, "#282828", style.frame_px)
+    lines(bset, "#000000", BOUNDARY_PX)
+    lines(walls, "#000000", BOUNDARY_PX, dashed=True)
+    lines(c.boundary_edges, "#282828", FRAME_PX)
     for gx, gy in _vertex_points(p, singular):
         cx, cy = px(gx, gy)
         parts.append(
-            f'<circle cx="{cx}" cy="{cy}" r="{style.singular_radius_px}" '
+            f'<circle cx="{cx}" cy="{cy}" r="{RING_RADIUS_PX}" '
             f'fill="none" stroke="#aa1414" stroke-width="2"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8")
 
 
-def render(p: Partition, style: RenderStyle = RenderStyle(), fmt: str = "ppm") -> bytes:
+def render(p: Partition, cell_px: int = 12, fmt: str = "ppm") -> bytes:
     if fmt == "ppm":
-        return render_ppm(p, style)
+        return render_ppm(p, cell_px)
     if fmt == "svg":
-        return render_svg(p, style)
+        return render_svg(p, cell_px)
     raise ValueError(f"unknown format {fmt!r}; use ppm or svg")

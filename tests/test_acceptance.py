@@ -325,7 +325,7 @@ def test_criterion_9_projective_circles():
 def test_criterion_10_conjecture_reporting():
     bp = batch_verify("projective", 200, seed=161803, k_range=(1, 10), size=16)
     bk = batch_verify("klein", 200, seed=141421, k_range=(1, 10), size=16)
-    bt = batch_verify("torus", 200, seed=173205, k_range=(1, 10), size=16, with_cover=False)
+    bt = batch_verify("torus", 200, seed=173205, k_range=(1, 10), size=16)
     ok = (
         bp.verdict_mode == "conjecture"
         and bk.verdict_mode == "conjecture"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import eulerpart
 from eulerpart import SurfaceSpec, build_complex, from_labels
-from eulerpart.cli import main
+from eulerpart.cli import build_parser, main
 from eulerpart.jsonio import dumps, partition_to_json
 
 
@@ -277,6 +278,9 @@ def test_cut_on_closed_surface_may_change_delta(name, deltas, tmp_path, capsys):
 
 GOOD_PARTITION = {"surface": {"surface": "rectangle", "width": 2, "height": 2},
                   "labels": [0, 0, 1, 1]}
+PROJECTIVE_8 = {"surface": "projective", "width": 8, "height": 8}
+# the boundary of the block [0, 0, 2, 2] on PROJECTIVE_8; it holds canonical edge 1
+BLOCK_CYCLE = [0, 1, 66, 75, 17, 16, 73, 64]
 
 
 @pytest.mark.parametrize("command,doc,message", [
@@ -287,10 +291,20 @@ GOOD_PARTITION = {"surface": {"surface": "rectangle", "width": 2, "height": 2},
     ("invariants", {**GOOD_PARTITION, "surface": {"surface": "rectangle", "height": 2}},
      "surface is missing the field 'width'"),
     ("circle", [1, 2], "cycle document must be a JSON object, got list"),
-    ("circle", {"surface": {"surface": "projective", "width": 8, "height": 8}},
-     "cycle document is missing the field 'cycle'"),
+    ("circle", {"surface": PROJECTIVE_8}, "cycle document is missing the field 'cycle'"),
+    ("circle", {"surface": PROJECTIVE_8, "cycle": [float(e) for e in BLOCK_CYCLE]},
+     "cycle edge id must be an integer, got 0.0"),
+    ("circle", {"surface": PROJECTIVE_8, "cycle": [True if e == 1 else e for e in BLOCK_CYCLE]},
+     "cycle edge id must be an integer, got True"),
+    ("circle", {"surface": PROJECTIVE_8, "cycle": {"midline": "diagonal"}},
+     "cycle midline must be 'horizontal' or 'vertical', got 'diagonal'"),
+    ("circle", {"surface": PROJECTIVE_8, "cycle": {"block": [1, 1, 3.5, 3]}},
+     "cycle block corner must be an integer, got 3.5"),
+    ("circle", {"surface": PROJECTIVE_8, "cycle": {"block": [1, 1, 3]}},
+     "cycle block must be a list [i0, j0, i1, j1], got [1, 1, 3]"),
 ], ids=["list-partition", "list-surface", "no-labels", "no-surface", "no-width",
-        "list-cycle", "no-cycle"])
+        "list-cycle", "no-cycle", "float-cycle-ids", "bool-cycle-id", "diagonal-midline",
+        "float-block", "short-block"])
 def test_malformed_partition_document_is_a_usage_error(command, doc, message, tmp_path, capsys):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
@@ -303,17 +317,37 @@ def test_nodal_rejects_nan_parameters(capsys):
     assert "phi parameter beta must be finite, got nan" in capsys.readouterr().err
 
 
-def test_malformed_max_refine_env(monkeypatch, capsys):
-    monkeypatch.setenv("NODAL_MAX_REFINE", "abc")
-    assert main(["nodal", "--family", "bands", "--m", "3", "--n", "30"]) == 2
-    assert "NODAL_MAX_REFINE must be a non-negative integer" in capsys.readouterr().err
-    # no NodalConfig is built at import, so help still works in a fresh process
+def test_help_runs_in_a_fresh_process():
+    # ``python -m eulerpart`` goes through __main__, which no in-process test imports
     package_root = str(Path(eulerpart.__file__).parents[1])
-    env = {**os.environ, "NODAL_MAX_REFINE": "abc", "PYTHONPATH": package_root}
+    env = {**os.environ, "PYTHONPATH": package_root}
     done = subprocess.run([sys.executable, "-m", "eulerpart", "--help"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: eulerpart" in done.stdout
+
+
+def test_readme_cli_lines_parse():
+    # the README's CLI block must track the options the parser declares
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("eulerpart ")]
+    ap = build_parser()
+    commands = {ap.parse_args(shlex.split(ln)[1:]).command for ln in lines}
+    subparsers = next(a for a in ap._actions if a.dest == "command")
+    assert commands == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("wrap", [lambda edges: {"edges": edges}, lambda edges: edges],
+                         ids=["object", "bare-list"])
+def test_float_cut_path_is_a_usage_error(wrap, tmp_path, capsys):
+    c = build_complex(SurfaceSpec.moebius(6, 6))
+    pf = tmp_path / "p.json"
+    pf.write_text(dumps(partition_to_json(from_labels(c, np.zeros(36, dtype=int)))))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(wrap([c.horizontal_edge(i, 3) + 0.4 for i in range(6)])))
+    assert main(["cut", str(pf), "--path", str(path)]) == 2
+    assert "cut path edge id must be an integer, got" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

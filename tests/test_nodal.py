@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -197,15 +198,14 @@ def test_chi_sigma_on_stable_fixtures():
         assert check_chi_sigma(sr.partition).holds
 
 
-def test_max_refine_env_default(monkeypatch):
-    monkeypatch.setenv("NODAL_MAX_REFINE", "2")
-    assert NodalConfig(n=16).max_refine == 2
-    monkeypatch.delenv("NODAL_MAX_REFINE")
-    assert NodalConfig(n=16).max_refine == 5
-    for bad in ("abc", "-1", "2.5", ""):
-        monkeypatch.setenv("NODAL_MAX_REFINE", bad)
-        with pytest.raises(ValueError, match="NODAL_MAX_REFINE must be a non-negative integer"):
-            NodalConfig(n=16)
+def test_nodal_config_holds_only_resolution_and_refinement():
+    # the tolerances are module constants, not settings
+    assert [f.name for f in dataclasses.fields(NodalConfig)] == ["n", "max_refine"]
+    assert NodalConfig() == NodalConfig(n=64, max_refine=5)
+    with pytest.raises(ValueError, match="max_refine must be non-negative"):
+        NodalConfig(max_refine=-1)
+    with pytest.raises(ValueError, match="resolution must be at least 2"):
+        NodalConfig(n=1)
 
 
 def _via_sweep(name, params):

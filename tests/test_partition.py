@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -13,10 +14,10 @@ from eulerpart import (
     boundary_graph,
     build_complex,
     check_chi_sigma,
-    domain_report,
     domain_reports,
     from_labels,
     invariants,
+    is_normal,
     orientability_bits,
     random_partition,
     verify_euler,
@@ -241,13 +242,6 @@ def test_moebius_domain_genus_and_crosscap_bounds():
                 assert r.crosscaps == 1
 
 
-def test_domain_report_unknown_id():
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
-    p = from_labels(c, [0, 0, 0, 0])
-    with pytest.raises(KeyError):
-        domain_report(p, 3)
-
-
 def test_domain_report_matches_domain_reports():
     c = build_complex(SurfaceSpec.moebius(8, 8))
     seen = []
@@ -255,7 +249,11 @@ def test_domain_report_matches_domain_reports():
         # two labels give pinched, non-normal and non-orientable domains
         p = from_labels(c, np.random.default_rng(seed).integers(0, 2, 64))
         reports = domain_reports(p)
-        assert [domain_report(p, d) for d in range(p.n_domains)] == reports
+        # each report carries its domain's own face count, orientability and normality
+        assert [r.domain for r in reports] == list(range(p.n_domains))
+        assert [r.n_faces for r in reports] == np.bincount(p.domains).tolist()
+        assert [r.orientable for r in reports] == orientability_bits(p).tolist()
+        assert all(r.normal for r in reports) == is_normal(p)
         seen += reports
     assert not all(r.normal for r in seen) and not all(r.orientable for r in seen)
 
@@ -406,6 +404,14 @@ def _closure_corpus(name, size):
 
 
 @pytest.mark.parametrize("name", SURFACES)
+def test_boundary_set_is_strictly_increasing(name):
+    for size in [(2, 2), (3, 2), (7, 5)]:
+        for c, labels, walls in _labelling_corpus(name, size):
+            ids = from_labels(c, labels, walls=walls).boundary_set
+            assert np.all(np.diff(ids) > 0), (name, size)
+
+
+@pytest.mark.parametrize("name", SURFACES)
 @pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (32, 32)])
 def test_closure_tables_match_slot_graph(name, size):
     n_walled = 0
@@ -541,7 +547,7 @@ def test_verdict_modes_cover_every_surface():
 @pytest.mark.parametrize("name", SURFACES)
 def test_verify_euler_and_batch_verify_follow_the_mode_table(name):
     mode, expected = VERDICT_MODES[name]
-    res = batch_verify(name, 4, seed=3, k_range=(1, 4), size=6, with_cover=False)
+    res = batch_verify(name, 4, seed=3, k_range=(1, 4), size=6)
     assert res.verdict_mode == mode
     c = build_complex(SurfaceSpec.named(name, 6, 6))
     for seed in range(4):
@@ -553,3 +559,23 @@ def test_verify_euler_and_batch_verify_follow_the_mode_table(name):
         else:
             assert v.status == mode
         assert v.ok
+
+
+# (measured defect, non-orientable domains) -> count over every 2-labelling
+# with the last face fixed to 0; the README's conjecture statements quote these
+CONJECTURE_CENSUS = {
+    ("klein", 3, 3): {(-1, 0): 45, (-1, 1): 50, (0, 0): 57, (0, 1): 91, (0, 2): 13},
+    ("klein", 4, 3): {(-1, 0): 395, (-1, 1): 640, (0, 0): 219, (0, 1): 625, (0, 2): 169},
+    ("projective", 4, 3): {(0, 0): 825, (0, 1): 1223},
+}
+
+
+@pytest.mark.parametrize("name,W,H", sorted(CONJECTURE_CENSUS))
+def test_conjecture_census_of_two_labellings(name, W, H):
+    c = build_complex(SurfaceSpec.named(name, W, H))
+    hist = {}
+    for bits in itertools.product((0, 1), repeat=W * H - 1):
+        p = from_labels(c, [*bits, 0])
+        key = (verify_euler(p).measured_defect, int(np.sum(~orientability_bits(p))))
+        hist[key] = hist.get(key, 0) + 1
+    assert hist == CONJECTURE_CENSUS[name, W, H]

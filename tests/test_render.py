@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eulerpart import RenderStyle, SurfaceSpec, build_complex, cut, from_labels, jsonio, render
+from eulerpart import SurfaceSpec, build_complex, cut, from_labels, jsonio, render
 from eulerpart.render import domain_color, render_ppm, render_svg
 
 
@@ -18,8 +18,7 @@ def bands3():
 
 def test_ppm_header_and_size():
     p = bands3()
-    style = RenderStyle(cell_px=8)
-    data = render_ppm(p, style)
+    data = render_ppm(p, cell_px=8)
     assert data.startswith(b"P6\n")
     header, rest = data.split(b"\n", 1)
     dims, rest = rest.split(b"\n", 1)
@@ -31,9 +30,8 @@ def test_ppm_header_and_size():
 
 def test_renders_byte_identical():
     p = bands3()
-    style = RenderStyle(cell_px=10)
-    assert render_ppm(p, style) == render_ppm(p, style)
-    assert render_svg(p, style) == render_svg(p, style)
+    assert render_ppm(p, cell_px=10) == render_ppm(p, cell_px=10)
+    assert render_svg(p, cell_px=10) == render_svg(p, cell_px=10)
 
 
 def test_render_dispatch():
@@ -86,7 +84,7 @@ def test_flat_rectangle_single_color():
     assert len(fills) == 2
 
 
-# sha256 of the default-style renders of tests/data/moebius_8x8.json, which
+# sha256 of the default renders of tests/data/moebius_8x8.json, which
 # has a boundary set, a surface boundary and seven singular vertices
 PINNED_RENDER = {
     "ppm": "d5d6c90487ee866a5736edb89caa3b427af59ed1b61726d71776fa31ef55a73e",
