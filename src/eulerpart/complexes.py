@@ -39,7 +39,8 @@ reshaped slices of ``edge_map`` and ``vertex_map``.
 
 ``components`` is the one graph primitive of the package: every count of
 domains, pieces, corner orbits, boundary cycles and boundary-set arcs is a
-``scipy.sparse.csgraph`` component labelling over index arrays.
+component labelling over index arrays, run by scipy's compiled undirected
+traversal on CSR tables built with scipy's counting sort.
 
 Complexes are shared.  ``build_complex`` returns one complex per
 ``SurfaceSpec`` and keeps the ``SHARED_COMPLEXES`` most recently used ones
@@ -52,12 +53,13 @@ copied arrays makes a modified complex.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse._sparsetools import coo_tocsr
+from scipy.sparse.csgraph._traversal import _connected_components_undirected
 
 from .errors import InvariantViolation
 
@@ -107,6 +109,10 @@ SHARED_COMPLEXES = 8
 #: resolution (n = 64 doubled five times, each level perturbed by up to +10,
 #: ends at 2678²), and stops a mistyped size before any allocation
 MAX_FACES = 1 << 23
+
+#: node and edge counts ``components`` accepts stay below this, the range of
+#: the int32 index tables its compiled kernel reads
+_INT32_LIMIT = 1 << 31
 
 # face side order: 0=S, 1=E, 2=N, 3=W; side s runs from corner s to corner
 # (s+1) % 4 in the cyclic corner order 0=SW, 1=SE, 2=NE, 3=NW.
@@ -559,12 +565,45 @@ def components(n: int, a, b) -> tuple[int, np.ndarray]:
     with each component's smallest node, so node 0 is always in component
     0.  scipy's undirected labelling already numbers them so, since it
     starts a new component at each unlabelled node in increasing order.
+
+    The route uses two private scipy names, imported at module load so a
+    scipy without them fails on import: ``_sparsetools.coo_tocsr`` builds
+    the int32 CSR of ``a->b`` and of ``b->a`` by a linear counting sort
+    (no index sort, no duplicate summing; self-loops and repeated edges
+    are harmless to a traversal), and ``csgraph._traversal.
+    _connected_components_undirected`` labels the nodes from both tables.
+    It was checked against the public ``connected_components`` on scipy
+    1.17.1 only.  ``coo_tocsr`` does no bounds checking, so the range
+    check here is mandatory: endpoints must be integers in ``0..n-1`` and
+    ``n`` and the edge count below 2**31, checked on the caller's values
+    before the int32 cast, so that no value wraps or reaches compiled code
+    out of range; any violation raises ``ValueError``.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    g = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
-    count, comp = connected_components(g, directed=False)
-    return int(count), comp.astype(np.int64)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    n = operator.index(n)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"edge endpoints must be two 1-d arrays of one length, got {a.shape} and {b.shape}")
+    m = len(a)
+    if not 0 <= n < _INT32_LIMIT or m >= _INT32_LIMIT:
+        raise ValueError(f"{n} nodes and {m} edges must both be below 2**31")
+    if m:  # an empty edge list (even a float one, as ``[]`` is) holds no value to check
+        for ends in (a, b):
+            if ends.dtype.kind not in "iu":
+                raise ValueError(f"edge endpoints must be integers, got {ends.dtype} values")
+            if ends.min() < 0 or ends.max() >= n:
+                raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+    a = a.astype(np.int32)
+    b = b.astype(np.int32)
+    data = np.ones(m, dtype=bool)
+    scratch = np.empty(m, dtype=bool)
+    ptr, idx = np.empty(n + 1, dtype=np.int32), np.empty(m, dtype=np.int32)
+    ptr_t, idx_t = np.empty(n + 1, dtype=np.int32), np.empty(m, dtype=np.int32)
+    coo_tocsr(n, n, m, a, b, data, ptr, idx, scratch)
+    coo_tocsr(n, n, m, b, a, data, ptr_t, idx_t, scratch)
+    labels = np.full(n, -1, dtype=np.int32)
+    count = _connected_components_undirected(idx, ptr, idx_t, ptr_t, labels)
+    return int(count), labels.astype(np.int64)
 
 
 def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -574,9 +613,12 @@ def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
     increasing order and the component id of each.
     """
     ev = c.edge_vertices[np.asarray(edge_ids, dtype=np.int64)]
-    verts, idx = np.unique(ev, return_inverse=True)
-    idx = idx.reshape(ev.shape)
-    return verts, components(len(verts), idx[:, 0], idx[:, 1])[1]
+    touched = np.zeros(c.n_vertices, dtype=bool)
+    touched[ev] = True
+    verts = np.flatnonzero(touched)
+    slot = np.empty(c.n_vertices, dtype=np.int64)
+    slot[verts] = np.arange(len(verts))
+    return verts, components(len(verts), slot[ev[:, 0]], slot[ev[:, 1]])[1]
 
 
 def subgraph_component_count(c: CellComplex, edge_ids: np.ndarray) -> int:

@@ -63,11 +63,16 @@ class Partition:
     walls: frozenset
     orientable: np.ndarray       # (n_domains,) orientability bit per domain
 
+    def __post_init__(self):
+        # a partition's invariants are cached, so its arrays must not change
+        self.domains.flags.writeable = self.orientable.flags.writeable = False
+
     @cached_property
     def wall_mask(self) -> np.ndarray:
         mask = np.zeros(self.complex.n_edges, dtype=bool)
         if self.walls:
             mask[np.fromiter(self.walls, dtype=np.int64)] = True
+        mask.flags.writeable = False
         return mask
 
     @cached_property
@@ -76,7 +81,9 @@ class Partition:
         c = self.complex
         fa, fb, _, ids = c.adjacency
         change = self.domains[fa] != self.domains[fb]
-        return ids[change | self.wall_mask[ids]]  # ids increase, so the mask keeps them sorted
+        out = ids[change | self.wall_mask[ids]]  # ids increase, so the mask keeps them sorted
+        out.flags.writeable = False
+        return out
 
     def domain_faces(self, d: int) -> np.ndarray:
         if not 0 <= d < self.n_domains:
@@ -267,7 +274,7 @@ def _beta_counts(p: Partition) -> tuple[int, int]:
     c = p.complex
     verts, comp = boundary_union(p)
     n = int(comp.max()) + 1 if comp.size else 0
-    beta_i = n - len(np.unique(comp[c.vertex_is_boundary[verts]]))
+    beta_i = n - int(np.count_nonzero(np.bincount(comp[c.vertex_is_boundary[verts]], minlength=n)))
     return n - boundary_components(c), beta_i
 
 

@@ -36,6 +36,11 @@ def domain_color(d: int) -> tuple[int, int, int]:
     return int(round(r * 255)), int(round(g * 255)), int(round(b * 255))
 
 
+def _check_cell_px(cell_px) -> None:
+    if isinstance(cell_px, bool) or not isinstance(cell_px, (int, np.integer)) or cell_px < 1:
+        raise ValueError(f"cell_px must be an integer of at least 1, got {cell_px!r}")
+
+
 def _edge_segments(p: Partition, edge_ids) -> list[tuple[int, int, int, int]]:
     """Grid segments (x0, y0, x1, y1) of every raw representative."""
     c = p.complex
@@ -67,6 +72,7 @@ def _overlay_data(p: Partition):
 
 def render_ppm(p: Partition, cell_px: int = 12) -> bytes:
     """Binary PPM (P6) image of the partition."""
+    _check_cell_px(cell_px)
     c = p.complex
     W, H = c.spec.width, c.spec.height
     s = cell_px
@@ -127,6 +133,7 @@ def render_ppm(p: Partition, cell_px: int = 12) -> bytes:
 
 def render_svg(p: Partition, cell_px: int = 12) -> bytes:
     """SVG image of the partition; same overlays as the PPM renderer."""
+    _check_cell_px(cell_px)
     c = p.complex
     W, H = c.spec.width, c.spec.height
     s = cell_px

@@ -156,6 +156,15 @@ def test_render_command(bands3_file, tmp_path, capsys):
     assert out_svg.read_bytes().startswith(b"<svg")
 
 
+@pytest.mark.parametrize("cell_px", ["0", "-3"])
+@pytest.mark.parametrize("suffix", [".ppm", ".svg"])
+def test_render_rejects_bad_cell_px(cell_px, suffix, bands3_file, tmp_path, capsys):
+    out = tmp_path / ("img" + suffix)
+    assert main(["render", str(bands3_file), "--cell-px", cell_px, "--out", str(out)]) == 2
+    assert "cell_px" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_deterministic_output(bands3_file, capsys):
     code1, doc1 = run(["invariants", bands3_file], capsys)
     code2, doc2 = run(["invariants", bands3_file], capsys)

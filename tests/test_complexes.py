@@ -152,6 +152,61 @@ def test_components_numbered_by_smallest_node():
             assert sorted(reached) == np.flatnonzero(labels == k).tolist(), seed
 
 
+def _public_components(n, a, b):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    g = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    return connected_components(g, directed=False)
+
+
+def test_components_matches_public_scipy():
+    from eulerpart.complexes import components
+
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        m = int(rng.integers(0, 2 * n))
+        # sparse graphs leave isolated nodes; about one edge in ten is a
+        # loop, and edges are drawn with repeats
+        a = rng.integers(0, n, size=m)
+        b = np.where(rng.random(m) < 0.1, a, rng.integers(0, n, size=m))
+        if m:
+            a, b = np.concatenate([a, a[: m // 4]]), np.concatenate([b, b[: m // 4]])
+        count, labels = components(n, a, b)
+        want_count, want = _public_components(n, a, b)
+        assert count == want_count, seed
+        assert labels.dtype == np.int64 and labels.tolist() == want.tolist(), seed
+
+
+def test_components_matches_public_scipy_on_large_domain_graph():
+    from eulerpart.complexes import components
+
+    c = build_complex(SurfaceSpec.moebius(512, 512))
+    fa, fb, _par, _ids = c.adjacency
+    labels = np.random.default_rng(3).integers(0, 3, size=c.n_faces)
+    glued = labels[fa] == labels[fb]
+    count, comp = components(c.n_faces, fa[glued], fb[glued])
+    want_count, want = _public_components(c.n_faces, fa[glued], fb[glued])
+    assert count == want_count > 1
+    assert np.array_equal(comp, want)
+
+
+@pytest.mark.parametrize("n,a,b", [
+    (4, np.array([0, -1]), np.array([1, 2])),
+    (4, np.array([0, 1]), np.array([4, 2])),
+    (4, np.array([0, 2**31 + 1], dtype=np.int64), np.array([1, 2])),
+    (4, np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+], ids=["negative", "equal-to-n", "above-int32", "float"])
+def test_components_rejects_out_of_range_endpoints(n, a, b):
+    from eulerpart.complexes import components
+
+    with pytest.raises(ValueError, match="endpoints"):
+        components(n, a, b)
+    with pytest.raises(ValueError, match="endpoints"):
+        components(n, b, a)
+
+
 def test_validate_rejects_flipped_parity():
     import dataclasses
 

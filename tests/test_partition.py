@@ -91,6 +91,15 @@ def test_labels_must_be_integers(labels):
         from_labels(c, labels)
 
 
+def test_partition_arrays_are_read_only():
+    p = moebius_bands(3)
+    for name in ("domains", "orientable", "boundary_set", "wall_mask"):
+        arr = getattr(p, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
+    assert invariants(p).key() == (2, 1, 0, 1)
+
+
 def test_wall_ids_validated():
     c = build_complex(SurfaceSpec.rectangle(3, 3))
     boundary_edge = int(c.boundary_edges[0])

@@ -42,6 +42,13 @@ def test_render_dispatch():
         render(p, fmt="png")
 
 
+@pytest.mark.parametrize("cell_px", [0, -3, True, 2.0, "8"])
+@pytest.mark.parametrize("fmt", ["ppm", "svg"])
+def test_render_rejects_cell_px_below_one_or_not_int(cell_px, fmt):
+    with pytest.raises(ValueError, match="cell_px"):
+        render(bands3(), cell_px, fmt=fmt)
+
+
 def test_svg_contains_overlays():
     p = bands3()
     svg = render_svg(p).decode()
