@@ -114,6 +114,12 @@ MAX_FACES = 1 << 23
 #: the int32 index tables its compiled kernel reads
 _INT32_LIMIT = 1 << 31
 
+#: dtype of every id table (vertex, edge, face and corner-slot ids) of a
+#: complex, a cover and a partition: ``MAX_FACES`` keeps every id, and every
+#: corner slot ``4*face + corner``, below 2**25, so int32 holds them at half
+#: the memory of int64.  Keys that multiply two ids are computed in int64.
+ID_DTYPE = np.int32
+
 # face side order: 0=S, 1=E, 2=N, 3=W; side s runs from corner s to corner
 # (s+1) % 4 in the cyclic corner order 0=SW, 1=SE, 2=NE, 3=NW.
 SIDE_S, SIDE_E, SIDE_N, SIDE_W = 0, 1, 2, 3
@@ -191,7 +197,8 @@ class SurfaceSpec:
 class CellComplex:
     """A quotient grid surface with canonical vertex/edge orbits.
 
-    All arrays are indexed by canonical ids.  ``edge_faces`` holds the one
+    All arrays are indexed by canonical ids, and every id table, cached
+    ones included, holds ``ID_DTYPE`` ids.  ``edge_faces`` holds the one
     or two incident faces of every edge (-1 in the second slot for boundary
     edges); ``edge_sides`` holds the side of each incident face the edge
     occupies; ``edge_parity`` is +1 where the two incident charts agree in
@@ -204,7 +211,7 @@ class CellComplex:
     n_faces: int
     edge_vertices: np.ndarray     # (E, 2) canonical endpoint ids, sorted
     edge_faces: np.ndarray        # (E, 2) face ids, -1 pad
-    edge_sides: np.ndarray        # (E, 2) side of edge in each face, -1 pad
+    edge_sides: np.ndarray        # (E, 2) int8 side of edge in each face, -1 pad
     edge_parity: np.ndarray       # (E,)  +1 / -1
     edge_is_horizontal: np.ndarray  # (E,) True for x-direction edges
     edge_is_boundary: np.ndarray  # (E,) bool
@@ -226,11 +233,11 @@ class CellComplex:
 
     @cached_property
     def interior_edges(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(~self.edge_is_boundary))
+        return _read_only(np.flatnonzero(~self.edge_is_boundary).astype(ID_DTYPE))
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(self.edge_is_boundary))
+        return _read_only(np.flatnonzero(self.edge_is_boundary).astype(ID_DTYPE))
 
     @cached_property
     def n_boundary_components(self) -> int:
@@ -250,7 +257,7 @@ class CellComplex:
 
     @cached_property
     def directed_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(source, target, by_source, start), int32: the flood-fill table.
+        """(source, target, by_source, start), ``ID_DTYPE``: the flood-fill table.
 
         Rows are the interior adjacencies in both directions, the
         ``adjacency`` pairs (face_a, face_b) first and then (face_b,
@@ -258,10 +265,10 @@ class CellComplex:
         ``by_source[start[f]:start[f + 1]]``, in increasing row order.
         """
         fa, fb, _par, _ids = self.adjacency
-        source = np.concatenate([fa, fb]).astype(np.int32)
-        target = np.concatenate([fb, fa]).astype(np.int32)
-        by_source = np.argsort(source, kind="stable").astype(np.int32)
-        start = np.zeros(self.n_faces + 1, dtype=np.int32)
+        source = np.concatenate([fa, fb])
+        target = np.concatenate([fb, fa])
+        by_source = np.argsort(source, kind="stable").astype(ID_DTYPE)
+        start = np.zeros(self.n_faces + 1, dtype=ID_DTYPE)
         np.cumsum(np.bincount(source, minlength=self.n_faces), out=start[1:])
         return _read_only(source), _read_only(target), _read_only(by_source), _read_only(start)
 
@@ -269,10 +276,10 @@ class CellComplex:
     def vertex_faces(self):
         """CSR-style incidence: faces around each canonical vertex."""
         corners = self.face_vertices.ravel()
-        faces = np.repeat(np.arange(self.n_faces, dtype=np.int64), 4)
+        faces = np.repeat(np.arange(self.n_faces, dtype=ID_DTYPE), 4)
         order = np.argsort(corners, kind="stable")
-        starts = np.searchsorted(corners[order], np.arange(self.n_vertices + 1))
-        return _read_only(starts), _read_only(faces[order])
+        starts = np.searchsorted(corners[order], np.arange(self.n_vertices + 1, dtype=ID_DTYPE))
+        return _read_only(starts.astype(ID_DTYPE)), _read_only(faces[order])
 
     @cached_property
     def slot_partners(self) -> np.ndarray:
@@ -298,7 +305,7 @@ class CellComplex:
             raise InvariantViolation("edge corner matching failed")
         a0, a1 = 4 * fa + ca, 4 * fa + cb
         b0, b1 = 4 * fb + da, 4 * fb + db
-        out = np.full((4 * self.n_faces, 2), -1, dtype=np.int64)
+        out = np.full((4 * self.n_faces, 2), -1, dtype=ID_DTYPE)
         # a corner that starts its side looks across it from column 0
         out[a0, 0] = np.where(straight, b0, b1)
         out[a1, 1] = np.where(straight, b1, b0)
@@ -309,8 +316,8 @@ class CellComplex:
     @cached_property
     def vertex_slot(self) -> np.ndarray:
         """(V,) one corner slot over each vertex (which one is unspecified)."""
-        out = np.empty(self.n_vertices, dtype=np.int64)
-        out[self.face_vertices.ravel()] = np.arange(4 * self.n_faces, dtype=np.int64)
+        out = np.empty(self.n_vertices, dtype=ID_DTYPE)
+        out[self.face_vertices.ravel()] = np.arange(4 * self.n_faces, dtype=ID_DTYPE)
         return _read_only(out)
 
     def faces_at_vertex(self, v: int) -> np.ndarray:
@@ -350,7 +357,7 @@ class CellComplex:
     def edge_raw_representatives(self) -> np.ndarray:
         """(E, 2) raw edge ids of each edge: the smallest raw edge of its
         orbit, then its seam partner or -1."""
-        out = np.full((self.n_edges, 2), -1, dtype=np.int64)
+        out = np.full((self.n_edges, 2), -1, dtype=ID_DTYPE)
         keep = np.ones(len(self.edge_map), dtype=bool)
         for a, b in _seams(self.spec)[1]:
             hi = np.maximum(a, b)
@@ -432,7 +439,7 @@ def _seam_orbits(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
     lowers both ends of every pair to their minimum; within one seam no id
     repeats, and a few passes reach the corner orbits.
     """
-    root = np.arange(n, dtype=np.int64)
+    root = np.arange(n, dtype=ID_DTYPE)
     changed = bool(pairs)
     while changed:
         changed = False
@@ -442,8 +449,8 @@ def _seam_orbits(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
                 root[a] = low
                 root[b] = low
                 changed = True
-    keep = root == np.arange(n)
-    labels = np.cumsum(keep, dtype=np.int64) - 1
+    keep = root == np.arange(n, dtype=ID_DTYPE)
+    labels = np.cumsum(keep, dtype=ID_DTYPE) - 1
     return keep, labels[root]
 
 
@@ -471,9 +478,9 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     # below a horizontal edge (side N) before the one above it (side S), the
     # face left of a vertical edge (side E) before the one right of it (side
     # W); a grid-border edge has its one face in slot 0
-    faces = np.arange(n_faces, dtype=np.int64).reshape(H, W)
-    raw_faces = np.full((n_raw_e, 2), -1, dtype=np.int64)
-    raw_sides = np.full((n_raw_e, 2), -1, dtype=np.int64)
+    faces = np.arange(n_faces, dtype=ID_DTYPE).reshape(H, W)
+    raw_faces = np.full((n_raw_e, 2), -1, dtype=ID_DTYPE)
+    raw_sides = np.full((n_raw_e, 2), -1, dtype=np.int8)
     hf, hs = raw_faces[:HOFF].reshape(H + 1, W, 2), raw_sides[:HOFF].reshape(H + 1, W, 2)
     hf[1:, :, 0], hs[1:, :, 0] = faces, SIDE_N
     hf[1:H, :, 1], hs[1:H, :, 1] = faces[1:], SIDE_S
@@ -532,6 +539,12 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
 
 
 def _validate_complex(c: CellComplex) -> None:
+    for name in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map", "edge_map"):
+        dtype = getattr(c, name).dtype
+        if dtype != ID_DTYPE:
+            raise InvariantViolation(f"{name} holds {dtype} ids, expected {np.dtype(ID_DTYPE)}")
+    if c.edge_sides.dtype != np.int8:
+        raise InvariantViolation(f"edge_sides holds {c.edge_sides.dtype} values, expected int8")
     kind = c.spec.kind
     if c.euler_characteristic != EXPECTED_CHI[kind]:
         raise InvariantViolation(
@@ -561,7 +574,7 @@ def components(n: int, a, b) -> tuple[int, np.ndarray]:
     """Connected components of the undirected graph on nodes ``0..n-1``
     with edges ``a[k]-b[k]``.
 
-    Returns ``(count, labels)`` with int64 labels; component ids increase
+    Returns ``(count, labels)`` with ``ID_DTYPE`` labels; component ids increase
     with each component's smallest node, so node 0 is always in component
     0.  scipy's undirected labelling already numbers them so, since it
     starts a new component at each unlabelled node in increasing order.
@@ -577,7 +590,8 @@ def components(n: int, a, b) -> tuple[int, np.ndarray]:
     check here is mandatory: endpoints must be integers in ``0..n-1`` and
     ``n`` and the edge count below 2**31, checked on the caller's values
     before the int32 cast, so that no value wraps or reaches compiled code
-    out of range; any violation raises ``ValueError``.
+    out of range; any violation raises ``ValueError``.  Endpoints that are
+    already ``ID_DTYPE``, as every id table here is, are not copied.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -593,17 +607,17 @@ def components(n: int, a, b) -> tuple[int, np.ndarray]:
                 raise ValueError(f"edge endpoints must be integers, got {ends.dtype} values")
             if ends.min() < 0 or ends.max() >= n:
                 raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
-    a = a.astype(np.int32)
-    b = b.astype(np.int32)
+    a = a.astype(ID_DTYPE, copy=False)
+    b = b.astype(ID_DTYPE, copy=False)
     data = np.ones(m, dtype=bool)
     scratch = np.empty(m, dtype=bool)
     ptr, idx = np.empty(n + 1, dtype=np.int32), np.empty(m, dtype=np.int32)
     ptr_t, idx_t = np.empty(n + 1, dtype=np.int32), np.empty(m, dtype=np.int32)
     coo_tocsr(n, n, m, a, b, data, ptr, idx, scratch)
     coo_tocsr(n, n, m, b, a, data, ptr_t, idx_t, scratch)
-    labels = np.full(n, -1, dtype=np.int32)
+    labels = np.full(n, -1, dtype=ID_DTYPE)
     count = _connected_components_undirected(idx, ptr, idx_t, ptr_t, labels)
-    return int(count), labels.astype(np.int64)
+    return int(count), labels
 
 
 def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -612,12 +626,12 @@ def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(verts, labels)``: the touched canonical vertices in
     increasing order and the component id of each.
     """
-    ev = c.edge_vertices[np.asarray(edge_ids, dtype=np.int64)]
+    ev = c.edge_vertices[np.asarray(edge_ids, dtype=ID_DTYPE)]
     touched = np.zeros(c.n_vertices, dtype=bool)
     touched[ev] = True
-    verts = np.flatnonzero(touched)
-    slot = np.empty(c.n_vertices, dtype=np.int64)
-    slot[verts] = np.arange(len(verts))
+    verts = np.flatnonzero(touched).astype(ID_DTYPE)
+    slot = np.empty(c.n_vertices, dtype=ID_DTYPE)
+    slot[verts] = np.arange(len(verts), dtype=ID_DTYPE)
     return verts, components(len(verts), slot[ev[:, 0]], slot[ev[:, 1]])[1]
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec, build_complex
+from .complexes import ID_DTYPE, SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec, build_complex
 from .errors import InvariantViolation
 from .partition import Partition, boundary_union, from_labels, invariants
 
@@ -44,7 +44,7 @@ COVERABLE = {"moebius": "cylinder", "klein": "torus"}
 class CoverStructure:
     base: CellComplex
     cover: CellComplex
-    face_projection: np.ndarray   # cover face -> base face
+    face_projection: np.ndarray   # cover face -> base face, ID_DTYPE like every id table
     face_deck: np.ndarray         # cover face -> cover face, the involution
     edge_projection: np.ndarray   # cover edge -> base edge
     # base partition -> its lift; an entry lives as long as its base
@@ -65,7 +65,7 @@ def double_cover(c: CellComplex) -> CoverStructure:
 
     # the lower sheet, cover faces below c.n_faces, lies over the base as it
     # is; the upper sheet is mirrored in x, and the deck swaps the sheets
-    straight = np.arange(c.n_faces, dtype=np.int64)
+    straight = np.arange(c.n_faces, dtype=ID_DTYPE)
     mirrored = straight.reshape(H, W)[:, ::-1].ravel()
     face_projection = np.concatenate([straight, mirrored])
     face_deck = np.concatenate([mirrored + c.n_faces, mirrored])
@@ -73,7 +73,7 @@ def double_cover(c: CellComplex) -> CoverStructure:
     # on the mirrored sheet E and W swap
     upper = c.face_edges.reshape(H, W, 4)[:, ::-1][..., [SIDE_S, SIDE_W, SIDE_N, SIDE_E]]
     below = np.concatenate([c.face_edges, upper.reshape(c.n_faces, 4)])
-    edge_projection = np.empty(cover.n_edges, dtype=np.int64)
+    edge_projection = np.empty(cover.n_edges, dtype=ID_DTYPE)
     edge_projection[cover.face_edges] = below
 
     cs = CoverStructure(
@@ -88,6 +88,10 @@ def double_cover(c: CellComplex) -> CoverStructure:
 
 
 def _validate_cover(cs: CoverStructure, below: np.ndarray) -> None:
+    for name in ("face_projection", "face_deck", "edge_projection"):
+        dtype = getattr(cs, name).dtype
+        if dtype != ID_DTYPE:
+            raise InvariantViolation(f"{name} holds {dtype} ids, expected {np.dtype(ID_DTYPE)}")
     a, pi = cs.face_deck, cs.face_projection
     if not np.array_equal(a[a], np.arange(len(a))):
         raise InvariantViolation("deck map is not an involution")
@@ -117,7 +121,7 @@ def lift_partition(cs: CoverStructure, p: Partition) -> Partition:
     lifted = cs._lifts.get(p)
     if lifted is None:
         labels = p.domains[cs.face_projection]
-        walls = np.flatnonzero(np.isin(cs.edge_projection, np.fromiter(p.walls, dtype=np.int64))) if p.walls else ()
+        walls = np.flatnonzero(np.isin(cs.edge_projection, np.fromiter(p.walls, dtype=ID_DTYPE))) if p.walls else ()
         lifted = cs._lifts[p] = from_labels(cs.cover, labels, walls=walls)
     return lifted
 
@@ -126,7 +130,7 @@ def preimage_component_counts(cs: CoverStructure, p: Partition) -> np.ndarray:
     """Number of cover components over each base domain (always 1 or 2)."""
     lifted = lift_partition(cs, p)
     below = p.domains[cs.face_projection]
-    base_of = np.empty(lifted.n_domains, dtype=np.int64)
+    base_of = np.empty(lifted.n_domains, dtype=ID_DTYPE)
     base_of[lifted.domains] = below
     if not np.array_equal(base_of[lifted.domains], below):
         raise InvariantViolation("a lifted domain lies over more than one base domain")

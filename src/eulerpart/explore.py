@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CellComplex, SurfaceSpec, build_complex
+from .complexes import ID_DTYPE, CellComplex, SurfaceSpec, build_complex
 from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
 from .errors import InstabilityError, InvariantViolation
 from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, phi_family, stable_invariants
@@ -56,14 +56,14 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
     if spec.k > c.n_faces:
         raise ValueError(f"k={spec.k} exceeds the {c.n_faces} available faces")
     rng = np.random.default_rng(spec.seed)
-    labels = np.full(c.n_faces, -1, dtype=np.int64)
+    labels = np.full(c.n_faces, -1, dtype=ID_DTYPE)
     sources = rng.choice(c.n_faces, size=spec.k, replace=False)
     labels[sources] = np.arange(spec.k)
 
     source, target, by_source, start = c.directed_adjacency
     # first claimant position per face; every target is claimed in the
     # round it appears and never targeted again, so no entry is reused
-    best = np.full(c.n_faces, len(source), dtype=np.int64)
+    best = np.full(c.n_faces, len(source), dtype=ID_DTYPE)
     frontier = sources
     while True:
         lo = start[frontier]
@@ -75,7 +75,7 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
             break
         out = out[rng.permutation(len(out))]
         targets = target[out]
-        position = np.arange(len(out))
+        position = np.arange(len(out), dtype=ID_DTYPE)
         np.minimum.at(best, targets, position)
         first = best[targets] == position
         frontier = targets[first]

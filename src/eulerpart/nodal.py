@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SurfaceSpec, build_complex
+from .complexes import ID_DTYPE, MAX_FACES, SurfaceSpec, build_complex
 from .errors import InstabilityError, ResolutionError, SymmetryError
 from .partition import InvariantReport, Partition, from_labels, invariants
 
@@ -143,6 +143,13 @@ def finite_real(value, what: str) -> float:
     return value
 
 
+#: most doublings a stabilization may ask for.  In the worst case each level
+#: steps +10 past exact-zero samples and the next level doubles that, so from
+#: the smallest resolution, n = 2, level 7 is 2806² and level 8 is 5622²:
+#: one more doubling exceeds ``MAX_FACES`` from every resolution
+MAX_REFINE = 7
+
+
 @dataclass(frozen=True)
 class NodalConfig:
     n: int = 64                  # base grid resolution (N x N)
@@ -153,6 +160,11 @@ class NodalConfig:
             raise ValueError("resolution must be at least 2")
         if self.max_refine < 0:
             raise ValueError("max_refine must be non-negative")
+        if self.max_refine > MAX_REFINE:
+            raise ValueError(
+                f"max_refine must be at most {MAX_REFINE}, got {self.max_refine}: a deeper level "
+                f"exceeds the cap of {MAX_FACES} faces in the worst case from every resolution"
+            )
 
 
 _SYM_LATTICE = 101
@@ -211,7 +223,7 @@ def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None,
         raise ResolutionError(
             f"{bad} face-center samples on the zero set at n={n}", n=n, n_bad=bad
         )
-    return from_labels(c, (vals > 0).astype(np.int64).ravel())
+    return from_labels(c, (vals > 0).astype(ID_DTYPE).ravel())
 
 
 def _rasterize_perturbed(f, surface, config, n):

@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import (
+    ID_DTYPE,
     CellComplex,
     SurfaceSpec,
     boundary_components,
@@ -58,7 +59,7 @@ class Partition:
     """A total face labelling with connected domains, plus optional walls."""
 
     complex: CellComplex
-    domains: np.ndarray          # (F,) domain id per face, 0..n_domains-1
+    domains: np.ndarray          # (F,) ID_DTYPE domain id per face, 0..n_domains-1
     n_domains: int
     walls: frozenset
     orientable: np.ndarray       # (n_domains,) orientability bit per domain
@@ -71,7 +72,7 @@ class Partition:
     def wall_mask(self) -> np.ndarray:
         mask = np.zeros(self.complex.n_edges, dtype=bool)
         if self.walls:
-            mask[np.fromiter(self.walls, dtype=np.int64)] = True
+            mask[np.fromiter(self.walls, dtype=ID_DTYPE)] = True
         mask.flags.writeable = False
         return mask
 
@@ -81,7 +82,8 @@ class Partition:
         c = self.complex
         fa, fb, _, ids = c.adjacency
         change = self.domains[fa] != self.domains[fb]
-        out = ids[change | self.wall_mask[ids]]  # ids increase, so the mask keeps them sorted
+        change[_wall_rows(c, self.walls)] = True
+        out = ids[change]  # ids increase, so the mask keeps them sorted
         out.flags.writeable = False
         return out
 
@@ -117,24 +119,23 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     Equal-label faces are re-split into connected domains; domain ids are
     assigned in order of each domain's smallest face index.  Labels must be
     integers (floats, strings and booleans are rejected, never truncated).
-    Wall edges must be interior and may not leave dangling ends.
+    Wall edges must be interior and may not leave dangling ends.  Labels
+    keep the caller's integer dtype: they are only compared with each
+    other, so no label is narrowed (labels 0 and 2**32 stay distinct), and
+    the domains come out as ``ID_DTYPE`` ids.
     """
     labels = np.asarray(labels).ravel()
     if labels.shape != (c.n_faces,):
         raise ValueError(f"labels must cover all {c.n_faces} faces, got {labels.shape}")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got {labels.dtype} values")
-    labels = labels.astype(np.int64, copy=False)
     wall_ids = frozenset(int(w) for w in walls)
     for w in wall_ids:
         if not 0 <= w < c.n_edges:
             raise ValueError(f"wall edge id {w} out of range")
         if c.edge_is_boundary[w]:
             raise ValueError(f"wall edge {w} lies on the surface boundary")
-    wall_mask = np.zeros(c.n_edges, dtype=bool)
-    if wall_ids:
-        wall_mask[np.fromiter(wall_ids, dtype=np.int64)] = True
-    domains, n_domains, orientable = _label_domains(c, labels, wall_mask)
+    domains, n_domains, orientable = _label_domains(c, labels, _wall_rows(c, wall_ids))
     p = Partition(complex=c, domains=domains, n_domains=n_domains, walls=wall_ids,
                   orientable=orientable)
     # reject dangling cracks: every vertex of the boundary set must be a
@@ -143,10 +144,17 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     return p
 
 
-def _label_domains(c: CellComplex, labels: np.ndarray, wall_mask: np.ndarray):
+def _wall_rows(c: CellComplex, walls) -> np.ndarray:
+    """Rows of ``c.adjacency`` holding the given interior wall edges, found
+    in its sorted edge ids, so no pass over every edge reads a wall mask."""
+    return np.searchsorted(c.interior_edges, np.fromiter(walls, dtype=ID_DTYPE, count=len(walls)))
+
+
+def _label_domains(c: CellComplex, labels: np.ndarray, wall_rows: np.ndarray):
     """(domains, n_domains, orientable bits) in one labelling pass.
 
-    Glued edges join equal-label faces across non-wall interior edges.
+    Glued edges join equal-label faces across non-wall interior edges.  The
+    walls are given as their rows of ``c.adjacency``.
     *Pieces* are the components over glued edges of parity +1; the glued
     edges of parity -1 lie on the reversed seams and join pieces into
     domains.  Pieces are numbered by their smallest face and domains by
@@ -157,8 +165,9 @@ def _label_domains(c: CellComplex, labels: np.ndarray, wall_mask: np.ndarray):
     opposite sheets, and a domain is non-orientable iff some piece meets
     its own other sheet.
     """
-    fa, fb, par, ids = c.adjacency
-    glued = (labels[fa] == labels[fb]) & ~wall_mask[ids]
+    fa, fb, par, _ids = c.adjacency
+    glued = labels[fa] == labels[fb]
+    glued[wall_rows] = False
     flip = glued & (par < 0)
     if not flip.any():
         # nothing reverses: pieces are domains and every domain is balanced
@@ -397,8 +406,9 @@ class _ClosureTables:
         n_touched, orbit = components(
             len(slots), rows[glued], np.searchsorted(slots, partner[glued])
         )
-        orbit_domain = np.empty(n_touched, dtype=np.int64)
+        orbit_domain = np.empty(n_touched, dtype=ID_DTYPE)
         orbit_domain[orbit] = dom[faces]
+        # int64, not ID_DTYPE: the key product vertex * n + domain reaches V * n
         orbit_vertex = np.empty(n_touched, dtype=np.int64)
         orbit_vertex[orbit] = fv[slots]
         self.n_domains = n
@@ -421,7 +431,7 @@ class _ClosureTables:
         ends = np.concatenate([orbit_of(4 * side_face + side), orbit_of(4 * side_face + (side + 1) % 4)])
         nodes, ends = np.unique(ends, return_inverse=True)
         n_cyc, cyc = components(len(nodes), ends[: len(side)], ends[len(side):])
-        cycle_domain = np.empty(n_cyc, dtype=np.int64)
+        cycle_domain = np.empty(n_cyc, dtype=ID_DTYPE)
         cycle_domain[cyc[ends[: len(side)]]] = side_domain
 
         # per-domain face, glued-edge and abstract vertex counts; each face
@@ -572,7 +582,7 @@ def refine(p: Partition, factor: int) -> Partition:
         SurfaceSpec(spec.width * factor, spec.height * factor, spec.x_gluing, spec.y_gluing)
     )
     coarse = p.domains.reshape(spec.height, spec.width)
-    labels = np.kron(coarse, np.ones((factor, factor), dtype=np.int64)).ravel()
+    labels = np.kron(coarse, np.ones((factor, factor), dtype=ID_DTYPE)).ravel()
     return from_labels(fine, labels)
 
 
@@ -809,7 +819,7 @@ def classify_circle_complement(c: CellComplex, cycle) -> ComplementClass:
     _verts, is_cycle = _chain_edges(c, edge_list)
     if not is_cycle:
         raise CutError("cycle is not closed")
-    p = from_labels(c, np.zeros(c.n_faces, dtype=np.int64), walls=edge_list)
+    p = from_labels(c, np.zeros(c.n_faces, dtype=ID_DTYPE), walls=edge_list)
     tables = closure_tables(p)
     bits = orientability_bits(p)
     pieces = [

@@ -14,6 +14,7 @@ import colorsys
 
 import numpy as np
 
+from .complexes import ID_DTYPE
 from .partition import Partition, boundary_graph
 
 BOUNDARY_PX = 2                  # boundary-set and wall stroke width
@@ -46,7 +47,7 @@ def _edge_segments(p: Partition, edge_ids) -> list[tuple[int, int, int, int]]:
     c = p.complex
     W, H = c.spec.width, c.spec.height
     HOFF = W * (H + 1)
-    raw = c.edge_raw_representatives[np.asarray(edge_ids, dtype=np.int64)].ravel()
+    raw = c.edge_raw_representatives[np.asarray(edge_ids, dtype=ID_DTYPE)].ravel()
     raw = raw[raw >= 0]
     vertical = raw >= HOFF
     j, i = np.where(vertical, np.divmod(raw - HOFF, W + 1), np.divmod(raw, W))
@@ -57,7 +58,7 @@ def _edge_segments(p: Partition, edge_ids) -> list[tuple[int, int, int, int]]:
 def _vertex_points(p: Partition, vertex_ids) -> list[tuple[int, int]]:
     """Grid points (x, y) of every raw vertex over the given vertices."""
     c = p.complex
-    raw = np.flatnonzero(np.isin(c.vertex_map, np.asarray(vertex_ids, dtype=np.int64)))
+    raw = np.flatnonzero(np.isin(c.vertex_map, np.asarray(vertex_ids, dtype=ID_DTYPE)))
     j, i = np.divmod(raw, c.spec.width + 1)
     return list(zip(i.tolist(), j.tolist()))
 

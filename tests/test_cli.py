@@ -207,6 +207,17 @@ def test_nodal_rejects_zero_resolution(capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+def test_nodal_rejects_max_refine_above_the_cap_before_building(monkeypatch, capsys):
+    import eulerpart.nodal
+
+    def no_build(spec):
+        raise AssertionError(f"a complex was built: {spec}")
+
+    monkeypatch.setattr(eulerpart.nodal, "build_complex", no_build)
+    assert main(["nodal", "--family", "bands", "--m", "3", "--max-refine", "40"]) == 2
+    assert "max_refine" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", ["1", "0"])
 def test_sweep_rejects_count_below_two(count, capsys):
     assert main(["sweep", "--count", count]) == 2

@@ -161,7 +161,7 @@ def _public_components(n, a, b):
 
 
 def test_components_matches_public_scipy():
-    from eulerpart.complexes import components
+    from eulerpart.complexes import ID_DTYPE, components
 
     for seed in range(200):
         rng = np.random.default_rng(seed)
@@ -176,7 +176,7 @@ def test_components_matches_public_scipy():
         count, labels = components(n, a, b)
         want_count, want = _public_components(n, a, b)
         assert count == want_count, seed
-        assert labels.dtype == np.int64 and labels.tolist() == want.tolist(), seed
+        assert labels.dtype == ID_DTYPE and labels.tolist() == want.tolist(), seed
 
 
 def test_components_matches_public_scipy_on_large_domain_graph():
@@ -304,6 +304,70 @@ def test_shared_complex_equals_a_fresh_build(name, size):
     for (what, a), (_, b) in zip(_arrays_and_tables(shared), _arrays_and_tables(fresh)):
         assert a.dtype == b.dtype and np.array_equal(a, b), what
     assert boundary_components(shared) == boundary_components(fresh)
+
+
+#: non-id arrays of a complex and its cached tables, by dtype; every other
+#: array is an id table
+_NON_ID_DTYPES = {
+    "edge_sides": np.int8, "edge_parity": np.int8, "adjacency[2]": np.int8,
+    "edge_is_horizontal": np.bool_, "edge_is_boundary": np.bool_, "vertex_is_boundary": np.bool_,
+}
+
+
+@pytest.mark.parametrize("name", ALL_SURFACES)
+def test_every_id_table_has_the_id_dtype(name):
+    from eulerpart import RandomSpec, double_cover, random_partition
+    from eulerpart.complexes import ID_DTYPE
+    from eulerpart.cover import COVERABLE, lift_partition
+    from eulerpart.partition import closure_tables
+
+    c = build_complex(SurfaceSpec.named(name, 7, 6))
+    tables = dict(_arrays_and_tables(c))
+    for what in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map",
+                 "edge_map", "interior_edges", "boundary_edges", "adjacency[0]", "adjacency[3]",
+                 "vertex_faces[1]", "slot_partners", "vertex_slot", "edge_raw_representatives",
+                 "directed_adjacency[0]"):
+        assert what in tables and what not in _NON_ID_DTYPES
+    for what, a in tables.items():
+        assert a.dtype == _NON_ID_DTYPES.get(what, ID_DTYPE), what
+    p = random_partition(c, RandomSpec(seed=1, k=3))
+    assert p.domains.dtype == p.boundary_set.dtype == ID_DTYPE
+    # the (vertex, domain) key product reaches V * n_domains, beyond int32
+    assert closure_tables(p)._orbit_keys.dtype == np.int64
+    if name in COVERABLE:
+        cs = double_cover(c)
+        for a in (cs.face_projection, cs.face_deck, cs.edge_projection, lift_partition(cs, p).domains):
+            assert a.dtype == ID_DTYPE
+
+
+@pytest.mark.parametrize("field", ["edge_vertices", "edge_faces", "face_edges", "face_vertices",
+                                   "vertex_map", "edge_map", "edge_sides"])
+def test_validate_rejects_wide_id_tables(field):
+    import dataclasses
+
+    from eulerpart import InvariantViolation
+    from eulerpart.complexes import _validate_complex
+
+    c = build_complex(SurfaceSpec.moebius(6, 4))
+    _validate_complex(c)
+    wide = dataclasses.replace(c, **{field: getattr(c, field).astype(np.int64)})
+    with pytest.raises(InvariantViolation, match=f"{field} holds int64"):
+        _validate_complex(wide)
+
+
+@pytest.mark.parametrize("field", ["face_projection", "face_deck", "edge_projection"])
+def test_validate_cover_rejects_wide_projections(field):
+    import dataclasses
+
+    from eulerpart import InvariantViolation, double_cover
+    from eulerpart.cover import _validate_cover
+
+    cs = double_cover(build_complex(SurfaceSpec.klein(6, 4)))
+    below = cs.edge_projection[cs.cover.face_edges]
+    _validate_cover(cs, below)
+    wide = dataclasses.replace(cs, **{field: getattr(cs, field).astype(np.int64)})
+    with pytest.raises(InvariantViolation, match=f"{field} holds int64"):
+        _validate_cover(wide, below)
 
 
 def test_validate_rejects_wrong_boundary_count():
@@ -460,7 +524,7 @@ def test_closed_form_build_matches_sorted_incidences(size, name):
     for f in dataclasses.fields(built):
         a, b = getattr(built, f.name), getattr(oracle, f.name)
         if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            assert a.dtype == _built_dtype(f.name, b) and np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
     tables = _arrays_and_tables(built)
@@ -468,7 +532,17 @@ def test_closed_form_build_matches_sorted_incidences(size, name):
     for (what, a), (_, b) in zip(tables, _arrays_and_tables(oracle)):
         if what == "edge_raw_representatives":
             b = reps
-        assert a.dtype == b.dtype and np.array_equal(a, b), what
+        assert a.dtype == _built_dtype(what, b) and np.array_equal(a, b), what
+
+
+def _built_dtype(what, oracle):
+    """The dtype a built table has where the oracle's int64 holds the same
+    values: ``ID_DTYPE`` ids and int8 sides; bool and int8 tables match."""
+    from eulerpart.complexes import ID_DTYPE
+
+    if what == "edge_sides":
+        return np.int8
+    return ID_DTYPE if oracle.dtype in (np.int64, np.int32) else oracle.dtype
 
 
 def test_grid_size_cap():

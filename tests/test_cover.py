@@ -20,6 +20,8 @@ from eulerpart import (
     orientability_bits,
     random_partition,
 )
+from eulerpart.complexes import ID_DTYPE
+
 
 def bands(m, n):
     c = build_complex(SurfaceSpec.moebius(n, n))
@@ -248,7 +250,7 @@ def test_face_maps_match_the_coordinate_formulas(name, size):
     projection = np.where(upper, (j - H) * W + W - 1 - i, j * W + i)
     deck = (j + H) % (2 * H) * W + W - 1 - i
     for got, want in ((cs.face_projection, projection), (cs.face_deck, deck)):
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.dtype == ID_DTYPE and np.array_equal(got, want)
 
 
 def test_cover_bookkeeping_labels_the_lifted_union_once(monkeypatch):

@@ -178,3 +178,14 @@ _SIN2 = {"k": "sin", "m": 2}
 def test_eigenfunction_terms_are_checked_not_coerced(terms, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         jsonio.eigenfunction_from_json({"terms": terms})
+
+
+def test_wide_labels_round_trip_as_distinct_domains():
+    # 4294967296 = 2**32 shares its low 32 bits with 0
+    doc = {"surface": {"surface": "rectangle", "width": 2, "height": 2},
+           "labels": [0, 4294967296, 0, 4294967296]}
+    p = jsonio.partition_from_json(json.loads(json.dumps(doc)))
+    assert p.n_domains == 2
+    out = jsonio.partition_to_json(p)
+    assert out["labels"] == [0, 1, 0, 1]
+    assert jsonio.partition_from_json(out).domains.tolist() == p.domains.tolist()

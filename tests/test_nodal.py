@@ -208,6 +208,29 @@ def test_nodal_config_holds_only_resolution_and_refinement():
         NodalConfig(n=1)
 
 
+def _worst_case_side(n, levels):
+    # each level steps +10 past exact-zero samples; the next doubles that
+    side = n + 10
+    for _ in range(levels):
+        side = 2 * side + 10
+    return side
+
+
+def test_max_refine_is_capped_from_above():
+    # rejection only: constructing a config allocates nothing
+    from eulerpart.complexes import MAX_FACES
+    from eulerpart.nodal import MAX_REFINE
+
+    # the cap is the deepest level whose worst case from the smallest
+    # resolution, n = 2, still fits; the default ladder fits too
+    assert _worst_case_side(2, MAX_REFINE) ** 2 <= MAX_FACES < _worst_case_side(2, MAX_REFINE + 1) ** 2
+    assert _worst_case_side(64, 5) == 2678 and 2678 ** 2 <= MAX_FACES
+    assert NodalConfig(n=64, max_refine=MAX_REFINE).max_refine == MAX_REFINE
+    for depth in (MAX_REFINE + 1, 40, 10 ** 9):
+        with pytest.raises(ValueError, match=f"max_refine must be at most {MAX_REFINE}, got {depth}"):
+            NodalConfig(max_refine=depth)
+
+
 def _via_sweep(name, params):
     varied = params.get("m", params.get("theta"))
     return sweep(name, [varied], beta=params.get("beta"), config=NodalConfig(n=16, max_refine=0))

@@ -91,6 +91,14 @@ def test_labels_must_be_integers(labels):
         from_labels(c, labels)
 
 
+def test_wide_labels_are_not_narrowed():
+    # labels 0 and 2**32 agree in their low 32 bits; the two columns of a
+    # 2x2 rectangle touch, so one domain would mean the labels were narrowed
+    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    p = from_labels(c, np.array([0, 2**32, 0, 2**32], dtype=np.int64))
+    assert p.n_domains == 2 and p.domains.tolist() == [0, 1, 0, 1]
+
+
 def test_partition_arrays_are_read_only():
     p = moebius_bands(3)
     for name in ("domains", "orientable", "boundary_set", "wall_mask"):
