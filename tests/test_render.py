@@ -104,3 +104,67 @@ def test_render_bytes_pinned(fmt):
     doc = json.loads((Path(__file__).parent / "data" / "moebius_8x8.json").read_text())
     data = render(jsonio.partition_from_json(doc), fmt=fmt)
     assert hashlib.sha256(data).hexdigest() == PINNED_RENDER[fmt]
+
+
+def _walled_moebius():
+    # a domain change plus a dashed wall that crosses it
+    c = build_complex(SurfaceSpec.moebius(8, 6))
+    lab = np.zeros((6, 8), dtype=int)
+    lab[:, 4:] = 1
+    p = from_labels(c, lab.ravel())
+    return cut(p, [c.horizontal_edge(i, 3) for i in range(4)])
+
+
+def _quadrants(n):
+    c = build_complex(SurfaceSpec.rectangle(n, n))
+    lab = np.zeros((n, n), dtype=int)
+    h = n // 2
+    lab[:h, h:], lab[h:, :h], lab[h:, h:] = 1, 2, 3
+    return from_labels(c, lab.ravel())
+
+
+def _random(surface, k, seed):
+    from eulerpart.explore import RandomSpec, random_partition
+
+    return random_partition(build_complex(SurfaceSpec.named(surface, 10, 8)), RandomSpec(seed=seed, k=k))
+
+
+# sha256 of renders that exercise each overlay: dashed walls, singular
+# rings clipped at the image edge, a closed surface without a frame, and
+# more domains than the fixed palette holds (golden-angle hues)
+PINNED_CASES = {
+    "walled-moebius": (_walled_moebius, 12),
+    "quadrants-px1": (lambda: _quadrants(6), 1),
+    "quadrants-px3": (lambda: _quadrants(6), 3),
+    "klein": (lambda: _random("klein", 5, 3), 12),
+    "many-domains": (lambda: _random("moebius", 20, 11), 4),
+}
+PINNED_CASE_DIGESTS = {
+    ("klein", "ppm"): "c51eeb2925e7b14d4e4f22533c6662c7e95b3063efe753b571a170f93564c82c",
+    ("klein", "svg"): "b447e684219f55f56d5e707b7c080e817521953b0687fe8863fd7b325dda1941",
+    ("many-domains", "ppm"): "960ab933c9f54d65f5f599bb2c46e7b2d5ffb930f451416d9e587d54fa6d7226",
+    ("many-domains", "svg"): "f0cbcba0f414fec9ebce5fcc3ec542503c3e9c8706c8b0a2647a20e32ce0c7b4",
+    ("quadrants-px1", "ppm"): "6b06f0ba43d3a2e69395b96423020bdb3b3dbdcd9039d5b77cac99d6da984ad0",
+    ("quadrants-px1", "svg"): "1033e03bae8c8cf73b25aded456ed2fc447fcf82e09f22ad1a155375a4c00600",
+    ("quadrants-px3", "ppm"): "2decdec3ebdda996a000b45a1c39bcdccdd629f5434f9af33b7ed0a155c64e8b",
+    ("quadrants-px3", "svg"): "70efa1cdda3d92a9e9428347879b19074466c1ace53449941ee41edd13568762",
+    ("walled-moebius", "ppm"): "5c2348727d03c23253d4580ba005ce4f86280105b0b03ea866994684368aada9",
+    ("walled-moebius", "svg"): "9329ca531679630f1e696cb07822ab5bb768d8adff2be2b9af79a84c3465878a",
+}
+
+
+@pytest.mark.parametrize("fmt", ["ppm", "svg"])
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_overlay_render_bytes_pinned(case, fmt):
+    build, cell_px = PINNED_CASES[case]
+    data = render(build(), cell_px, fmt=fmt)
+    assert hashlib.sha256(data).hexdigest() == PINNED_CASE_DIGESTS[case, fmt]
+
+
+def test_pinned_cases_draw_what_they_pin():
+    assert "stroke-dasharray" in render_svg(_walled_moebius()).decode()
+    for cell_px in (1, 3):
+        assert "<circle" in render_svg(_quadrants(6), cell_px).decode()
+    assert _random("klein", 5, 3).complex.boundary_edges.size == 0
+    assert _random("moebius", 20, 11).n_domains > 12
+
