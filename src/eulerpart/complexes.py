@@ -347,6 +347,27 @@ class CellComplex:
             raise ValueError(f"vertical edge ({i},{j}) outside grid")
         return int(self.edge_map[W * (H + 1) + j * (W + 1) + i])
 
+    def edge_segments(self, edge_ids) -> np.ndarray:
+        """(N, 4) grid segments (i0, j0, i1, j1) of the given edges.
+
+        Each edge gives its smallest raw edge and then its seam partner, if
+        it has one, so a glued edge is drawn on both seams.
+        """
+        W, H = self.spec.width, self.spec.height
+        HOFF = W * (H + 1)  # vertical raw edges start here
+        raw = self.edge_raw_representatives[np.asarray(edge_ids, dtype=ID_DTYPE)].ravel()
+        raw = raw[raw >= 0].astype(np.int64)
+        vertical = raw >= HOFF
+        j, i = np.where(vertical, np.divmod(raw - HOFF, W + 1), np.divmod(raw, W))
+        return np.column_stack([i, j, i + ~vertical, j + vertical])
+
+    def vertex_points(self, vertex_ids) -> np.ndarray:
+        """(N, 2) grid points (i, j) of every raw vertex over the given
+        vertices, in raw id order."""
+        raw = np.flatnonzero(np.isin(self.vertex_map, np.asarray(vertex_ids, dtype=ID_DTYPE)))
+        j, i = np.divmod(raw, self.spec.width + 1)
+        return np.column_stack([i, j])
+
     def face_index(self, i: int, j: int) -> int:
         W, H = self.spec.width, self.spec.height
         if not (0 <= i < W and 0 <= j < H):

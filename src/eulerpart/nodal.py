@@ -158,6 +158,10 @@ class NodalConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("resolution must be at least 2")
+        if self.n * self.n > MAX_FACES:
+            raise ValueError(
+                f"resolution {self.n} gives {self.n * self.n} faces, above the cap of {MAX_FACES}"
+            )
         if self.max_refine < 0:
             raise ValueError("max_refine must be non-negative")
         if self.max_refine > MAX_REFINE:
@@ -226,13 +230,24 @@ def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None,
     return from_labels(c, (vals > 0).astype(ID_DTYPE).ravel())
 
 
-def _rasterize_perturbed(f, surface, config, n):
-    """Rasterize, stepping the resolution past exact-zero samples."""
+def _rasterize_perturbed(f, surface, config, n, history):
+    """Rasterize, stepping the resolution past exact-zero samples.
+
+    A size above ``MAX_FACES`` is never built: the ladder ends there as
+    unstable, with the levels it reached.
+    """
     step = 2 if surface == "moebius" else 1
     last = None
     for k in range(6):
+        size = n + k * step
+        if size * size > MAX_FACES:
+            raise InstabilityError(
+                f"no agreement for {f.name or 'function'} on {surface} below the cap of "
+                f"{MAX_FACES} faces, which the {size}x{size} level exceeds: {history}",
+                history=history,
+            )
         try:
-            return rasterize(f, surface, config, n=n + k * step)
+            return rasterize(f, surface, config, n=size)
         except ResolutionError as e:
             last = e
     raise last
@@ -255,7 +270,7 @@ def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig | None
     prev_n = None
     n = config.n
     for _level in range(config.max_refine + 1):
-        p = _rasterize_perturbed(f, surface, config, n)
+        p = _rasterize_perturbed(f, surface, config, n, history)
         actual_n = p.complex.spec.width
         rep = invariants(p)
         history.append((actual_n, *rep.key()))

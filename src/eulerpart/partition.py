@@ -37,7 +37,7 @@ boundary-set edges (see ``_ClosureTables``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -86,11 +86,6 @@ class Partition:
         out = ids[change]  # ids increase, so the mask keeps them sorted
         out.flags.writeable = False
         return out
-
-    def domain_faces(self, d: int) -> np.ndarray:
-        if not 0 <= d < self.n_domains:
-            raise KeyError(f"unknown domain id {d}")
-        return np.flatnonzero(self.domains == d)
 
     # computed views, cached per partition since everything is immutable
     @cached_property
@@ -772,10 +767,8 @@ def cut(p: Partition, path) -> Partition:
     cycle can change delta (a torus meridian takes it from -1 to 0), and
     the cut partition is returned as it is.
     """
-    if not isinstance(path, CutPath):
-        path = plan_cut(p, path)
-    else:
-        path = plan_cut(p, path.edges)  # re-validate against this partition
+    # a planned path is re-validated against this partition
+    path = plan_cut(p, path.edges if isinstance(path, CutPath) else path)
     before = invariants(p)
     out = from_labels(p.complex, p.domains, walls=p.walls | set(path.edges))
     after = invariants(out)
@@ -805,13 +798,17 @@ class ComplementClass:
     pieces: tuple                # ComplementPiece, disk first
 
 
+_COMPLEMENT_KINDS = {"S(0,0,1)": "disk", "S(1,1,1)": "moebius"}
+
+
 def classify_circle_complement(c: CellComplex, cycle) -> ComplementClass:
     """Classify the complement of a simple closed edge cycle in the
     projective plane.
 
     The complement has one component (a disk, when the circle does not
-    separate) or two (a disk and a Moebius strip).  Any other outcome is
-    an invariant violation.
+    separate) or two (a disk and a Moebius strip), read from
+    ``domain_reports``: S(0,0,1) is a disk and S(1,1,1) a Moebius strip.
+    Any other outcome is an invariant violation.
     """
     if c.spec.kind != "projective":
         raise ValueError("circle complement classification runs on the projective plane")
@@ -820,35 +817,18 @@ def classify_circle_complement(c: CellComplex, cycle) -> ComplementClass:
     if not is_cycle:
         raise CutError("cycle is not closed")
     p = from_labels(c, np.zeros(c.n_faces, dtype=ID_DTYPE), walls=edge_list)
-    tables = closure_tables(p)
-    bits = orientability_bits(p)
     pieces = [
         ComplementPiece(
-            faces=int(tables.faces_per_domain[d]),
-            chi=tables.chi(d),
-            orientable=bool(bits[d]),
-            boundary_circles=tables.boundary_cycles(d),
-            kind="",
+            faces=r.n_faces,
+            chi=r.chi,
+            orientable=r.orientable,
+            boundary_circles=r.boundary_circles,
+            kind=_COMPLEMENT_KINDS.get(r.classification, r.classification),
         )
-        for d in range(p.n_domains)
+        for r in domain_reports(p)
     ]
-    if len(pieces) == 1:
-        piece = pieces[0]
-        if not (piece.chi == 1 and piece.orientable and piece.boundary_circles == 1):
-            raise InvariantViolation(
-                f"one-component complement is not a disk: chi={piece.chi}, "
-                f"orientable={piece.orientable}, q={piece.boundary_circles}"
-            )
-        return ComplementClass(1, (replace(piece, kind="disk"),))
-    if len(pieces) == 2:
-        disks = [x for x in pieces if x.orientable]
-        bands = [x for x in pieces if not x.orientable]
-        if len(disks) != 1 or len(bands) != 1:
-            raise InvariantViolation("two-component complement is not disk + moebius")
-        d0, m0 = disks[0], bands[0]
-        if not (d0.chi == 1 and d0.boundary_circles == 1):
-            raise InvariantViolation(f"orientable piece is not a disk: chi={d0.chi}")
-        if not (m0.chi == 0 and m0.boundary_circles == 1):
-            raise InvariantViolation(f"non-orientable piece is not a Moebius strip: chi={m0.chi}")
-        return ComplementClass(2, (replace(d0, kind="disk"), replace(m0, kind="moebius")))
-    raise InvariantViolation(f"complement has {len(pieces)} components")
+    pieces.sort(key=lambda x: x.kind != "disk")
+    kinds = [x.kind for x in pieces]
+    if kinds not in (["disk"], ["disk", "moebius"]):
+        raise InvariantViolation(f"complement is {kinds}, not a disk or a disk and a Moebius strip")
+    return ComplementClass(len(pieces), tuple(pieces))

@@ -1,26 +1,30 @@
 """Deterministic PPM and SVG rendering of partitions.
 
-The fundamental domain is drawn with one colored block per face, the
-boundary set in black, walls dashed, the surface boundary as a thick
-frame on the open seams, and singular vertices circled.  Identical
-partition + cell size always produces byte-identical output: the palette is
-a fixed table extended by golden-angle hues, floats are formatted with a
-fixed precision, and nothing time- or environment-dependent is emitted.
+One scene, two encoders.  ``_scene`` lays the fundamental domain out once,
+in paint order and pixel coordinates: the equal-domain runs of each grid
+row as colored blocks, the boundary set in black, walls dashed, the
+surface boundary as a thick frame on the open seams, and rings around the
+singular vertices.  ``render_ppm`` rasterizes that list and ``render_svg``
+writes one element per item, so both formats always draw the same picture.
+Identical partition + cell size always produces byte-identical output: the
+palette is a fixed table extended by golden-angle hues, coordinates are
+integers, and nothing time- or environment-dependent is emitted.
 """
 
 from __future__ import annotations
 
 import colorsys
+from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import ID_DTYPE
 from .partition import Partition, boundary_graph
 
 BOUNDARY_PX = 2                  # boundary-set and wall stroke width
 FRAME_PX = 4                     # surface-boundary stroke width
 RING_RADIUS_PX = 5               # singular-vertex ring radius
 DASH_PX = 4                      # wall dash and gap length
+RING_RGB = (170, 20, 20)         # singular-vertex ring colour
 
 _BASE_PALETTE = (
     (141, 211, 199), (255, 255, 179), (190, 186, 218), (251, 128, 114),
@@ -37,156 +41,110 @@ def domain_color(d: int) -> tuple[int, int, int]:
     return int(round(r * 255)), int(round(g * 255)), int(round(b * 255))
 
 
-def _check_cell_px(cell_px) -> None:
+class _Scene(NamedTuple):
+    width: int
+    height: int
+    cell_px: int
+    runs: tuple        # (x, y, width) arrays and (N, 3) colours, top row first
+    strokes: list      # (segments (N, 4) x0 y0 x1 y1, width, grey, dashed)
+    rings: np.ndarray  # (N, 2) ring centres
+
+
+def _scene(p: Partition, cell_px: int) -> _Scene:
     if isinstance(cell_px, bool) or not isinstance(cell_px, (int, np.integer)) or cell_px < 1:
         raise ValueError(f"cell_px must be an integer of at least 1, got {cell_px!r}")
-
-
-def _edge_segments(p: Partition, edge_ids) -> list[tuple[int, int, int, int]]:
-    """Grid segments (x0, y0, x1, y1) of every raw representative."""
     c = p.complex
     W, H = c.spec.width, c.spec.height
-    HOFF = W * (H + 1)
-    raw = c.edge_raw_representatives[np.asarray(edge_ids, dtype=ID_DTYPE)].ravel()
-    raw = raw[raw >= 0]
-    vertical = raw >= HOFF
-    j, i = np.where(vertical, np.divmod(raw - HOFF, W + 1), np.divmod(raw, W))
-    i1, j1 = np.where(vertical, i, i + 1), np.where(vertical, j + 1, j)
-    return list(zip(i.tolist(), j.tolist(), i1.tolist(), j1.tolist()))
+    s, m = int(cell_px), FRAME_PX + 2
 
+    # image row 0 is the top, grid row 0 the bottom
+    dom = p.domains.reshape(H, W)[::-1]
+    starts = np.ones((H, W), dtype=bool)
+    starts[:, 1:] = dom[:, 1:] != dom[:, :-1]
+    flat = np.flatnonzero(starts)  # every row starts a run, so a run ends where the next starts
+    row, col = np.divmod(flat, W)
+    palette = np.array([domain_color(d) for d in range(p.n_domains)], dtype=np.uint8)
+    runs = (m + col * s, m + row * s, np.diff(flat, append=H * W) * s, palette[dom.ravel()[flat]])
 
-def _vertex_points(p: Partition, vertex_ids) -> list[tuple[int, int]]:
-    """Grid points (x, y) of every raw vertex over the given vertices."""
-    c = p.complex
-    raw = np.flatnonzero(np.isin(c.vertex_map, np.asarray(vertex_ids, dtype=ID_DTYPE)))
-    j, i = np.divmod(raw, c.spec.width + 1)
-    return list(zip(i.tolist(), j.tolist()))
+    def px(points):  # (N, 2k) grid (i, j) pairs to pixel (x, y) pairs
+        out = m + points * s
+        out[:, 1::2] = m + (H - points[:, 1::2]) * s
+        return out
 
-
-def _overlay_data(p: Partition):
     bg = boundary_graph(p)
-    walls = sorted(p.walls)
-    bset = bg.edge_ids[~p.wall_mask[bg.edge_ids]]
-    singular = np.concatenate([bg.singular_interior, bg.singular_boundary])
-    return bset, walls, singular
+    strokes = [
+        (px(c.edge_segments(bg.edge_ids[~p.wall_mask[bg.edge_ids]])), BOUNDARY_PX, 0, False),
+        (px(c.edge_segments(sorted(p.walls))), BOUNDARY_PX, 0, True),
+        (px(c.edge_segments(c.boundary_edges)), FRAME_PX, 40, False),
+    ]
+    rings = px(c.vertex_points(np.concatenate([bg.singular_interior, bg.singular_boundary])))
+    return _Scene(W * s + 2 * m, H * s + 2 * m, s, runs, strokes, rings)
 
 
 def render_ppm(p: Partition, cell_px: int = 12) -> bytes:
     """Binary PPM (P6) image of the partition."""
-    _check_cell_px(cell_px)
-    c = p.complex
-    W, H = c.spec.width, c.spec.height
-    s = cell_px
-    m = FRAME_PX + 2
-    width_px = W * s + 2 * m
-    height_px = H * s + 2 * m
-    img = np.full((height_px, width_px, 3), 255, dtype=np.uint8)
+    sc = _scene(p, cell_px)
+    header = f"P6\n{sc.width} {sc.height}\n255\n".encode("ascii")
+    out = bytearray(header) + bytearray(sc.height * sc.width * 3)
+    img = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(sc.height, sc.width, 3)
+    img[:] = 255
 
-    # faces; image row 0 is the top, grid row 0 the bottom
-    dom = p.domains.reshape(H, W)
-    for d in range(p.n_domains):
-        color = np.array(domain_color(d), dtype=np.uint8)
-        jj, ii = np.nonzero(dom == d)
-        for j, i in zip(jj, ii):
-            y0 = m + (H - 1 - j) * s
-            x0 = m + i * s
-            img[y0:y0 + s, x0:x0 + s] = color
+    x, y, width, colors = sc.runs
+    for x0, y0, w, color in zip(x.tolist(), y.tolist(), width.tolist(), colors):
+        img[y0:y0 + sc.cell_px, x0:x0 + w] = color
 
-    def px(gx, gy):
-        return m + gx * s, m + (H - gy) * s
-
-    def draw_segment(x0, y0, x1, y1, width, color, dashed=False):
-        ax, ay = px(x0, y0)
-        bx, by = px(x1, y1)
+    for segs, width, grey, dashed in sc.strokes:
         half = width // 2
-        if ay == by:  # horizontal
-            lo, hi = sorted((ax, bx))
-            xs = np.arange(lo, hi)
-            if dashed:
-                xs = xs[(xs - lo) % (2 * DASH_PX) < DASH_PX]
-            img[max(ay - half, 0):ay + width - half, xs] = color
-        else:
-            lo, hi = sorted((ay, by))
-            ys = np.arange(lo, hi)
-            if dashed:
-                ys = ys[(ys - lo) % (2 * DASH_PX) < DASH_PX]
-            img[ys, max(ax - half, 0):ax + width - half] = color
+        for ax, ay, bx, by in segs.tolist():
+            if ay == by:  # horizontal
+                lo, hi = sorted((ax, bx))
+                xs = np.arange(lo, hi)
+                if dashed:
+                    xs = xs[(xs - lo) % (2 * DASH_PX) < DASH_PX]
+                img[max(ay - half, 0):ay + width - half, xs] = grey
+            else:
+                lo, hi = sorted((ay, by))
+                ys = np.arange(lo, hi)
+                if dashed:
+                    ys = ys[(ys - lo) % (2 * DASH_PX) < DASH_PX]
+                img[ys, max(ax - half, 0):ax + width - half] = grey
 
-    bset, walls, singular = _overlay_data(p)
-    for seg in _edge_segments(p, bset):
-        draw_segment(*seg, width=BOUNDARY_PX, color=0)
-    for seg in _edge_segments(p, walls):
-        draw_segment(*seg, width=BOUNDARY_PX, color=0, dashed=True)
-    for seg in _edge_segments(p, c.boundary_edges):
-        draw_segment(*seg, width=FRAME_PX, color=40)
-
-    # singular vertices: dark red rings
-    yy, xx = np.mgrid[0:height_px, 0:width_px]
-    for gx, gy in _vertex_points(p, singular):
-        cx, cy = px(gx, gy)
+    # each ring lies inside its (2R+3)^2 box, clipped to the image
+    R = RING_RADIUS_PX
+    for cx, cy in sc.rings.tolist():
+        x0, y0 = max(cx - R - 1, 0), max(cy - R - 1, 0)
+        box = img[y0:cy + R + 2, x0:cx + R + 2]
+        yy, xx = np.ogrid[y0:y0 + box.shape[0], x0:x0 + box.shape[1]]
         r2 = (xx - cx) ** 2 + (yy - cy) ** 2
-        ring = (r2 >= (RING_RADIUS_PX - 1) ** 2) & (r2 <= (RING_RADIUS_PX + 1) ** 2)
-        img[ring] = (170, 20, 20)
-
-    header = f"P6\n{width_px} {height_px}\n255\n".encode("ascii")
-    return header + img.tobytes()
+        box[(r2 >= (R - 1) ** 2) & (r2 <= (R + 1) ** 2)] = RING_RGB
+    return bytes(out)
 
 
 def render_svg(p: Partition, cell_px: int = 12) -> bytes:
-    """SVG image of the partition; same overlays as the PPM renderer."""
-    _check_cell_px(cell_px)
-    c = p.complex
-    W, H = c.spec.width, c.spec.height
-    s = cell_px
-    m = FRAME_PX + 2
-    width_px = W * s + 2 * m
-    height_px = H * s + 2 * m
-
-    def px(gx, gy):
-        return m + gx * s, m + (H - gy) * s
-
+    """SVG image of the partition; the same scene as the PPM renderer."""
+    sc = _scene(p, cell_px)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
-        f'height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
-        f'<rect width="{width_px}" height="{height_px}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{sc.width}" '
+        f'height="{sc.height}" viewBox="0 0 {sc.width} {sc.height}">',
+        f'<rect width="{sc.width}" height="{sc.height}" fill="#ffffff"/>',
     ]
-    # merge equal-domain runs within each row to keep files small
-    dom = p.domains.reshape(H, W)
-    for j in range(H - 1, -1, -1):
-        i = 0
-        while i < W:
-            d = dom[j, i]
-            i2 = i
-            while i2 < W and dom[j, i2] == d:
-                i2 += 1
-            x0, y0 = px(i, j + 1)
-            r, g, b = domain_color(int(d))
-            parts.append(
-                f'<rect x="{x0}" y="{y0}" width="{(i2 - i) * s}" height="{s}" '
-                f'fill="#{r:02x}{g:02x}{b:02x}"/>'
-            )
-            i = i2
-
-    bset, walls, singular = _overlay_data(p)
-
-    def lines(edge_ids, stroke, width, dashed=False):
+    x, y, width, colors = sc.runs
+    for x0, y0, w, (r, g, b) in zip(x.tolist(), y.tolist(), width.tolist(), colors.tolist()):
+        parts.append(
+            f'<rect x="{x0}" y="{y0}" width="{w}" height="{sc.cell_px}" fill="#{r:02x}{g:02x}{b:02x}"/>'
+        )
+    for segs, width, grey, dashed in sc.strokes:
         dash = f' stroke-dasharray="{DASH_PX} {DASH_PX}"' if dashed else ""
-        for x0, y0, x1, y1 in _edge_segments(p, edge_ids):
-            ax, ay = px(x0, y0)
-            bx, by = px(x1, y1)
+        for ax, ay, bx, by in segs.tolist():
             parts.append(
                 f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
-                f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+                f'stroke="#{grey:02x}{grey:02x}{grey:02x}" stroke-width="{width}"{dash}/>'
             )
-
-    lines(bset, "#000000", BOUNDARY_PX)
-    lines(walls, "#000000", BOUNDARY_PX, dashed=True)
-    lines(c.boundary_edges, "#282828", FRAME_PX)
-    for gx, gy in _vertex_points(p, singular):
-        cx, cy = px(gx, gy)
+    r, g, b = RING_RGB
+    for cx, cy in sc.rings.tolist():
         parts.append(
             f'<circle cx="{cx}" cy="{cy}" r="{RING_RADIUS_PX}" '
-            f'fill="none" stroke="#aa1414" stroke-width="2"/>'
+            f'fill="none" stroke="#{r:02x}{g:02x}{b:02x}" stroke-width="2"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8")

@@ -88,3 +88,40 @@ def test_rejects_wrong_surface():
     c = build_complex(SurfaceSpec.torus(6, 6))
     with pytest.raises(ValueError):
         classify_circle_complement(c, block_cycle(c, 1, 1, 3, 3))
+
+
+def _fake_reports(classes):
+    from types import SimpleNamespace
+
+    return [
+        SimpleNamespace(n_faces=1, chi=2 - q - (g if o else c), orientable=o, boundary_circles=q,
+                        classification=f"S({0 if o else 1},{g if o else c},{q})")
+        for o, g, c, q in classes
+    ]
+
+
+@pytest.mark.parametrize("classes", [
+    [(True, 0, None, 2)],                          # an annulus
+    [(True, 0, None, 1), (True, 0, None, 1)],      # two disks
+    [(False, None, 1, 1)],                         # a Moebius strip alone
+    [(True, 0, None, 1), (False, None, 2, 1)],     # a disk and a Klein bottle minus a disk
+    [(True, 0, None, 1), (False, None, 1, 1), (True, 0, None, 1)],
+], ids=["annulus", "two-disks", "band-alone", "disk-and-klein", "three-pieces"])
+def test_complement_outside_the_dichotomy_is_a_violation(classes, proj, monkeypatch):
+    import eulerpart.partition
+    from eulerpart import InvariantViolation
+
+    monkeypatch.setattr(eulerpart.partition, "domain_reports", lambda p: _fake_reports(classes))
+    with pytest.raises(InvariantViolation, match="not a disk or a disk and a Moebius strip"):
+        classify_circle_complement(proj, block_cycle(proj, 2, 2, 4, 4))
+
+
+def test_disk_comes_first_when_the_band_holds_face_zero(proj):
+    from eulerpart import domain_reports, from_labels
+
+    cyc = block_cycle(proj, 2, 2, 4, 4)
+    p = from_labels(proj, np.zeros(proj.n_faces, dtype=int), walls=cyc)
+    assert [r.classification for r in domain_reports(p)] == ["S(1,1,1)", "S(0,0,1)"]
+    res = classify_circle_complement(proj, cyc)
+    assert [(x.kind, x.faces, x.chi, x.boundary_circles) for x in res.pieces] == [
+        ("disk", 4, 1, 1), ("moebius", 60, 0, 1)]

@@ -218,6 +218,34 @@ def test_nodal_rejects_max_refine_above_the_cap_before_building(monkeypatch, cap
     assert "max_refine" in capsys.readouterr().err
 
 
+def _lower_the_face_cap(monkeypatch, cap):
+    import eulerpart.complexes
+    import eulerpart.nodal
+
+    for module in (eulerpart.complexes, eulerpart.nodal):
+        monkeypatch.setattr(module, "MAX_FACES", cap)
+
+
+def test_nodal_ladder_past_the_face_cap_is_unstable(monkeypatch, capsys):
+    import eulerpart.nodal
+
+    _lower_the_face_cap(monkeypatch, 100 ** 2)
+    built = []
+    real_build = eulerpart.nodal.build_complex
+    monkeypatch.setattr(eulerpart.nodal, "build_complex",
+                        lambda spec: built.append(spec.width) or real_build(spec))
+    assert main(["nodal", "--family", "bands", "--m", "3", "--n", "64"]) == 3
+    err = capsys.readouterr().err
+    assert "unstable" in err and "128x128" in err and "[(64," in err
+    assert built == [64]
+
+
+def test_nodal_resolution_above_the_face_cap_is_a_usage_error(monkeypatch, capsys):
+    _lower_the_face_cap(monkeypatch, 100 ** 2)
+    assert main(["nodal", "--family", "bands", "--m", "3", "--n", "101"]) == 2
+    assert "resolution 101 gives 10201 faces" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", ["1", "0"])
 def test_sweep_rejects_count_below_two(count, capsys):
     assert main(["sweep", "--count", count]) == 2

@@ -94,6 +94,30 @@ def test_grid_helpers_roundtrip():
     assert c.face_edges[f, 1] == c.vertical_edge(2, 2)
 
 
+@pytest.mark.parametrize("name", ALL_SURFACES)
+def test_decoding_inverts_the_grid_helpers(name):
+    # every raw edge and vertex decodes back to its grid coordinates, and
+    # an orbit decodes to exactly its raw members
+    W, H = 5, 4
+    c = build_complex(SurfaceSpec.named(name, W, H))
+    members = {}
+    for i in range(W):
+        for j in range(H + 1):
+            members.setdefault(c.horizontal_edge(i, j), set()).add((i, j, i + 1, j))
+    for i in range(W + 1):
+        for j in range(H):
+            members.setdefault(c.vertical_edge(i, j), set()).add((i, j, i, j + 1))
+    for e, segs in members.items():
+        assert {tuple(s) for s in c.edge_segments([e]).tolist()} == segs
+    assert len(c.edge_segments(np.arange(c.n_edges))) == sum(map(len, members.values()))
+    points = {}
+    for i in range(W + 1):
+        for j in range(H + 1):
+            points.setdefault(c.vertex_id(i, j), []).append((i, j))
+    for v, pts in points.items():
+        assert [tuple(q) for q in c.vertex_points([v]).tolist()] == sorted(pts, key=lambda q: (q[1], q[0]))
+
+
 def test_size_validation():
     with pytest.raises(ValueError):
         SurfaceSpec.rectangle(1, 5)

@@ -231,6 +231,34 @@ def test_max_refine_is_capped_from_above():
             NodalConfig(max_refine=depth)
 
 
+def test_nodal_config_rejects_a_resolution_above_the_face_cap():
+    from eulerpart.complexes import MAX_FACES
+
+    side = math.isqrt(MAX_FACES)
+    assert NodalConfig(n=side).n == side
+    with pytest.raises(ValueError, match=f"resolution {side + 1} gives {(side + 1) ** 2} faces"):
+        NodalConfig(n=side + 1)
+
+
+def test_perturbed_levels_above_the_face_cap_are_never_built(monkeypatch):
+    import eulerpart.complexes
+    import eulerpart.nodal
+
+    for module in (eulerpart.complexes, eulerpart.nodal):
+        monkeypatch.setattr(module, "MAX_FACES", 100 ** 2)
+    tried = []
+
+    def always_on_the_zero_set(f, surface, config=None, n=None):
+        tried.append(n)
+        raise ResolutionError(f"zero sample at n={n}", n=n, n_bad=1)
+
+    monkeypatch.setattr(eulerpart.nodal, "rasterize", always_on_the_zero_set)
+    with pytest.raises(InstabilityError, match="the 102x102 level exceeds") as e:
+        stable_invariants(bands_family(3), "moebius", NodalConfig(n=96))
+    assert tried == [96, 98, 100]
+    assert e.value.history == []
+
+
 def _via_sweep(name, params):
     varied = params.get("m", params.get("theta"))
     return sweep(name, [varied], beta=params.get("beta"), config=NodalConfig(n=16, max_refine=0))

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eulerpart import SurfaceSpec, build_complex, cut, from_labels, jsonio, render
+from eulerpart import (
+    RandomSpec, SurfaceSpec, build_complex, cut, from_labels, jsonio, random_partition, render,
+)
 from eulerpart.render import domain_color, render_ppm, render_svg
 
 
@@ -124,8 +127,6 @@ def _quadrants(n):
 
 
 def _random(surface, k, seed):
-    from eulerpart.explore import RandomSpec, random_partition
-
     return random_partition(build_complex(SurfaceSpec.named(surface, 10, 8)), RandomSpec(seed=seed, k=k))
 
 
@@ -168,3 +169,14 @@ def test_pinned_cases_draw_what_they_pin():
     assert _random("klein", 5, 3).complex.boundary_edges.size == 0
     assert _random("moebius", 20, 11).n_domains > 12
 
+
+def test_ppm_peak_memory_stays_near_the_image_size():
+    # one image buffer plus the returned bytes, not a full-image array per ring
+    p = _quadrants(64)
+    tracemalloc.start()
+    try:
+        data = render_ppm(p, cell_px=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(data)
