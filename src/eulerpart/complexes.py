@@ -257,20 +257,21 @@ class CellComplex:
 
     @cached_property
     def directed_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(source, target, by_source, start), ``ID_DTYPE``: the flood-fill table.
+        """(source, target, neighbours, start), ``ID_DTYPE``: the flood-fill table.
 
         Rows are the interior adjacencies in both directions, the
         ``adjacency`` pairs (face_a, face_b) first and then (face_b,
-        face_a).  The rows leaving face f are
-        ``by_source[start[f]:start[f + 1]]``, in increasing row order.
+        face_a).  ``neighbours`` and ``start`` are the CSR table of the face
+        graph: the targets of the rows leaving face f are
+        ``neighbours[start[f]:start[f + 1]]``, in increasing row order.
         """
         fa, fb, _par, _ids = self.adjacency
         source = np.concatenate([fa, fb])
         target = np.concatenate([fb, fa])
-        by_source = np.argsort(source, kind="stable").astype(ID_DTYPE)
+        neighbours = target[np.argsort(source, kind="stable")]
         start = np.zeros(self.n_faces + 1, dtype=ID_DTYPE)
         np.cumsum(np.bincount(source, minlength=self.n_faces), out=start[1:])
-        return _read_only(source), _read_only(target), _read_only(by_source), _read_only(start)
+        return _read_only(source), _read_only(target), _read_only(neighbours), _read_only(start)
 
     @cached_property
     def vertex_faces(self):

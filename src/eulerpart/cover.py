@@ -19,9 +19,11 @@ across the reversed seams.  The preimage count reads each lifted domain's
 base domain back from every lifted face, so a lift that straddles two
 base domains is an invariant violation rather than a miscount.
 
-``lift_partition`` memoizes the lift per (cover, base partition) in a weak
-mapping held by the ``CoverStructure``, so the bookkeeping and the preimage
-count share one lift, and the lift goes when its base partition does.
+A lift and its preimage counts are computed together, from one gather of
+the base domains below the cover faces, and memoized per (cover, base
+partition) in a weak mapping held by the ``CoverStructure``: the
+bookkeeping and the orientability check share them, and both go when
+their base partition does.
 Lifted partitions live on orientable covers, where no glued edge reverses,
 so their labelling is a single component pass.
 """
@@ -47,7 +49,8 @@ class CoverStructure:
     face_projection: np.ndarray   # cover face -> base face, ID_DTYPE like every id table
     face_deck: np.ndarray         # cover face -> cover face, the involution
     edge_projection: np.ndarray   # cover edge -> base edge
-    # base partition -> its lift; an entry lives as long as its base
+    # base partition -> (its lift, its preimage counts); an entry lives as
+    # long as its base
     _lifts: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
@@ -116,28 +119,43 @@ def lift_partition(cs: CoverStructure, p: Partition) -> Partition:
     every later call; it holds no reference to its base, so the cache
     entry goes when the base partition does.
     """
-    if p.complex is not cs.base and p.complex.spec != cs.base.spec:
-        raise ValueError("partition does not live on the base of this cover")
-    lifted = cs._lifts.get(p)
-    if lifted is None:
-        labels = p.domains[cs.face_projection]
-        walls = np.flatnonzero(np.isin(cs.edge_projection, np.fromiter(p.walls, dtype=ID_DTYPE))) if p.walls else ()
-        lifted = cs._lifts[p] = from_labels(cs.cover, labels, walls=walls)
-    return lifted
+    return _lift(cs, p)[0]
 
 
 def preimage_component_counts(cs: CoverStructure, p: Partition) -> np.ndarray:
-    """Number of cover components over each base domain (always 1 or 2)."""
-    lifted = lift_partition(cs, p)
-    below = p.domains[cs.face_projection]
-    base_of = np.empty(lifted.n_domains, dtype=ID_DTYPE)
-    base_of[lifted.domains] = below
-    if not np.array_equal(base_of[lifted.domains], below):
-        raise InvariantViolation("a lifted domain lies over more than one base domain")
-    counts = np.bincount(base_of, minlength=p.n_domains)
-    if not np.all((counts == 1) | (counts == 2)):
-        raise InvariantViolation(f"preimage component counts {counts.tolist()} outside {{1,2}}")
-    return counts
+    """Number of cover components over each base domain (always 1 or 2).
+
+    Counted once per (cover, base partition), beside the lift, and
+    returned read-only.
+    """
+    return _lift(cs, p)[1]
+
+
+def _lift(cs: CoverStructure, p: Partition) -> tuple[Partition, np.ndarray]:
+    """(lift, preimage counts) of a base partition, memoized in ``cs._lifts``.
+
+    The base domain below every cover face is gathered once and serves
+    both: it labels the lift, and it is read back from every lifted face,
+    so a lifted domain that straddles two base domains is an invariant
+    violation rather than a miscount.
+    """
+    if p.complex is not cs.base and p.complex.spec != cs.base.spec:
+        raise ValueError("partition does not live on the base of this cover")
+    entry = cs._lifts.get(p)
+    if entry is None:
+        below = p.domains.take(cs.face_projection)
+        walls = np.flatnonzero(np.isin(cs.edge_projection, np.fromiter(p.walls, dtype=ID_DTYPE))) if p.walls else ()
+        lifted = from_labels(cs.cover, below, walls=walls)
+        base_of = np.empty(lifted.n_domains, dtype=ID_DTYPE)
+        base_of[lifted.domains] = below
+        if not np.array_equal(base_of.take(lifted.domains), below):
+            raise InvariantViolation("a lifted domain lies over more than one base domain")
+        counts = np.bincount(base_of, minlength=p.n_domains)
+        if not np.all((counts == 1) | (counts == 2)):
+            raise InvariantViolation(f"preimage component counts {counts.tolist()} outside {{1,2}}")
+        counts.flags.writeable = False
+        entry = cs._lifts[p] = (lifted, counts)
+    return entry
 
 
 def omega_via_cover(cs: CoverStructure, p: Partition) -> np.ndarray:

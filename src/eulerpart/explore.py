@@ -9,11 +9,13 @@ sweeps and bisections reuse the deterministic stabilization from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph._traversal import _breadth_first_directed
 
-from .complexes import ID_DTYPE, CellComplex, SurfaceSpec, build_complex
+from .complexes import ID_DTYPE, CellComplex, SurfaceSpec, build_complex, components
 from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
 from .errors import InstabilityError, InvariantViolation
 from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, phi_family, stable_invariants
@@ -30,59 +32,150 @@ from .partition import (
 
 @dataclass(frozen=True)
 class RandomSpec:
+    """Seed and source count of a random partition.
+
+    Both must be integers (numpy integers included, ``bool`` rejected), the
+    seed non-negative and k at least 1; anything else raises ``ValueError``
+    naming the field, before any draw.
+    """
+
     seed: int
     k: int
 
     def __post_init__(self):
+        for name in ("seed", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+
+
+#: the predecessor scipy's breadth-first traversal reads as "not reached yet"
+_UNREACHED = -9999
 
 
 def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
     """Seeded multi-source flood fill into k connected domains.
 
     k seed faces are drawn uniformly without replacement; unlabelled faces
-    are claimed through interior adjacencies in rounds, with the claim
-    order shuffled each round.  Every open target is claimed in the round
-    it appears, so a round only follows the out-edges of the faces the
-    previous round labelled (its frontier), read from the complex's
-    ``directed_adjacency`` table, which is built once per complex.  Those
-    candidate edges are taken in the order of a full scan of the directed
-    adjacencies, so each round draws the same permutation a full scan
-    would, and identical seeds reproduce the partition bit for bit.  The
-    first claimant of each target in the shuffled order wins; it is found
-    by scattering candidate positions with ``np.minimum.at``.
+    are claimed through interior adjacencies in rounds.  Round d takes
+    every directed row of ``directed_adjacency`` from a face labelled in
+    round d - 1 (the seeds count as round -1) to an unlabelled face, in
+    increasing row order, shuffles them with one ``rng.permutation``, and
+    the first claimant of each target in that order wins and passes its
+    label on.
+
+    Every open target is claimed in the round it appears, so the faces
+    claimed in round d are exactly the faces at distance d + 1 from the
+    seeds, and round d's rows are exactly the rows from distance d to
+    distance d + 1.  The fill therefore needs no round loop: one
+    breadth-first traversal gives every face its distance (``_face_depths``),
+    one mask over the adjacencies picks every round's rows, and one sort of
+    (round, row) keys groups them by round in row order.  Only the draws
+    stay in a loop: ``rng.shuffle`` of a round's rows makes the same draws
+    as ``rng.permutation`` of their count and leaves them in the same
+    order, so identical seeds reproduce the partition bit for bit.  The
+    first claimant of each face is found for all rounds at once with one
+    ``np.minimum.at``, since a face is targeted in one round only.  The
+    claims form one tree per seed, and the trees' component ids serve as
+    labels: ``from_labels`` numbers domains by their smallest face, so any
+    labels with the same classes give the same partition.
     """
     if spec.k > c.n_faces:
         raise ValueError(f"k={spec.k} exceeds the {c.n_faces} available faces")
     rng = np.random.default_rng(spec.seed)
-    labels = np.full(c.n_faces, -1, dtype=ID_DTYPE)
     sources = rng.choice(c.n_faces, size=spec.k, replace=False)
-    labels[sources] = np.arange(spec.k)
+    rows, bounds = _rows_by_round(c, *_face_depths(c, sources))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rng.shuffle(rows[lo:hi])
+    trees = _claim_trees(c, rows)
+    del rows  # the fill's temporaries go before from_labels allocates its own
+    return from_labels(c, trees)
 
-    source, target, by_source, start = c.directed_adjacency
-    # first claimant position per face; every target is claimed in the
-    # round it appears and never targeted again, so no entry is reused
-    best = np.full(c.n_faces, len(source), dtype=ID_DTYPE)
-    frontier = sources
-    while True:
-        lo = start[frontier]
-        deg = start[frontier + 1] - lo
-        offsets = np.repeat(lo - (np.cumsum(deg) - deg), deg)
-        out = by_source[offsets + np.arange(len(offsets))]
-        out = np.sort(out[labels[target[out]] < 0])
-        if not len(out):
-            break
-        out = out[rng.permutation(len(out))]
-        targets = target[out]
-        position = np.arange(len(out), dtype=ID_DTYPE)
-        np.minimum.at(best, targets, position)
-        first = best[targets] == position
-        frontier = targets[first]
-        labels[frontier] = labels[source[out[first]]]
-    if np.any(labels < 0):
+
+def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np.ndarray, list]:
+    """(rows, bounds): every round's rows of ``directed_adjacency``, one
+    round after another and in increasing row order within a round; round
+    d is ``rows[bounds[d]:bounds[d + 1]]``.
+
+    Round d's rows run from depth d to depth d + 1.  They are found on the
+    undirected adjacencies, half as many as the rows, and grouped by one
+    sort of (round, row) keys.
+    """
+    source = c.directed_adjacency[0]
+    fa, fb, _par, _ids = c.adjacency
+    step = depth.take(fb) - depth.take(fa)
+    rows = np.concatenate([np.flatnonzero(step == 1), np.flatnonzero(step == -1) + len(fa)])
+    del step
+    n_rows = len(source)
+    keys = depth.take(source.take(rows)).astype(np.int64)
+    keys *= n_rows
+    keys += rows
+    keys.sort()
+    # round d starts at bounds[d]; the last layer has no outward rows, so
+    # bounds[-1] is the end of the round before it
+    bounds = np.searchsorted(keys, np.arange(n_layers, dtype=np.int64) * n_rows).tolist()
+    return np.remainder(keys, n_rows, out=keys), bounds
+
+
+def _claim_trees(c: CellComplex, rows: np.ndarray) -> np.ndarray:
+    """Label every face with the component of its seed's claim tree.
+
+    ``rows`` holds every round's rows in claim order.  A face is targeted
+    in one round only, so the first row that targets it, over all rounds
+    at once, is its claimant.
+    """
+    source, target, _neighbours, _start = c.directed_adjacency
+    m = len(rows)
+    first = np.full(c.n_faces, m, dtype=ID_DTYPE)
+    np.minimum.at(first, target.take(rows), np.arange(m, dtype=ID_DTYPE))
+    claimed = np.flatnonzero(first < m)
+    claimant = source.take(rows.take(first.take(claimed)))
+    return components(c.n_faces, claimant, claimed)[1]
+
+
+def _face_depths(c: CellComplex, sources: np.ndarray) -> tuple[np.ndarray, int]:
+    """(depth, n_layers): every face's distance from the nearest source.
+
+    One breadth-first traversal of the face graph, from a virtual face
+    ``n_faces`` whose out-edges are the sources, by scipy's private
+    ``csgraph._traversal._breadth_first_directed``, imported at module load
+    so a scipy without it fails on import (checked against the public
+    ``breadth_first_order`` on scipy 1.17.1 only).  Its inputs are the
+    complex's int32 neighbour table and the caller's sources, which must be
+    face ids, and it fills only the predecessors that hold ``_UNREACHED``.
+    A traversal that reaches fewer than all faces is an invariant
+    violation.
+    """
+    n_faces = c.n_faces
+    _source, _target, neighbours, start = c.directed_adjacency
+    order = np.empty(n_faces + 1, dtype=ID_DTYPE)
+    parent = np.full(n_faces + 1, _UNREACHED, dtype=ID_DTYPE)
+    reached = _breadth_first_directed(
+        n_faces,
+        np.concatenate([neighbours, np.asarray(sources, dtype=ID_DTYPE)]),
+        np.append(start, start[-1] + len(sources)),
+        order,
+        parent,
+    )
+    if reached != n_faces + 1:
         raise InvariantViolation("flood fill left unlabelled faces")
-    return from_labels(c, labels)
+    # order lists the virtual face and then the faces layer by layer, and a
+    # face's parent lies in the layer before it, so layer d + 1 ends after
+    # the faces whose parent comes before the end of layer d
+    position = np.empty(n_faces + 1, dtype=ID_DTYPE)
+    position[order] = np.arange(n_faces + 1, dtype=ID_DTYPE)
+    before = np.cumsum(np.bincount(position.take(parent[:n_faces]), minlength=n_faces + 1))
+    del position, parent
+    ends = [1]
+    while ends[-1] <= n_faces:
+        ends.append(1 + int(before[ends[-1] - 1]))
+    depth = np.empty(n_faces, dtype=ID_DTYPE)
+    depth[order[1:]] = np.repeat(np.arange(len(ends) - 1, dtype=ID_DTYPE), np.diff(ends))
+    return depth, len(ends) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ class Partition:
         """Canonical ids of boundary-set edges (domain changes and walls)."""
         c = self.complex
         fa, fb, _, ids = c.adjacency
-        change = self.domains[fa] != self.domains[fb]
+        change = self.domains.take(fa) != self.domains.take(fb)
         change[_wall_rows(c, self.walls)] = True
         out = ids[change]  # ids increase, so the mask keeps them sorted
         out.flags.writeable = False
@@ -161,7 +161,7 @@ def _label_domains(c: CellComplex, labels: np.ndarray, wall_rows: np.ndarray):
     its own other sheet.
     """
     fa, fb, par, _ids = c.adjacency
-    glued = labels[fa] == labels[fb]
+    glued = labels.take(fa) == labels.take(fb)
     glued[wall_rows] = False
     flip = glued & (par < 0)
     if not flip.any():

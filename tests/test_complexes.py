@@ -294,7 +294,8 @@ def _arrays_and_tables(c):
             ("edge_raw_representatives", c.edge_raw_representatives)]
     out += [(f"adjacency[{k}]", a) for k, a in enumerate(c.adjacency)]
     out += [(f"vertex_faces[{k}]", a) for k, a in enumerate(c.vertex_faces)]
-    out += [(f"directed_adjacency[{k}]", a) for k, a in enumerate(c.directed_adjacency)]
+    out += [(f"directed_adjacency.{k}", a)
+            for k, a in zip(("source", "target", "neighbours", "start"), c.directed_adjacency)]
     return out
 
 
@@ -350,7 +351,8 @@ def test_every_id_table_has_the_id_dtype(name):
     for what in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map",
                  "edge_map", "interior_edges", "boundary_edges", "adjacency[0]", "adjacency[3]",
                  "vertex_faces[1]", "slot_partners", "vertex_slot", "edge_raw_representatives",
-                 "directed_adjacency[0]"):
+                 "directed_adjacency.source", "directed_adjacency.target",
+                 "directed_adjacency.neighbours", "directed_adjacency.start"):
         assert what in tables and what not in _NON_ID_DTYPES
     for what, a in tables.items():
         assert a.dtype == _NON_ID_DTYPES.get(what, ID_DTYPE), what
@@ -410,15 +412,15 @@ def test_validate_rejects_wrong_boundary_count():
 @pytest.mark.parametrize("size", [(2, 2), (7, 5)])
 def test_directed_adjacency_groups_rows_by_source(name, size):
     c = build_complex(SurfaceSpec.named(name, *size))
-    source, target, by_source, start = c.directed_adjacency
+    source, target, neighbours, start = c.directed_adjacency
     fa, fb, _par, _ids = c.adjacency
     assert all(a.dtype == np.int32 for a in c.directed_adjacency)
     assert np.array_equal(source, np.concatenate([fa, fb]))
     assert np.array_equal(target, np.concatenate([fb, fa]))
-    assert (start[0], start[-1]) == (0, len(source))
+    # neighbours/start is the CSR table of the face graph, rows in order
+    assert (start[0], start[-1]) == (0, len(neighbours)) and len(neighbours) == len(source)
     for f in range(c.n_faces):
-        rows = by_source[start[f]:start[f + 1]]
-        assert rows.tolist() == np.flatnonzero(source == f).tolist()
+        assert neighbours[start[f]:start[f + 1]].tolist() == target[source == f].tolist()
 
 
 def _sorted_incidence_build(spec):

@@ -188,18 +188,52 @@ def test_orientability_routes_agree_on_32_grids(name):
         assert orientability_bits(lift_partition(cs, p)).all()
 
 
-def test_preimage_count_rejects_a_lift_straddling_two_base_domains():
-    from eulerpart import InvariantViolation
+def test_preimage_count_rejects_a_lift_straddling_two_base_domains(monkeypatch):
+    from eulerpart import InvariantViolation, cover
+    from eulerpart.cover import preimage_component_counts
+
+    c, p = bands(3, 12)
+    assert preimage_component_counts(double_cover(c), p).tolist() == [2, 1]
+    # one lifted domain over both base domains: a pair count would read
+    # one preimage component over each
+    cs = double_cover(c)
+    straddling = from_labels(cs.cover, np.zeros(cs.cover.n_faces, dtype=np.int64))
+    monkeypatch.setattr(cover, "from_labels", lambda *args, **kwargs: straddling)
+    with pytest.raises(InvariantViolation, match="more than one base domain"):
+        preimage_component_counts(cs, p)
+
+
+class _Unreadable:
+    """An index table that fails the test if a gather reads it."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("face_projection read again")
+
+
+def test_preimage_counts_are_counted_once_per_partition():
     from eulerpart.cover import preimage_component_counts
 
     c, p = bands(3, 12)
     cs = double_cover(c)
-    assert preimage_component_counts(cs, p).tolist() == [2, 1]
-    # one lifted domain over both base domains: a pair count would read
-    # one preimage component over each
-    cs._lifts[p] = from_labels(cs.cover, np.zeros(cs.cover.n_faces, dtype=np.int64))
-    with pytest.raises(InvariantViolation, match="more than one base domain"):
-        preimage_component_counts(cs, p)
+    counts = preimage_component_counts(cs, p)
+    with pytest.raises(ValueError, match="read-only"):
+        counts[0] = 0
+    # the lift and the counts are cached together, so no later call for
+    # this partition gathers the base domains below the cover faces again
+    object.__setattr__(cs, "face_projection", _Unreadable())
+    assert preimage_component_counts(cs, p) is counts
+    assert omega_via_cover(cs, p).tolist() == [True, False]
+    assert cover_bookkeeping(cs, p).preimage_counts == (2, 1)
+    with pytest.raises(AssertionError, match="read again"):
+        preimage_component_counts(cs, from_labels(c, p.domains))
+
+
+def test_lift_rejects_an_out_of_range_projection():
+    c, p = bands(3, 12)
+    cs = double_cover(c)
+    object.__setattr__(cs, "face_projection", cs.face_projection + c.n_faces)
+    with pytest.raises(IndexError):
+        lift_partition(cs, p)
 
 
 def _edge_projection(base, cover):

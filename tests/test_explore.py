@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerpart import (
     EXPECTED_CHI,
     InstabilityError,
+    InvariantViolation,
     NodalConfig,
     RandomSpec,
     SurfaceSpec,
@@ -17,6 +19,7 @@ from eulerpart import (
     random_partition,
     sweep,
 )
+from eulerpart.explore import _UNREACHED, _face_depths
 
 PI = math.pi
 
@@ -76,16 +79,85 @@ def _scan_flood_fill(c, spec):
     return labels
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED_CHI))
-@pytest.mark.parametrize("size", [(2, 2), (7, 5), (32, 32), (33, 17)])
-def test_random_partition_matches_full_scan(name, size):
+#: (surface, size, seeds) per case; 128² runs a hundred-odd rounds per fill
+_FULL_SCAN_CASES = [
+    pytest.param(name, size, 3, id=f"size{i}-{name}")
+    for i, size in enumerate([(2, 2), (7, 5), (32, 32), (33, 17)])
+    for name in sorted(EXPECTED_CHI)
+] + [pytest.param(name, (128, 128), 2, id=f"size4-{name}") for name in ("klein", "moebius")]
+
+
+@pytest.mark.parametrize("name,size,seeds", _FULL_SCAN_CASES)
+def test_random_partition_matches_full_scan(name, size, seeds):
     c = build_complex(SurfaceSpec.named(name, *size))
     # k = n_faces labels every face up front and runs no round at all
     for k in sorted({1, min(5, c.n_faces), min(16, c.n_faces), c.n_faces}):
-        for seed in range(3):
+        for seed in range(seeds):
             spec = RandomSpec(seed=seed, k=k)
             expected = from_labels(c, _scan_flood_fill(c, spec)).domains
             assert np.array_equal(random_partition(c, spec).domains, expected)
+
+
+@st.composite
+def _fill_cases(draw):
+    name = draw(st.sampled_from(sorted(EXPECTED_CHI)))
+    width, height = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    k = draw(st.integers(1, width * height))
+    return name, width, height, RandomSpec(seed=draw(st.integers(0, 2**64 - 1)), k=k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fill_cases())
+def test_random_partition_matches_full_scan_everywhere(case):
+    name, width, height, spec = case
+    c = build_complex(SurfaceSpec.named(name, width, height))
+    expected = from_labels(c, _scan_flood_fill(c, spec)).domains
+    assert np.array_equal(random_partition(c, spec).domains, expected)
+
+
+def _public_depths(c, sources):
+    """Face depths from scipy's public ``breadth_first_order`` over the
+    same graph: the face graph plus a virtual face joined to the sources."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    source, target, _neighbours, _start = c.directed_adjacency
+    virtual = c.n_faces
+    rows = np.concatenate([source, np.full(len(sources), virtual)])
+    cols = np.concatenate([target, sources])
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(virtual + 1, virtual + 1)).tocsr()
+    order, parent = breadth_first_order(graph, virtual, directed=True)
+    assert len(order) == virtual + 1 and parent[virtual] == _UNREACHED
+    depth = np.full(virtual + 1, -1)
+    for face in order:
+        depth[face] = depth[parent[face]] + 1 if face != virtual else -1
+    return depth[:virtual]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_CHI))
+def test_bfs_matches_public_scipy(name):
+    for size in [(2, 2), (7, 5), (16, 9)]:
+        c = build_complex(SurfaceSpec.named(name, *size))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            sources = rng.choice(c.n_faces, size=int(rng.integers(1, c.n_faces + 1)), replace=False)
+            depth, n_layers = _face_depths(c, sources)
+            want = _public_depths(c, sources)
+            assert depth.tolist() == want.tolist()
+            assert n_layers == want.max() + 1
+
+
+def test_flood_fill_rejects_an_unreached_face():
+    import dataclasses
+
+    # a copy of a complex whose face graph has no edges: the traversal
+    # reaches the one source and stops
+    c = dataclasses.replace(build_complex(SurfaceSpec.rectangle(3, 2)))
+    source, target, _neighbours, _start = c.directed_adjacency
+    c.__dict__["directed_adjacency"] = (source, target, np.zeros(0, dtype=np.int32),
+                                        np.zeros(c.n_faces + 1, dtype=np.int32))
+    with pytest.raises(InvariantViolation, match="flood fill left unlabelled faces"):
+        _face_depths(c, np.array([0]))
 
 
 def test_random_partition_k_validation():
@@ -94,6 +166,27 @@ def test_random_partition_k_validation():
         random_partition(c, RandomSpec(seed=0, k=5))
     with pytest.raises(ValueError):
         RandomSpec(seed=0, k=0)
+
+
+@pytest.mark.parametrize("field,seed,k", [
+    ("k", 0, 2.5), ("k", 0, True), ("k", 0, "3"), ("k", 0, None),
+    ("seed", 1.5, 3), ("seed", "7", 3), ("seed", False, 3), ("seed", np.float64(2.0), 3),
+])
+def test_random_spec_rejects_non_integers(field, seed, k):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RandomSpec(seed=seed, k=k)
+
+
+def test_random_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        RandomSpec(seed=-1, k=3)
+
+
+def test_random_spec_accepts_numpy_integers():
+    c = build_complex(SurfaceSpec.klein(6, 5))
+    spec = RandomSpec(seed=np.uint64(7), k=np.int32(4))
+    assert np.array_equal(random_partition(c, spec).domains,
+                          random_partition(c, RandomSpec(seed=7, k=4)).domains)
 
 
 def test_random_partition_has_k_domains_usually():
