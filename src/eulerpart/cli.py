@@ -15,15 +15,7 @@ from pathlib import Path
 from . import jsonio
 from .complexes import PRESETS
 from .cover import COVERABLE, cover_bookkeeping, double_cover
-from .errors import (
-    CutError,
-    EulerPartError,
-    InstabilityError,
-    InvariantViolation,
-    NormalizationError,
-    ResolutionError,
-    SymmetryError,
-)
+from .errors import EulerPartError, InstabilityError, InvariantViolation, ResolutionError
 from .explore import batch_verify, bisect_transition, sweep
 from .nodal import FAMILIES, NodalConfig, family, stable_invariants
 from .partition import (
@@ -54,7 +46,10 @@ def _emit(obj: dict, out: str | None, schema: str | None = None) -> None:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON deeper than the parser accepts") from None
 
 
 def _load_partition(path: str):
@@ -286,8 +281,7 @@ def main(argv=None) -> int:
     except (InvariantViolation, AssertionError) as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_FAIL
-    except (CutError, NormalizationError, SymmetryError, EulerPartError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (EulerPartError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

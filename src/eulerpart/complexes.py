@@ -19,10 +19,10 @@ Conventions, fixed once and used everywhere:
 * canonical vertex/edge ids are the seam orbits of the raw ids, numbered
   compactly in increasing order of their smallest raw representative.
 
-Seam orbits are closed under *both* gluing maps (corner orbits of the
-projective model need the composition of the two): the orbit labelling
-lowers both ends of every seam pair to their smallest raw id until nothing
-changes, so a corner orbit collects all its members after a few passes.
+Seam orbits are the components of the seam-pair graph, whose edges are
+the seam pairs of both gluing maps: a corner orbit of the projective
+model, which needs the composition of the two, is one component.
+``components`` labels them, numbered by their smallest raw id.
 
 Every table comes from the grid in closed form; nothing is sorted.  An
 edge orbit holds one raw edge or a seam pair, and the pair's larger raw
@@ -162,11 +162,9 @@ class SurfaceSpec:
 
     @classmethod
     def named(cls, name: str, width: int, height: int) -> "SurfaceSpec":
-        try:
-            gx, gy = PRESETS[name]
-        except KeyError:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ValueError(f"unknown surface {name!r}; presets: {sorted(PRESETS)}")
-        return cls(width, height, gx, gy)
+        return cls(width, height, *PRESETS[name])
 
     @classmethod
     def rectangle(cls, width: int, height: int) -> "SurfaceSpec":
@@ -377,15 +375,12 @@ class CellComplex:
 
     @cached_property
     def edge_raw_representatives(self) -> np.ndarray:
-        """(E, 2) raw edge ids of each edge: the smallest raw edge of its
-        orbit, then its seam partner or -1."""
+        """(E, 2) raw edge ids of each edge: its orbit's smallest raw edge, where
+        the running maximum of ``edge_map`` rises, then its seam partner or -1."""
+        first = np.diff(np.maximum.accumulate(self.edge_map), prepend=-1) > 0
         out = np.full((self.n_edges, 2), -1, dtype=ID_DTYPE)
-        keep = np.ones(len(self.edge_map), dtype=bool)
-        for a, b in _seams(self.spec)[1]:
-            hi = np.maximum(a, b)
-            keep[hi] = False
-            out[self.edge_map[hi], 1] = hi
-        out[:, 0] = np.flatnonzero(keep)
+        out[:, 0] = np.flatnonzero(first)
+        out[self.edge_map[~first], 1] = np.flatnonzero(~first)
         return _read_only(out)
 
 
@@ -409,11 +404,11 @@ def _shared_complex(spec: SurfaceSpec) -> CellComplex:
 
 
 def _seams(spec: SurfaceSpec):
-    """The seam identifications of a spec as raw id pairs.
+    """The seam identifications of a spec as flat raw id tables.
 
-    Returns ``(vertex_pairs, edge_pairs, flipped)``: lists of ``(far,
-    near)`` raw id arrays, one per glued seam, and the raw edges of the
-    reversed seams, where orientation flips.  No raw edge is in two pairs.
+    Returns ``(vertex_pairs, edge_pairs, flipped)``: ``(2, N)`` arrays of
+    the ``(far, near)`` raw id pairs of all glued seams, and the raw edges of
+    the reversed seams, where orientation flips.  No raw edge is in two pairs.
     """
     W, H = spec.width, spec.height
     HOFF = W * (H + 1)  # vertical raw edges start here
@@ -427,9 +422,8 @@ def _seams(spec: SurfaceSpec):
     def ve(i, j):
         return HOFF + j * (W + 1) + i
 
-    vpairs: list[tuple[np.ndarray, np.ndarray]] = []
-    epairs: list[tuple[np.ndarray, np.ndarray]] = []
-    flipped: list[np.ndarray] = []
+    no_pairs = np.empty((2, 0), dtype=np.int64)
+    vpairs, epairs, flipped = [no_pairs], [no_pairs], [no_pairs[0]]
 
     jv = np.arange(H + 1)
     je = np.arange(H)
@@ -450,30 +444,24 @@ def _seams(spec: SurfaceSpec):
         vpairs.append((vid(iv, H), vid(W - iv, 0)))
         epairs.append((he(ie, H), he(W - 1 - ie, 0)))
         flipped.append(he(ie, H))
-    return vpairs, epairs, flipped
+    return np.concatenate(vpairs, axis=1), np.concatenate(epairs, axis=1), np.concatenate(flipped)
 
 
-def _seam_orbits(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the raw ids ``0..n-1`` under the seam pairs.
+def _seam_orbits(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the raw ids ``0..n-1``: the components of the seam pairs.
 
     Returns ``(keep, labels)``: ``keep`` marks the smallest raw id of each
-    orbit, and orbits are numbered in increasing order of it.  Each pass
-    lowers both ends of every pair to their minimum; within one seam no id
-    repeats, and a few passes reach the corner orbits.
+    orbit, where the running maximum of the component labels rises, and
+    orbits are numbered in increasing order of it.  A raw id no seam
+    touches is an orbit of its own.
     """
-    root = np.arange(n, dtype=ID_DTYPE)
-    changed = bool(pairs)
-    while changed:
-        changed = False
-        for a, b in pairs:
-            low = np.minimum(root[a], root[b])
-            if np.any(low != root[a]) or np.any(low != root[b]):
-                root[a] = low
-                root[b] = low
-                changed = True
-    keep = root == np.arange(n, dtype=ID_DTYPE)
-    labels = np.cumsum(keep, dtype=ID_DTYPE) - 1
-    return keep, labels[root]
+    nodes, labels = _touched_components(n, pairs)
+    first = np.diff(np.maximum.accumulate(labels), prepend=-1) > 0
+    keep = np.ones(n, dtype=bool)
+    keep[nodes] = first
+    orbits = np.cumsum(keep, dtype=ID_DTYPE) - 1
+    orbits[nodes] = orbits[nodes[first]][labels]
+    return keep, orbits
 
 
 def _build_complex(spec: SurfaceSpec) -> CellComplex:
@@ -513,13 +501,11 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     vf[:, 0, 0], vs[:, 0, 0] = faces[:, 0], SIDE_W
     edge_faces = raw_faces[ekeep]
     edge_sides = raw_sides[ekeep]
-    # a glued seam pair joins the lone incidences of its two raw edges
-    if epairs:
-        ab = np.stack([np.concatenate(side) for side in zip(*epairs)], axis=1)
-        ab = np.where((raw_faces[ab[:, 0], 0] > raw_faces[ab[:, 1], 0])[:, None], ab[:, ::-1], ab)
-        e = edge_map[ab[:, 0]]
-        edge_faces[e] = raw_faces[ab, 0]
-        edge_sides[e] = raw_sides[ab, 0]
+    # a glued seam pair joins the lone incidences of its raw edges, smaller face first
+    ab = np.where(raw_faces[epairs[0], 0] > raw_faces[epairs[1], 0], epairs[::-1], epairs).T
+    e = edge_map[ab[:, 0]]
+    edge_faces[e] = raw_faces[ab, 0]
+    edge_sides[e] = raw_sides[ab, 0]
 
     edge_is_boundary = edge_faces[:, 1] < 0
     counts = np.bincount(face_edges.ravel(), minlength=n_edges)
@@ -527,8 +513,7 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
         raise InvariantViolation("edge incident to zero or more than two faces")
 
     edge_parity = np.ones(n_edges, dtype=np.int8)
-    for raw in flipped:
-        edge_parity[edge_map[raw]] = -1
+    edge_parity[edge_map[flipped]] = -1
 
     edge_is_horizontal = np.arange(n_edges) < np.count_nonzero(ekeep[:HOFF])
 
@@ -649,12 +634,19 @@ def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
     increasing order and the component id of each.
     """
     ev = c.edge_vertices[np.asarray(edge_ids, dtype=ID_DTYPE)]
-    touched = np.zeros(c.n_vertices, dtype=bool)
-    touched[ev] = True
-    verts = np.flatnonzero(touched).astype(ID_DTYPE)
-    slot = np.empty(c.n_vertices, dtype=ID_DTYPE)
-    slot[verts] = np.arange(len(verts), dtype=ID_DTYPE)
-    return verts, components(len(verts), slot[ev[:, 0]], slot[ev[:, 1]])[1]
+    return _touched_components(c.n_vertices, ev.T)
+
+
+def _touched_components(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``components`` of the edges ``ends[0, k]-ends[1, k]`` over the nodes
+    ``0..n-1`` they touch: the touched nodes in increasing order and the
+    component id of each."""
+    touched = np.zeros(n, dtype=bool)
+    touched[ends] = True
+    nodes = np.flatnonzero(touched).astype(ID_DTYPE)
+    slot = np.empty(n, dtype=ID_DTYPE)
+    slot[nodes] = np.arange(len(nodes), dtype=ID_DTYPE)
+    return nodes, components(len(nodes), *slot[ends])[1]
 
 
 def subgraph_component_count(c: CellComplex, edge_ids: np.ndarray) -> int:

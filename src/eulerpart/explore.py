@@ -43,14 +43,19 @@ class RandomSpec:
     k: int
 
     def __post_init__(self):
-        for name in ("seed", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        _check_seed_and_count(self.seed, self.k, "k")
+
+
+def _check_seed_and_count(seed, count, count_name: str) -> None:
+    """Reject a seed or count that is not an integer (``bool`` included), a
+    negative seed and a count below 1, with a ``ValueError`` naming the field."""
+    for name, value in (("seed", seed), (count_name, count)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if count < 1:
+        raise ValueError(f"{count_name} must be at least 1")
 
 
 #: the predecessor scipy's breadth-first traversal reads as "not reached yet"
@@ -362,11 +367,11 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     surfaces the defect histogram is the result.  The chi-sigma identity
     is checked everywhere; on moebius and klein the two orientability
     routes are compared per domain and the cover bookkeeping asserted.
+    ``seed`` and ``count`` are checked like ``RandomSpec``'s, before any draw.
     """
     from .jsonio import partition_to_json
 
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    _check_seed_and_count(seed, count, "count")
     c = build_complex(SurfaceSpec.named(surface, size, size))
     cover = double_cover(c) if surface in COVERABLE else None
     k_lo, k_hi = k_range

@@ -123,6 +123,8 @@ def partition_from_json(obj: dict) -> Partition:
     c = build_complex(surface_from_json(obj["surface"]))
     walls: list[int] = []
     raw_walls = obj.get("walls", [])
+    if not isinstance(raw_walls, list):
+        raise ValueError(f"partition walls must be a list of edge ids, got {type(raw_walls).__name__}")
     for group in raw_walls:
         if isinstance(group, list):
             walls.extend(_integer(w, "wall edge id") for w in group)

@@ -177,7 +177,7 @@ _SYM_LATTICE = 101
 def symmetry_residual(f: Eigenfunction, surface: str) -> float:
     """Largest symmetry / Dirichlet violation on the check lattice."""
     s = np.linspace(0.0, math.pi, _SYM_LATTICE)
-    x, y = np.meshgrid(s, s, indexing="ij")
+    x, y = s[:, None], s[None, :]
     if surface == "moebius":
         parts = [
             evaluate(f, x, y) - evaluate(f, math.pi - x, y + math.pi),
@@ -230,7 +230,7 @@ def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None,
     return from_labels(c, (vals > 0).astype(ID_DTYPE).ravel())
 
 
-def _rasterize_perturbed(f, surface, config, n, history):
+def _rasterize_perturbed(f, surface, n, history):
     """Rasterize, stepping the resolution past exact-zero samples.
 
     A size above ``MAX_FACES`` is never built: the ladder ends there as
@@ -247,7 +247,7 @@ def _rasterize_perturbed(f, surface, config, n, history):
                 history=history,
             )
         try:
-            return rasterize(f, surface, config, n=size)
+            return rasterize(f, surface, n=size)
         except ResolutionError as e:
             last = e
     raise last
@@ -270,7 +270,7 @@ def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig | None
     prev_n = None
     n = config.n
     for _level in range(config.max_refine + 1):
-        p = _rasterize_perturbed(f, surface, config, n, history)
+        p = _rasterize_perturbed(f, surface, n, history)
         actual_n = p.complex.spec.width
         rep = invariants(p)
         history.append((actual_n, *rep.key()))

@@ -25,6 +25,10 @@ FRAME_PX = 4                     # surface-boundary stroke width
 RING_RADIUS_PX = 5               # singular-vertex ring radius
 DASH_PX = 4                      # wall dash and gap length
 RING_RGB = (170, 20, 20)         # singular-vertex ring colour
+#: largest PPM drawn, in pixels: it admits the default 12 px render of a
+#: 512² grid (6156 x 6156) and stops a huge ``cell_px`` before the image is
+#: allocated; an SVG grows with its runs and strokes, not its pixels
+MAX_PIXELS = 1 << 26
 
 _BASE_PALETTE = (
     (141, 211, 199), (255, 255, 179), (190, 186, 218), (251, 128, 114),
@@ -84,6 +88,8 @@ def _scene(p: Partition, cell_px: int) -> _Scene:
 def render_ppm(p: Partition, cell_px: int = 12) -> bytes:
     """Binary PPM (P6) image of the partition."""
     sc = _scene(p, cell_px)
+    if sc.width * sc.height > MAX_PIXELS:
+        raise ValueError(f"cell_px {sc.cell_px} gives {sc.width}x{sc.height} pixels, above the cap of {MAX_PIXELS}")
     header = f"P6\n{sc.width} {sc.height}\n255\n".encode("ascii")
     out = bytearray(header) + bytearray(sc.height * sc.width * 3)
     img = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(sc.height, sc.width, 3)

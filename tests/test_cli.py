@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import eulerpart
 from eulerpart import SurfaceSpec, build_complex, from_labels
 from eulerpart.cli import build_parser, main
 from eulerpart.jsonio import dumps, partition_to_json
+from eulerpart.render import MAX_PIXELS
 
 
 @pytest.fixture()
@@ -156,13 +159,32 @@ def test_render_command(bands3_file, tmp_path, capsys):
     assert out_svg.read_bytes().startswith(b"<svg")
 
 
-@pytest.mark.parametrize("cell_px", ["0", "-3"])
-@pytest.mark.parametrize("suffix", [".ppm", ".svg"])
-def test_render_rejects_bad_cell_px(cell_px, suffix, bands3_file, tmp_path, capsys):
+#: the smallest cell size whose render of a 12x12 grid, (12 s + 12)² pixels, is above the cap
+ABOVE_CAP = next(s for s in itertools.count(1) if (12 * s + 12) ** 2 > MAX_PIXELS)
+
+
+@pytest.mark.parametrize("suffix, cell_px", [
+    (".ppm", "0"), (".ppm", "-3"), (".ppm", str(ABOVE_CAP)), (".svg", "0"), (".svg", "-3"),
+])
+def test_render_rejects_bad_cell_px(suffix, cell_px, bands3_file, tmp_path, capsys):
     out = tmp_path / ("img" + suffix)
-    assert main(["render", str(bands3_file), "--cell-px", cell_px, "--out", str(out)]) == 2
+    tracemalloc.start()
+    try:
+        assert main(["render", str(bands3_file), "--cell-px", cell_px, "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22  # nothing image-sized: the image above the cap takes about 200 MB
     assert "cell_px" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_svg_above_the_pixel_cap_renders(bands3_file, tmp_path):
+    # the cap guards the PPM's pixel buffer; an SVG grows with its runs and strokes
+    out = tmp_path / "img.svg"
+    assert main(["render", str(bands3_file), "--cell-px", str(ABOVE_CAP), "--out", str(out)]) == 0
+    side = 12 * ABOVE_CAP + 12
+    assert out.read_bytes().startswith(f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}"'.encode())
 
 
 def test_cli_deterministic_output(bands3_file, capsys):
@@ -265,6 +287,13 @@ def test_batch_commands_reject_count_below_one(command, count, capsys):
     assert "count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["random-check", "cover-check"])
+def test_batch_commands_reject_a_negative_seed(command, capsys):
+    surface = "moebius" if command == "random-check" else "klein"
+    assert main([command, "--surface", surface, "--count", "2", "--seed", "-1"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 DATA = Path(__file__).parent / "data"
 
 # sha256 of stdout for a fixed command set; any change to the computed
@@ -338,6 +367,11 @@ BLOCK_CYCLE = [0, 1, 66, 75, 17, 16, 73, 64]
     ("invariants", {"labels": [0, 0, 1, 1]}, "partition is missing the field 'surface'"),
     ("invariants", {**GOOD_PARTITION, "surface": {"surface": "rectangle", "height": 2}},
      "surface is missing the field 'width'"),
+    ("invariants", {**GOOD_PARTITION, "surface": {"surface": ["moebius"], "width": 2, "height": 2}},
+     "unknown surface ['moebius']"),
+    ("invariants", {**GOOD_PARTITION, "walls": 5}, "partition walls must be a list of edge ids, got int"),
+    ("invariants", {**GOOD_PARTITION, "walls": None},
+     "partition walls must be a list of edge ids, got NoneType"),
     ("circle", [1, 2], "cycle document must be a JSON object, got list"),
     ("circle", {"surface": PROJECTIVE_8}, "cycle document is missing the field 'cycle'"),
     ("circle", {"surface": PROJECTIVE_8, "cycle": [float(e) for e in BLOCK_CYCLE]},
@@ -351,6 +385,7 @@ BLOCK_CYCLE = [0, 1, 66, 75, 17, 16, 73, 64]
     ("circle", {"surface": PROJECTIVE_8, "cycle": {"block": [1, 1, 3]}},
      "cycle block must be a list [i0, j0, i1, j1], got [1, 1, 3]"),
 ], ids=["list-partition", "list-surface", "no-labels", "no-surface", "no-width",
+        "list-surface-name", "int-walls", "null-walls",
         "list-cycle", "no-cycle", "float-cycle-ids", "bool-cycle-id", "diagonal-midline",
         "float-block", "short-block"])
 def test_malformed_partition_document_is_a_usage_error(command, doc, message, tmp_path, capsys):
@@ -358,6 +393,13 @@ def test_malformed_partition_document_is_a_usage_error(command, doc, message, tm
     f.write_text(json.dumps(doc))
     assert main([command, str(f)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["invariants", str(f)]) == 2
+    assert f"{f} nests JSON deeper than the parser accepts" in capsys.readouterr().err
 
 
 def test_nodal_rejects_nan_parameters(capsys):

@@ -9,6 +9,8 @@ from eulerpart import (
     build_complex,
     euler_characteristic,
 )
+from eulerpart.complexes import GLUINGS, OPEN, PERIODIC, PRESETS, REVERSED
+from reference import RefSurface
 
 ALL_SURFACES = sorted(EXPECTED_CHI)
 SIZES = [(2, 2), (3, 3), (4, 2), (2, 5), (6, 6), (5, 7)]
@@ -535,16 +537,19 @@ def _sorted_incidence_build(spec):
 
 
 ORACLE_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (6, 4), (5, 8), (33, 17), (128, 64)]
+#: (x_gluing, y_gluing) of the six presets and of the three transposed pairs
+GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
+                "reversed-periodic": (REVERSED, PERIODIC)}
 
 
-@pytest.mark.parametrize("name", ALL_SURFACES)
+@pytest.mark.parametrize("name", list(GLUING_PAIRS))
 @pytest.mark.parametrize("size", ORACLE_SIZES, ids=[f"{w}x{h}" for w, h in ORACLE_SIZES])
 def test_closed_form_build_matches_sorted_incidences(size, name):
     import dataclasses
 
     from eulerpart.complexes import _build_complex
 
-    spec = SurfaceSpec.named(name, *size)
+    spec = SurfaceSpec(*size, *GLUING_PAIRS[name])
     built = _build_complex(spec)
     oracle, reps = _sorted_incidence_build(spec)
     for f in dataclasses.fields(built):
@@ -559,6 +564,26 @@ def test_closed_form_build_matches_sorted_incidences(size, name):
         if what == "edge_raw_representatives":
             b = reps
         assert a.dtype == _built_dtype(what, b) and np.array_equal(a, b), what
+
+
+ORBIT_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (33, 17)]
+
+
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", ORBIT_SIZES, ids=[f"{w}x{h}" for w, h in ORBIT_SIZES])
+def test_seam_orbits_match_the_reference_identification(size, gluings):
+    # the classes of RefSurface's dict union-find, numbered by smallest raw id
+    W, H = size
+    c = build_complex(SurfaceSpec(W, H, *gluings))
+    ref = RefSurface(W, H, *gluings)
+    raw_vertices = [("v", i, j) for j in range(H + 1) for i in range(W + 1)]
+    raw_edges = ([("h", i, j) for j in range(H + 1) for i in range(W)]
+                 + [("u", i, j) for j in range(H) for i in range(W + 1)])
+    for keys, built in ((raw_vertices, c.vertex_map), (raw_edges, c.edge_map)):
+        numbering = {}
+        expected = [numbering.setdefault(ref.find(k), len(numbering)) for k in keys]
+        assert built.tolist() == expected
 
 
 def _built_dtype(what, oracle):

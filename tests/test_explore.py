@@ -310,6 +310,21 @@ def test_batch_conjecture_modes():
     assert res_t.verdict_mode == "report_only"
 
 
+@pytest.mark.parametrize("count,seed,message", [
+    (2, 1.5, "seed must be an integer, got 1.5"),
+    (2, True, "seed must be an integer, got True"),
+    (2, -1, "seed must be non-negative, got -1"),
+    (2.0, 1, "count must be an integer, got 2.0"),
+    (True, 1, "count must be an integer, got True"),
+], ids=["float-seed", "bool-seed", "negative-seed", "float-count", "bool-count"])
+def test_batch_rejects_bad_seed_and_count_before_any_draw(count, seed, message, monkeypatch):
+    from eulerpart import explore
+
+    monkeypatch.setattr(explore, "build_complex", None)  # nothing may be built or drawn
+    with pytest.raises(ValueError, match=message):
+        batch_verify("moebius", count, seed)
+
+
 def test_batch_chi_sigma_everywhere():
     res = batch_verify("klein", 20, seed=9, k_range=(1, 5), size=12)
     assert res.chi_sigma_ok == 20

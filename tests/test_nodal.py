@@ -89,6 +89,26 @@ def test_mixed_term_breaks_deck_invariance():
     assert symmetry_residual(f, "moebius") == pytest.approx(0.2, abs=1e-12)
 
 
+def _meshgrid_residual(f, surface):
+    s = np.linspace(0.0, PI, 101)
+    x, y = np.meshgrid(s, s, indexing="ij")
+    if surface == "moebius":
+        parts = [evaluate(f, x, y) - evaluate(f, PI - x, y + PI), evaluate(f, 0.0, s), evaluate(f, PI, s)]
+    else:
+        parts = [evaluate(f, 0.0, s), evaluate(f, PI, s), evaluate(f, s, 0.0), evaluate(f, s, PI)]
+    return float(np.max([np.max(np.abs(part)) for part in parts]))
+
+
+@pytest.mark.parametrize("surface", ["moebius", "rectangle"])
+@pytest.mark.parametrize("f", [
+    phi_family(0.5236, 1.2), phi_family(0.3, 0.0), bands_family(3), bands_family(4),
+    ex3b_family(1.2566), Eigenfunction((Term(math.nan, Factor("sin", 3), Factor("cos", 0)),)),
+], ids=["phi", "phi-theta0", "bands3", "bands4", "ex3b", "nan"])
+def test_symmetry_residual_matches_a_meshgrid_lattice(f, surface):
+    got, expected = symmetry_residual(f, surface), _meshgrid_residual(f, surface)
+    assert (math.isnan(got) and math.isnan(expected)) or abs(got - expected) <= 1e-15
+
+
 def test_rectangle_dirichlet_gate():
     good = Eigenfunction(terms=(Term(1.0, Factor("sin", 2), Factor("sin", 3)),))
     assert check_symmetry(good, "rectangle")
