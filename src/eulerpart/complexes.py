@@ -40,7 +40,15 @@ reshaped slices of ``edge_map`` and ``vertex_map``.
 ``components`` is the one graph primitive of the package: every count of
 domains, pieces, corner orbits, boundary cycles and boundary-set arcs is a
 component labelling over index arrays, run by scipy's compiled undirected
-traversal on CSR tables built with scipy's counting sort.
+traversal on CSR tables built with scipy's counting sort.  Domains are
+components over row runs, not faces: the runs of equal labels in each grid
+row are the nodes, linked once per stretch of glued sides between two rows
+and across the seam edges, so the graph grows with the label changes.
+
+Relations between the two faces of an interior edge are slices of the face
+grid, except across the O(W + H) glued seam edges, which
+``CellComplex.seam_adjacency`` lists; the per-edge tables ``adjacency``
+and ``directed_adjacency`` serve the flood fill only.
 
 Complexes are shared.  ``build_complex`` returns one complex per
 ``SurfaceSpec`` and keeps the ``SHARED_COMPLEXES`` most recently used ones
@@ -281,6 +289,25 @@ class CellComplex:
         return _read_only(starts.astype(ID_DTYPE)), _read_only(faces[order])
 
     @cached_property
+    def seam_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(face_a, face_b, parity, edge_id) over the glued seam edges, in
+        increasing edge id.
+
+        These are the interior edges that the grid does not give as a
+        shared side of two neighbouring faces; every other interior edge
+        joins faces ``(i, j)`` and ``(i + 1, j)`` or ``(i, j)`` and ``(i, j + 1)``.
+        Read from the seam pairs of the spec, O(W + H).
+        """
+        _vpairs, epairs, _flipped = _seams(self.spec)
+        ids = np.sort(self.edge_map[epairs[1]])
+        return (
+            _read_only(self.edge_faces[ids, 0]),
+            _read_only(self.edge_faces[ids, 1]),
+            _read_only(self.edge_parity[ids]),
+            _read_only(ids),
+        )
+
+    @cached_property
     def slot_partners(self) -> np.ndarray:
         """(4F, 2) corner slot matched to each slot across its two sides.
 
@@ -288,23 +315,43 @@ class CellComplex:
         (where corner ``c`` starts) and side ``c - 1`` (where it ends);
         column 0 holds the slot over the same vertex in the face across
         side ``c``, column 1 the one across side ``c - 1``, and -1 marks a
-        side on the surface boundary.  Built once per complex from the
-        corner matching across every interior edge.
+        side on the surface boundary.  Across a grid-interior side the
+        partners are slices of the face grid: the NE and NW corners of a
+        face meet the SE and SW corners of the face above, and its SE and
+        NE corners the SW and NW corners of the face to its right.  Only
+        the seam edges are matched edge by edge, by underlying vertex.
         """
-        ids = self.interior_edges
-        fa, fb = self.edge_faces[ids, 0], self.edge_faces[ids, 1]
+        W, H = self.spec.width, self.spec.height
+        g = self.face_vertices.reshape(H, W, 4)
+        if not (np.array_equal(g[:-1, :, 2], g[1:, :, 1]) and np.array_equal(g[:-1, :, 3], g[1:, :, 0])
+                and np.array_equal(g[:, :-1, 1], g[:, 1:, 0]) and np.array_equal(g[:, :-1, 2], g[:, 1:, 3])):
+            raise InvariantViolation("edge corner matching failed")
+        slot = 4 * np.arange(self.n_faces, dtype=ID_DTYPE).reshape(H, W)
+        grid = np.full((H, W, 4, 2), -1, dtype=ID_DTYPE)
+        # across side N of the face below and side S of the face above
+        grid[:-1, :, 2, 0] = slot[1:] + 1
+        grid[:-1, :, 3, 1] = slot[1:]
+        grid[1:, :, 0, 0] = slot[:-1] + 3
+        grid[1:, :, 1, 1] = slot[:-1] + 2
+        # across side E of the left face and side W of the right face
+        grid[:, :-1, 1, 0] = slot[:, 1:]
+        grid[:, :-1, 2, 1] = slot[:, 1:] + 3
+        grid[:, 1:, 3, 0] = slot[:, :-1] + 2
+        grid[:, 1:, 0, 1] = slot[:, :-1] + 1
+        out = grid.reshape(4 * self.n_faces, 2)
+
+        fa, fb, _par, ids = self.seam_adjacency
         sa, sb = self.edge_sides[ids, 0], self.edge_sides[ids, 1]
         fv = self.face_vertices
         ca, cb = sa, (sa + 1) % 4
         da, db = sb, (sb + 1) % 4
-        # match the two corners of each edge by underlying vertex
+        # match the two corners of each seam edge by underlying vertex
         va, wa = fv[fa, ca], fv[fb, da]
         straight = va == wa
         if not np.all(np.where(straight, fv[fa, cb] == fv[fb, db], (va == fv[fb, db]) & (fv[fa, cb] == wa))):
             raise InvariantViolation("edge corner matching failed")
         a0, a1 = 4 * fa + ca, 4 * fa + cb
         b0, b1 = 4 * fb + da, 4 * fb + db
-        out = np.full((4 * self.n_faces, 2), -1, dtype=ID_DTYPE)
         # a corner that starts its side looks across it from column 0
         out[a0, 0] = np.where(straight, b0, b1)
         out[a1, 1] = np.where(straight, b1, b0)

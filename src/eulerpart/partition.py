@@ -17,11 +17,12 @@ sigma   half the total singular index, where an interior vertex meeting
         boundary vertex hit by rho >= 1 boundary-set edges contributes rho;
 omega   1 iff some domain is non-orientable, found while the domains are
         labelled: *pieces* are the components over glued edges of parity
-        +1, the few glued edges of parity -1 (on the reversed seams) join
-        pieces into domains, and a domain is non-orientable iff its piece
-        graph is not bipartite (a balance test on a graph the size of the
-        seam); when no glued edge has parity -1 the pieces are the domains
-        and every domain is orientable;
+        +1, labelled over the row runs of equal labels (see
+        ``_label_domains``), the few glued edges of parity -1 (on the
+        reversed seams) join pieces into domains, and a domain is
+        non-orientable iff its piece graph is not bipartite (a balance test
+        on a graph the size of the seam); when no glued edge has parity -1
+        the pieces are the domains and every domain is orientable;
 delta   omega + beta + sigma - kappa.  The *defect* is -delta.
 
 Closed domains are analysed through an abstract closure: the faces of a
@@ -30,9 +31,15 @@ so each domain becomes a combinatorial surface with boundary regardless
 of pinch points or walls in the ambient embedding.  This is the closure
 for which chi(surface) + sigma equals the sum of the closed domain Euler
 characteristics.  Its cost follows the boundary set: the corner matching
-across interior edges is the complex's ``slot_partners`` table, built once
-per complex, and corner orbits are labelled only at vertices touched by
-boundary-set edges (see ``_ClosureTables``).
+across interior edges is the complex's ``slot_partners`` table, slices of
+the face grid plus the seam edges, and corner orbits are labelled only at
+vertices touched by boundary-set edges (see ``_ClosureTables``).
+
+Nothing here gathers over every interior edge.  The grid-interior edges
+of a face labelling are two boolean slices of the ``(H, W)`` label grid,
+and only the O(W + H) seam edges of ``CellComplex.seam_adjacency`` are
+taken one by one: the domains and the boundary set come from the same
+masks, in one pass.
 """
 
 from __future__ import annotations
@@ -63,10 +70,12 @@ class Partition:
     n_domains: int
     walls: frozenset
     orientable: np.ndarray       # (n_domains,) orientability bit per domain
+    boundary_set: np.ndarray     # increasing ids of boundary-set edges (domain changes and walls)
 
     def __post_init__(self):
         # a partition's invariants are cached, so its arrays must not change
-        self.domains.flags.writeable = self.orientable.flags.writeable = False
+        for a in (self.domains, self.orientable, self.boundary_set):
+            a.flags.writeable = False
 
     @cached_property
     def wall_mask(self) -> np.ndarray:
@@ -75,17 +84,6 @@ class Partition:
             mask[np.fromiter(self.walls, dtype=ID_DTYPE)] = True
         mask.flags.writeable = False
         return mask
-
-    @cached_property
-    def boundary_set(self) -> np.ndarray:
-        """Canonical ids of boundary-set edges (domain changes and walls)."""
-        c = self.complex
-        fa, fb, _, ids = c.adjacency
-        change = self.domains.take(fa) != self.domains.take(fb)
-        change[_wall_rows(c, self.walls)] = True
-        out = ids[change]  # ids increase, so the mask keeps them sorted
-        out.flags.writeable = False
-        return out
 
     # computed views, cached per partition since everything is immutable
     @cached_property
@@ -114,7 +112,8 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     Equal-label faces are re-split into connected domains; domain ids are
     assigned in order of each domain's smallest face index.  Labels must be
     integers (floats, strings and booleans are rejected, never truncated).
-    Wall edges must be interior and may not leave dangling ends.  Labels
+    Wall edges must be interior and may not leave dangling ends; a wall
+    that does is malformed input and raises ``ValueError``.  Labels
     keep the caller's integer dtype: they are only compared with each
     other, so no label is narrowed (labels 0 and 2**32 stay distinct), and
     the domains come out as ``ID_DTYPE`` ids.
@@ -130,54 +129,104 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
             raise ValueError(f"wall edge id {w} out of range")
         if c.edge_is_boundary[w]:
             raise ValueError(f"wall edge {w} lies on the surface boundary")
-    domains, n_domains, orientable = _label_domains(c, labels, _wall_rows(c, wall_ids))
+    wall_arr = np.sort(np.fromiter(wall_ids, dtype=ID_DTYPE, count=len(wall_ids)))
+    domains, n_domains, orientable, bset = _label_domains(c, labels, wall_arr)
+    if wall_arr.size:
+        _reject_dangling_walls(c, wall_arr, bset)
     p = Partition(complex=c, domains=domains, n_domains=n_domains, walls=wall_ids,
-                  orientable=orientable)
-    # reject dangling cracks: every vertex of the boundary set must be a
-    # genuine crossing, junction, or a transversal hit on the boundary
+                  orientable=orientable, boundary_set=bset)
+    # every vertex of the boundary set must be a genuine crossing, junction,
+    # or a transversal hit on the boundary
     boundary_graph(p)
     return p
 
 
-def _wall_rows(c: CellComplex, walls) -> np.ndarray:
-    """Rows of ``c.adjacency`` holding the given interior wall edges, found
-    in its sorted edge ids, so no pass over every edge reads a wall mask."""
-    return np.searchsorted(c.interior_edges, np.fromiter(walls, dtype=ID_DTYPE, count=len(walls)))
+def _reject_dangling_walls(c: CellComplex, walls: np.ndarray, bset: np.ndarray) -> None:
+    """A caller's wall that ends at an interior vertex no other boundary-set
+    edge meets is malformed input: label changes alone never leave such an
+    end, so ``boundary_graph`` keeps that check as an internal one."""
+    degree = np.bincount(c.edge_vertices[bset].ravel(), minlength=c.n_vertices)
+    ends = c.edge_vertices[walls]
+    dangling = (degree[ends] == 1) & ~c.vertex_is_boundary[ends]
+    if dangling.any():
+        k, end = np.argwhere(dangling)[0]
+        raise ValueError(f"wall edge {walls[k]} has a dangling end at interior vertex {ends[k, end]}")
 
 
-def _label_domains(c: CellComplex, labels: np.ndarray, wall_rows: np.ndarray):
-    """(domains, n_domains, orientable bits) in one labelling pass.
+def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
+    """(domains, n_domains, orientable bits, boundary set) in one labelling pass.
 
-    Glued edges join equal-label faces across non-wall interior edges.  The
-    walls are given as their rows of ``c.adjacency``.
-    *Pieces* are the components over glued edges of parity +1; the glued
-    edges of parity -1 lie on the reversed seams and join pieces into
-    domains.  Pieces are numbered by their smallest face and domains by
-    their smallest piece, so domain ids follow each domain's smallest face.
+    Glued edges join equal-label faces across non-wall interior edges.  On
+    the face grid ``L = labels.reshape(H, W)`` the grid-interior edges are
+    slices: ``hg = L[:, 1:] == L[:, :-1]`` across the sides between
+    columns and ``vg = L[1:] == L[:-1]`` across the sides between rows;
+    only the seam edges (``c.seam_adjacency``) are taken one by one.
+
+    *Pieces* are the components over glued edges of parity +1.  They are
+    labelled over row runs: each maximal run of glued faces in a row is one
+    node, numbered in row-major order by one ``cumsum``, and two runs are
+    linked by the first glued side between rows of every stretch where the
+    two rows stay in their runs, and by the glued seam edges of parity +1.
+    Runs are numbered in the order of their faces, so pieces come out
+    numbered by their smallest face.  The glued edges of parity -1 lie on
+    the reversed seams and join pieces into domains, numbered by their
+    smallest piece, so domain ids follow each domain's smallest face.
     Every edge of the piece graph reverses orientation, so a domain is
     orientable iff its piece graph is bipartite (Harary's balance test):
     in the double graph over two sheets per piece, each such edge joins
     opposite sheets, and a domain is non-orientable iff some piece meets
     its own other sheet.
+
+    The boundary set is every unglued interior edge, read from the same
+    masks: an unglued side joins two labels, and so two domains, or is a
+    wall.
     """
-    fa, fb, par, _ids = c.adjacency
-    glued = labels.take(fa) == labels.take(fb)
-    glued[wall_rows] = False
-    flip = glued & (par < 0)
+    W, H = c.spec.width, c.spec.height
+    HOFF = W * (H + 1)  # vertical raw edges start here
+    between_rows = c.edge_map[:HOFF].reshape(H + 1, W)[1:H]     # (H-1, W) edge ids
+    between_cols = c.edge_map[HOFF:].reshape(H, W + 1)[:, 1:W]  # (H, W-1) edge ids
+    sa, sb, spar, sids = c.seam_adjacency
+    grid = labels.reshape(H, W)
+    hg = grid[:, 1:] == grid[:, :-1]
+    vg = grid[1:] == grid[:-1]
+    sg = labels.take(sa) == labels.take(sb)
+    if walls.size:
+        wall = np.zeros(c.n_edges, dtype=bool)
+        wall[walls] = True
+        hg &= ~wall[between_cols]
+        vg &= ~wall[between_rows]
+        sg &= ~wall[sids]
+    bset = np.concatenate([between_rows[~vg], between_cols[~hg], sids[~sg]])
+    bset.sort()
+
+    starts = np.ones((H, W), dtype=bool)
+    np.logical_not(hg, out=starts[:, 1:])
+    run = np.cumsum(starts, dtype=ID_DTYPE).reshape(H, W)
+    run -= 1
+    # a side between rows links the same two runs as the one before it
+    # when both rows continue their runs
+    link = vg.copy()
+    link[:, 1:] &= ~(vg[:, :-1] & hg[:-1] & hg[1:])
+    flat = run.ravel()
+    plus = sg & (spar > 0)
+    n_pieces, run_piece = components(
+        int(flat[-1]) + 1,
+        np.concatenate([run[:-1][link], flat.take(sa[plus])]),
+        np.concatenate([run[1:][link], flat.take(sb[plus])]),
+    )
+    piece = run_piece.take(flat)
+    flip = sg & (spar < 0)
     if not flip.any():
         # nothing reverses: pieces are domains and every domain is balanced
-        n_domains, domains = components(c.n_faces, fa[glued], fb[glued])
-        return domains, n_domains, np.ones(n_domains, dtype=bool)
-    glued &= ~flip
-    n_pieces, piece = components(c.n_faces, fa[glued], fb[glued])
-    pa, pb = piece[fa[flip]], piece[fb[flip]]
+        return piece, n_pieces, np.ones(n_pieces, dtype=bool), bset
+    pa, pb = piece.take(sa[flip]), piece.take(sb[flip])
     n_domains, piece_domain = components(n_pieces, pa, pb)
     _n, sheet = components(
         2 * n_pieces, np.concatenate([pa, pa + n_pieces]), np.concatenate([pb + n_pieces, pb])
     )
     orientable = np.ones(n_domains, dtype=bool)
     orientable[piece_domain[sheet[:n_pieces] == sheet[n_pieces:]]] = False
-    return piece_domain[piece], n_domains, orientable
+    return piece_domain.take(piece), n_domains, orientable, bset
 
 
 # ---------------------------------------------------------------------------

@@ -198,15 +198,29 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
 
 
-def test_invariant_violation_exit_code(tmp_path):
-    # a dangling wall is rejected as a hard invariant violation
+def test_dangling_wall_is_a_usage_error(tmp_path, capsys):
+    # a caller's wall that ends mid-surface is malformed input, not a failed invariant
     c = build_complex(SurfaceSpec.rectangle(4, 4))
+    wall = int(c.vertical_edge(2, 1))
     doc = {"surface": {"surface": "rectangle", "width": 4, "height": 4},
            "labels": [0] * 16,
-           "walls": [[int(c.vertical_edge(2, 1))]]}
+           "walls": [[wall]]}
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc))
-    assert main(["invariants", str(f)]) == 1
+    assert main(["invariants", str(f)]) == 2
+    assert f"wall edge {wall} has a dangling end" in capsys.readouterr().err
+
+
+def test_invariant_violation_exit_code(bands3_file, monkeypatch, capsys):
+    # a failed internal check exits 1, apart from the usage errors' 2
+    from eulerpart import InvariantViolation, partition
+
+    def broken(p):
+        raise InvariantViolation("patched failure")
+
+    monkeypatch.setattr(partition, "_compute_invariants", broken)
+    assert main(["invariants", str(bands3_file)]) == 1
+    assert "invariant violation: patched failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value,field", [

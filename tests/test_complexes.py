@@ -276,6 +276,64 @@ def test_slot_partners_reject_mismatched_corners():
     fv[5] = np.roll(fv[5], 1)
     with pytest.raises(InvariantViolation, match="corner matching"):
         dataclasses.replace(c, face_vertices=fv).slot_partners
+    # a face on the reversed y-seam of a klein grid: face 1 lies in row 0
+    k = build_complex(SurfaceSpec.klein(4, 4))
+    fv = k.face_vertices.copy()
+    fv[1] = np.roll(fv[1], 1)
+    with pytest.raises(InvariantViolation, match="corner matching"):
+        dataclasses.replace(k, face_vertices=fv).slot_partners
+    # the SW corner of face 0 touches only its two seam sides, so only the
+    # seam edges see it
+    fv = k.face_vertices.copy()
+    fv[0, 0] = fv[0, 2]
+    with pytest.raises(InvariantViolation, match="corner matching"):
+        dataclasses.replace(k, face_vertices=fv).slot_partners
+
+
+def _per_edge_slot_partners(c):
+    """The slot partners as the per-edge build found them: the two corners
+    of every interior edge matched by underlying vertex."""
+    ids = c.interior_edges
+    fa, fb = c.edge_faces[ids, 0], c.edge_faces[ids, 1]
+    sa, sb = c.edge_sides[ids, 0], c.edge_sides[ids, 1]
+    fv = c.face_vertices
+    ca, cb = sa, (sa + 1) % 4
+    da, db = sb, (sb + 1) % 4
+    straight = fv[fa, ca] == fv[fb, da]
+    assert np.all(np.where(straight, fv[fa, cb] == fv[fb, db],
+                           (fv[fa, ca] == fv[fb, db]) & (fv[fa, cb] == fv[fb, da])))
+    a0, a1 = 4 * fa + ca, 4 * fa + cb
+    b0, b1 = 4 * fb + da, 4 * fb + db
+    out = np.full((4 * c.n_faces, 2), -1, dtype=np.int64)
+    out[a0, 0] = np.where(straight, b0, b1)
+    out[a1, 1] = np.where(straight, b1, b0)
+    out[b0, 0] = np.where(straight, a0, a1)
+    out[b1, 1] = np.where(straight, a1, a0)
+    return out
+
+
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (7, 5), (33, 17)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_grid_slot_partners_match_the_per_edge_build(size, gluings):
+    c = build_complex(SurfaceSpec(*size, *gluings))
+    assert np.array_equal(c.slot_partners, _per_edge_slot_partners(c))
+
+
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (7, 5), (33, 17)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_seam_adjacency_holds_the_glued_seam_edges(size, gluings):
+    # the edges whose orbit holds a second raw edge, with their adjacency rows
+    c = build_complex(SurfaceSpec(*size, *gluings))
+    fa, fb, par, ids = c.adjacency
+    seam = np.flatnonzero(c.edge_raw_representatives[:, 1] >= 0)
+    rows = np.searchsorted(ids, seam)
+    assert np.array_equal(ids[rows], seam)
+    for got, want in zip(c.seam_adjacency, (fa[rows], fb[rows], par[rows], seam)):
+        assert np.array_equal(got, want)
 
 
 def test_build_complex_shares_one_complex_per_spec():
@@ -295,6 +353,7 @@ def _arrays_and_tables(c):
             ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot),
             ("edge_raw_representatives", c.edge_raw_representatives)]
     out += [(f"adjacency[{k}]", a) for k, a in enumerate(c.adjacency)]
+    out += [(f"seam_adjacency[{k}]", a) for k, a in enumerate(c.seam_adjacency)]
     out += [(f"vertex_faces[{k}]", a) for k, a in enumerate(c.vertex_faces)]
     out += [(f"directed_adjacency.{k}", a)
             for k, a in zip(("source", "target", "neighbours", "start"), c.directed_adjacency)]
@@ -305,7 +364,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 11 + 5 + 4 + 2 + 4
+    assert len(tables) == 11 + 5 + 4 + 4 + 2 + 4
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -336,7 +395,7 @@ def test_shared_complex_equals_a_fresh_build(name, size):
 #: non-id arrays of a complex and its cached tables, by dtype; every other
 #: array is an id table
 _NON_ID_DTYPES = {
-    "edge_sides": np.int8, "edge_parity": np.int8, "adjacency[2]": np.int8,
+    "edge_sides": np.int8, "edge_parity": np.int8, "adjacency[2]": np.int8, "seam_adjacency[2]": np.int8,
     "edge_is_horizontal": np.bool_, "edge_is_boundary": np.bool_, "vertex_is_boundary": np.bool_,
 }
 
@@ -352,6 +411,7 @@ def test_every_id_table_has_the_id_dtype(name):
     tables = dict(_arrays_and_tables(c))
     for what in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map",
                  "edge_map", "interior_edges", "boundary_edges", "adjacency[0]", "adjacency[3]",
+                 "seam_adjacency[0]", "seam_adjacency[3]",
                  "vertex_faces[1]", "slot_partners", "vertex_slot", "edge_raw_representatives",
                  "directed_adjacency.source", "directed_adjacency.target",
                  "directed_adjacency.neighbours", "directed_adjacency.start"):

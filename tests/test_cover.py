@@ -312,3 +312,24 @@ def test_cover_bookkeeping_labels_the_lifted_union_once(monkeypatch):
     assert len(labelled) == 2
     assert cover_bookkeeping(cs, p) == rep
     assert len(labelled) == 2
+
+
+def test_partition_and_cover_build_no_edge_tables():
+    # labelling, invariants, domain reports and the cover read the face grid
+    # and the seam table only, so neither complex builds a per-edge table
+    from eulerpart import domain_reports
+    from eulerpart.complexes import _build_complex, _shared_complex
+
+    _shared_complex.cache_clear()  # the cover complex must be fresh too
+    c = _build_complex(SurfaceSpec.moebius(9, 7))
+    labels = np.random.default_rng(5).integers(0, 3, size=c.n_faces)
+    p = from_labels(c, labels)
+    invariants(p)
+    domain_reports(p)
+    cs = double_cover(c)
+    cover_bookkeeping(cs, p)
+    omega_via_cover(cs, p)
+    for cx in (c, cs.cover):
+        assert "seam_adjacency" in cx.__dict__
+        for table in ("adjacency", "directed_adjacency", "edge_raw_representatives"):
+            assert table not in cx.__dict__, (cx.spec, table)

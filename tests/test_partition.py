@@ -22,14 +22,17 @@ from eulerpart import (
     random_partition,
     verify_euler,
 )
-from eulerpart.complexes import (boundary_components, components, edge_components,
-                                 subgraph_component_count)
+from eulerpart.complexes import (OPEN, PERIODIC, PRESETS, REVERSED, boundary_components, components,
+                                 edge_components, subgraph_component_count)
 from eulerpart.partition import VERDICT_MODES, closure_tables
 
 from cutgen import random_admissible_cut
 from reference import RefSurface, ref_domains
 
 SURFACES = ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"]
+#: (x_gluing, y_gluing) of the six presets and of the three transposed pairs
+GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
+                "reversed-periodic": (REVERSED, PERIODIC)}
 
 
 def moebius_bands(m, n=12):
@@ -119,10 +122,34 @@ def test_wall_ids_validated():
 
 def test_dangling_wall_rejected():
     c = build_complex(SurfaceSpec.rectangle(4, 4))
-    # single interior edge ending mid-surface on both sides
+    # single interior edge ending mid-surface on both sides: malformed input
     lone = c.vertical_edge(2, 1)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ValueError, match=f"wall edge {lone} has a dangling end at interior vertex"):
         from_labels(c, np.zeros(16, dtype=int), walls=[lone])
+    # a wall that meets a domain change at one end still dangles at the other
+    labels = np.zeros(16, dtype=int)
+    labels[:8] = 1
+    stub = c.vertical_edge(2, 2)
+    with pytest.raises(ValueError, match=f"wall edge {stub} has a dangling end"):
+        from_labels(c, labels, walls=[stub])
+    # one wall of a path whose other end dangles names only that end
+    path = [c.vertical_edge(2, 0), c.vertical_edge(2, 1)]
+    with pytest.raises(ValueError, match=f"wall edge {path[1]} has a dangling end"):
+        from_labels(c, np.zeros(16, dtype=int), walls=path)
+
+
+def test_boundary_graph_keeps_its_dangling_end_check():
+    # the internal check behind from_labels' wall check, on a boundary set
+    # that no labelling gives
+    import dataclasses
+
+    from eulerpart.partition import _compute_boundary_graph
+
+    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    p = from_labels(c, np.zeros(16, dtype=int))
+    lone = np.array([c.vertical_edge(2, 1)], dtype=np.int32)
+    with pytest.raises(InvariantViolation, match="dangling ends at interior vertices"):
+        _compute_boundary_graph(dataclasses.replace(p, boundary_set=lone))
 
 
 # -- boundary graph ---------------------------------------------------------
@@ -384,9 +411,10 @@ def _labelling_corpus(name, size):
     """(complex, labels, walls): the constant labelling, seeded arbitrary
     labellings (pinched, non-normal and multiply connected domains occur)
     and flood-filled ones, each followed by walls along admissible cut
-    paths, and the single domain walled along every reversed seam where
-    that is a valid partition."""
-    c = build_complex(SurfaceSpec.named(name, *size))
+    paths, and the single domain walled along every reversed seam and
+    along every glued seam, where that is a valid partition.  ``name`` is
+    a preset or one of the transposed gluing pairs."""
+    c = build_complex(SurfaceSpec(*size, *GLUING_PAIRS[name]))
     zeros = np.zeros(c.n_faces, dtype=np.int64)
     yield c, zeros, frozenset()
     for seed in range(18):
@@ -406,13 +434,14 @@ def _labelling_corpus(name, size):
             walls = p.walls | set(path.edges)
             yield c, p.domains, walls
             p = from_labels(c, p.domains, walls=walls)
-    seam = frozenset(c.interior_edges[c.edge_parity[c.interior_edges] < 0].tolist())
-    if seam:
-        try:
-            from_labels(c, zeros, walls=seam)
-        except InvariantViolation:
-            return  # the seam edges leave dangling ends
-        yield c, zeros, seam
+    _sa, _sb, par, ids = c.seam_adjacency
+    for seam in (ids[par < 0], ids):
+        if seam.size:
+            try:
+                from_labels(c, zeros, walls=seam)
+            except ValueError:
+                continue  # the seam edges leave dangling ends
+            yield c, zeros, frozenset(seam.tolist())
 
 
 def _closure_corpus(name, size):
@@ -468,31 +497,45 @@ def _signed_double_graph(c, labels, walls):
     return domains, bits
 
 
-@pytest.mark.parametrize("name", SURFACES)
-@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (33, 17), (32, 32)])
+def _gathered_boundary_set(c, domains, walls):
+    """The boundary set as the edge gathers found it: every interior edge
+    whose two faces lie in different domains, and every wall."""
+    fa, fb, _par, ids = c.adjacency
+    change = (domains[fa] != domains[fb]) | np.isin(ids, np.fromiter(walls, dtype=np.int64, count=len(walls)))
+    return ids[change]
+
+
+@pytest.mark.parametrize("name", list(GLUING_PAIRS))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (33, 17), (32, 32), (2, 3)])
 def test_one_pass_labelling_matches_signed_double_graph(name, size):
-    spec = SurfaceSpec.named(name, *size)
+    # the row-run labelling and the boundary set read from its masks,
+    # against per-edge gathers over every interior edge
+    spec = SurfaceSpec(*size, *GLUING_PAIRS[name])
     ref = RefSurface(spec.width, spec.height, spec.x_gluing, spec.y_gluing)
     faces = [(i, j) for j in range(spec.height) for i in range(spec.width)]
-    seen_walled = seen_nonorientable = seen_seam_wall = False
+    seen_walled = seen_nonorientable = seen_reversed_wall = seen_seam_wall = False
     for c, labels, walls in _labelling_corpus(name, size):
         p = from_labels(c, labels, walls=walls)
         domains, bits = _signed_double_graph(c, labels, walls)
         assert p.n_domains == len(bits)
         assert np.array_equal(p.domains, domains)
         assert np.array_equal(orientability_bits(p), bits)
+        assert np.array_equal(p.boundary_set, _gathered_boundary_set(c, domains, walls))
         if not walls:
             ref_domain, ref_bits = ref_domains(ref, labels.tolist())
             assert p.domains.tolist() == [ref_domain[f] for f in faces]
             assert bits.tolist() == ref_bits
         seen_walled |= bool(walls)
         seen_nonorientable |= not bits.all()
-        seen_seam_wall |= any(c.edge_parity[e] < 0 for e in walls)
+        seen_reversed_wall |= any(c.edge_parity[e] < 0 for e in walls)
+        seen_seam_wall |= not walls.isdisjoint(c.seam_adjacency[3].tolist())
     if size != (2, 2):
         assert seen_walled
     # a wall on a reversed seam edge and a non-orientable domain both occur
-    # wherever the surface has reversed seams
-    assert seen_nonorientable == seen_seam_wall == (not spec.orientable)
+    # wherever the surface has reversed seams, and a wall on a glued seam
+    # wherever it has glued seams
+    assert seen_nonorientable == seen_reversed_wall == (not spec.orientable)
+    assert seen_seam_wall == (spec.kind != "rectangle")
 
 
 def _two_labelling_beta(p):
