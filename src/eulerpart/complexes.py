@@ -34,21 +34,27 @@ raw edge has the face below it (side N) and then the face above it (side
 S), a vertical one the face to its left (side E) and then the face to its
 right (side W).  A grid-border edge has one incidence, in slot 0; a glued
 seam pair joins the lone incidences of its two raw edges, smaller face
-first.  ``face_edges``, ``face_vertices`` and ``edge_vertices`` are
-reshaped slices of ``edge_map`` and ``vertex_map``.
+first.  ``face_edges`` and ``face_vertices`` are reshaped slices of
+``edge_map`` and ``vertex_map``.  The kept raw edges run in canonical edge
+order, so the per-edge tables (``edge_faces``, ``edge_sides``,
+``edge_vertices``) are raw-edge tables read at the kept raw ids with one
+``take``.
 
 ``components`` is the one graph primitive of the package: every count of
 domains, pieces, corner orbits, boundary cycles and boundary-set arcs is a
 component labelling over index arrays, run by scipy's compiled undirected
-traversal on CSR tables built with scipy's counting sort.  Domains are
+traversal on CSR tables that ``csr`` builds with scipy's counting sort
+(the flood fill groups its rows by round with the same sort).  Domains are
 components over row runs, not faces: the runs of equal labels in each grid
 row are the nodes, linked once per stretch of glued sides between two rows
 and across the seam edges, so the graph grows with the label changes.
 
 Relations between the two faces of an interior edge are slices of the face
 grid, except across the O(W + H) glued seam edges, which
-``CellComplex.seam_adjacency`` lists; the per-edge tables ``adjacency``
-and ``directed_adjacency`` serve the flood fill only.
+``CellComplex.seam_adjacency`` lists; a complex caches no table with a
+row per edge.  The flood fill walks ``CellComplex.face_neighbours``, the
+face across each side of every face, made of the same slices and the seam
+table.
 
 Complexes are shared.  ``build_complex`` returns one complex per
 ``SurfaceSpec`` and keeps the ``SHARED_COMPLEXES`` most recently used ones
@@ -251,35 +257,6 @@ class CellComplex:
         return subgraph_component_count(self, self.boundary_edges)
 
     @cached_property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(face_a, face_b, parity, edge_id) over all interior edges."""
-        ids = self.interior_edges
-        return (
-            _read_only(self.edge_faces[ids, 0]),
-            _read_only(self.edge_faces[ids, 1]),
-            _read_only(self.edge_parity[ids]),
-            ids,
-        )
-
-    @cached_property
-    def directed_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(source, target, neighbours, start), ``ID_DTYPE``: the flood-fill table.
-
-        Rows are the interior adjacencies in both directions, the
-        ``adjacency`` pairs (face_a, face_b) first and then (face_b,
-        face_a).  ``neighbours`` and ``start`` are the CSR table of the face
-        graph: the targets of the rows leaving face f are
-        ``neighbours[start[f]:start[f + 1]]``, in increasing row order.
-        """
-        fa, fb, _par, _ids = self.adjacency
-        source = np.concatenate([fa, fb])
-        target = np.concatenate([fb, fa])
-        neighbours = target[np.argsort(source, kind="stable")]
-        start = np.zeros(self.n_faces + 1, dtype=ID_DTYPE)
-        np.cumsum(np.bincount(source, minlength=self.n_faces), out=start[1:])
-        return _read_only(source), _read_only(target), _read_only(neighbours), _read_only(start)
-
-    @cached_property
     def vertex_faces(self):
         """CSR-style incidence: faces around each canonical vertex."""
         corners = self.face_vertices.ravel()
@@ -298,14 +275,41 @@ class CellComplex:
         joins faces ``(i, j)`` and ``(i + 1, j)`` or ``(i, j)`` and ``(i, j + 1)``.
         Read from the seam pairs of the spec, O(W + H).
         """
-        _vpairs, epairs, _flipped = _seams(self.spec)
-        ids = np.sort(self.edge_map[epairs[1]])
+        ids = self.edge_map[self._seam_raw]
         return (
             _read_only(self.edge_faces[ids, 0]),
             _read_only(self.edge_faces[ids, 1]),
             _read_only(self.edge_parity[ids]),
             _read_only(ids),
         )
+
+    @cached_property
+    def _seam_raw(self) -> np.ndarray:
+        """The smaller raw id of every glued seam pair, in increasing order,
+        which is the edge order of ``seam_adjacency``."""
+        return _read_only(np.sort(_seams(self.spec)[1].min(axis=0)).astype(ID_DTYPE))
+
+    @cached_property
+    def face_neighbours(self) -> np.ndarray:
+        """(F, 4) face across each side S, E, N, W of every face, ``ID_DTYPE``.
+
+        A side on the surface boundary holds the face itself.  Slices of the
+        face grid give every grid-interior side, and the glued seam edges of
+        ``seam_adjacency`` are written in one by one, so the table needs no
+        per-edge pass.
+        """
+        W, H = self.spec.width, self.spec.height
+        faces = np.arange(self.n_faces, dtype=ID_DTYPE).reshape(H, W)
+        grid = np.empty((H, W, 4), dtype=ID_DTYPE)
+        grid[1:, :, SIDE_S], grid[0, :, SIDE_S] = faces[:-1], faces[0]
+        grid[:-1, :, SIDE_N], grid[-1, :, SIDE_N] = faces[1:], faces[-1]
+        grid[:, 1:, SIDE_W], grid[:, 0, SIDE_W] = faces[:, :-1], faces[:, 0]
+        grid[:, :-1, SIDE_E], grid[:, -1, SIDE_E] = faces[:, 1:], faces[:, -1]
+        out = grid.reshape(self.n_faces, 4)
+        fa, fb, _par, ids = self.seam_adjacency
+        out[fa, self.edge_sides[ids, 0]] = fb
+        out[fb, self.edge_sides[ids, 1]] = fa
+        return _read_only(out)
 
     @cached_property
     def slot_partners(self) -> np.ndarray:
@@ -414,6 +418,26 @@ class CellComplex:
         j, i = np.divmod(raw, self.spec.width + 1)
         return np.column_stack([i, j])
 
+    def raw_edge_values(self, across_rows, across_columns, seams, fill: int) -> np.ndarray:
+        """``ID_DTYPE`` values laid out over the raw edges, in raw order.
+
+        ``across_rows[j, i]`` goes to the edge between faces (i, j) and
+        (i, j + 1), ``across_columns[j, i]`` to the edge between faces
+        (i, j) and (i + 1, j), ``seams[k]`` to the k-th glued seam edge of
+        ``seam_adjacency``, at its smaller raw id, and ``fill`` to every
+        other raw edge: the surface boundary and the larger raw id of each
+        seam pair.  Kept raw edges run in canonical edge order, so the
+        values of the interior edges, read where they are not ``fill``,
+        come in edge order.
+        """
+        W, H = self.spec.width, self.spec.height
+        HOFF = W * (H + 1)  # vertical raw edges start here
+        out = np.full(HOFF + (W + 1) * H, fill, dtype=ID_DTYPE)
+        out[:HOFF].reshape(H + 1, W)[1:H] = across_rows
+        out[HOFF:].reshape(H, W + 1)[:, 1:W] = across_columns
+        out[self._seam_raw] = seams
+        return out
+
     def face_index(self, i: int, j: int) -> int:
         W, H = self.spec.width, self.spec.height
         if not (0 <= i < W and 0 <= j < H):
@@ -506,7 +530,11 @@ def _seam_orbits(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.diff(np.maximum.accumulate(labels), prepend=-1) > 0
     keep = np.ones(n, dtype=bool)
     keep[nodes] = first
-    orbits = np.cumsum(keep, dtype=ID_DTYPE) - 1
+    # every raw id less the count of dropped ids up to it: the count steps
+    # up once at each dropped id
+    dropped = nodes[~first]
+    orbits = np.arange(n, dtype=ID_DTYPE)
+    orbits -= np.repeat(np.arange(len(dropped) + 1, dtype=ID_DTYPE), np.diff(dropped, prepend=0, append=n))
     orbits[nodes] = orbits[nodes[first]][labels]
     return keep, orbits
 
@@ -522,7 +550,9 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     vkeep, vertex_map = _seam_orbits((W + 1) * (H + 1), vpairs)
     ekeep, edge_map = _seam_orbits(n_raw_e, epairs)
     n_vertices = int(np.count_nonzero(vkeep))
-    n_edges = int(np.count_nonzero(ekeep))
+    # canonical edge -> its smallest raw edge: kept raw edges run in edge order
+    kept = np.flatnonzero(ekeep)
+    n_edges = len(kept)
 
     # face tables from slices of the raw numbering
     vm = vertex_map.reshape(H + 1, W + 1)
@@ -546,30 +576,41 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     vf[:, 1:, 0], vs[:, 1:, 0] = faces, SIDE_E
     vf[:, 1:W, 1], vs[:, 1:W, 1] = faces[:, 1:], SIDE_W
     vf[:, 0, 0], vs[:, 0, 0] = faces[:, 0], SIDE_W
-    edge_faces = raw_faces[ekeep]
-    edge_sides = raw_sides[ekeep]
+    edge_faces = raw_faces.take(kept, axis=0)
+    edge_sides = raw_sides.take(kept, axis=0)
     # a glued seam pair joins the lone incidences of its raw edges, smaller face first
     ab = np.where(raw_faces[epairs[0], 0] > raw_faces[epairs[1], 0], epairs[::-1], epairs).T
     e = edge_map[ab[:, 0]]
     edge_faces[e] = raw_faces[ab, 0]
     edge_sides[e] = raw_sides[ab, 0]
+    del raw_faces, raw_sides
 
     edge_is_boundary = edge_faces[:, 1] < 0
+    # two face sides name an interior edge, one a boundary edge
     counts = np.bincount(face_edges.ravel(), minlength=n_edges)
-    if not np.array_equal(counts, 2 - edge_is_boundary):
+    counts += edge_is_boundary
+    if np.any(counts != 2):
         raise InvariantViolation("edge incident to zero or more than two faces")
 
     edge_parity = np.ones(n_edges, dtype=np.int8)
     edge_parity[edge_map[flipped]] = -1
 
-    edge_is_horizontal = np.arange(n_edges) < np.count_nonzero(ekeep[:HOFF])
+    edge_is_horizontal = np.zeros(n_edges, dtype=bool)
+    edge_is_horizontal[:np.count_nonzero(ekeep[:HOFF])] = True
 
-    ends = [np.concatenate([vm[:, :W].ravel(), vm[:H].ravel()])[ekeep],
-            np.concatenate([vm[:, 1:].ravel(), vm[1:].ravel()])[ekeep]]
-    edge_vertices = np.stack([np.minimum(*ends), np.maximum(*ends)], axis=1)
+    # the two ends of every raw edge, then of the kept ones, smaller id first;
+    # only ends on a seam can come out of order
+    raw_ends = np.empty((n_raw_e, 2), dtype=ID_DTYPE)
+    he, ve = raw_ends[:HOFF].reshape(H + 1, W, 2), raw_ends[HOFF:].reshape(H, W + 1, 2)
+    he[..., 0], he[..., 1] = vm[:, :W], vm[:, 1:]
+    ve[..., 0], ve[..., 1] = vm[:H], vm[1:]
+    edge_vertices = raw_ends.take(kept, axis=0)
+    del raw_ends
+    swap = np.flatnonzero(edge_vertices[:, 0] > edge_vertices[:, 1])
+    edge_vertices[swap] = edge_vertices[swap, ::-1]
 
     vertex_is_boundary = np.zeros(n_vertices, dtype=bool)
-    vertex_is_boundary[edge_vertices[edge_is_boundary].ravel()] = True
+    vertex_is_boundary[edge_vertices.take(np.flatnonzero(edge_is_boundary), axis=0)] = True
 
     cx = CellComplex(
         spec=spec,
@@ -612,10 +653,9 @@ def _validate_complex(c: CellComplex) -> None:
     # a loop around any interior vertex is contractible, so the parities of
     # its incident edges must multiply to +1 even at reversed seams: each
     # interior vertex meets an even number of -1 endpoint slots
-    ids = c.interior_edges
-    flipped = ids[c.edge_parity[ids] == -1]
-    odd = np.bincount(c.edge_vertices[flipped].ravel(), minlength=c.n_vertices) % 2
-    if np.any(odd[~c.vertex_is_boundary]):
+    flipped = np.flatnonzero((c.edge_parity == -1) & ~c.edge_is_boundary)
+    ends, count = np.unique(c.edge_vertices[flipped], return_counts=True)
+    if np.any((count % 2 == 1) & ~c.vertex_is_boundary[ends]):
         raise InvariantViolation("orientation parities inconsistent around a vertex")
 
 
@@ -636,8 +676,8 @@ def components(n: int, a, b) -> tuple[int, np.ndarray]:
     The route uses two private scipy names, imported at module load so a
     scipy without them fails on import: ``_sparsetools.coo_tocsr`` builds
     the int32 CSR of ``a->b`` and of ``b->a`` by a linear counting sort
-    (no index sort, no duplicate summing; self-loops and repeated edges
-    are harmless to a traversal), and ``csgraph._traversal.
+    (``csr``; no index sort, no duplicate summing; self-loops and repeated
+    edges are harmless to a traversal), and ``csgraph._traversal.
     _connected_components_undirected`` labels the nodes from both tables.
     It was checked against the public ``connected_components`` on scipy
     1.17.1 only.  ``coo_tocsr`` does no bounds checking, so the range
@@ -663,15 +703,29 @@ def components(n: int, a, b) -> tuple[int, np.ndarray]:
                 raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
     a = a.astype(ID_DTYPE, copy=False)
     b = b.astype(ID_DTYPE, copy=False)
-    data = np.ones(m, dtype=bool)
-    scratch = np.empty(m, dtype=bool)
-    ptr, idx = np.empty(n + 1, dtype=np.int32), np.empty(m, dtype=np.int32)
-    ptr_t, idx_t = np.empty(n + 1, dtype=np.int32), np.empty(m, dtype=np.int32)
-    coo_tocsr(n, n, m, a, b, data, ptr, idx, scratch)
-    coo_tocsr(n, n, m, b, a, data, ptr_t, idx_t, scratch)
+    ptr, idx = csr(n, a, b)
+    ptr_t, idx_t = csr(n, b, a)
     labels = np.full(n, -1, dtype=ID_DTYPE)
     count = _connected_components_undirected(idx, ptr, idx_t, ptr_t, labels)
     return int(count), labels
+
+
+def csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, idx): the int32 CSR table of the pairs ``rows[k] -> cols[k]``
+    over the rows ``0..n-1``, by scipy's linear counting sort ``coo_tocsr``.
+
+    The sort is stable: the columns of row r are ``idx[ptr[r]:ptr[r + 1]]``
+    in input order, so it also groups values by an integer key.  It does no
+    bounds checking and no duplicate summing: ``rows`` and ``cols`` must be
+    ``ID_DTYPE`` arrays of one length, with every row in ``0..n-1``.
+    """
+    m = len(rows)
+    # the sort moves a value with each pair; they are never read, so one
+    # all-true array serves as both the values and their sorted copy
+    data = np.ones(m, dtype=bool)
+    ptr, idx = np.empty(n + 1, dtype=np.int32), np.empty(m, dtype=np.int32)
+    coo_tocsr(n, n, m, rows, cols, data, ptr, idx, data)
+    return ptr, idx
 
 
 def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:

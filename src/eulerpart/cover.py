@@ -9,8 +9,9 @@ map sends a cover face ``(i, j)`` with ``j >= H`` to the base face
 Edges project through the face tables of the two complexes, so the cover
 needs no raw edge numbering of its own: side ``s`` of a cover face lies
 over side ``s`` of the base face below it, except that on the mirrored
-upper sheet E and W swap.  An edge between two cover faces is reached
-from each of them, and the two must name the same base edge.
+upper sheet E and W swap.  A cover edge projects to the base edge that
+its first face (``edge_faces[e, 0]``) sees, and an edge between two cover
+faces must be seen as the same base edge from both.
 
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
@@ -74,10 +75,15 @@ def double_cover(c: CellComplex) -> CoverStructure:
     face_deck = np.concatenate([mirrored + c.n_faces, mirrored])
 
     # on the mirrored sheet E and W swap
-    upper = c.face_edges.reshape(H, W, 4)[:, ::-1][..., [SIDE_S, SIDE_W, SIDE_N, SIDE_E]]
-    below = np.concatenate([c.face_edges, upper.reshape(c.n_faces, 4)])
-    edge_projection = np.empty(cover.n_edges, dtype=ID_DTYPE)
-    edge_projection[cover.face_edges] = below
+    below = np.empty((2 * c.n_faces, 4), dtype=ID_DTYPE)
+    below[:c.n_faces] = c.face_edges
+    upper, mirror = below[c.n_faces:].reshape(H, W, 4), c.face_edges.reshape(H, W, 4)[:, ::-1]
+    for side, base_side in ((SIDE_S, SIDE_S), (SIDE_E, SIDE_W), (SIDE_N, SIDE_N), (SIDE_W, SIDE_E)):
+        upper[..., side] = mirror[..., base_side]
+    # each cover edge projects as its first face sees it, at slot 4*face + side
+    first = np.multiply(cover.edge_faces[:, 0], 4, dtype=np.intp)
+    first += cover.edge_sides[:, 0]
+    edge_projection = below.ravel().take(first)
 
     cs = CoverStructure(
         base=c,
@@ -96,19 +102,19 @@ def _validate_cover(cs: CoverStructure, below: np.ndarray) -> None:
         if dtype != ID_DTYPE:
             raise InvariantViolation(f"{name} holds {dtype} ids, expected {np.dtype(ID_DTYPE)}")
     a, pi = cs.face_deck, cs.face_projection
-    if not np.array_equal(a[a], np.arange(len(a))):
+    if not np.array_equal(a.take(a), np.arange(len(a))):
         raise InvariantViolation("deck map is not an involution")
     if np.any(a == np.arange(len(a))):
         raise InvariantViolation("deck map has a fixed face")
-    if not np.array_equal(pi[a], pi):
+    if not np.array_equal(pi.take(a), pi):
         raise InvariantViolation("deck map does not commute with the projection")
     if np.any(np.bincount(pi, minlength=cs.base.n_faces) != 2):
         raise InvariantViolation("base face without exactly two preimages")
-    # an edge is written once from each of its faces; the writes must agree
-    if not np.array_equal(cs.edge_projection[cs.cover.face_edges], below):
+    # every face side must read back the projection of its edge, so the two
+    # faces of an edge see one base edge
+    if not np.array_equal(cs.edge_projection.take(cs.cover.face_edges), below):
         raise InvariantViolation("the two faces of a cover edge project it differently")
-    ids = cs.cover.interior_edges
-    if not np.all(cs.cover.edge_parity[ids] == 1):
+    if not np.all((cs.cover.edge_parity == 1) | cs.cover.edge_is_boundary):
         raise InvariantViolation("cover complex is not orientable")
 
 

@@ -15,7 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph._traversal import _breadth_first_directed
 
-from .complexes import ID_DTYPE, CellComplex, SurfaceSpec, build_complex, components
+from .complexes import (
+    ID_DTYPE,
+    SIDE_E,
+    SIDE_N,
+    SIDE_S,
+    SIDE_W,
+    CellComplex,
+    SurfaceSpec,
+    build_complex,
+    components,
+    csr,
+)
 from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
 from .errors import InstabilityError, InvariantViolation
 from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, phi_family, stable_invariants
@@ -66,24 +77,28 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
     """Seeded multi-source flood fill into k connected domains.
 
     k seed faces are drawn uniformly without replacement; unlabelled faces
-    are claimed through interior adjacencies in rounds.  Round d takes
-    every directed row of ``directed_adjacency`` from a face labelled in
-    round d - 1 (the seeds count as round -1) to an unlabelled face, in
-    increasing row order, shuffles them with one ``rng.permutation``, and
-    the first claimant of each target in that order wins and passes its
-    label on.
+    are claimed through interior edges in rounds.  A row is one side of an
+    interior edge, from the face on that side to the face across it: each
+    interior edge gives the row from its first face (``edge_faces[e, 0]``)
+    to its second and the row back.  Rows are ordered with every first-face
+    row in edge order before every second-face row in edge order.  Round d
+    takes every row from a face labelled in round d - 1 (the seeds count as
+    round -1) to an unlabelled face, in row order, shuffles them with one
+    ``rng.permutation``, and the first claimant of each target in that
+    order wins and passes its label on.
 
     Every open target is claimed in the round it appears, so the faces
     claimed in round d are exactly the faces at distance d + 1 from the
     seeds, and round d's rows are exactly the rows from distance d to
     distance d + 1.  The fill therefore needs no round loop: one
-    breadth-first traversal gives every face its distance (``_face_depths``),
-    one mask over the adjacencies picks every round's rows, and one sort of
-    (round, row) keys groups them by round in row order.  Only the draws
-    stay in a loop: ``rng.shuffle`` of a round's rows makes the same draws
-    as ``rng.permutation`` of their count and leaves them in the same
-    order, so identical seeds reproduce the partition bit for bit.  The
-    first claimant of each face is found for all rounds at once with one
+    breadth-first traversal over ``CellComplex.face_neighbours`` gives every
+    face its distance (``_face_depths``), the depth steps across the raw
+    edges of the grid pick every round's rows (``_rows_by_round``), and one
+    counting sort groups them by round in row order.  Only the draws stay
+    in a loop: ``rng.shuffle`` of a round's rows makes the same draws as
+    ``rng.permutation`` of their count and leaves them in the same order,
+    so identical seeds reproduce the partition bit for bit.  The first
+    claimant of each face is found for all rounds at once with one
     ``np.minimum.at``, since a face is targeted in one round only.  The
     claims form one tree per seed, and the trees' component ids serve as
     labels: ``from_labels`` numbers domains by their smallest face, so any
@@ -102,28 +117,36 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
 
 
 def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np.ndarray, list]:
-    """(rows, bounds): every round's rows of ``directed_adjacency``, one
-    round after another and in increasing row order within a round; round
-    d is ``rows[bounds[d]:bounds[d + 1]]``.
+    """(rows, bounds): every round's rows, one round after another and in
+    row order within a round; round d is ``rows[bounds[d]:bounds[d + 1]]``.
 
-    Round d's rows run from depth d to depth d + 1.  They are found on the
-    undirected adjacencies, half as many as the rows, and grouped by one
-    sort of (round, row) keys.
+    A row is the slot ``4*face + side`` of its source face's side, so
+    ``face_neighbours`` gives its target.  Round d's rows run from depth d
+    to depth d + 1.  The depth steps are slices of the face grid, plus the
+    seam edges of ``seam_adjacency``; ``CellComplex.raw_edge_values`` lays
+    them out over the raw edges, whose order is edge order, so the rows
+    come in edge order without a sort.  One stable counting sort (``csr``)
+    groups the rows of both directions by round.
     """
-    source = c.directed_adjacency[0]
-    fa, fb, _par, _ids = c.adjacency
-    step = depth.take(fb) - depth.take(fa)
-    rows = np.concatenate([np.flatnonzero(step == 1), np.flatnonzero(step == -1) + len(fa)])
+    W, H = c.spec.width, c.spec.height
+    d = depth.reshape(H, W)
+    slot = 4 * np.arange(c.n_faces, dtype=ID_DTYPE).reshape(H, W)
+    fa, fb, _par, ids = c.seam_adjacency
+    # per raw edge, the second face's depth less the first's: a first-face
+    # row (up or right across the grid) runs where it is 1, a second-face
+    # row where it is -1
+    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa), 0)
+    up, down = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
     del step
-    n_rows = len(source)
-    keys = depth.take(source.take(rows)).astype(np.int64)
-    keys *= n_rows
-    keys += rows
-    keys.sort()
-    # round d starts at bounds[d]; the last layer has no outward rows, so
-    # bounds[-1] is the end of the round before it
-    bounds = np.searchsorted(keys, np.arange(n_layers, dtype=np.int64) * n_rows).tolist()
-    return np.remainder(keys, n_rows, out=keys), bounds
+    rows = np.concatenate([
+        c.raw_edge_values(slot[:-1] + SIDE_N, slot[:, :-1] + SIDE_E, 4 * fa + c.edge_sides[ids, 0], 0).take(up),
+        c.raw_edge_values(slot[1:] + SIDE_S, slot[:, 1:] + SIDE_W, 4 * fb + c.edge_sides[ids, 1], 0).take(down),
+    ])
+    # a row's round is its source face's depth; the last layer has no
+    # outward rows, so there are n_layers - 1 rounds
+    bounds, rows = csr(n_layers - 1, depth.take(rows >> 2), rows)
+    # numpy shuffles intp items fastest
+    return rows.astype(np.intp), bounds.tolist()
 
 
 def _claim_trees(c: CellComplex, rows: np.ndarray) -> np.ndarray:
@@ -133,12 +156,11 @@ def _claim_trees(c: CellComplex, rows: np.ndarray) -> np.ndarray:
     in one round only, so the first row that targets it, over all rounds
     at once, is its claimant.
     """
-    source, target, _neighbours, _start = c.directed_adjacency
     m = len(rows)
     first = np.full(c.n_faces, m, dtype=ID_DTYPE)
-    np.minimum.at(first, target.take(rows), np.arange(m, dtype=ID_DTYPE))
+    np.minimum.at(first, c.face_neighbours.ravel().take(rows), np.arange(m, dtype=ID_DTYPE))
     claimed = np.flatnonzero(first < m)
-    claimant = source.take(rows.take(first.take(claimed)))
+    claimant = rows.take(first.take(claimed)) >> 2
     return components(c.n_faces, claimant, claimed)[1]
 
 
@@ -149,20 +171,23 @@ def _face_depths(c: CellComplex, sources: np.ndarray) -> tuple[np.ndarray, int]:
     ``n_faces`` whose out-edges are the sources, by scipy's private
     ``csgraph._traversal._breadth_first_directed``, imported at module load
     so a scipy without it fails on import (checked against the public
-    ``breadth_first_order`` on scipy 1.17.1 only).  Its inputs are the
-    complex's int32 neighbour table and the caller's sources, which must be
-    face ids, and it fills only the predecessors that hold ``_UNREACHED``.
-    A traversal that reaches fewer than all faces is an invariant
-    violation.
+    ``breadth_first_order`` on scipy 1.17.1 only).  The graph is the
+    ``(F, 4)`` table ``CellComplex.face_neighbours`` read as a CSR table
+    with four neighbours per face; a boundary side is a self-loop, which a
+    traversal ignores.  Its inputs are that int32 table and the caller's
+    sources, which must be face ids, and it fills only the predecessors
+    that hold ``_UNREACHED``.  A traversal that reaches fewer than all
+    faces is an invariant violation.
     """
     n_faces = c.n_faces
-    _source, _target, neighbours, start = c.directed_adjacency
     order = np.empty(n_faces + 1, dtype=ID_DTYPE)
     parent = np.full(n_faces + 1, _UNREACHED, dtype=ID_DTYPE)
+    start = np.arange(0, 4 * n_faces + 5, 4, dtype=ID_DTYPE)
+    start[-1] = 4 * n_faces + len(sources)
     reached = _breadth_first_directed(
         n_faces,
-        np.concatenate([neighbours, np.asarray(sources, dtype=ID_DTYPE)]),
-        np.append(start, start[-1] + len(sources)),
+        np.concatenate([c.face_neighbours.ravel(), np.asarray(sources, dtype=ID_DTYPE)]),
+        start,
         order,
         parent,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class Term:
 class Eigenfunction:
     terms: tuple
     name: str = ""
+    # surface -> symmetry residual, kept by the rasterization gate: f does
+    # not change, so a ladder of rasterizations computes it once
+    _residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
@@ -206,13 +209,18 @@ def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None,
     """Partition an N x N grid by the sign of f at face centers.
 
     Raises ResolutionError when a face center lands on the zero set, and
-    SymmetryError when f fails the surface's symmetry gate.
+    SymmetryError, before any complex is built, when f fails the surface's
+    symmetry gate.  The residual is computed on the first rasterization of
+    f on a surface and kept on f, so the levels of a ``stable_invariants``
+    ladder share one check.
     """
     config = config or NodalConfig()
     n = config.n if n is None else n
     if surface == "moebius" and n % 2:
         raise ValueError("moebius rasterization needs an even resolution")
-    res = symmetry_residual(f, surface)
+    res = f._residuals.get(surface)
+    if res is None:
+        res = f._residuals[surface] = symmetry_residual(f, surface)
     if not res <= SYM_TOL:
         raise SymmetryError(
             f"{f.name or 'function'} violates the {surface} symmetry: residual {res:.3e}"

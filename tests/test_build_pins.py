@@ -1,0 +1,79 @@
+"""Byte pins of every complex and cover table.
+
+sha256 of every ``CellComplex`` field, and of every ``CoverStructure`` map,
+over the nine gluing pairs (the six presets among them) at a few sizes,
+taken before the build was last rewritten: a rewrite of the build must
+leave every table, dtype and shape as it was.
+"""
+
+import hashlib
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from eulerpart import SurfaceSpec, double_cover
+from eulerpart.complexes import GLUINGS, CellComplex, _build_complex
+
+PIN_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (8, 3), (33, 17), (64, 31)]
+PAIRS = [(x, y) for x in GLUINGS for y in GLUINGS]
+
+
+def _feed(h, value):
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+def _complex_digest(c: CellComplex) -> str:
+    h = hashlib.sha256()
+    for f in fields(c):
+        h.update(f.name.encode())
+        _feed(h, getattr(c, f.name))
+    return h.hexdigest()
+
+
+# one digest per size over the complexes of all nine gluing pairs, in
+# GLUINGS x GLUINGS order
+PINNED_COMPLEXES = {
+    (2, 2): "bbd926a313dec01abc0e83cb0f723042a34bef7636c1deec83f61b9290b0f0dd",
+    (3, 2): "746cb275987c9b6f837fc462c1c7a185024b6cc5d65315b0dfd9132940ea3471",
+    (2, 3): "5b18cb70fe256dd42a4a71a22278aacbdea203bf9d0502c755786c6db312a03a",
+    (7, 5): "908722d7941bbc1da7bff4b0579645373d1ef5dfbfc3be37ddb645440911775a",
+    (8, 3): "0b058704bf8ebcccac5088bae442983c4eedb0bbb02629e4f7c8fe7cd50362f3",
+    (33, 17): "12ac6be8eac2d12edee798e875fcf08c99a6b906f181de464c56de2b708a662d",
+    (64, 31): "98566a541e4bd557286f02cec418b8e7ca6550d44c51e1aeb203d746358d0c4e",
+}
+
+# one digest per size over the moebius and klein covers: the cover
+# complex's fields, then the face projection, deck and edge projection
+PINNED_COVERS = {
+    (2, 2): "be7232309e207cde7a4caa328f0073d88a2fc31bf6d9a718521c48307838e6e2",
+    (3, 2): "f9cc7469b6b9f36d9b20d21055a116a0c180768a04b5f25e8ad8ab69ee2f5079",
+    (2, 3): "12b707d60716fc0cae9ffaf31020969ffd30e6af7580baf70597eab8869d767f",
+    (7, 5): "32b7c185e9c7fe76571decbe71f4b4b0aef0508d875ca3d2fa77e7f51c16701d",
+    (8, 3): "7b9c1f1b7935687f7fa7d838dfd3fce56d9b458b1039e05f3f9e8be4d8c9c5bf",
+    (33, 17): "f260c8f810ca0dd4fd31f83cb9d186205eb895ae3cb1eddf28356047bff9d60f",
+    (64, 31): "81fe89dda2d40ae2ae380070f7a724ea04bbeed627d0c3f2da9aeee1be307655",
+}
+
+
+@pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_complex_fields_pinned(size):
+    h = hashlib.sha256()
+    for x, y in PAIRS:
+        h.update(_complex_digest(_build_complex(SurfaceSpec(*size, x, y))).encode())
+    assert h.hexdigest() == PINNED_COMPLEXES[size]
+
+
+@pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_cover_maps_pinned(size):
+    h = hashlib.sha256()
+    for name in ("moebius", "klein"):
+        cs = double_cover(_build_complex(SurfaceSpec.named(name, *size)))
+        h.update(_complex_digest(cs.cover).encode())
+        for table in ("face_projection", "face_deck", "edge_projection"):
+            _feed(h, getattr(cs, table))
+    assert h.hexdigest() == PINNED_COVERS[size]

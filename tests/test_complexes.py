@@ -10,6 +10,7 @@ from eulerpart import (
     euler_characteristic,
 )
 from eulerpart.complexes import GLUINGS, OPEN, PERIODIC, PRESETS, REVERSED
+from edgerows import interior_rows
 from reference import RefSurface
 
 ALL_SURFACES = sorted(EXPECTED_CHI)
@@ -209,13 +210,30 @@ def test_components_matches_public_scipy_on_large_domain_graph():
     from eulerpart.complexes import components
 
     c = build_complex(SurfaceSpec.moebius(512, 512))
-    fa, fb, _par, _ids = c.adjacency
+    fa, fb, _par, _ids = interior_rows(c)
     labels = np.random.default_rng(3).integers(0, 3, size=c.n_faces)
     glued = labels[fa] == labels[fb]
     count, comp = components(c.n_faces, fa[glued], fb[glued])
     want_count, want = _public_components(c.n_faces, fa[glued], fb[glued])
     assert count == want_count > 1
     assert np.array_equal(comp, want)
+
+
+def test_csr_grouping_matches_public_scipy():
+    # the counting sort behind components, used as a grouping: values by
+    # key, in input order within a key, as a stable argsort orders them;
+    # the keys are even, so every odd group is empty
+    from eulerpart.complexes import csr
+
+    rng = np.random.default_rng(11)
+    for n, m in [(0, 0), (1, 0), (6, 0), (1, 9), (9, 40), (301, 5000), (64, 100000)]:
+        keys = (2 * rng.integers(0, (n + 1) // 2, size=m)).astype(np.int32)
+        values = rng.integers(0, 2**31 - 1, size=m).astype(np.int32)
+        ptr, grouped = csr(n, keys, values)
+        assert ptr.dtype == grouped.dtype == np.int32
+        assert grouped.tolist() == values[np.argsort(keys, kind="stable")].tolist()
+        assert ptr.tolist() == [0, *np.cumsum(np.bincount(keys, minlength=n)).tolist()]
+        assert all(ptr[g] == ptr[g + 1] for g in range(1, n, 2))
 
 
 @pytest.mark.parametrize("n,a,b", [
@@ -328,7 +346,7 @@ def test_grid_slot_partners_match_the_per_edge_build(size, gluings):
 def test_seam_adjacency_holds_the_glued_seam_edges(size, gluings):
     # the edges whose orbit holds a second raw edge, with their adjacency rows
     c = build_complex(SurfaceSpec(*size, *gluings))
-    fa, fb, par, ids = c.adjacency
+    fa, fb, par, ids = interior_rows(c)
     seam = np.flatnonzero(c.edge_raw_representatives[:, 1] >= 0)
     rows = np.searchsorted(ids, seam)
     assert np.array_equal(ids[rows], seam)
@@ -352,11 +370,9 @@ def _arrays_and_tables(c):
     out += [("interior_edges", c.interior_edges), ("boundary_edges", c.boundary_edges),
             ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot),
             ("edge_raw_representatives", c.edge_raw_representatives)]
-    out += [(f"adjacency[{k}]", a) for k, a in enumerate(c.adjacency)]
     out += [(f"seam_adjacency[{k}]", a) for k, a in enumerate(c.seam_adjacency)]
     out += [(f"vertex_faces[{k}]", a) for k, a in enumerate(c.vertex_faces)]
-    out += [(f"directed_adjacency.{k}", a)
-            for k, a in zip(("source", "target", "neighbours", "start"), c.directed_adjacency)]
+    out += [("face_neighbours", c.face_neighbours), ("_seam_raw", c._seam_raw)]
     return out
 
 
@@ -364,7 +380,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 11 + 5 + 4 + 4 + 2 + 4
+    assert len(tables) == 11 + 5 + 4 + 2 + 2
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -395,7 +411,7 @@ def test_shared_complex_equals_a_fresh_build(name, size):
 #: non-id arrays of a complex and its cached tables, by dtype; every other
 #: array is an id table
 _NON_ID_DTYPES = {
-    "edge_sides": np.int8, "edge_parity": np.int8, "adjacency[2]": np.int8, "seam_adjacency[2]": np.int8,
+    "edge_sides": np.int8, "edge_parity": np.int8, "seam_adjacency[2]": np.int8,
     "edge_is_horizontal": np.bool_, "edge_is_boundary": np.bool_, "vertex_is_boundary": np.bool_,
 }
 
@@ -410,11 +426,9 @@ def test_every_id_table_has_the_id_dtype(name):
     c = build_complex(SurfaceSpec.named(name, 7, 6))
     tables = dict(_arrays_and_tables(c))
     for what in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map",
-                 "edge_map", "interior_edges", "boundary_edges", "adjacency[0]", "adjacency[3]",
-                 "seam_adjacency[0]", "seam_adjacency[3]",
+                 "edge_map", "interior_edges", "boundary_edges", "seam_adjacency[0]", "seam_adjacency[3]",
                  "vertex_faces[1]", "slot_partners", "vertex_slot", "edge_raw_representatives",
-                 "directed_adjacency.source", "directed_adjacency.target",
-                 "directed_adjacency.neighbours", "directed_adjacency.start"):
+                 "face_neighbours", "_seam_raw"):
         assert what in tables and what not in _NON_ID_DTYPES
     for what, a in tables.items():
         assert a.dtype == _NON_ID_DTYPES.get(what, ID_DTYPE), what
@@ -458,6 +472,31 @@ def test_validate_cover_rejects_wide_projections(field):
         _validate_cover(wide, below)
 
 
+@pytest.mark.parametrize("name", ["moebius", "klein"])
+def test_validate_cover_rejects_a_misprojected_edge(name):
+    import dataclasses
+
+    from eulerpart import InvariantViolation, double_cover
+    from eulerpart.complexes import SIDE_S
+    from eulerpart.cover import _validate_cover
+
+    cs = double_cover(build_complex(SurfaceSpec.named(name, 6, 4)))
+    c, below = cs.cover, cs.edge_projection[cs.cover.face_edges]
+    _validate_cover(cs, below)
+    wrong = cs.edge_projection.copy()
+    wrong[5] = (wrong[5] + 1) % cs.base.n_edges
+    with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
+        _validate_cover(dataclasses.replace(cs, edge_projection=wrong), below)
+    # the second face of an edge sees another base edge: across the grid
+    # edge above face 0, then across a seam edge
+    _fa, fb, _par, ids = c.seam_adjacency
+    for face, side in [(c.spec.width, SIDE_S), (int(fb[0]), int(c.edge_sides[ids[0], 1]))]:
+        bad = below.copy()
+        bad[face, side] = (bad[face, side] + 1) % cs.base.n_edges
+        with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
+            _validate_cover(cs, bad)
+
+
 def test_validate_rejects_wrong_boundary_count():
     import dataclasses
 
@@ -470,19 +509,22 @@ def test_validate_rejects_wrong_boundary_count():
         _validate_complex(dataclasses.replace(c, spec=SurfaceSpec.cylinder(6, 4)))
 
 
-@pytest.mark.parametrize("name", ALL_SURFACES)
-@pytest.mark.parametrize("size", [(2, 2), (7, 5)])
-def test_directed_adjacency_groups_rows_by_source(name, size):
-    c = build_complex(SurfaceSpec.named(name, *size))
-    source, target, neighbours, start = c.directed_adjacency
-    fa, fb, _par, _ids = c.adjacency
-    assert all(a.dtype == np.int32 for a in c.directed_adjacency)
-    assert np.array_equal(source, np.concatenate([fa, fb]))
-    assert np.array_equal(target, np.concatenate([fb, fa]))
-    # neighbours/start is the CSR table of the face graph, rows in order
-    assert (start[0], start[-1]) == (0, len(neighbours)) and len(neighbours) == len(source)
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (7, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_face_neighbours_match_edge_faces(size, gluings):
+    # across every side of every face: the other face of the edge there,
+    # or the face itself on the surface boundary
+    c = build_complex(SurfaceSpec(*size, *gluings))
+    nbr = c.face_neighbours
+    assert nbr.dtype == np.int32 and nbr.shape == (c.n_faces, 4)
     for f in range(c.n_faces):
-        assert neighbours[start[f]:start[f + 1]].tolist() == target[source == f].tolist()
+        for s in range(4):
+            e = c.face_edges[f, s]
+            (fa, fb), (sa, sb) = c.edge_faces[e].tolist(), c.edge_sides[e].tolist()
+            assert (f, s) in ((fa, sa), (fb, sb)), (f, s)
+            want = f if fb < 0 else fb if (fa, sa) == (f, s) else fa
+            assert nbr[f, s] == want, (f, s)
 
 
 def _sorted_incidence_build(spec):

@@ -315,11 +315,14 @@ def test_cover_bookkeeping_labels_the_lifted_union_once(monkeypatch):
 
 
 def test_partition_and_cover_build_no_edge_tables():
-    # labelling, invariants, domain reports and the cover read the face grid
-    # and the seam table only, so neither complex builds a per-edge table
-    from eulerpart import domain_reports
-    from eulerpart.complexes import _build_complex, _shared_complex
+    # labelling, invariants, domain reports, the cover and the flood fill
+    # read the face grid and the seam table only, so no complex builds a
+    # per-edge table
+    from eulerpart import RandomSpec, domain_reports, random_partition
+    from eulerpart.complexes import CellComplex, _build_complex, _shared_complex
 
+    for table in ("adjacency", "directed_adjacency"):
+        assert not hasattr(CellComplex, table), table
     _shared_complex.cache_clear()  # the cover complex must be fresh too
     c = _build_complex(SurfaceSpec.moebius(9, 7))
     labels = np.random.default_rng(5).integers(0, 3, size=c.n_faces)
@@ -331,5 +334,9 @@ def test_partition_and_cover_build_no_edge_tables():
     omega_via_cover(cs, p)
     for cx in (c, cs.cover):
         assert "seam_adjacency" in cx.__dict__
-        for table in ("adjacency", "directed_adjacency", "edge_raw_representatives"):
-            assert table not in cx.__dict__, (cx.spec, table)
+        assert "edge_raw_representatives" not in cx.__dict__, cx.spec
+    # a first fill on a fresh complex
+    fresh = _build_complex(SurfaceSpec.klein(8, 6))
+    random_partition(fresh, RandomSpec(seed=3, k=4))
+    assert "face_neighbours" in fresh.__dict__
+    assert "edge_raw_representatives" not in fresh.__dict__

@@ -19,7 +19,9 @@ from eulerpart import (
     random_partition,
     sweep,
 )
+from eulerpart.complexes import GLUINGS
 from eulerpart.explore import _UNREACHED, _face_depths
+from edgerows import interior_rows
 
 PI = math.pi
 
@@ -57,13 +59,15 @@ def test_random_partition_regression_fixture():
 
 
 def _scan_flood_fill(c, spec):
-    """The full-scan flood fill that the frontier fill replaced: every round
-    rescans all directed adjacencies for open edges."""
+    """The round-by-round flood fill: every round rescans all rows for open
+    ones, each interior edge from its first face to its second in edge
+    order and then back, shuffles them and lets the first claimant of each
+    face win."""
     rng = np.random.default_rng(spec.seed)
     labels = np.full(c.n_faces, -1, dtype=np.int64)
     sources = rng.choice(c.n_faces, size=spec.k, replace=False)
     labels[sources] = np.arange(spec.k)
-    fa, fb, _, _ids = c.adjacency
+    fa, fb, _, _ids = interior_rows(c)
     both = np.concatenate([np.stack([fa, fb], 1), np.stack([fb, fa], 1)])
     while True:
         src_lab = labels[both[:, 0]]
@@ -98,6 +102,19 @@ def test_random_partition_matches_full_scan(name, size, seeds):
             assert np.array_equal(random_partition(c, spec).domains, expected)
 
 
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (5, 2), (7, 5), (33, 17)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_random_partition_matches_round_oracle_on_every_gluing(size, gluings):
+    c = build_complex(SurfaceSpec(*size, *gluings))
+    for k in sorted({1, 2, min(7, c.n_faces), c.n_faces}):
+        for seed in range(3):
+            spec = RandomSpec(seed=seed, k=k)
+            expected = from_labels(c, _scan_flood_fill(c, spec)).domains
+            assert np.array_equal(random_partition(c, spec).domains, expected), (k, seed)
+
+
 @st.composite
 def _fill_cases(draw):
     name = draw(st.sampled_from(sorted(EXPECTED_CHI)))
@@ -121,10 +138,10 @@ def _public_depths(c, sources):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    source, target, _neighbours, _start = c.directed_adjacency
+    fa, fb, _par, _ids = interior_rows(c)
     virtual = c.n_faces
-    rows = np.concatenate([source, np.full(len(sources), virtual)])
-    cols = np.concatenate([target, sources])
+    rows = np.concatenate([fa, fb, np.full(len(sources), virtual)])
+    cols = np.concatenate([fb, fa, sources])
     graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(virtual + 1, virtual + 1)).tocsr()
     order, parent = breadth_first_order(graph, virtual, directed=True)
     assert len(order) == virtual + 1 and parent[virtual] == _UNREACHED
@@ -150,12 +167,10 @@ def test_bfs_matches_public_scipy(name):
 def test_flood_fill_rejects_an_unreached_face():
     import dataclasses
 
-    # a copy of a complex whose face graph has no edges: the traversal
+    # a copy of a complex whose every side is a self-loop: the traversal
     # reaches the one source and stops
     c = dataclasses.replace(build_complex(SurfaceSpec.rectangle(3, 2)))
-    source, target, _neighbours, _start = c.directed_adjacency
-    c.__dict__["directed_adjacency"] = (source, target, np.zeros(0, dtype=np.int32),
-                                        np.zeros(c.n_faces + 1, dtype=np.int32))
+    c.__dict__["face_neighbours"] = np.repeat(np.arange(c.n_faces, dtype=np.int32), 4).reshape(c.n_faces, 4)
     with pytest.raises(InvariantViolation, match="flood fill left unlabelled faces"):
         _face_depths(c, np.array([0]))
 

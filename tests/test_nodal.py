@@ -121,6 +121,46 @@ def test_rasterize_rejects_asymmetric():
         rasterize(bands_family(4), "moebius", NodalConfig(n=12))
 
 
+def test_a_ladder_checks_the_symmetry_gate_once(monkeypatch):
+    import eulerpart.nodal
+
+    residuals, attempts, built = [], [], []
+    residual, raster, build = eulerpart.nodal.symmetry_residual, eulerpart.nodal.rasterize, eulerpart.nodal.build_complex
+
+    def counting_residual(f, surface):
+        residuals.append(surface)
+        return residual(f, surface)
+
+    def counting_rasterize(f, surface, config=None, n=None):
+        attempts.append(n)
+        return raster(f, surface, config, n)
+
+    def counting_build(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(eulerpart.nodal, "symmetry_residual", counting_residual)
+    monkeypatch.setattr(eulerpart.nodal, "rasterize", counting_rasterize)
+    monkeypatch.setattr(eulerpart.nodal, "build_complex", counting_build)
+    # the 5x5 level samples the zero set and steps to 6x6, then the ladder
+    # refines: every attempt rasterizes the one function
+    f = Eigenfunction(terms=(Term(1.0, Factor("sin", 2), Factor("sin", 2)),))
+    sr = stable_invariants(f, "rectangle", NodalConfig(n=5))
+    assert attempts[:2] == [5, 6] and len(attempts) == len(sr.levels) + 1
+    assert residuals == ["rectangle"]
+    # a direct call keeps the gate: a new function is checked once more
+    rasterize(bands_family(3), "moebius", NodalConfig(n=12))
+    assert residuals == ["rectangle", "moebius"]
+    # a function that fails the gate fails it before any complex is built,
+    # at every call, and is checked once
+    del built[:]
+    bad = bands_family(4)
+    for _ in range(2):
+        with pytest.raises(SymmetryError, match="violates the moebius symmetry"):
+            stable_invariants(bad, "moebius", NodalConfig(n=12))
+    assert built == [] and residuals == ["rectangle", "moebius", "moebius"]
+
+
 # -- rasterization ------------------------------------------------------------
 
 

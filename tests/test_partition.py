@@ -27,6 +27,7 @@ from eulerpart.complexes import (OPEN, PERIODIC, PRESETS, REVERSED, boundary_com
 from eulerpart.partition import VERDICT_MODES, closure_tables
 
 from cutgen import random_admissible_cut
+from edgerows import interior_rows
 from reference import RefSurface, ref_domains
 
 SURFACES = ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"]
@@ -364,7 +365,7 @@ def _slot_graph_closure(p):
     every glued edge of the partition, and boundary cycles chain the orbits
     along every unglued side."""
     c = p.complex
-    fa, fb, _, ids = c.adjacency
+    fa, fb, _, ids = interior_rows(c)
     keep = (p.domains[fa] == p.domains[fb]) & ~p.wall_mask[ids]
     ga, gb, glued = fa[keep], fb[keep], ids[keep]
     sa = c.edge_sides[glued, 0]
@@ -485,7 +486,7 @@ def _signed_double_graph(c, labels, walls):
     sheets across -1.  A domain is orientable iff no face meets its own
     other sheet.  Returns (domains, orientable bits)."""
     F = c.n_faces
-    fa, fb, par, ids = c.adjacency
+    fa, fb, par, ids = interior_rows(c)
     wall = np.isin(ids, np.fromiter(walls, dtype=np.int64, count=len(walls)))
     glued = (labels[fa] == labels[fb]) & ~wall
     n, domains = components(F, fa[glued], fb[glued])
@@ -500,7 +501,7 @@ def _signed_double_graph(c, labels, walls):
 def _gathered_boundary_set(c, domains, walls):
     """The boundary set as the edge gathers found it: every interior edge
     whose two faces lie in different domains, and every wall."""
-    fa, fb, _par, ids = c.adjacency
+    fa, fb, _par, ids = interior_rows(c)
     change = (domains[fa] != domains[fb]) | np.isin(ids, np.fromiter(walls, dtype=np.int64, count=len(walls)))
     return ids[change]
 
