@@ -19,7 +19,6 @@ from .complexes import (
     SurfaceSpec,
     boundary_components,
     build_complex,
-    euler_characteristic,
 )
 from .cover import (
     CoverReport,
@@ -55,7 +54,6 @@ from .nodal import (
     StableResult,
     Term,
     bands_family,
-    check_symmetry,
     evaluate,
     ex3b_family,
     phi_family,

@@ -244,10 +244,6 @@ class CellComplex:
         return self.n_vertices - self.n_edges + self.n_faces
 
     @cached_property
-    def interior_edges(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(~self.edge_is_boundary).astype(ID_DTYPE))
-
-    @cached_property
     def boundary_edges(self) -> np.ndarray:
         return _read_only(np.flatnonzero(self.edge_is_boundary).astype(ID_DTYPE))
 
@@ -255,15 +251,6 @@ class CellComplex:
     def n_boundary_components(self) -> int:
         """Number of connected components of the surface boundary."""
         return subgraph_component_count(self, self.boundary_edges)
-
-    @cached_property
-    def vertex_faces(self):
-        """CSR-style incidence: faces around each canonical vertex."""
-        corners = self.face_vertices.ravel()
-        faces = np.repeat(np.arange(self.n_faces, dtype=ID_DTYPE), 4)
-        order = np.argsort(corners, kind="stable")
-        starts = np.searchsorted(corners[order], np.arange(self.n_vertices + 1, dtype=ID_DTYPE))
-        return _read_only(starts.astype(ID_DTYPE)), _read_only(faces[order])
 
     @cached_property
     def seam_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -370,10 +357,6 @@ class CellComplex:
         out[self.face_vertices.ravel()] = np.arange(4 * self.n_faces, dtype=ID_DTYPE)
         return _read_only(out)
 
-    def faces_at_vertex(self, v: int) -> np.ndarray:
-        starts, faces = self.vertex_faces
-        return np.unique(faces[starts[v]:starts[v + 1]])
-
     # -- raw-coordinate helpers ------------------------------------------
 
     def vertex_id(self, i: int, j: int) -> int:
@@ -430,19 +413,28 @@ class CellComplex:
         values of the interior edges, read where they are not ``fill``,
         come in edge order.
         """
-        W, H = self.spec.width, self.spec.height
-        HOFF = W * (H + 1)  # vertical raw edges start here
-        out = np.full(HOFF + (W + 1) * H, fill, dtype=ID_DTYPE)
-        out[:HOFF].reshape(H + 1, W)[1:H] = across_rows
-        out[HOFF:].reshape(H, W + 1)[:, 1:W] = across_columns
+        out = np.full(self.edge_map.size, fill, dtype=ID_DTYPE)
+        rows, columns = self._grid_sides(out)
+        rows[...] = across_rows
+        columns[...] = across_columns
         out[self._seam_raw] = seams
         return out
 
-    def face_index(self, i: int, j: int) -> int:
+    def grid_interior_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge ids of the grid-interior sides, as views of ``edge_map``.
+
+        The first is ``(H-1, W)``: its ``[j, i]`` is the edge between faces
+        (i, j) and (i, j + 1).  The second is ``(H, W-1)``: its ``[j, i]``
+        is the edge between faces (i, j) and (i + 1, j).
+        """
+        return self._grid_sides(self.edge_map)
+
+    def _grid_sides(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The grid-interior horizontal and vertical raw edges of a raw-edge
+        array, as ``(H-1, W)`` and ``(H, W-1)`` views."""
         W, H = self.spec.width, self.spec.height
-        if not (0 <= i < W and 0 <= j < H):
-            raise ValueError(f"face ({i},{j}) outside grid")
-        return j * W + i
+        HOFF = W * (H + 1)  # vertical raw edges start here
+        return raw[:HOFF].reshape(H + 1, W)[1:H], raw[HOFF:].reshape(H, W + 1)[:, 1:W]
 
     @cached_property
     def edge_raw_representatives(self) -> np.ndarray:
@@ -657,11 +649,6 @@ def _validate_complex(c: CellComplex) -> None:
     ends, count = np.unique(c.edge_vertices[flipped], return_counts=True)
     if np.any((count % 2 == 1) & ~c.vertex_is_boundary[ends]):
         raise InvariantViolation("orientation parities inconsistent around a vertex")
-
-
-def euler_characteristic(c: CellComplex) -> int:
-    """V - E + F of the quotient complex."""
-    return c.euler_characteristic
 
 
 def components(n: int, a, b) -> tuple[int, np.ndarray]:

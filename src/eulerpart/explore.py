@@ -57,12 +57,18 @@ class RandomSpec:
         _check_seed_and_count(self.seed, self.k, "k")
 
 
+def _check_integers(*named) -> None:
+    """Reject a ``(name, value)`` whose value is not an integer (``bool``
+    included), with a ``ValueError`` naming the field."""
+    for name, value in named:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_seed_and_count(seed, count, count_name: str) -> None:
     """Reject a seed or count that is not an integer (``bool`` included), a
     negative seed and a count below 1, with a ``ValueError`` naming the field."""
-    for name, value in (("seed", seed), (count_name, count)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_integers(("seed", seed), (count_name, count))
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if count < 1:
@@ -232,14 +238,10 @@ class SweepResult:
     rows: tuple
     findings: tuple
 
-    @property
-    def omega_column(self) -> list:
-        return [r.omega for r in self.rows if r.stable]
-
 
 def sweep(family: str, thetas, beta: float | None = None,
-          config: NodalConfig | None = None, surface: str = "moebius") -> SweepResult:
-    """One stabilized invariant row per parameter value.
+          config: NodalConfig | None = None) -> SweepResult:
+    """One stabilized invariant row per parameter value, on moebius.
 
     The values vary the family's last parameter: ``theta`` for ``phi``
     (``beta`` fixed) and ``ex3b``, the integer ``m`` for ``bands``.  Rows
@@ -258,7 +260,7 @@ def sweep(family: str, thetas, beta: float | None = None,
     for v in values:
         f = family_member(family, {"beta": beta, varied: v})
         try:
-            sr = stable_invariants(f, surface, config)
+            sr = stable_invariants(f, "moebius", config)
         except InstabilityError as e:
             rows.append(SweepRow(float(v), False, None, None, None, None, None, None, str(e)))
             continue
@@ -298,17 +300,19 @@ class TransitionEstimate:
 
 _PROBE_OFFSETS = (0.0, -1 / 16, 1 / 16, -1 / 8, 1 / 8, -3 / 16, 3 / 16)
 
+#: the (theta_low, theta_high) bracket a bisection starts from
+BISECT_BRACKET = (0.05, math.pi / 2 - 0.05)
+
 
 def bisect_transition(beta: float, tol: float = 1e-3,
-                      config: NodalConfig | None = None,
-                      theta_low: float = 0.05,
-                      theta_high: float = math.pi / 2 - 0.05) -> TransitionEstimate:
+                      config: NodalConfig | None = None) -> TransitionEstimate:
     """Bracket the orientability transition of the phi family in theta.
 
-    Requires omega = 0 at ``theta_low`` and omega = 1 at ``theta_high``
-    and a positive ``tol``.  Midpoints that fail to stabilize are skipped
-    by probing nearby offsets; if no probe in a step stabilizes the
-    bracket cannot shrink further and an InstabilityError is raised.
+    Starts from ``BISECT_BRACKET``, which requires omega = 0 at its low
+    end and omega = 1 at its high end, and needs a positive ``tol``.
+    Midpoints that fail to stabilize are skipped by probing nearby offsets;
+    if no probe in a step stabilizes the bracket cannot shrink further and
+    an InstabilityError is raised.
     """
     # the bracket stops shrinking at adjacent floats, so tol <= 0 never ends
     if not tol > 0:
@@ -321,6 +325,7 @@ def bisect_transition(beta: float, tol: float = 1e-3,
     evaluations = 0
     resolutions = []
 
+    theta_low, theta_high = BISECT_BRACKET
     w0, n0 = stable_omega(theta_low)
     w1, n1 = stable_omega(theta_high)
     evaluations += 2
@@ -392,16 +397,19 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     surfaces the defect histogram is the result.  The chi-sigma identity
     is checked everywhere; on moebius and klein the two orientability
     routes are compared per domain and the cover bookkeeping asserted.
-    ``seed`` and ``count`` are checked like ``RandomSpec``'s, before any draw.
+    ``seed`` and ``count`` are checked like ``RandomSpec``'s, and
+    ``k_range`` must hold integers with 1 <= k_min <= k_max, all before
+    anything is built or drawn.
     """
     from .jsonio import partition_to_json
 
     _check_seed_and_count(seed, count, "count")
+    k_lo, k_hi = k_range
+    _check_integers(("k_min", k_lo), ("k_max", k_hi))
+    if not 1 <= k_lo <= k_hi:
+        raise ValueError(f"k_min and k_max must satisfy 1 <= k_min <= k_max, got {k_lo} and {k_hi}")
     c = build_complex(SurfaceSpec.named(surface, size, size))
     cover = double_cover(c) if surface in COVERABLE else None
-    k_lo, k_hi = k_range
-    if not 1 <= k_lo <= k_hi:
-        raise ValueError("bad k range")
 
     root = np.random.SeedSequence(seed)
     children = root.spawn(count)

@@ -6,8 +6,8 @@ moebius surface the fundamental domain is [0, pi] x [0, pi) with the
 reversed seam in y, so admissible functions must satisfy both the
 identification f(x, y) = f(pi - x, y + pi) and the Dirichlet condition
 f(0, y) = f(pi, y) = 0; on the rectangle [0, pi]^2 they must vanish on
-all four sides.  ``check_symmetry`` tests these numerically on a fixed
-lattice and gates ``rasterize``.
+all four sides.  ``symmetry_residual`` measures both on a fixed lattice,
+and a residual within ``SYM_TOL`` is the gate of ``rasterize``.
 
 Rasterization samples signs at face centers only.  A sample landing on
 the zero set (within ``ZERO_TOL``) raises ``ResolutionError`` rather than
@@ -200,22 +200,15 @@ def symmetry_residual(f: Eigenfunction, surface: str) -> float:
     return float(np.max([np.max(np.abs(part)) for part in parts]))
 
 
-def check_symmetry(f: Eigenfunction, surface: str) -> bool:
-    """True iff the residual is within ``SYM_TOL``; a NaN residual fails."""
-    return symmetry_residual(f, surface) <= SYM_TOL
-
-
-def rasterize(f: Eigenfunction, surface: str, config: NodalConfig | None = None, n: int | None = None) -> Partition:
-    """Partition an N x N grid by the sign of f at face centers.
+def rasterize(f: Eigenfunction, surface: str, n: int) -> Partition:
+    """Partition an n x n grid by the sign of f at face centers.
 
     Raises ResolutionError when a face center lands on the zero set, and
     SymmetryError, before any complex is built, when f fails the surface's
-    symmetry gate.  The residual is computed on the first rasterization of
-    f on a surface and kept on f, so the levels of a ``stable_invariants``
-    ladder share one check.
+    symmetry gate: a residual above ``SYM_TOL``, or NaN.  The residual is
+    computed on the first rasterization of f on a surface and kept on f, so
+    the levels of a ``stable_invariants`` ladder share one check.
     """
-    config = config or NodalConfig()
-    n = config.n if n is None else n
     if surface == "moebius" and n % 2:
         raise ValueError("moebius rasterization needs an even resolution")
     res = f._residuals.get(surface)

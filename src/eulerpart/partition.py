@@ -182,9 +182,7 @@ def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
     wall.
     """
     W, H = c.spec.width, c.spec.height
-    HOFF = W * (H + 1)  # vertical raw edges start here
-    between_rows = c.edge_map[:HOFF].reshape(H + 1, W)[1:H]     # (H-1, W) edge ids
-    between_cols = c.edge_map[HOFF:].reshape(H, W + 1)[:, 1:W]  # (H, W-1) edge ids
+    between_rows, between_cols = c.grid_interior_edges()
     sa, sb, spar, sids = c.seam_adjacency
     grid = labels.reshape(H, W)
     hg = grid[:, 1:] == grid[:, :-1]
@@ -655,17 +653,18 @@ def normalize(p: Partition, refine_factor: int = 3) -> Partition:
         labels = q.domains.copy()
         next_id = q.n_domains
         c = q.complex
-        star_faces: list[np.ndarray] = []
-        for v in off:
-            faces = c.faces_at_vertex(v)
+        # the corner slots over the offending vertices, grouped by vertex
+        corners = c.face_vertices.ravel()
+        slots = np.flatnonzero(np.isin(corners, off))
+        slots = slots[np.argsort(corners.take(slots), kind="stable")]
+        stars = np.split(slots // 4, np.searchsorted(corners.take(slots), off[1:]))
+        for v, faces in zip(off, stars):
             star_vertices = set(np.unique(c.face_vertices[faces]).tolist()) - {v}
             if star_vertices & singular:
                 raise NormalizationError(
                     f"face star of vertex {v} touches another singular point; "
                     f"re-run with a larger refine_factor"
                 )
-            star_faces.append(faces)
-        for faces in star_faces:
             labels[faces] = next_id
             next_id += 1
         q = from_labels(c, labels)

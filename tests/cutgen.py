@@ -12,13 +12,15 @@ from collections import defaultdict
 
 from eulerpart import CutError, plan_cut
 
+from edgerows import interior_edges
+
 
 def _incidence(p):
     c = p.complex
     bset = set(int(e) for e in p.boundary_set)
     walls = p.walls
     by_vertex = defaultdict(list)
-    for e in c.interior_edges.tolist():
+    for e in interior_edges(c).tolist():
         a, b = (int(v) for v in c.edge_vertices[e])
         by_vertex[a].append(e)
         by_vertex[b].append(e)

@@ -273,7 +273,7 @@ def test_criterion_8_transition_bracketing():
     hi = stable_invariants(phi_family(PI / 6, est1.theta_high), "moebius", cfg)
     thetas = np.linspace(0.02, PI / 2 - 0.02, 25)
     sw = sweep("phi", thetas, beta=PI / 6, config=cfg)
-    om = sw.omega_column
+    om = [r.omega for r in sw.rows if r.stable]
     single_step = (
         len(om) == 25
         and om == sorted(om)

@@ -308,6 +308,14 @@ def test_batch_commands_reject_a_negative_seed(command, capsys):
     assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
+def test_random_check_rejects_a_bad_k_range_before_building(capsys, monkeypatch):
+    from eulerpart import explore
+
+    monkeypatch.setattr(explore, "build_complex", None)  # a 2000² build must not start
+    assert main(["random-check", "--surface", "klein", "--count", "1", "--size", "2000", "--k-min", "0"]) == 2
+    assert "k_min" in capsys.readouterr().err
+
+
 DATA = Path(__file__).parent / "data"
 
 # sha256 of stdout for a fixed command set; any change to the computed
@@ -338,6 +346,9 @@ PINNED_STDOUT = {
     "bisect": (
         ["bisect", "--beta", "0.5236", "--tol", "1e-2", "--n", "32"],
         "483a819618987f50f50339ec044af8452a440a3a2d99211bd97953498fb2411d"),
+    "normalize": (
+        ["normalize", str(DATA / "moebius_8x8.json")],
+        "e1be3a31c732ab4fedf0f66afe5b4057331378b054f610d11295b24ba2e7e907"),
 }
 
 

@@ -7,10 +7,9 @@ from eulerpart import (
     SurfaceSpec,
     boundary_components,
     build_complex,
-    euler_characteristic,
 )
 from eulerpart.complexes import GLUINGS, OPEN, PERIODIC, PRESETS, REVERSED
-from edgerows import interior_rows
+from edgerows import interior_edges, interior_rows
 from reference import RefSurface
 
 ALL_SURFACES = sorted(EXPECTED_CHI)
@@ -21,7 +20,7 @@ SIZES = [(2, 2), (3, 3), (4, 2), (2, 5), (6, 6), (5, 7)]
 @pytest.mark.parametrize("size", SIZES)
 def test_chi_table(name, size):
     c = build_complex(SurfaceSpec.named(name, *size))
-    assert euler_characteristic(c) == EXPECTED_CHI[name]
+    assert c.euler_characteristic == EXPECTED_CHI[name]
 
 
 @pytest.mark.parametrize("name", ALL_SURFACES)
@@ -45,7 +44,7 @@ def test_moebius_boundary_is_one_cycle_of_2h_edges():
 
 def test_projective_4x4_closed():
     c = build_complex(SurfaceSpec.projective(4, 4))
-    assert euler_characteristic(c) == 1
+    assert c.euler_characteristic == 1
     assert len(c.boundary_edges) == 0
 
 
@@ -79,7 +78,7 @@ def test_parity_reverses_only_at_reversed_seams(name):
 def test_parity_product_around_interior_vertices(name):
     c = build_complex(SurfaceSpec.named(name, 6, 4))
     prod = np.ones(c.n_vertices, dtype=np.int64)
-    ids = c.interior_edges
+    ids = interior_edges(c)
     np.multiply.at(prod, c.edge_vertices[ids].ravel(), np.repeat(c.edge_parity[ids], 2))
     assert np.all(prod[~c.vertex_is_boundary] == 1)
 
@@ -90,7 +89,7 @@ def test_grid_helpers_roundtrip():
     assert c.horizontal_edge(0, 4) == c.horizontal_edge(3, 0)
     assert c.vertex_id(0, 4) == c.vertex_id(4, 0)
     # face sides point at the right edges
-    f = c.face_index(1, 2)
+    f = 2 * 4 + 1  # face (1, 2): row-major, j*W + i
     assert c.face_edges[f, 0] == c.horizontal_edge(1, 2)
     assert c.face_edges[f, 2] == c.horizontal_edge(1, 3)
     assert c.face_edges[f, 3] == c.vertical_edge(1, 2)
@@ -259,7 +258,8 @@ def test_validate_rejects_flipped_parity():
 
     c = build_complex(SurfaceSpec.moebius(6, 4))
     interior_end = ~c.vertex_is_boundary[c.edge_vertices]
-    e = c.interior_edges[np.any(interior_end[c.interior_edges], axis=1)][0]
+    ids = interior_edges(c)
+    e = ids[np.any(interior_end[ids], axis=1)][0]
     parity = c.edge_parity.copy()
     parity[e] = -parity[e]
     with pytest.raises(InvariantViolation, match="parities inconsistent"):
@@ -311,7 +311,7 @@ def test_slot_partners_reject_mismatched_corners():
 def _per_edge_slot_partners(c):
     """The slot partners as the per-edge build found them: the two corners
     of every interior edge matched by underlying vertex."""
-    ids = c.interior_edges
+    ids = interior_edges(c)
     fa, fb = c.edge_faces[ids, 0], c.edge_faces[ids, 1]
     sa, sb = c.edge_sides[ids, 0], c.edge_sides[ids, 1]
     fv = c.face_vertices
@@ -367,11 +367,10 @@ def _arrays_and_tables(c):
 
     out = [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)
            if isinstance(getattr(c, f.name), np.ndarray)]
-    out += [("interior_edges", c.interior_edges), ("boundary_edges", c.boundary_edges),
+    out += [("boundary_edges", c.boundary_edges),
             ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot),
             ("edge_raw_representatives", c.edge_raw_representatives)]
     out += [(f"seam_adjacency[{k}]", a) for k, a in enumerate(c.seam_adjacency)]
-    out += [(f"vertex_faces[{k}]", a) for k, a in enumerate(c.vertex_faces)]
     out += [("face_neighbours", c.face_neighbours), ("_seam_raw", c._seam_raw)]
     return out
 
@@ -380,7 +379,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 11 + 5 + 4 + 2 + 2
+    assert len(tables) == 11 + 4 + 4 + 2
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -426,8 +425,8 @@ def test_every_id_table_has_the_id_dtype(name):
     c = build_complex(SurfaceSpec.named(name, 7, 6))
     tables = dict(_arrays_and_tables(c))
     for what in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map",
-                 "edge_map", "interior_edges", "boundary_edges", "seam_adjacency[0]", "seam_adjacency[3]",
-                 "vertex_faces[1]", "slot_partners", "vertex_slot", "edge_raw_representatives",
+                 "edge_map", "boundary_edges", "seam_adjacency[0]", "seam_adjacency[3]",
+                 "slot_partners", "vertex_slot", "edge_raw_representatives",
                  "face_neighbours", "_seam_raw"):
         assert what in tables and what not in _NON_ID_DTYPES
     for what, a in tables.items():
@@ -525,6 +524,25 @@ def test_face_neighbours_match_edge_faces(size, gluings):
             assert (f, s) in ((fa, sa), (fb, sb)), (f, s)
             want = f if fb < 0 else fb if (fa, sa) == (f, s) else fa
             assert nbr[f, s] == want, (f, s)
+
+
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (7, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_grid_interior_edges_join_grid_neighbours(size, gluings):
+    # [j, i] between rows joins face (i, j) to (i, j + 1), between columns
+    # face (i, j) to (i + 1, j); with the seam edges they are every interior edge
+    c = build_complex(SurfaceSpec(*size, *gluings))
+    W, H = size
+    between_rows, between_cols = c.grid_interior_edges()
+    assert between_rows.shape == (H - 1, W) and between_cols.shape == (H, W - 1)
+    faces = np.arange(c.n_faces).reshape(H, W)
+    assert np.array_equal(c.edge_faces[between_rows], np.stack([faces[:-1], faces[1:]], axis=-1))
+    assert np.array_equal(c.edge_faces[between_cols], np.stack([faces[:, :-1], faces[:, 1:]], axis=-1))
+    for ids in (between_rows, between_cols):
+        assert np.shares_memory(ids, c.edge_map) and not ids.flags.writeable
+    every = np.concatenate([between_rows.ravel(), between_cols.ravel(), c.seam_adjacency[3]])
+    assert np.array_equal(np.sort(every), interior_edges(c))
 
 
 def _sorted_incidence_build(spec):

@@ -12,7 +12,6 @@ from eulerpart import (
     boundary_components,
     cover_bookkeeping,
     double_cover,
-    euler_characteristic,
     from_labels,
     invariants,
     lift_partition,
@@ -34,7 +33,7 @@ def test_double_cover_of_moebius_is_cylinder():
     cs = double_cover(c)
     assert cs.cover.spec.kind == "cylinder"
     assert cs.cover.spec == SurfaceSpec.cylinder(6, 8)
-    assert euler_characteristic(cs.cover) == 0
+    assert cs.cover.euler_characteristic == 0
     assert boundary_components(cs.cover) == 2
 
 
@@ -42,7 +41,7 @@ def test_double_cover_of_klein_is_torus():
     c = build_complex(SurfaceSpec.klein(6, 4))
     cs = double_cover(c)
     assert cs.cover.spec.kind == "torus"
-    assert euler_characteristic(cs.cover) == 0
+    assert cs.cover.euler_characteristic == 0
     assert boundary_components(cs.cover) == 0
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_sweep_all_rows_stable_defect_zero(phi_sweep):
 
 
 def test_sweep_omega_single_step(phi_sweep):
-    om = phi_sweep.omega_column
+    om = [r.omega for r in phi_sweep.rows if r.stable]
     assert om == sorted(om)
     assert om[0] == 0 and om[-1] == 1
     rises = sum(1 for a, b in zip(om, om[1:]) if b > a)
@@ -293,10 +294,12 @@ def test_bisect_rejects_nonpositive_tol(tol):
         bisect_transition(0.5236, tol=tol)
 
 
-def test_bisect_no_sign_change_rejected():
-    with pytest.raises(ValueError):
-        bisect_transition(PI / 6, tol=1e-3, config=NodalConfig(n=48),
-                          theta_low=0.05, theta_high=0.2)
+def test_bisect_no_sign_change_rejected(monkeypatch):
+    from eulerpart import explore
+
+    monkeypatch.setattr(explore, "BISECT_BRACKET", (0.05, 0.2))
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect_transition(PI / 6, tol=1e-3, config=NodalConfig(n=48))
 
 
 # -- batch ----------------------------------------------------------------
@@ -325,19 +328,24 @@ def test_batch_conjecture_modes():
     assert res_t.verdict_mode == "report_only"
 
 
-@pytest.mark.parametrize("count,seed,message", [
-    (2, 1.5, "seed must be an integer, got 1.5"),
-    (2, True, "seed must be an integer, got True"),
-    (2, -1, "seed must be non-negative, got -1"),
-    (2.0, 1, "count must be an integer, got 2.0"),
-    (True, 1, "count must be an integer, got True"),
-], ids=["float-seed", "bool-seed", "negative-seed", "float-count", "bool-count"])
-def test_batch_rejects_bad_seed_and_count_before_any_draw(count, seed, message, monkeypatch):
+@pytest.mark.parametrize("count,seed,message,k_range", [
+    (2, 1.5, "seed must be an integer, got 1.5", (1, 10)),
+    (2, True, "seed must be an integer, got True", (1, 10)),
+    (2, -1, "seed must be non-negative, got -1", (1, 10)),
+    (2.0, 1, "count must be an integer, got 2.0", (1, 10)),
+    (True, 1, "count must be an integer, got True", (1, 10)),
+    (2, 1, "k_min must be an integer, got 1.0", (1.0, 3)),
+    (2, 1, "k_max must be an integer, got True", (1, True)),
+    (2, 1, "k_min and k_max must satisfy 1 <= k_min <= k_max, got 0 and 10", (0, 10)),
+    (2, 1, "k_min and k_max must satisfy 1 <= k_min <= k_max, got 4 and 3", (4, 3)),
+], ids=["float-seed", "bool-seed", "negative-seed", "float-count", "bool-count",
+        "float-k-min", "bool-k-max", "zero-k-min", "k-min-above-k-max"])
+def test_batch_rejects_bad_seed_and_count_before_any_draw(count, seed, message, k_range, monkeypatch):
     from eulerpart import explore
 
     monkeypatch.setattr(explore, "build_complex", None)  # nothing may be built or drawn
-    with pytest.raises(ValueError, match=message):
-        batch_verify("moebius", count, seed)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        batch_verify("moebius", count, seed, k_range=k_range)
 
 
 def test_batch_chi_sigma_everywhere():

@@ -16,7 +16,6 @@ from eulerpart import (
     bands_family,
     boundary_graph,
     check_chi_sigma,
-    check_symmetry,
     domain_reports,
     evaluate,
     ex3b_family,
@@ -27,7 +26,7 @@ from eulerpart import (
 )
 from eulerpart.explore import sweep
 from eulerpart.jsonio import eigenfunction_from_json
-from eulerpart.nodal import family, symmetry_residual
+from eulerpart.nodal import SYM_TOL, family, symmetry_residual
 
 PI = math.pi
 
@@ -68,14 +67,14 @@ def test_evaluate_broadcasts():
 
 
 def test_named_families_pass_symmetry():
-    assert check_symmetry(phi_family(PI / 6, 1.0), "moebius")
-    assert check_symmetry(ex3b_family(0.4 * PI), "moebius")
-    assert check_symmetry(bands_family(3), "moebius")
-    assert check_symmetry(bands_family(5), "moebius")
+    assert symmetry_residual(phi_family(PI / 6, 1.0), "moebius") <= SYM_TOL
+    assert symmetry_residual(ex3b_family(0.4 * PI), "moebius") <= SYM_TOL
+    assert symmetry_residual(bands_family(3), "moebius") <= SYM_TOL
+    assert symmetry_residual(bands_family(5), "moebius") <= SYM_TOL
 
 
 def test_even_bands_fail_deck_invariance():
-    assert not check_symmetry(bands_family(4), "moebius")
+    assert not symmetry_residual(bands_family(4), "moebius") <= SYM_TOL
 
 
 def test_mixed_term_breaks_deck_invariance():
@@ -85,8 +84,8 @@ def test_mixed_term_breaks_deck_invariance():
             Term(0.1, Factor("sin", 1), Factor("sin", 1)),
         )
     )
-    assert not check_symmetry(f, "moebius")
     assert symmetry_residual(f, "moebius") == pytest.approx(0.2, abs=1e-12)
+    assert not symmetry_residual(f, "moebius") <= SYM_TOL
 
 
 def _meshgrid_residual(f, surface):
@@ -111,14 +110,14 @@ def test_symmetry_residual_matches_a_meshgrid_lattice(f, surface):
 
 def test_rectangle_dirichlet_gate():
     good = Eigenfunction(terms=(Term(1.0, Factor("sin", 2), Factor("sin", 3)),))
-    assert check_symmetry(good, "rectangle")
+    assert symmetry_residual(good, "rectangle") <= SYM_TOL
     bad = Eigenfunction(terms=(Term(1.0, Factor("cos", 2), Factor("sin", 3)),))
-    assert not check_symmetry(bad, "rectangle")
+    assert not symmetry_residual(bad, "rectangle") <= SYM_TOL
 
 
 def test_rasterize_rejects_asymmetric():
     with pytest.raises(SymmetryError):
-        rasterize(bands_family(4), "moebius", NodalConfig(n=12))
+        rasterize(bands_family(4), "moebius", 12)
 
 
 def test_a_ladder_checks_the_symmetry_gate_once(monkeypatch):
@@ -131,9 +130,9 @@ def test_a_ladder_checks_the_symmetry_gate_once(monkeypatch):
         residuals.append(surface)
         return residual(f, surface)
 
-    def counting_rasterize(f, surface, config=None, n=None):
+    def counting_rasterize(f, surface, n):
         attempts.append(n)
-        return raster(f, surface, config, n)
+        return raster(f, surface, n)
 
     def counting_build(spec):
         built.append(spec)
@@ -149,7 +148,7 @@ def test_a_ladder_checks_the_symmetry_gate_once(monkeypatch):
     assert attempts[:2] == [5, 6] and len(attempts) == len(sr.levels) + 1
     assert residuals == ["rectangle"]
     # a direct call keeps the gate: a new function is checked once more
-    rasterize(bands_family(3), "moebius", NodalConfig(n=12))
+    rasterize(bands_family(3), "moebius", 12)
     assert residuals == ["rectangle", "moebius"]
     # a function that fails the gate fails it before any complex is built,
     # at every call, and is checked once
@@ -165,21 +164,21 @@ def test_a_ladder_checks_the_symmetry_gate_once(monkeypatch):
 
 
 def test_bands3_rasterized():
-    p = rasterize(bands_family(3), "moebius", NodalConfig(n=60))
+    p = rasterize(bands_family(3), "moebius", 60)
     assert p.n_domains == 2
     assert verify_euler(p).status == "pass"
 
 
 def test_rasterize_requires_even_n_on_moebius():
     with pytest.raises(ValueError):
-        rasterize(bands_family(3), "moebius", NodalConfig(n=61))
+        rasterize(bands_family(3), "moebius", 61)
 
 
 def test_exact_zero_sample_raises():
     # sin(2y) vanishes at the middle face-center row of an odd grid
     f = Eigenfunction(terms=(Term(1.0, Factor("sin", 2), Factor("sin", 2)),))
     with pytest.raises(ResolutionError):
-        rasterize(f, "rectangle", NodalConfig(n=5))
+        rasterize(f, "rectangle", 5)
     # the stabilizer steps past the bad resolution instead of failing
     sr = stable_invariants(f, "rectangle", NodalConfig(n=5))
     assert sr.report.key() == (4, 0, 3, 0)
@@ -187,7 +186,7 @@ def test_exact_zero_sample_raises():
 
 def test_sign_rasterization_nu_even():
     for theta in (0.3, 0.9, 1.2):
-        p = rasterize(phi_family(PI / 6, theta), "moebius", NodalConfig(n=48))
+        p = rasterize(phi_family(PI / 6, theta), "moebius", 48)
         bg = boundary_graph(p)
         nu = bg.degree[(bg.degree > 0) & ~p.complex.vertex_is_boundary]
         assert np.all((nu == 2) | (nu == 4))
@@ -308,7 +307,7 @@ def test_perturbed_levels_above_the_face_cap_are_never_built(monkeypatch):
         monkeypatch.setattr(module, "MAX_FACES", 100 ** 2)
     tried = []
 
-    def always_on_the_zero_set(f, surface, config=None, n=None):
+    def always_on_the_zero_set(f, surface, n):
         tried.append(n)
         raise ResolutionError(f"zero sample at n={n}", n=n, n_bad=1)
 
@@ -346,9 +345,9 @@ def test_family_parameters_are_checked_not_coerced(build, name, params, message)
 def test_nan_residual_fails_the_symmetry_gate():
     f = Eigenfunction((Term(math.nan, Factor("sin", 3), Factor("cos", 0)),), name="nan")
     assert math.isnan(symmetry_residual(f, "moebius"))
-    assert not check_symmetry(f, "moebius")
+    assert not symmetry_residual(f, "moebius") <= SYM_TOL
     with pytest.raises(SymmetryError, match="residual nan"):
-        rasterize(f, "moebius", NodalConfig(n=16))
+        rasterize(f, "moebius", 16)
 
 
 def test_stable_invariants_builds_each_resolution_once(monkeypatch):

@@ -1,0 +1,75 @@
+"""Every function, class and method of the package is reached from the package.
+
+The scan parses each module of ``src/eulerpart`` and lists the module-level
+functions and classes and the methods of those classes whose name no
+``Name`` or ``Attribute`` node of the package references.  ``__init__.py``
+only re-exports, so its references do not count, and dunder methods are
+called by Python itself.  A name that only tests reach is dead code; the
+allow-list holds the few kept on purpose, so a new dead name and a stale
+entry both fail.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eulerpart"
+
+#: unreferenced on purpose: the ``SurfaceSpec`` preset constructors are
+#: public API, and the eigenfunction JSON pair waits on the nodal document path
+ALLOWED = {
+    "complexes.SurfaceSpec.rectangle",
+    "complexes.SurfaceSpec.cylinder",
+    "complexes.SurfaceSpec.moebius",
+    "complexes.SurfaceSpec.torus",
+    "complexes.SurfaceSpec.klein",
+    "complexes.SurfaceSpec.projective",
+    "jsonio.eigenfunction_from_json",
+    "jsonio.eigenfunction_to_json",
+}
+
+
+def unreferenced(sources: dict[str, str]) -> set[str]:
+    """``module.name`` or ``module.Class.method`` of every definition in
+    ``sources`` (module name -> source) that no reference outside
+    ``__init__`` names."""
+    defined, referenced = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{module}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        defined[f"{module}.{node.name}.{member.name}"] = member.name
+        if module != "__init__":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    return {
+        where for where, name in defined.items()
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def test_only_the_allowed_names_are_unreferenced():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert "complexes" in sources and "__init__" in sources
+    assert unreferenced(sources) == ALLOWED
+
+
+def test_the_scan_reports_an_unreferenced_def():
+    sources = {
+        "__init__": "from .mod import used, unused, Box\n",
+        "mod": (
+            "def used():\n    return Box().size\n\n"
+            "def unused():\n    return used()\n\n"
+            "class Box:\n"
+            "    def __init__(self):\n        self.n = 1\n\n"
+            "    @property\n    def size(self):\n        return self.n\n\n"
+            "    def spare(self):\n        return 0\n"
+        ),
+    }
+    assert unreferenced(sources) == {"mod.unused", "mod.Box.spare"}

@@ -246,9 +246,9 @@ def test_normalize_random_partitions():
 
 def test_normalize_phi_fixture_classifications():
     # the two pinched nodal domains become genuine surfaces with boundary
-    from eulerpart import NodalConfig, phi_family, rasterize
+    from eulerpart import phi_family, rasterize
 
-    p = rasterize(phi_family(math.pi / 3, 0.4 * math.pi), "moebius", NodalConfig(n=60))
+    p = rasterize(phi_family(math.pi / 3, 0.4 * math.pi), "moebius", 60)
     pre = domain_reports(p)
     assert sum(not r.normal for r in pre) == 2
     q = normalize(p)
