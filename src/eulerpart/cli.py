@@ -16,7 +16,7 @@ from . import jsonio
 from .complexes import PRESETS
 from .cover import COVERABLE, cover_bookkeeping, double_cover
 from .errors import EulerPartError, InstabilityError, InvariantViolation, ResolutionError
-from .explore import batch_verify, bisect_transition, sweep
+from .explore import batch_verify, bisect_transition, check_batch_size, sweep
 from .nodal import FAMILIES, NodalConfig, family, stable_invariants
 from .partition import (
     classify_circle_complement,
@@ -111,6 +111,7 @@ def cmd_bisect(args) -> int:
 
 
 def cmd_random_check(args) -> int:
+    check_batch_size(args.size, "--size")
     res = batch_verify(
         args.surface, args.count, args.seed,
         k_range=(args.k_min, args.k_max), size=args.size,

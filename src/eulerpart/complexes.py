@@ -54,7 +54,12 @@ grid, except across the O(W + H) glued seam edges, which
 ``CellComplex.seam_adjacency`` lists; a complex caches no table with a
 row per edge.  The flood fill walks ``CellComplex.face_neighbours``, the
 face across each side of every face, made of the same slices and the seam
-table.
+table.  The domain closures read ``CellComplex.slot_partners``, the
+corner slot across each side of each corner, only at the slots of the
+boundary set, and count the other vertices from
+``CellComplex.odd_vertices``: only a raw vertex on the grid frame can lack
+a face or be identified with another, so that table is read from the
+frame, O(W + H), and no table has a row per vertex.
 
 Complexes are shared.  ``build_complex`` returns one complex per
 ``SurfaceSpec`` and keeps the ``SHARED_COMPLEXES`` most recently used ones
@@ -351,11 +356,34 @@ class CellComplex:
         return _read_only(out)
 
     @cached_property
-    def vertex_slot(self) -> np.ndarray:
-        """(V,) one corner slot over each vertex (which one is unspecified)."""
-        out = np.empty(self.n_vertices, dtype=ID_DTYPE)
-        out[self.face_vertices.ravel()] = np.arange(4 * self.n_faces, dtype=ID_DTYPE)
-        return _read_only(out)
+    def odd_vertices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vertex, slot, count) over the vertices with other than four
+        corner slots, in increasing vertex id: one corner slot over each,
+        and the slot count as int8.
+
+        A raw vertex off the grid frame is the corner of four faces and no
+        seam identifies it, so only the frame's raw vertices can make an
+        odd vertex: the table is read from them, O(W + H).
+        """
+        W, H = self.spec.width, self.spec.height
+        i = np.concatenate([np.arange(W + 1), np.arange(W + 1), np.zeros(H - 1, dtype=int), np.full(H - 1, W)])
+        j = np.concatenate([np.zeros(W + 1, dtype=int), np.full(W + 1, H), np.arange(1, H), np.arange(1, H)])
+        # a frame vertex is a corner of the face at (min(i, W-1), min(j, H-1))
+        fi, fj = np.minimum(i, W - 1), np.minimum(j, H - 1)
+        corner = np.array([0, 1, 3, 2])[2 * (j - fj) + (i - fi)]
+        raw_slot = 4 * (fj * W + fi) + corner
+        raw_count = (1 + ((0 < i) & (i < W))) * (1 + ((0 < j) & (j < H)))
+        v = self.vertex_map[j * (W + 1) + i]
+        order = np.argsort(v, kind="stable")
+        v, raw_slot, raw_count = v[order], raw_slot[order], raw_count[order]
+        first = np.flatnonzero(np.diff(v, prepend=-1))
+        count = np.add.reduceat(raw_count, first)
+        odd = first[count != 4]
+        return (
+            _read_only(v[odd]),
+            _read_only(raw_slot[odd].astype(ID_DTYPE)),
+            _read_only(count[count != 4].astype(np.int8)),
+        )
 
     # -- raw-coordinate helpers ------------------------------------------
 

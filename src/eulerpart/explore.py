@@ -17,6 +17,7 @@ from scipy.sparse.csgraph._traversal import _breadth_first_directed
 
 from .complexes import (
     ID_DTYPE,
+    MAX_FACES,
     SIDE_E,
     SIDE_N,
     SIDE_S,
@@ -24,7 +25,6 @@ from .complexes import (
     CellComplex,
     SurfaceSpec,
     build_complex,
-    components,
     csr,
 )
 from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
@@ -63,6 +63,17 @@ def _check_integers(*named) -> None:
     for name, value in named:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_batch_size(size, name: str = "size") -> None:
+    """Reject a batch grid size that is not an integer (``bool`` included),
+    is below 2, or gives a ``size x size`` grid above ``MAX_FACES``, with a
+    ``ValueError`` naming the field."""
+    _check_integers((name, size))
+    if size < 2:
+        raise ValueError(f"{name} must be at least 2, got {size}")
+    if size * size > MAX_FACES:
+        raise ValueError(f"{name} {size} gives {size * size} faces, above the cap of {MAX_FACES}")
 
 
 def _check_seed_and_count(seed, count, count_name: str) -> None:
@@ -106,18 +117,21 @@ def random_partition(c: CellComplex, spec: RandomSpec) -> Partition:
     so identical seeds reproduce the partition bit for bit.  The first
     claimant of each face is found for all rounds at once with one
     ``np.minimum.at``, since a face is targeted in one round only.  The
-    claims form one tree per seed, and the trees' component ids serve as
-    labels: ``from_labels`` numbers domains by their smallest face, so any
-    labels with the same classes give the same partition.
+    claims form one tree per seed, and each tree's root, its seed, found by
+    pointer jumping, serves as the label of its faces: ``from_labels``
+    numbers domains by their smallest face, so any labels with the same
+    classes give the same partition.
     """
     if spec.k > c.n_faces:
         raise ValueError(f"k={spec.k} exceeds the {c.n_faces} available faces")
     rng = np.random.default_rng(spec.seed)
     sources = rng.choice(c.n_faces, size=spec.k, replace=False)
-    rows, bounds = _rows_by_round(c, *_face_depths(c, sources))
+    depth, n_layers = _face_depths(c, sources)
+    rows, bounds = _rows_by_round(c, depth, n_layers)
+    del depth
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rng.shuffle(rows[lo:hi])
-    trees = _claim_trees(c, rows)
+    trees = _claim_trees(c, rows, n_layers)
     del rows  # the fill's temporaries go before from_labels allocates its own
     return from_labels(c, trees)
 
@@ -131,23 +145,42 @@ def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np
     to depth d + 1.  The depth steps are slices of the face grid, plus the
     seam edges of ``seam_adjacency``; ``CellComplex.raw_edge_values`` lays
     them out over the raw edges, whose order is edge order, so the rows
-    come in edge order without a sort.  One stable counting sort (``csr``)
-    groups the rows of both directions by round.
+    come in edge order without a sort.  Each row's slot follows from its
+    raw edge id by grid arithmetic: a horizontal raw edge has the face
+    below it, side N, first and the face above it, side S, second; a
+    vertical one the face to its left, side E, and then the face to its
+    right, side W.  The glued seam edges take their slots from
+    ``seam_adjacency``.  One stable counting sort (``csr``) groups the rows
+    of both directions by round.
     """
     W, H = c.spec.width, c.spec.height
+    HOFF = W * (H + 1)  # vertical raw edges start here
     d = depth.reshape(H, W)
-    slot = 4 * np.arange(c.n_faces, dtype=ID_DTYPE).reshape(H, W)
     fa, fb, _par, ids = c.seam_adjacency
     # per raw edge, the second face's depth less the first's: a first-face
     # row (up or right across the grid) runs where it is 1, a second-face
     # row where it is -1
-    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa), 0)
-    up, down = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    seam_step = depth.take(fb) - depth.take(fa)
+    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], seam_step, 0)
+    seam_rows = 4 * c.edge_faces.take(ids, axis=0) + c.edge_sides.take(ids, axis=0)
+    parts = []
+    # the first face is W faces below or one face left of the second
+    for which, sign, h_side, v_side in ((0, 1, SIDE_N - 4 * W, SIDE_E - 4), (1, -1, SIDE_S, SIDE_W)):
+        raw = (step == sign).nonzero()[0]
+        h = raw.searchsorted(HOFF)
+        # four times the face above a horizontal raw edge, which is its id,
+        # and right of a vertical one, which is its id past HOFF less its row
+        slot = 4 * raw
+        vertical = slot[h:]
+        vertical -= 4 * HOFF
+        vertical -= vertical // (4 * (W + 1)) * 4
+        vertical += v_side
+        slot[:h] += h_side
+        seam = (seam_step == sign).nonzero()[0]
+        slot[raw.searchsorted(c._seam_raw[seam])] = seam_rows[seam, which]
+        parts.append(slot)
     del step
-    rows = np.concatenate([
-        c.raw_edge_values(slot[:-1] + SIDE_N, slot[:, :-1] + SIDE_E, 4 * fa + c.edge_sides[ids, 0], 0).take(up),
-        c.raw_edge_values(slot[1:] + SIDE_S, slot[:, 1:] + SIDE_W, 4 * fb + c.edge_sides[ids, 1], 0).take(down),
-    ])
+    rows = np.concatenate(parts).astype(ID_DTYPE)
     # a row's round is its source face's depth; the last layer has no
     # outward rows, so there are n_layers - 1 rounds
     bounds, rows = csr(n_layers - 1, depth.take(rows >> 2), rows)
@@ -155,19 +188,26 @@ def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np
     return rows.astype(np.intp), bounds.tolist()
 
 
-def _claim_trees(c: CellComplex, rows: np.ndarray) -> np.ndarray:
-    """Label every face with the component of its seed's claim tree.
+def _claim_trees(c: CellComplex, rows: np.ndarray, n_layers: int) -> np.ndarray:
+    """Label every face with the seed face at the root of its claim tree.
 
     ``rows`` holds every round's rows in claim order.  A face is targeted
     in one round only, so the first row that targets it, over all rounds
-    at once, is its claimant.
+    at once, is its claimant.  A face at depth d is d claims from its
+    seed, and no face is deeper than ``n_layers - 1``, so pointer jumping
+    (each face's pointer replaced by its pointer's pointer) reaches every
+    root in ``(n_layers - 1).bit_length()`` rounds.
     """
     m = len(rows)
     first = np.full(c.n_faces, m, dtype=ID_DTYPE)
     np.minimum.at(first, c.face_neighbours.ravel().take(rows), np.arange(m, dtype=ID_DTYPE))
-    claimed = np.flatnonzero(first < m)
-    claimant = rows.take(first.take(claimed)) >> 2
-    return components(c.n_faces, claimant, claimed)[1]
+    claimed = (first < m).nonzero()[0]
+    # intp pointers: a take through intp indices makes no index copy
+    root = np.arange(c.n_faces, dtype=np.intp)
+    root[claimed] = rows.take(first.take(claimed)) >> 2
+    for _ in range((n_layers - 1).bit_length()):
+        root = root.take(root)
+    return root
 
 
 def _face_depths(c: CellComplex, sources: np.ndarray) -> tuple[np.ndarray, int]:
@@ -201,14 +241,17 @@ def _face_depths(c: CellComplex, sources: np.ndarray) -> tuple[np.ndarray, int]:
         raise InvariantViolation("flood fill left unlabelled faces")
     # order lists the virtual face and then the faces layer by layer, and a
     # face's parent lies in the layer before it, so layer d + 1 ends after
-    # the faces whose parent comes before the end of layer d
-    position = np.empty(n_faces + 1, dtype=ID_DTYPE)
-    position[order] = np.arange(n_faces + 1, dtype=ID_DTYPE)
-    before = np.cumsum(np.bincount(position.take(parent[:n_faces]), minlength=n_faces + 1))
+    # the faces whose parent comes before the end of layer d; the parents'
+    # positions in order never decrease, so one search finds those faces
+    position = np.empty(n_faces + 1, dtype=np.intp)
+    position[order] = np.arange(n_faces + 1)
+    ppos = position.take(parent.take(order[1:]))
     del position, parent
     ends = [1]
     while ends[-1] <= n_faces:
-        ends.append(1 + int(before[ends[-1] - 1]))
+        # the positions are intp, the type of a Python int: a search for an
+        # int against int32 positions would cast the whole array each time
+        ends.append(1 + int(ppos.searchsorted(ends[-1])))
     depth = np.empty(n_faces, dtype=ID_DTYPE)
     depth[order[1:]] = np.repeat(np.arange(len(ends) - 1, dtype=ID_DTYPE), np.diff(ends))
     return depth, len(ends) - 1
@@ -397,13 +440,14 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     surfaces the defect histogram is the result.  The chi-sigma identity
     is checked everywhere; on moebius and klein the two orientability
     routes are compared per domain and the cover bookkeeping asserted.
-    ``seed`` and ``count`` are checked like ``RandomSpec``'s, and
-    ``k_range`` must hold integers with 1 <= k_min <= k_max, all before
-    anything is built or drawn.
+    ``seed`` and ``count`` are checked like ``RandomSpec``'s,
+    ``k_range`` must hold integers with 1 <= k_min <= k_max, and ``size``
+    must pass ``check_batch_size``, all before anything is built or drawn.
     """
     from .jsonio import partition_to_json
 
     _check_seed_and_count(seed, count, "count")
+    check_batch_size(size)
     k_lo, k_hi = k_range
     _check_integers(("k_min", k_lo), ("k_max", k_hi))
     if not 1 <= k_lo <= k_hi:

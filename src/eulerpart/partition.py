@@ -30,10 +30,13 @@ domain are glued only along shared non-wall edges interior to the domain,
 so each domain becomes a combinatorial surface with boundary regardless
 of pinch points or walls in the ambient embedding.  This is the closure
 for which chi(surface) + sigma equals the sum of the closed domain Euler
-characteristics.  Its cost follows the boundary set: the corner matching
-across interior edges is the complex's ``slot_partners`` table, slices of
-the face grid plus the seam edges, and corner orbits are labelled only at
-vertices touched by boundary-set edges (see ``_ClosureTables``).
+characteristics.  Past one count of faces per domain, its cost follows
+the boundary set: the corner slots at the vertices it touches come from
+its edges and one round of the complex's ``slot_partners``, corner orbits
+are labelled only among those slots, and the untouched vertices are
+counted from the slot totals and the complex's ``odd_vertices``, an
+O(W + H) table, not scanned (see ``_ClosureTables``).  The boundary graph
+checks only the vertices of the boundary set.
 
 Nothing here gathers over every interior edge.  The grid-interior edges
 of a face labelling are two boolean slices of the ``(H, W)`` label grid,
@@ -164,11 +167,15 @@ def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
 
     *Pieces* are the components over glued edges of parity +1.  They are
     labelled over row runs: each maximal run of glued faces in a row is one
-    node, numbered in row-major order by one ``cumsum``, and two runs are
+    node, numbered in row-major order by its start face, and two runs are
     linked by the first glued side between rows of every stretch where the
     two rows stay in their runs, and by the glued seam edges of parity +1.
-    Runs are numbered in the order of their faces, so pieces come out
-    numbered by their smallest face.  The glued edges of parity -1 lie on
+    One ``searchsorted`` among the run starts finds the run of every link
+    and seam end face, and one ``repeat`` of the run labels by the run
+    lengths gives the face labels, so past the masks and the run starts the
+    work grows with the label changes, not with the faces.  Runs are
+    numbered in the order of their faces, so pieces come out numbered by
+    their smallest face.  The glued edges of parity -1 lie on
     the reversed seams and join pieces into domains, numbered by their
     smallest piece, so domain ids follow each domain's smallest face.
     Every edge of the piece graph reverses orientation, so a domain is
@@ -197,34 +204,37 @@ def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
     bset = np.concatenate([between_rows[~vg], between_cols[~hg], sids[~sg]])
     bset.sort()
 
-    starts = np.ones((H, W), dtype=bool)
-    np.logical_not(hg, out=starts[:, 1:])
-    run = np.cumsum(starts, dtype=ID_DTYPE).reshape(H, W)
-    run -= 1
+    # the run starts, then one past the last face
+    starts = np.ones(c.n_faces + 1, dtype=bool)
+    np.logical_not(hg, out=starts[:-1].reshape(H, W)[:, 1:])
+    bounds = starts.nonzero()[0]
     # a side between rows links the same two runs as the one before it
     # when both rows continue their runs
     link = vg.copy()
     link[:, 1:] &= ~(vg[:, :-1] & hg[:-1] & hg[1:])
-    flat = run.ravel()
+    below = np.flatnonzero(link)
+    m, s = below.size, sa.size
+    # the run of every link and seam end face: the run starts after the first
+    # that are not past the face
+    run = bounds[1:-1].searchsorted(np.concatenate([below, below + W, sa, sb]), side="right")
+    ra, rb = run[2 * m: 2 * m + s], run[2 * m + s:]
     plus = sg & (spar > 0)
-    n_pieces, run_piece = components(
-        int(flat[-1]) + 1,
-        np.concatenate([run[:-1][link], flat.take(sa[plus])]),
-        np.concatenate([run[1:][link], flat.take(sb[plus])]),
+    n_pieces, run_label = components(
+        bounds.size - 1, np.concatenate([run[:m], ra[plus]]), np.concatenate([run[m: 2 * m], rb[plus]])
     )
-    piece = run_piece.take(flat)
+    run_lengths = bounds[1:] - bounds[:-1]
     flip = sg & (spar < 0)
     if not flip.any():
         # nothing reverses: pieces are domains and every domain is balanced
-        return piece, n_pieces, np.ones(n_pieces, dtype=bool), bset
-    pa, pb = piece.take(sa[flip]), piece.take(sb[flip])
+        return np.repeat(run_label, run_lengths), n_pieces, np.ones(n_pieces, dtype=bool), bset
+    pa, pb = run_label.take(ra[flip]), run_label.take(rb[flip])
     n_domains, piece_domain = components(n_pieces, pa, pb)
     _n, sheet = components(
         2 * n_pieces, np.concatenate([pa, pa + n_pieces]), np.concatenate([pb + n_pieces, pb])
     )
     orientable = np.ones(n_domains, dtype=bool)
     orientable[piece_domain[sheet[:n_pieces] == sheet[n_pieces:]]] = False
-    return piece_domain.take(piece), n_domains, orientable, bset
+    return np.repeat(piece_domain.take(run_label), run_lengths), n_domains, orientable, bset
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +271,25 @@ def boundary_graph(p: Partition) -> BoundaryGraph:
 def _compute_boundary_graph(p: Partition) -> BoundaryGraph:
     c = p.complex
     ids = p.boundary_set
-    degree = np.bincount(c.edge_vertices[ids].ravel(), minlength=c.n_vertices)
-    on_bdy = c.vertex_is_boundary
-    dangling = (degree == 1) & ~on_bdy
+    ends = c.edge_vertices[ids]
+    degree = np.bincount(ends.ravel(), minlength=c.n_vertices)
+    # every check reads only the vertices the boundary set touches, found
+    # among its edges' ends rather than by a scan of every vertex
+    touched = _unique(ends)
+    deg = degree[touched]
+    on_bdy = c.vertex_is_boundary[touched]
+    dangling = (deg == 1) & ~on_bdy
     if dangling.any():
         raise InvariantViolation(
-            f"boundary set has dangling ends at interior vertices {np.flatnonzero(dangling)[:4].tolist()}"
+            f"boundary set has dangling ends at interior vertices {touched[dangling][:4].tolist()}"
         )
-    if np.any(degree[on_bdy] > 1):
+    if np.any(deg[on_bdy] > 1):
         raise InvariantViolation("boundary vertex met by more than one interior edge")
 
-    sing_i = np.flatnonzero((degree >= 3) & ~on_bdy)
-    sing_b = np.flatnonzero((degree > 0) & on_bdy)
-    index_sum = int(degree[sing_i].sum()) - 2 * len(sing_i) + int(degree[sing_b].sum())
+    interior_singular = (deg >= 3) & ~on_bdy
+    sing_i = touched[interior_singular]
+    sing_b = touched[on_bdy]
+    index_sum = int(deg[interior_singular].sum()) - 2 * len(sing_i) + int(deg[on_bdy].sum())
     if index_sum % 2:
         raise InvariantViolation(f"odd singular index sum {index_sum}")
     for a in (degree, sing_i, sing_b):
@@ -421,14 +437,20 @@ class _ClosureTables:
     the abstract closed domains.  Every orbit lies over one vertex of the
     complex and inside one domain.
 
-    The work follows the boundary set.  At a vertex that no boundary-set
-    edge touches every edge is glued, and since the vertex links of these
-    quotient grids are connected, all of its slots form one orbit.  Orbits
-    are therefore labelled as components only among the slots at touched
-    vertices, using the complex's ``slot_partners`` table; each untouched
-    vertex counts as one orbit of the domain around it.  Boundary cycles
-    chain orbits along the unglued sides, which lie on boundary-set edges
-    and on the surface boundary.
+    The work follows the boundary set; nothing here reads every face or
+    every vertex past the per-domain face count.  At a vertex that no
+    boundary-set edge touches every edge is glued, and since the vertex
+    links of these quotient grids are connected, all of its slots form one
+    orbit.  Orbits are therefore labelled as components only among the
+    slots at touched vertices, which come from the boundary set itself
+    (``_touched_slots``).  The untouched vertices are counted, not
+    scanned: every face has four slots, an untouched vertex has four unless
+    it is one of the complex's ``odd_vertices``, and all of its slots lie in
+    one domain, so a domain's untouched vertices are its slots off the
+    touched vertices, corrected by the slot counts of its untouched odd
+    vertices, over four; a remainder is an invariant violation.  Boundary
+    cycles chain orbits along the unglued sides, which lie on boundary-set
+    edges and on the surface boundary.
     """
 
     def __init__(self, p: Partition):
@@ -437,19 +459,23 @@ class _ClosureTables:
         n = p.n_domains
         fv = c.face_vertices.ravel()
         bset = p.boundary_set
+        degree = boundary_graph(p).degree
 
-        touched = boundary_graph(p).degree > 0
-        slots = np.flatnonzero(touched[fv])
+        bf, bs = c.edge_faces[bset].ravel(), c.edge_sides[bset].ravel()
+        slots = _touched_slots(c, bf, bs)
         faces, corners = np.divmod(slots, 4)
         partner = c.slot_partners[slots]
-        sides = c.face_edges[faces[:, None], np.stack([corners, (corners + 3) % 4], axis=1)]
-        glued = (partner >= 0) & (dom[partner // 4] == dom[faces][:, None]) & ~p.wall_mask[sides]
+        slot_domain = dom.take(faces)
+        glued = (partner >= 0) & (dom[partner // 4] == slot_domain[:, None])
+        if p.walls:
+            sides = c.face_edges[faces[:, None], np.stack([corners, (corners + 3) % 4], axis=1)]
+            glued &= ~p.wall_mask[sides]
         rows = np.broadcast_to(np.arange(len(slots))[:, None], glued.shape)
         n_touched, orbit = components(
             len(slots), rows[glued], np.searchsorted(slots, partner[glued])
         )
         orbit_domain = np.empty(n_touched, dtype=ID_DTYPE)
-        orbit_domain[orbit] = dom[faces]
+        orbit_domain[orbit] = slot_domain
         # int64, not ID_DTYPE: the key product vertex * n + domain reaches V * n
         orbit_vertex = np.empty(n_touched, dtype=np.int64)
         orbit_vertex[orbit] = fv[slots]
@@ -459,31 +485,42 @@ class _ClosureTables:
         # unglued sides: both sides of boundary-set edges, and the surface
         # boundary; (face, side) runs from corner side to corner side + 1
         bdy = c.boundary_edges
-        side_face = np.concatenate([c.edge_faces[bset].ravel(), c.edge_faces[bdy, 0]])
-        side = np.concatenate([c.edge_sides[bset].ravel(), c.edge_sides[bdy, 0]])
+        side_face = np.concatenate([bf, c.edge_faces[bdy, 0]])
+        side = np.concatenate([bs, c.edge_sides[bdy, 0]])
         side_domain = dom[side_face]
-
-        def orbit_of(slot):
-            # untouched vertex v is the single orbit n_touched + v
-            out = n_touched + fv[slot]
-            hit = touched[fv[slot]]
-            out[hit] = orbit[np.searchsorted(slots, slot[hit])]
-            return out
-
-        ends = np.concatenate([orbit_of(4 * side_face + side), orbit_of(4 * side_face + (side + 1) % 4)])
-        nodes, ends = np.unique(ends, return_inverse=True)
-        n_cyc, cyc = components(len(nodes), ends[: len(side)], ends[len(side):])
-        cycle_domain = np.empty(n_cyc, dtype=ID_DTYPE)
+        end_slots = np.concatenate([4 * side_face + side, 4 * side_face + (side + 1) % 4])
+        # every orbit at a touched vertex ends at an unglued side, so the
+        # cycle nodes are the touched orbits and then the untouched
+        # vertices that the surface boundary passes, one orbit each
+        end_vertex = fv.take(end_slots)
+        hit = degree.take(end_vertex) > 0
+        ends = np.empty(len(end_slots), dtype=ID_DTYPE)
+        ends[hit] = orbit.take(slots.searchsorted(end_slots[hit]))
+        free = end_vertex[~hit]
+        free_nodes = _unique(free)
+        ends[~hit] = n_touched + free_nodes.searchsorted(free)
+        n_cyc, cyc = components(n_touched + len(free_nodes), ends[: len(side)], ends[len(side):])
+        # a node no side reached would leave its cycle at -1, which bincount rejects
+        cycle_domain = np.full(n_cyc, -1, dtype=ID_DTYPE)
         cycle_domain[cyc[ends[: len(side)]]] = side_domain
 
         # per-domain face, glued-edge and abstract vertex counts; each face
         # has four sides, and every glued edge takes two of them
-        untouched_faces = c.vertex_slot[~touched] // 4
         self.faces_per_domain = np.bincount(dom, minlength=n)
         self.glued_per_domain = (4 * self.faces_per_domain - np.bincount(side_domain, minlength=n)) // 2
-        self.vertices_per_domain = np.bincount(orbit_domain, minlength=n) + np.bincount(
-            dom[untouched_faces], minlength=n
+        # each untouched vertex holds four slots of its domain, less the
+        # shortfall of an odd one
+        odd, odd_slot, odd_count = c.odd_vertices
+        odd_free = degree.take(odd) == 0
+        shortfall = np.bincount(dom.take(odd_slot[odd_free] // 4), weights=4 - odd_count[odd_free], minlength=n)
+        untouched, rest = np.divmod(
+            4 * self.faces_per_domain - np.bincount(slot_domain, minlength=n) + shortfall.astype(np.int64), 4
         )
+        if rest.any():
+            raise InvariantViolation(
+                f"domain {int(np.flatnonzero(rest)[0])}: slots off the touched vertices do not fill whole vertices"
+            )
+        self.vertices_per_domain = np.bincount(orbit_domain, minlength=n) + untouched
         self.cycles_per_domain = np.bincount(cycle_domain, minlength=n)
 
     def chi(self, d: int) -> int:
@@ -500,10 +537,37 @@ class _ClosureTables:
         """(vertex, domain) pairs where a domain meets >= 2 corner sectors.
 
         An untouched vertex holds a single orbit, so only touched orbits
-        can pair up.
+        can pair up.  The keys that repeat are the sorted keys equal to the
+        one before them.
         """
-        keys, counts = np.unique(self._orbit_keys, return_counts=True)
-        return np.stack(np.divmod(keys[counts > 1], self.n_domains), axis=1)
+        keys = np.sort(self._orbit_keys)
+        keys = _unique(keys[1:][keys[1:] == keys[:-1]])
+        return np.stack(np.divmod(keys, self.n_domains), axis=1)
+
+
+def _touched_slots(c: CellComplex, faces: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """The corner slots over the vertices of the boundary set, increasing,
+    from the (face, side) pairs of both sides of its edges.
+
+    The seeds are the two corner slots of each side, and one round of
+    their ``slot_partners`` completes every vertex: the slots over a vertex
+    form a cycle or a path of at most four, in which the two seeds of one
+    edge at the vertex are neighbours.
+    """
+    seeds = np.concatenate([4 * faces + sides, 4 * faces + (sides + 1) % 4])
+    slots = _unique(np.concatenate([seeds, c.slot_partners[seeds].ravel()]))
+    # a side on the surface boundary has partner -1
+    return slots[1:] if slots.size and slots[0] < 0 else slots
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by one sort and one compaction: on numpy 2.4 the
+    sort alone is many times faster than ``np.unique``."""
+    s = np.sort(a, axis=None)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def closure_tables(p: Partition) -> _ClosureTables:

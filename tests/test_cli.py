@@ -316,6 +316,24 @@ def test_random_check_rejects_a_bad_k_range_before_building(capsys, monkeypatch)
     assert "k_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["random-check", "cover-check"])
+@pytest.mark.parametrize("size,message", [
+    ("0", "--size must be at least 2, got 0"),
+    ("1", "--size must be at least 2, got 1"),
+    ("100000", "--size 100000 gives 10000000000 faces, above the cap"),
+])
+def test_batch_commands_reject_a_bad_size_before_building(command, size, message, capsys, monkeypatch):
+    from eulerpart import explore
+
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(explore, "build_complex", no_build)
+    assert main([command, "--count", "1", "--size", size]
+                + (["--surface", "moebius"] if command == "random-check" else [])) == 2
+    assert message in capsys.readouterr().err
+
+
 DATA = Path(__file__).parent / "data"
 
 # sha256 of stdout for a fixed command set; any change to the computed

@@ -14,6 +14,9 @@ from reference import RefSurface
 
 ALL_SURFACES = sorted(EXPECTED_CHI)
 SIZES = [(2, 2), (3, 3), (4, 2), (2, 5), (6, 6), (5, 7)]
+#: (x_gluing, y_gluing) of the six presets and of the three transposed pairs
+GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
+                "reversed-periodic": (REVERSED, PERIODIC)}
 
 
 @pytest.mark.parametrize("name", ALL_SURFACES)
@@ -281,7 +284,24 @@ def test_slot_partners_pair_corners_over_one_vertex(name):
     f, corner = np.divmod(slots, 4)
     for col, side in ((0, corner), (1, (corner + 3) % 4)):
         assert np.array_equal(partners[:, col] < 0, c.edge_is_boundary[c.face_edges[f, side]])
-    assert np.array_equal(fv[c.vertex_slot], np.arange(c.n_vertices))
+    odd, odd_slot, _count = c.odd_vertices
+    assert np.array_equal(fv[odd_slot], odd)
+
+
+@pytest.mark.parametrize("name", list(GLUING_PAIRS))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (7, 5), (12, 9)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_odd_vertices_are_the_vertices_without_four_slots(size, name):
+    c = build_complex(SurfaceSpec(*size, *GLUING_PAIRS[name]))
+    count = np.bincount(c.face_vertices.ravel(), minlength=c.n_vertices)
+    odd, odd_slot, odd_count = c.odd_vertices
+    assert np.array_equal(odd, np.flatnonzero(count != 4))
+    assert np.array_equal(odd_count, count[odd])
+    assert np.array_equal(c.face_vertices.ravel()[odd_slot], odd)
+    # the slots over a vertex form a cycle or a path of at most four
+    assert count.max() == 4
+    if c.spec.x_gluing == OPEN or c.spec.y_gluing == OPEN:
+        assert odd.size  # a surface boundary has vertices of one or two slots
 
 
 def test_slot_partners_reject_mismatched_corners():
@@ -368,8 +388,9 @@ def _arrays_and_tables(c):
     out = [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)
            if isinstance(getattr(c, f.name), np.ndarray)]
     out += [("boundary_edges", c.boundary_edges),
-            ("slot_partners", c.slot_partners), ("vertex_slot", c.vertex_slot),
+            ("slot_partners", c.slot_partners),
             ("edge_raw_representatives", c.edge_raw_representatives)]
+    out += [(f"odd_vertices[{k}]", a) for k, a in enumerate(c.odd_vertices)]
     out += [(f"seam_adjacency[{k}]", a) for k, a in enumerate(c.seam_adjacency)]
     out += [("face_neighbours", c.face_neighbours), ("_seam_raw", c._seam_raw)]
     return out
@@ -379,7 +400,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 11 + 4 + 4 + 2
+    assert len(tables) == 11 + 3 + 3 + 4 + 2
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -410,7 +431,7 @@ def test_shared_complex_equals_a_fresh_build(name, size):
 #: non-id arrays of a complex and its cached tables, by dtype; every other
 #: array is an id table
 _NON_ID_DTYPES = {
-    "edge_sides": np.int8, "edge_parity": np.int8, "seam_adjacency[2]": np.int8,
+    "edge_sides": np.int8, "edge_parity": np.int8, "seam_adjacency[2]": np.int8, "odd_vertices[2]": np.int8,
     "edge_is_horizontal": np.bool_, "edge_is_boundary": np.bool_, "vertex_is_boundary": np.bool_,
 }
 
@@ -426,7 +447,7 @@ def test_every_id_table_has_the_id_dtype(name):
     tables = dict(_arrays_and_tables(c))
     for what in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map",
                  "edge_map", "boundary_edges", "seam_adjacency[0]", "seam_adjacency[3]",
-                 "slot_partners", "vertex_slot", "edge_raw_representatives",
+                 "slot_partners", "odd_vertices[0]", "odd_vertices[1]", "edge_raw_representatives",
                  "face_neighbours", "_seam_raw"):
         assert what in tables and what not in _NON_ID_DTYPES
     for what, a in tables.items():
@@ -657,9 +678,6 @@ def _sorted_incidence_build(spec):
 
 
 ORACLE_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (6, 4), (5, 8), (33, 17), (128, 64)]
-#: (x_gluing, y_gluing) of the six presets and of the three transposed pairs
-GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
-                "reversed-periodic": (REVERSED, PERIODIC)}
 
 
 @pytest.mark.parametrize("name", list(GLUING_PAIRS))

@@ -20,8 +20,8 @@ from eulerpart import (
     random_partition,
     sweep,
 )
-from eulerpart.complexes import GLUINGS
-from eulerpart.explore import _UNREACHED, _face_depths
+from eulerpart.complexes import GLUINGS, ID_DTYPE, SIDE_E, SIDE_N, SIDE_S, SIDE_W, components, csr
+from eulerpart.explore import _UNREACHED, _claim_trees, _face_depths, _rows_by_round
 from edgerows import interior_rows
 
 PI = math.pi
@@ -116,6 +116,78 @@ def test_random_partition_matches_round_oracle_on_every_gluing(size, gluings):
             assert np.array_equal(random_partition(c, spec).domains, expected), (k, seed)
 
 
+def _three_layout_rows(c, depth, n_layers):
+    """The rows by round as three raw-edge layouts found them: the depth
+    steps, then the first-face and the second-face row slots laid out over
+    the raw edges and read where the step is 1 and -1."""
+    W, H = c.spec.width, c.spec.height
+    d = depth.reshape(H, W)
+    slot = 4 * np.arange(c.n_faces, dtype=ID_DTYPE).reshape(H, W)
+    fa, fb, _par, ids = c.seam_adjacency
+    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa), 0)
+    rows = np.concatenate([
+        c.raw_edge_values(slot[:-1] + SIDE_N, slot[:, :-1] + SIDE_E, 4 * fa + c.edge_sides[ids, 0], 0)[step == 1],
+        c.raw_edge_values(slot[1:] + SIDE_S, slot[:, 1:] + SIDE_W, 4 * fb + c.edge_sides[ids, 1], 0)[step == -1],
+    ])
+    bounds, rows = csr(n_layers - 1, depth.take(rows >> 2), rows)
+    return rows, bounds.tolist()
+
+
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (12, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_row_slots_by_grid_arithmetic_match_the_three_layouts(size, gluings):
+    c = build_complex(SurfaceSpec(*size, *gluings))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        sources = rng.choice(c.n_faces, size=int(rng.integers(1, c.n_faces + 1)), replace=False)
+        depth, n_layers = _face_depths(c, sources)
+        rows, bounds = _rows_by_round(c, depth, n_layers)
+        want_rows, want_bounds = _three_layout_rows(c, depth, n_layers)
+        assert rows.tolist() == want_rows.tolist() and bounds == want_bounds, seed
+
+
+def _forest_labels(c, rows):
+    """A ``components`` labelling of the claim forest: each claimed face
+    joined to its claimant, the source of the first row that targets it."""
+    first = {}
+    for k, target in enumerate(c.face_neighbours.ravel()[rows].tolist()):
+        first.setdefault(target, k)
+    claimed = np.fromiter(first, dtype=np.int64, count=len(first))
+    claimant = rows[np.fromiter(first.values(), dtype=np.int64, count=len(first))] >> 2
+    return components(c.n_faces, claimant, claimed)[1]
+
+
+@pytest.mark.parametrize("name,size,sources", [
+    # one corner source on a strip: 42 layers, so the depth 41 is no power of two
+    ("rectangle", (40, 3), [0]),
+    ("moebius", (40, 3), [0, 61]),
+    ("klein", (12, 9), None),
+    ("projective", (7, 5), None),
+    ("torus", (33, 17), None),
+    ("cylinder", (2, 2), None),
+])
+def test_pointer_jumped_roots_match_a_components_labelling(name, size, sources):
+    c = build_complex(SurfaceSpec.named(name, *size))
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        if sources is None:
+            picked = rng.choice(c.n_faces, size=int(rng.integers(1, min(c.n_faces, 12) + 1)), replace=False)
+        else:
+            picked = np.array(sources)
+        depth, n_layers = _face_depths(c, picked)
+        rows, bounds = _rows_by_round(c, depth, n_layers)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rng.shuffle(rows[lo:hi])
+        root = _claim_trees(c, rows, n_layers)
+        # every face reaches the seed at the root of its tree
+        assert set(root.tolist()) == set(picked.tolist()) and np.all(depth[root] == 0)
+        want = from_labels(c, _forest_labels(c, rows))
+        assert np.array_equal(from_labels(c, root).domains, want.domains)
+        if sources == [0]:
+            assert n_layers == 42
+
+
 @st.composite
 def _fill_cases(draw):
     name = draw(st.sampled_from(sorted(EXPECTED_CHI)))
@@ -191,6 +263,19 @@ def test_random_partition_k_validation():
 def test_random_spec_rejects_non_integers(field, seed, k):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         RandomSpec(seed=seed, k=k)
+
+
+@pytest.mark.parametrize("size,message", [
+    (0, "size must be at least 2, got 0"), (1, "size must be at least 2, got 1"),
+    (True, "size must be an integer, got True"), (2.0, "size must be an integer, got 2.0"),
+    (100_000, "size 100000 gives 10000000000 faces, above the cap of 8388608"),
+])
+def test_batch_verify_checks_size_before_building(size, message, monkeypatch):
+    from eulerpart import explore
+
+    monkeypatch.setattr(explore, "build_complex", None)  # nothing may be built
+    with pytest.raises(ValueError, match=re.escape(message)):
+        batch_verify("moebius", 1, 0, size=size)
 
 
 def test_random_spec_rejects_a_negative_seed():

@@ -24,7 +24,7 @@ from eulerpart import (
 )
 from eulerpart.complexes import (OPEN, PERIODIC, PRESETS, REVERSED, boundary_components, components,
                                  edge_components, subgraph_component_count)
-from eulerpart.partition import VERDICT_MODES, closure_tables
+from eulerpart.partition import VERDICT_MODES, _touched_slots, closure_tables
 
 from cutgen import random_admissible_cut
 from edgerows import interior_rows
@@ -473,6 +473,46 @@ def test_closure_tables_match_slot_graph(name, size):
         assert np.array_equal(got.non_normal_pairs, want["non_normal"])
     if size != (2, 2):
         assert n_walled > 0
+
+
+@pytest.mark.parametrize("name", SURFACES)
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (12, 9)])
+def test_closure_reads_the_boundary_set_not_every_slot_and_vertex(name, size):
+    # the touched slots from the boundary set and one partner round, against
+    # a scan of every corner slot; the abstract vertex counts, with the
+    # untouched vertices counted from the odd vertices, against a scan of
+    # every vertex
+    n_walled = 0
+    for p in _closure_corpus(name, size):
+        n_walled += bool(p.walls)
+        c, n = p.complex, p.n_domains
+        fv = c.face_vertices.ravel()
+        touched = boundary_graph(p).degree > 0
+        bset = p.boundary_set
+        slots = _touched_slots(c, c.edge_faces[bset].ravel(), c.edge_sides[bset].ravel())
+        assert np.array_equal(slots, np.flatnonzero(touched[fv]))
+        one_slot = np.empty(c.n_vertices, dtype=np.int64)
+        one_slot[fv] = np.arange(4 * c.n_faces)
+        tables = closure_tables(p)
+        scan = np.bincount(tables._orbit_keys % n, minlength=n)
+        scan += np.bincount(p.domains[one_slot[~touched] // 4], minlength=n)
+        assert np.array_equal(tables.vertices_per_domain, scan)
+    if size != (2, 2):
+        assert n_walled > 0
+
+
+def test_closure_rejects_slots_that_do_not_fill_whole_vertices():
+    import dataclasses
+
+    # a copy of a rectangle whose odd-vertex table misses a side vertex of
+    # two slots: the untouched slots of the one domain no longer divide by four
+    c = dataclasses.replace(build_complex(SurfaceSpec.rectangle(4, 3)))
+    odd, odd_slot, odd_count = c.odd_vertices
+    keep = np.arange(len(odd)) != np.flatnonzero(odd_count == 2)[0]
+    c.__dict__["odd_vertices"] = (odd[keep], odd_slot[keep], odd_count[keep])
+    p = from_labels(c, np.zeros(c.n_faces, dtype=np.int64))
+    with pytest.raises(InvariantViolation, match="do not fill whole vertices"):
+        closure_tables(p)
 
 
 # -- one-pass domains and orientation against the signed double graph -------
