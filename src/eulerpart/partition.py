@@ -31,12 +31,14 @@ so each domain becomes a combinatorial surface with boundary regardless
 of pinch points or walls in the ambient embedding.  This is the closure
 for which chi(surface) + sigma equals the sum of the closed domain Euler
 characteristics.  Past one count of faces per domain, its cost follows
-the boundary set: the corner slots at the vertices it touches come from
-its edges and one round of the complex's ``slot_partners``, corner orbits
-are labelled only among those slots, and the untouched vertices are
-counted from the slot totals and the complex's ``odd_vertices``, an
-O(W + H) table, not scanned (see ``_ClosureTables``).  The boundary graph
-checks only the vertices of the boundary set.
+the *unglued sides*, both sides of each boundary-set edge and every
+surface-boundary side: a domain has as many sectors at the vertices
+they meet as it has unglued sides, and one labelling of the corner slots
+there, which come from the unglued sides and one round of the complex's
+``slot_partners``, gives the boundary cycles; every other vertex is one
+sector, counted from the slot totals and the complex's ``odd_vertices``,
+an O(W + H) table, not scanned (see ``_ClosureTables``).  The boundary
+graph checks only the vertices of the boundary set.
 
 Nothing here gathers over every interior edge.  The grid-interior edges
 of a face labelling are two boolean slices of the ``(H, W)`` label grid,
@@ -132,28 +134,15 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
             raise ValueError(f"wall edge id {w} out of range")
         if c.edge_is_boundary[w]:
             raise ValueError(f"wall edge {w} lies on the surface boundary")
-    wall_arr = np.sort(np.fromiter(wall_ids, dtype=ID_DTYPE, count=len(wall_ids)))
+    wall_arr = np.fromiter(wall_ids, dtype=ID_DTYPE, count=len(wall_ids))
     domains, n_domains, orientable, bset = _label_domains(c, labels, wall_arr)
-    if wall_arr.size:
-        _reject_dangling_walls(c, wall_arr, bset)
     p = Partition(complex=c, domains=domains, n_domains=n_domains, walls=wall_ids,
                   orientable=orientable, boundary_set=bset)
     # every vertex of the boundary set must be a genuine crossing, junction,
-    # or a transversal hit on the boundary
+    # or a transversal hit on the boundary; a caller's wall that dangles is
+    # rejected there as malformed input
     boundary_graph(p)
     return p
-
-
-def _reject_dangling_walls(c: CellComplex, walls: np.ndarray, bset: np.ndarray) -> None:
-    """A caller's wall that ends at an interior vertex no other boundary-set
-    edge meets is malformed input: label changes alone never leave such an
-    end, so ``boundary_graph`` keeps that check as an internal one."""
-    degree = np.bincount(c.edge_vertices[bset].ravel(), minlength=c.n_vertices)
-    ends = c.edge_vertices[walls]
-    dangling = (degree[ends] == 1) & ~c.vertex_is_boundary[ends]
-    if dangling.any():
-        k, end = np.argwhere(dangling)[0]
-        raise ValueError(f"wall edge {walls[k]} has a dangling end at interior vertex {ends[k, end]}")
 
 
 def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
@@ -280,6 +269,14 @@ def _compute_boundary_graph(p: Partition) -> BoundaryGraph:
     on_bdy = c.vertex_is_boundary[touched]
     dangling = (deg == 1) & ~on_bdy
     if dangling.any():
+        # label changes alone never leave a dangling end, so one at a wall
+        # is the caller's malformed input
+        walls = np.flatnonzero(p.wall_mask)
+        wall_ends = c.edge_vertices[walls]
+        bad = (degree[wall_ends] == 1) & ~c.vertex_is_boundary[wall_ends]
+        if bad.any():
+            k, end = np.argwhere(bad)[0]
+            raise ValueError(f"wall edge {walls[k]} has a dangling end at interior vertex {wall_ends[k, end]}")
         raise InvariantViolation(
             f"boundary set has dangling ends at interior vertices {touched[dangling][:4].tolist()}"
         )
@@ -433,36 +430,41 @@ class _ClosureTables:
 
     Slots are (face, corner) pairs, id = 4*face + corner.  Two corner
     slots are identified when their faces are glued along a shared
-    non-wall edge interior to one domain; the orbits are the vertices of
-    the abstract closed domains.  Every orbit lies over one vertex of the
-    complex and inside one domain.
+    non-wall edge interior to one domain; the orbits, a domain's *sectors*
+    at a vertex of the complex, are the vertices of the abstract closed
+    domains.  The *unglued sides* are both sides of each boundary-set edge
+    and every surface-boundary side.
 
-    The work follows the boundary set; nothing here reads every face or
-    every vertex past the per-domain face count.  At a vertex that no
-    boundary-set edge touches every edge is glued, and since the vertex
-    links of these quotient grids are connected, all of its slots form one
-    orbit.  Orbits are therefore labelled as components only among the
-    slots at touched vertices, which come from the boundary set itself
-    (``_touched_slots``).  The untouched vertices are counted, not
-    scanned: every face has four slots, an untouched vertex has four unless
-    it is one of the complex's ``odd_vertices``, and all of its slots lie in
-    one domain, so a domain's untouched vertices are its slots off the
-    touched vertices, corrected by the slot counts of its untouched odd
-    vertices, over four; a remainder is an invariant violation.  Boundary
-    cycles chain orbits along the unglued sides, which lie on boundary-set
-    edges and on the surface boundary.
+    The work follows the unglued sides; nothing here reads every face or
+    every vertex past the per-domain face count.  The vertex links of these
+    quotient grids are connected, so at a vertex that an unglued side meets
+    every sector runs between two unglued ends, the corner slots of the
+    unglued sides: a domain's sectors at those vertices number its unglued
+    sides, and it meets two or more sectors at a vertex iff four or more of
+    its unglued ends lie there.  One labelling of the slots at those
+    vertices (``_touched_slots``), joined across glued partners and along
+    each unglued side, gives the boundary cycles.  Every other vertex is
+    one sector, counted, not scanned: every face has four slots, such a
+    vertex has four unless it is one of the complex's ``odd_vertices``, and
+    all of its slots lie in one domain, so a domain's untouched vertices
+    are its slots off the touched vertices, corrected by the slot counts of
+    its untouched odd vertices, over four; a remainder is an invariant
+    violation.
     """
 
     def __init__(self, p: Partition):
         c = p.complex
         dom = p.domains
         n = p.n_domains
-        fv = c.face_vertices.ravel()
         bset = p.boundary_set
-        degree = boundary_graph(p).degree
+        bdy = c.boundary_edges
 
-        bf, bs = c.edge_faces[bset].ravel(), c.edge_sides[bset].ravel()
-        slots = _touched_slots(c, bf, bs)
+        # unglued sides; (face, side) runs from corner slot side to side + 1
+        side_face = np.concatenate([c.edge_faces[bset].ravel(), c.edge_faces[bdy, 0]])
+        side = np.concatenate([c.edge_sides[bset].ravel(), c.edge_sides[bdy, 0]])
+        side_domain = dom.take(side_face)
+        ends = np.concatenate([4 * side_face + side, 4 * side_face + (side + 1) % 4])
+        slots = _touched_slots(c, ends)
         faces, corners = np.divmod(slots, 4)
         partner = c.slot_partners[slots]
         slot_domain = dom.take(faces)
@@ -471,47 +473,29 @@ class _ClosureTables:
             sides = c.face_edges[faces[:, None], np.stack([corners, (corners + 3) % 4], axis=1)]
             glued &= ~p.wall_mask[sides]
         rows = np.broadcast_to(np.arange(len(slots))[:, None], glued.shape)
-        n_touched, orbit = components(
-            len(slots), rows[glued], np.searchsorted(slots, partner[glued])
+        # a boundary cycle runs through sectors over glued partners and
+        # from sector to sector along the unglued sides
+        at = slots.searchsorted(ends)
+        n_cyc, cyc = components(
+            len(slots),
+            np.concatenate([rows[glued], at[: len(side)]]),
+            np.concatenate([slots.searchsorted(partner[glued]), at[len(side):]]),
         )
-        orbit_domain = np.empty(n_touched, dtype=ID_DTYPE)
-        orbit_domain[orbit] = slot_domain
-        # int64, not ID_DTYPE: the key product vertex * n + domain reaches V * n
-        orbit_vertex = np.empty(n_touched, dtype=np.int64)
-        orbit_vertex[orbit] = fv[slots]
+        cycle_domain = np.empty(n_cyc, dtype=ID_DTYPE)
+        cycle_domain[cyc] = slot_domain
         self.n_domains = n
-        self._orbit_keys = orbit_vertex * n + orbit_domain
-
-        # unglued sides: both sides of boundary-set edges, and the surface
-        # boundary; (face, side) runs from corner side to corner side + 1
-        bdy = c.boundary_edges
-        side_face = np.concatenate([bf, c.edge_faces[bdy, 0]])
-        side = np.concatenate([bs, c.edge_sides[bdy, 0]])
-        side_domain = dom[side_face]
-        end_slots = np.concatenate([4 * side_face + side, 4 * side_face + (side + 1) % 4])
-        # every orbit at a touched vertex ends at an unglued side, so the
-        # cycle nodes are the touched orbits and then the untouched
-        # vertices that the surface boundary passes, one orbit each
-        end_vertex = fv.take(end_slots)
-        hit = degree.take(end_vertex) > 0
-        ends = np.empty(len(end_slots), dtype=ID_DTYPE)
-        ends[hit] = orbit.take(slots.searchsorted(end_slots[hit]))
-        free = end_vertex[~hit]
-        free_nodes = _unique(free)
-        ends[~hit] = n_touched + free_nodes.searchsorted(free)
-        n_cyc, cyc = components(n_touched + len(free_nodes), ends[: len(side)], ends[len(side):])
-        # a node no side reached would leave its cycle at -1, which bincount rejects
-        cycle_domain = np.full(n_cyc, -1, dtype=ID_DTYPE)
-        cycle_domain[cyc[ends[: len(side)]]] = side_domain
+        # int64, not ID_DTYPE: the key product vertex * n + domain reaches V * n
+        self._end_keys = c.face_vertices.ravel().take(ends).astype(np.int64) * n + np.tile(side_domain, 2)
 
         # per-domain face, glued-edge and abstract vertex counts; each face
         # has four sides, and every glued edge takes two of them
         self.faces_per_domain = np.bincount(dom, minlength=n)
-        self.glued_per_domain = (4 * self.faces_per_domain - np.bincount(side_domain, minlength=n)) // 2
+        sides_per_domain = np.bincount(side_domain, minlength=n)
+        self.glued_per_domain = (4 * self.faces_per_domain - sides_per_domain) // 2
         # each untouched vertex holds four slots of its domain, less the
         # shortfall of an odd one
         odd, odd_slot, odd_count = c.odd_vertices
-        odd_free = degree.take(odd) == 0
+        odd_free = (boundary_graph(p).degree.take(odd) == 0) & ~c.vertex_is_boundary.take(odd)
         shortfall = np.bincount(dom.take(odd_slot[odd_free] // 4), weights=4 - odd_count[odd_free], minlength=n)
         untouched, rest = np.divmod(
             4 * self.faces_per_domain - np.bincount(slot_domain, minlength=n) + shortfall.astype(np.int64), 4
@@ -520,7 +504,7 @@ class _ClosureTables:
             raise InvariantViolation(
                 f"domain {int(np.flatnonzero(rest)[0])}: slots off the touched vertices do not fill whole vertices"
             )
-        self.vertices_per_domain = np.bincount(orbit_domain, minlength=n) + untouched
+        self.vertices_per_domain = sides_per_domain + untouched
         self.cycles_per_domain = np.bincount(cycle_domain, minlength=n)
 
     def chi(self, d: int) -> int:
@@ -536,26 +520,26 @@ class _ClosureTables:
     def non_normal_pairs(self) -> np.ndarray:
         """(vertex, domain) pairs where a domain meets >= 2 corner sectors.
 
-        An untouched vertex holds a single orbit, so only touched orbits
-        can pair up.  The keys that repeat are the sorted keys equal to the
-        one before them.
+        Each sector at a touched vertex holds two unglued ends and an
+        untouched vertex is one sector, so the pairs are the end keys that
+        occur four or more times: the sorted keys equal to the one three
+        before them.
         """
-        keys = np.sort(self._orbit_keys)
-        keys = _unique(keys[1:][keys[1:] == keys[:-1]])
+        keys = np.sort(self._end_keys)
+        keys = _unique(keys[3:][keys[3:] == keys[:-3]])
         return np.stack(np.divmod(keys, self.n_domains), axis=1)
 
 
-def _touched_slots(c: CellComplex, faces: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """The corner slots over the vertices of the boundary set, increasing,
-    from the (face, side) pairs of both sides of its edges.
+def _touched_slots(c: CellComplex, ends: np.ndarray) -> np.ndarray:
+    """The corner slots over the vertices that an unglued side meets,
+    increasing, from the two corner slots of each unglued side.
 
-    The seeds are the two corner slots of each side, and one round of
-    their ``slot_partners`` completes every vertex: the slots over a vertex
-    form a cycle or a path of at most four, in which the two seeds of one
-    edge at the vertex are neighbours.
+    One round of ``slot_partners`` from these ends completes every vertex:
+    the slots over a vertex form a cycle or a path of at most four, and the
+    ends over it hold two neighbours of the cycle, across a boundary-set
+    edge, or both ends of the path, on the surface boundary.
     """
-    seeds = np.concatenate([4 * faces + sides, 4 * faces + (sides + 1) % 4])
-    slots = _unique(np.concatenate([seeds, c.slot_partners[seeds].ravel()]))
+    slots = _unique(np.concatenate([ends, c.slot_partners[ends].ravel()]))
     # a side on the surface boundary has partner -1
     return slots[1:] if slots.size and slots[0] < 0 else slots
 
@@ -723,7 +707,7 @@ def normalize(p: Partition, refine_factor: int = 3) -> Partition:
         slots = slots[np.argsort(corners.take(slots), kind="stable")]
         stars = np.split(slots // 4, np.searchsorted(corners.take(slots), off[1:]))
         for v, faces in zip(off, stars):
-            star_vertices = set(np.unique(c.face_vertices[faces]).tolist()) - {v}
+            star_vertices = set(c.face_vertices[faces].ravel().tolist()) - {v}
             if star_vertices & singular:
                 raise NormalizationError(
                     f"face star of vertex {v} touches another singular point; "

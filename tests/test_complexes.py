@@ -455,7 +455,7 @@ def test_every_id_table_has_the_id_dtype(name):
     p = random_partition(c, RandomSpec(seed=1, k=3))
     assert p.domains.dtype == p.boundary_set.dtype == ID_DTYPE
     # the (vertex, domain) key product reaches V * n_domains, beyond int32
-    assert closure_tables(p)._orbit_keys.dtype == np.int64
+    assert closure_tables(p)._end_keys.dtype == np.int64
     if name in COVERABLE:
         cs = double_cover(c)
         for a in (cs.face_projection, cs.face_deck, cs.edge_projection, lift_partition(cs, p).domains):

@@ -478,35 +478,57 @@ def test_closure_tables_match_slot_graph(name, size):
 @pytest.mark.parametrize("name", SURFACES)
 @pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (12, 9)])
 def test_closure_reads_the_boundary_set_not_every_slot_and_vertex(name, size):
-    # the touched slots from the boundary set and one partner round, against
-    # a scan of every corner slot; the abstract vertex counts, with the
-    # untouched vertices counted from the odd vertices, against a scan of
-    # every vertex
+    # the touched slots from the unglued sides and one partner round, against
+    # a scan of every corner slot; the abstract vertex counts, one per
+    # unglued side and the untouched vertices counted from the odd
+    # vertices, against the unglued sides plus a scan of every other vertex
     n_walled = 0
     for p in _closure_corpus(name, size):
         n_walled += bool(p.walls)
         c, n = p.complex, p.n_domains
         fv = c.face_vertices.ravel()
-        touched = boundary_graph(p).degree > 0
-        bset = p.boundary_set
-        slots = _touched_slots(c, c.edge_faces[bset].ravel(), c.edge_sides[bset].ravel())
+        touched = (boundary_graph(p).degree > 0) | c.vertex_is_boundary
+        bset, bdy = p.boundary_set, c.boundary_edges
+        f = np.concatenate([c.edge_faces[bset].ravel(), c.edge_faces[bdy, 0]])
+        s = np.concatenate([c.edge_sides[bset].ravel(), c.edge_sides[bdy, 0]])
+        slots = _touched_slots(c, np.concatenate([4 * f + s, 4 * f + (s + 1) % 4]))
         assert np.array_equal(slots, np.flatnonzero(touched[fv]))
         one_slot = np.empty(c.n_vertices, dtype=np.int64)
         one_slot[fv] = np.arange(4 * c.n_faces)
-        tables = closure_tables(p)
-        scan = np.bincount(tables._orbit_keys % n, minlength=n)
+        scan = np.bincount(p.domains[f], minlength=n)
         scan += np.bincount(p.domains[one_slot[~touched] // 4], minlength=n)
-        assert np.array_equal(tables.vertices_per_domain, scan)
+        assert np.array_equal(closure_tables(p).vertices_per_domain, scan)
     if size != (2, 2):
         assert n_walled > 0
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_closure_labels_its_slots_once(name, monkeypatch):
+    # one components call gives the boundary cycles, on a partition with
+    # walls and on one without
+    from eulerpart import partition
+
+    picked = {}
+    for p in _closure_corpus(name, (7, 5)):
+        if p.boundary_set.size:
+            picked.setdefault(bool(p.walls), p)
+    assert set(picked) == {False, True}
+    calls = []
+    monkeypatch.setattr(partition, "components", lambda *a: calls.append(a) or components(*a))
+    for walled, p in picked.items():
+        calls.clear()
+        closure_tables(p)
+        assert len(calls) == 1, walled
 
 
 def test_closure_rejects_slots_that_do_not_fill_whole_vertices():
     import dataclasses
 
-    # a copy of a rectangle whose odd-vertex table misses a side vertex of
-    # two slots: the untouched slots of the one domain no longer divide by four
-    c = dataclasses.replace(build_complex(SurfaceSpec.rectangle(4, 3)))
+    # a copy of a projective plane whose odd-vertex table misses one of the
+    # two corner vertices of two slots, the only odd vertices off the
+    # surface boundary: the untouched slots of the one domain no longer
+    # divide by four
+    c = dataclasses.replace(build_complex(SurfaceSpec.projective(4, 3)))
     odd, odd_slot, odd_count = c.odd_vertices
     keep = np.arange(len(odd)) != np.flatnonzero(odd_count == 2)[0]
     c.__dict__["odd_vertices"] = (odd[keep], odd_slot[keep], odd_count[keep])
