@@ -80,7 +80,7 @@ import numpy as np
 from scipy.sparse._sparsetools import coo_tocsr
 from scipy.sparse.csgraph._traversal import _connected_components_undirected
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -154,8 +154,8 @@ class SurfaceSpec:
     y_gluing: str = OPEN
 
     def __post_init__(self):
-        if not (isinstance(self.width, int) and isinstance(self.height, int)):
-            raise TypeError("width and height must be integers")
+        object.__setattr__(self, "width", integer(self.width, "surface width"))
+        object.__setattr__(self, "height", integer(self.height, "surface height"))
         if self.width < 2 or self.height < 2:
             raise ValueError("width and height must be at least 2")
         if self.x_gluing not in GLUINGS or self.y_gluing not in GLUINGS:
@@ -208,6 +208,15 @@ class SurfaceSpec:
     @classmethod
     def projective(cls, width: int, height: int) -> "SurfaceSpec":
         return cls.named("projective", width, height)
+
+
+def _grid_index(what: str, i, j, ni: int, nj: int) -> int:
+    """``j * ni + i`` of integer raw coordinates with 0 <= i < ni and
+    0 <= j < nj; anything else raises ``ValueError`` naming ``what``."""
+    i, j = integer(i, f"{what} i"), integer(j, f"{what} j")
+    if not (0 <= i < ni and 0 <= j < nj):
+        raise ValueError(f"{what} ({i},{j}) outside grid")
+    return j * ni + i
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,23 +399,26 @@ class CellComplex:
     def vertex_id(self, i: int, j: int) -> int:
         """Canonical id of grid vertex (i, j), 0 <= i <= W, 0 <= j <= H."""
         W, H = self.spec.width, self.spec.height
-        if not (0 <= i <= W and 0 <= j <= H):
-            raise ValueError(f"vertex ({i},{j}) outside grid")
-        return int(self.vertex_map[j * (W + 1) + i])
+        return int(self.vertex_map[_grid_index("vertex", i, j, W + 1, H + 1)])
 
     def horizontal_edge(self, i: int, j: int) -> int:
         """Canonical id of the edge from (i, j) to (i+1, j)."""
         W, H = self.spec.width, self.spec.height
-        if not (0 <= i < W and 0 <= j <= H):
-            raise ValueError(f"horizontal edge ({i},{j}) outside grid")
-        return int(self.edge_map[j * W + i])
+        return int(self.edge_map[_grid_index("horizontal edge", i, j, W, H + 1)])
 
     def vertical_edge(self, i: int, j: int) -> int:
         """Canonical id of the edge from (i, j) to (i, j+1)."""
         W, H = self.spec.width, self.spec.height
-        if not (0 <= i <= W and 0 <= j < H):
-            raise ValueError(f"vertical edge ({i},{j}) outside grid")
-        return int(self.edge_map[W * (H + 1) + j * (W + 1) + i])
+        return int(self.edge_map[W * (H + 1) + _grid_index("vertical edge", i, j, W + 1, H)])
+
+    def edge_ids(self, values, what: str) -> list[int]:
+        """``values`` as a list of edge ids: each must pass ``integer`` and
+        lie in ``0 <= e < n_edges``, or ``ValueError`` names ``what``."""
+        ids = [integer(e, what) for e in values]
+        for e in ids:
+            if not 0 <= e < self.n_edges:
+                raise ValueError(f"{what} {e} out of range")
+        return ids
 
     def edge_segments(self, edge_ids) -> np.ndarray:
         """(N, 4) grid segments (i0, j0, i1, j1) of the given edges.

@@ -150,7 +150,7 @@ def _lift(cs: CoverStructure, p: Partition) -> tuple[Partition, np.ndarray]:
     entry = cs._lifts.get(p)
     if entry is None:
         below = p.domains.take(cs.face_projection)
-        walls = np.flatnonzero(np.isin(cs.edge_projection, np.fromiter(p.walls, dtype=ID_DTYPE))) if p.walls else ()
+        walls = np.flatnonzero(p.wall_mask.take(cs.edge_projection)) if p.walls else ()
         lifted = from_labels(cs.cover, below, walls=walls)
         base_of = np.empty(lifted.n_domains, dtype=ID_DTYPE)
         base_of[lifted.domains] = below

@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check.
+
+Every integer that reaches the package from outside (a size, seed, count,
+frequency, edge id or pixel size, from a caller or a JSON document) goes
+through ``integer``: ``bool`` and every non-integral value (floats,
+strings, ``None``) raise ``ValueError`` naming the field, never truncated
+or parsed, and numpy integers come back as Python ``int``.
+"""
+
+import numbers
+
+
+def integer(value, what: str) -> int:
+    """``value`` as a Python ``int`` if it is an integer; ``bool`` and any
+    other value raise ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class EulerPartError(Exception):

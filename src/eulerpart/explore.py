@@ -9,7 +9,6 @@ sweeps and bisections reuse the deterministic stabilization from
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .complexes import (
     csr,
 )
 from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
-from .errors import InstabilityError, InvariantViolation
+from .errors import InstabilityError, InvariantViolation, integer
 from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, phi_family, stable_invariants
 from .nodal import family as family_member
 from .partition import (
@@ -54,36 +53,33 @@ class RandomSpec:
     k: int
 
     def __post_init__(self):
-        _check_seed_and_count(self.seed, self.k, "k")
+        seed, k = _check_seed_and_count(self.seed, self.k, "k")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "k", k)
 
 
-def _check_integers(*named) -> None:
-    """Reject a ``(name, value)`` whose value is not an integer (``bool``
-    included), with a ``ValueError`` naming the field."""
-    for name, value in named:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def check_batch_size(size, name: str = "size") -> None:
-    """Reject a batch grid size that is not an integer (``bool`` included),
-    is below 2, or gives a ``size x size`` grid above ``MAX_FACES``, with a
-    ``ValueError`` naming the field."""
-    _check_integers((name, size))
+def check_batch_size(size, name: str = "size") -> int:
+    """``size`` as a Python int; a batch grid size that is not an integer
+    (``bool`` included), is below 2, or gives a ``size x size`` grid above
+    ``MAX_FACES`` raises a ``ValueError`` naming the field."""
+    size = integer(size, name)
     if size < 2:
         raise ValueError(f"{name} must be at least 2, got {size}")
     if size * size > MAX_FACES:
         raise ValueError(f"{name} {size} gives {size * size} faces, above the cap of {MAX_FACES}")
+    return size
 
 
-def _check_seed_and_count(seed, count, count_name: str) -> None:
-    """Reject a seed or count that is not an integer (``bool`` included), a
-    negative seed and a count below 1, with a ``ValueError`` naming the field."""
-    _check_integers(("seed", seed), (count_name, count))
+def _check_seed_and_count(seed, count, count_name: str) -> tuple[int, int]:
+    """(seed, count) as Python ints; a seed or count that is not an integer
+    (``bool`` included), a negative seed and a count below 1 raise a
+    ``ValueError`` naming the field."""
+    seed, count = integer(seed, "seed"), integer(count, count_name)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if count < 1:
         raise ValueError(f"{count_name} must be at least 1")
+    return seed, count
 
 
 #: the predecessor scipy's breadth-first traversal reads as "not reached yet"
@@ -446,10 +442,10 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     """
     from .jsonio import partition_to_json
 
-    _check_seed_and_count(seed, count, "count")
-    check_batch_size(size)
+    seed, count = _check_seed_and_count(seed, count, "count")
+    size = check_batch_size(size)
     k_lo, k_hi = k_range
-    _check_integers(("k_min", k_lo), ("k_max", k_hi))
+    k_lo, k_hi = integer(k_lo, "k_min"), integer(k_hi, "k_max")
     if not 1 <= k_lo <= k_hi:
         raise ValueError(f"k_min and k_max must satisfy 1 <= k_min <= k_max, got {k_lo} and {k_hi}")
     c = build_complex(SurfaceSpec.named(surface, size, size))

@@ -4,6 +4,12 @@ All emitted documents validate against the JSON Schemas shipped under
 ``eulerpart/schemas``; ``validate(name, obj)`` checks an object against a
 schema by file stem.  Serialization is deterministic: callers should dump
 with ``sort_keys=True`` (the CLI does).
+
+Loading checks the shape of a document: objects, required fields and
+lists.  Sizes and edge ids are checked where the library consumes them
+(``SurfaceSpec``, ``from_labels``, ``plan_cut``,
+``classify_circle_complement``), with the same messages for a document
+and for a caller.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from importlib import resources
 
 from .complexes import PRESETS, CellComplex, SurfaceSpec, build_complex
 from .cover import CoverReport
+from .errors import integer
 from .explore import BatchResult, SweepResult, TransitionEstimate
 from .nodal import Eigenfunction, Factor, Term, family, finite_real
 from .partition import (
@@ -78,13 +85,6 @@ def surface_to_json(spec: SurfaceSpec) -> dict:
     }
 
 
-def _integer(value, field: str) -> int:
-    """A JSON integer; floats, strings and booleans are rejected, not truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _require_object(obj, what: str, *fields: str) -> None:
     """Reject anything but a JSON object holding every required field."""
     if not isinstance(obj, dict):
@@ -96,13 +96,11 @@ def _require_object(obj, what: str, *fields: str) -> None:
 
 def surface_from_json(obj: dict) -> SurfaceSpec:
     _require_object(obj, "surface", "width", "height")
-    width = _integer(obj["width"], "surface width")
-    height = _integer(obj["height"], "surface height")
     if "surface" in obj:
-        return SurfaceSpec.named(obj["surface"], width, height)
+        return SurfaceSpec.named(obj["surface"], obj["width"], obj["height"])
     return SurfaceSpec(
-        width,
-        height,
+        obj["width"],
+        obj["height"],
         obj.get("x_gluing", "open"),
         obj.get("y_gluing", "open"),
     )
@@ -121,26 +119,27 @@ def partition_to_json(p: Partition) -> dict:
 def partition_from_json(obj: dict) -> Partition:
     _require_object(obj, "partition", "surface", "labels")
     c = build_complex(surface_from_json(obj["surface"]))
-    walls: list[int] = []
+    walls = []
     raw_walls = obj.get("walls", [])
     if not isinstance(raw_walls, list):
         raise ValueError(f"partition walls must be a list of edge ids, got {type(raw_walls).__name__}")
     for group in raw_walls:
         if isinstance(group, list):
-            walls.extend(_integer(w, "wall edge id") for w in group)
+            walls.extend(group)
         else:
-            walls.append(_integer(group, "wall edge id"))
+            walls.append(group)
     return from_labels(c, obj["labels"], walls=walls)
 
 
-def _edge_ids(value, what: str) -> list[int]:
-    """A JSON list of integer edge ids; floats, strings and booleans are rejected."""
+def _edge_ids(value, what: str) -> list:
+    """A JSON list of edge ids, checked by ``CellComplex.edge_ids`` where
+    the library consumes them."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of edge ids, got {type(value).__name__}")
-    return [_integer(e, f"{what} edge id") for e in value]
+    return value
 
 
-def cut_path_from_json(doc) -> list[int]:
+def cut_path_from_json(doc) -> list:
     """The edge ids of a cut-path document: ``{"edges": [...]}`` or a bare list."""
     if isinstance(doc, list):
         return _edge_ids(doc, "cut path")
@@ -148,7 +147,7 @@ def cut_path_from_json(doc) -> list[int]:
     return _edge_ids(doc["edges"], "cut path")
 
 
-def cycle_from_json(doc) -> tuple[CellComplex, list[int]]:
+def cycle_from_json(doc) -> tuple[CellComplex, list]:
     """The complex and edge ids of a cycle document; ``cycle`` is a list of
     edge ids or one of the descriptions ``_cycle_from_description`` reads."""
     _require_object(doc, "cycle document", "surface", "cycle")
@@ -173,7 +172,7 @@ def _cycle_from_description(c: CellComplex, desc: dict) -> list[int]:
         block = desc["block"]
         if not isinstance(block, list) or len(block) != 4:
             raise ValueError(f"cycle block must be a list [i0, j0, i1, j1], got {block!r}")
-        i0, j0, i1, j1 = (_integer(v, "cycle block corner") for v in block)
+        i0, j0, i1, j1 = (integer(v, "cycle block corner") for v in block)
         edges = [c.horizontal_edge(i, j0) for i in range(i0, i1)]
         edges += [c.vertical_edge(i1, j) for j in range(j0, j1)]
         edges += [c.horizontal_edge(i, j1) for i in range(i1 - 1, i0 - 1, -1)]
@@ -208,7 +207,7 @@ def _factor_from_json(fac) -> Factor:
     _require_object(fac, "term factor", "k", "m")
     return Factor(
         fac["k"],
-        _integer(fac["m"], "factor frequency m"),
+        integer(fac["m"], "factor frequency m"),
         finite_real(fac.get("p", 0.0), "factor phase p"),
     )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import ID_DTYPE, MAX_FACES, SurfaceSpec, build_complex
-from .errors import InstabilityError, ResolutionError, SymmetryError
+from .errors import InstabilityError, ResolutionError, SymmetryError, integer
 from .partition import InvariantReport, Partition, from_labels, invariants
 
 ZERO_TOL = 1e-12                 # |sample| at or below this is a resolution error
@@ -127,12 +127,7 @@ def family(name: str, params: dict) -> Eigenfunction:
         if value is None:
             raise ValueError(f"the {name} family needs {key}")
         what = f"{name} parameter {key}"
-        if key == "m":
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{what} must be an integer, got {value!r}")
-            args.append(value)
-        else:
-            args.append(finite_real(value, what))
+        args.append(integer(value, what) if key == "m" else finite_real(value, what))
     return FAMILIES[name](*args)
 
 
@@ -159,6 +154,8 @@ class NodalConfig:
     max_refine: int = 5          # doublings of n before stabilization gives up
 
     def __post_init__(self):
+        object.__setattr__(self, "n", integer(self.n, "resolution"))
+        object.__setattr__(self, "max_refine", integer(self.max_refine, "max_refine"))
         if self.n < 2:
             raise ValueError("resolution must be at least 2")
         if self.n * self.n > MAX_FACES:

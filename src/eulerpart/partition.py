@@ -63,7 +63,7 @@ from .complexes import (
     components,
     edge_components,
 )
-from .errors import CutError, InvariantViolation, NormalizationError
+from .errors import CutError, InvariantViolation, NormalizationError, integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +117,9 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     Equal-label faces are re-split into connected domains; domain ids are
     assigned in order of each domain's smallest face index.  Labels must be
     integers (floats, strings and booleans are rejected, never truncated).
-    Wall edges must be interior and may not leave dangling ends; a wall
-    that does is malformed input and raises ``ValueError``.  Labels
+    Walls are edge ids checked by ``CellComplex.edge_ids``; they must be
+    interior and may not leave dangling ends; a wall that does is
+    malformed input and raises ``ValueError``.  Labels
     keep the caller's integer dtype: they are only compared with each
     other, so no label is narrowed (labels 0 and 2**32 stay distinct), and
     the domains come out as ``ID_DTYPE`` ids.
@@ -128,10 +129,8 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
         raise ValueError(f"labels must cover all {c.n_faces} faces, got {labels.shape}")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got {labels.dtype} values")
-    wall_ids = frozenset(int(w) for w in walls)
+    wall_ids = frozenset(c.edge_ids(walls, "wall edge id"))
     for w in wall_ids:
-        if not 0 <= w < c.n_edges:
-            raise ValueError(f"wall edge id {w} out of range")
         if c.edge_is_boundary[w]:
             raise ValueError(f"wall edge {w} lies on the surface boundary")
     wall_arr = np.fromiter(wall_ids, dtype=ID_DTYPE, count=len(wall_ids))
@@ -661,6 +660,7 @@ def offending_vertices(p: Partition) -> list[int]:
 
 def refine(p: Partition, factor: int) -> Partition:
     """Subdivide every face into factor x factor faces, copying labels."""
+    factor = integer(factor, "refinement factor")
     if factor < 1:
         raise ValueError("refinement factor must be >= 1")
     if factor == 1:
@@ -686,6 +686,7 @@ def normalize(p: Partition, refine_factor: int = 3) -> Partition:
     """
     if p.walls:
         raise ValueError("normalization applies to wall-free partitions")
+    refine_factor = integer(refine_factor, "refine_factor")
     if refine_factor < 3:
         raise ValueError("refine_factor must be >= 3")
     before = invariants(p)
@@ -793,12 +794,14 @@ def _chain_edges(c: CellComplex, edges: list[int]) -> tuple[list[int], bool]:
 
 
 def plan_cut(p: Partition, edges) -> CutPath:
-    """Validate a cut path against the partition it will be applied to."""
+    """Validate a cut path against the partition it will be applied to.
+
+    An id that ``CellComplex.edge_ids`` rejects raises ``ValueError``; an
+    inadmissible path raises ``CutError``.
+    """
     c = p.complex
-    edge_list = [int(e) for e in edges]
+    edge_list = c.edge_ids(edges, "cut path edge id")
     for e in edge_list:
-        if not 0 <= e < c.n_edges:
-            raise CutError(f"edge id {e} out of range")
         if c.edge_is_boundary[e]:
             raise CutError(f"edge {e} lies on the surface boundary")
         if e in p.walls:
@@ -904,11 +907,12 @@ def classify_circle_complement(c: CellComplex, cycle) -> ComplementClass:
     The complement has one component (a disk, when the circle does not
     separate) or two (a disk and a Moebius strip), read from
     ``domain_reports``: S(0,0,1) is a disk and S(1,1,1) a Moebius strip.
-    Any other outcome is an invariant violation.
+    Any other outcome is an invariant violation.  An id that
+    ``CellComplex.edge_ids`` rejects raises ``ValueError``.
     """
     if c.spec.kind != "projective":
         raise ValueError("circle complement classification runs on the projective plane")
-    edge_list = [int(e) for e in cycle]
+    edge_list = c.edge_ids(cycle, "cycle edge id")
     _verts, is_cycle = _chain_edges(c, edge_list)
     if not is_cycle:
         raise CutError("cycle is not closed")

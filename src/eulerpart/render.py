@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import integer
 from .partition import Partition, boundary_graph
 
 BOUNDARY_PX = 2                  # boundary-set and wall stroke width
@@ -55,11 +56,11 @@ class _Scene(NamedTuple):
 
 
 def _scene(p: Partition, cell_px: int) -> _Scene:
-    if isinstance(cell_px, bool) or not isinstance(cell_px, (int, np.integer)) or cell_px < 1:
-        raise ValueError(f"cell_px must be an integer of at least 1, got {cell_px!r}")
+    s, m = integer(cell_px, "cell_px"), FRAME_PX + 2
+    if s < 1:
+        raise ValueError(f"cell_px must be at least 1, got {s}")
     c = p.complex
     W, H = c.spec.width, c.spec.height
-    s, m = int(cell_px), FRAME_PX + 2
 
     # image row 0 is the top, grid row 0 the bottom
     dom = p.domains.reshape(H, W)[::-1]

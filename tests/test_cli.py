@@ -503,3 +503,22 @@ def test_document_grid_above_the_cap_is_a_usage_error(command, doc, tmp_path, ca
     f.write_text(json.dumps(doc))
     assert main([command, str(f)]) == 2
     assert "1000000x16 grid has 16000000 faces, above the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", [1000000, -1])
+def test_cycle_edge_id_out_of_range_is_a_usage_error(edge, tmp_path, capsys):
+    # a projective cycle id past the last edge once ended in an IndexError, and -1 wrapped
+    f = tmp_path / "cycle.json"
+    f.write_text(json.dumps({"surface": PROJECTIVE_8, "cycle": [edge]}))
+    assert main(["circle", str(f)]) == 2
+    assert f"cycle edge id {edge} out of range" in capsys.readouterr().err
+
+
+def test_cut_path_edge_id_out_of_range_is_a_usage_error(tmp_path, capsys):
+    c = build_complex(SurfaceSpec.moebius(6, 6))
+    pf = tmp_path / "p.json"
+    pf.write_text(dumps(partition_to_json(from_labels(c, np.zeros(36, dtype=int)))))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps([1000000]))
+    assert main(["cut", str(pf), "--path", str(path)]) == 2
+    assert "cut path edge id 1000000 out of range" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Every function, class and method of the package is reached from the package.
+"""Every function, class and method of the package is reached from the package,
+and ``errors.integer`` is the one integer check.
 
 The scan parses each module of ``src/eulerpart`` and lists the module-level
 functions and classes and the methods of those classes whose name no
@@ -7,6 +8,11 @@ only re-exports, so its references do not count, and dunder methods are
 called by Python itself.  A name that only tests reach is dead code; the
 allow-list holds the few kept on purpose, so a new dead name and a stale
 entry both fail.
+
+The second scan lists every module other than ``errors`` that names
+``numbers.Integral`` or raises an error whose message says "must be an
+integer": such a module checks integers itself instead of calling
+``errors.integer``.  Docstrings are not raised, so they do not count.
 """
 
 import ast
@@ -73,3 +79,39 @@ def test_the_scan_reports_an_unreferenced_def():
         ),
     }
     assert unreferenced(sources) == {"mod.unused", "mod.Box.spare"}
+
+
+def own_integer_checks(sources: dict[str, str]) -> set[str]:
+    """Modules of ``sources`` other than ``errors`` that check integers
+    themselves: they name ``Integral`` or raise a "must be an integer"
+    message."""
+    found = set()
+    for module, source in sources.items():
+        if module == "errors":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise):
+                texts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                if any("must be an integer" in text for text in texts):
+                    found.add(module)
+            # a Name's id, an Attribute's attr or an imported alias's name
+            elif "Integral" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                found.add(module)
+    return found
+
+
+def test_errors_integer_is_the_one_integer_check():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert "Integral" in sources["errors"]
+    assert own_integer_checks(sources) == set()
+
+
+def test_the_scan_reports_a_private_integer_check():
+    sources = {
+        "errors": "import numbers\n\ndef integer(v, what):\n    return isinstance(v, numbers.Integral)\n",
+        "doc": 'def f(m):\n    """m must be an integer."""\n    return m\n',
+        "attr": "import numbers\n\ndef f(v):\n    return isinstance(v, numbers.Integral)\n",
+        "imported": "from numbers import Integral\n",
+        "message": 'def f(v, what):\n    raise ValueError(f"{what} must be an integer, got {v!r}")\n',
+    }
+    assert own_integer_checks(sources) == {"attr", "imported", "message"}
