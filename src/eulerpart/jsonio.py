@@ -1,21 +1,35 @@
-"""JSON serialization for every wire format, plus schema validation.
+"""JSON serialization for every wire format, plus schema checking.
 
-All emitted documents validate against the JSON Schemas shipped under
-``eulerpart/schemas``; ``validate(name, obj)`` checks an object against a
-schema by file stem.  Serialization is deterministic: callers should dump
+Every document the CLI emits is checked against the JSON Schema of its
+kind, shipped under ``eulerpart/schemas``; ``validate(name, obj)`` checks
+an object against a schema by file stem.  The schema files are the one
+statement of the format.  Each is compiled once, on first use, into a
+tree of small closures that implements exactly the keywords the shipped
+schemas use, with JSON Schema's (draft 2020-12) semantics; compiling
+refuses any other keyword, so a schema can never ask for a check that is
+silently skipped.  An array of integers is checked in one pass over its
+item types and one ``min``.  The tests hold the compiled checker to
+``jsonschema``, which stays the oracle; the package imports
+``jsonschema`` only to raise its ``ValidationError`` for a document that
+does not match.  Serialization is deterministic: callers should dump
 with ``sort_keys=True`` (the CLI does).
 
 Loading checks the shape of a document: objects, required fields and
-lists.  Sizes and edge ids are checked where the library consumes them
-(``SurfaceSpec``, ``from_labels``, ``plan_cut``,
-``classify_circle_complement``), with the same messages for a document
-and for a caller.
+lists, and a partition's labels as one flat list of integers.  Sizes and
+edge ids are checked where the library consumes them (``SurfaceSpec``,
+``from_labels``, ``plan_cut``, ``classify_circle_complement``), with the
+same messages for a document and for a caller.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import numbers
+import reprlib
 from importlib import resources
+
+import numpy as np
 
 from .complexes import PRESETS, CellComplex, SurfaceSpec, build_complex
 from .cover import CoverReport
@@ -31,9 +45,6 @@ from .partition import (
     from_labels,
 )
 
-_SCHEMA_CACHE: dict = {}
-_REGISTRY = None
-
 SCHEMA_NAMES = (
     "surface", "partition", "invariants", "verdict", "cover_report",
     "complement", "transition", "sweep", "batch",
@@ -42,31 +53,230 @@ SCHEMA_NAMES = (
 
 
 def load_schema(name: str) -> dict:
-    if name not in _SCHEMA_CACHE:
-        path = resources.files("eulerpart").joinpath(f"schemas/{name}.json")
-        _SCHEMA_CACHE[name] = json.loads(path.read_text(encoding="utf-8"))
-    return _SCHEMA_CACHE[name]
-
-
-def _registry():
-    """Resolver registry so schemas can $ref their siblings by file name."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        from referencing import Registry, Resource
-
-        _REGISTRY = Registry().with_resources(
-            (f"{name}.json", Resource.from_contents(load_schema(name)))
-            for name in SCHEMA_NAMES
-        )
-    return _REGISTRY
+    path = resources.files("eulerpart").joinpath(f"schemas/{name}.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def validate(name: str, obj) -> None:
     """Raise jsonschema.ValidationError if obj does not match the schema."""
-    import jsonschema
+    try:
+        _checker(name)(obj)
+    except _Mismatch as e:
+        import jsonschema
 
-    validator = jsonschema.Draft202012Validator(load_schema(name), registry=_registry())
-    validator.validate(obj)
+        path = list(reversed(e.path))
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise jsonschema.ValidationError(
+            f"{where}: {e.message} ({e.keyword})", validator=e.keyword, path=path
+        ) from None
+
+
+# ---------------------------------------------------------------------------
+# compiled schema checks
+
+
+class _Mismatch(Exception):
+    """A value fails ``keyword``; ``path`` gathers the keys and indices
+    from the failing value outward as the exception leaves each level."""
+
+    def __init__(self, keyword: str, message: str):
+        super().__init__(message)
+        self.keyword = keyword
+        self.message = message
+        self.path = []
+
+
+def _is_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, numbers.Number)
+
+
+# JSON Schema's types: ``integer`` takes an integral float such as 1.0, and
+# neither ``integer`` nor ``number`` takes a bool
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+# the exact Python types each JSON type takes without a further test
+_EXACT = {
+    "object": {dict}, "array": {list}, "string": {str}, "boolean": {bool},
+    "null": {type(None)}, "number": {int, float}, "integer": {int},
+}
+_IGNORED = frozenset({"$id", "$schema", "title"})
+_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items", "enum",
+    "minimum", "minItems", "maxItems", "oneOf", "$ref",
+})
+
+
+@functools.cache
+def _checker(name: str):
+    return _compile(load_schema(name))
+
+
+def _compile(schema: dict):
+    """A function that returns if its argument matches ``schema`` and
+    raises ``_Mismatch`` if not; ``ValueError`` for a keyword it does not
+    implement."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"a schema must be an object, got {schema!r}")
+    unknown = set(schema) - _KEYWORDS - _IGNORED
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
+    checks = []
+    if "$ref" in schema:
+        checks.append(_ref(schema["$ref"]))
+    if "type" in schema:
+        checks.append(_type(schema["type"]))
+    if "enum" in schema:
+        checks.append(_enum(schema["enum"]))
+    if "minimum" in schema:
+        checks.append(_minimum(schema["minimum"]))
+    if {"properties", "required", "additionalProperties"} & set(schema):
+        checks.append(_object(schema))
+    if {"items", "minItems", "maxItems"} & set(schema):
+        checks.append(_array(schema))
+    if "oneOf" in schema:
+        checks.append(_one_of(schema["oneOf"]))
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        for each in checks:
+            each(x)
+
+    return check
+
+
+def _ref(ref: str):
+    stem = ref.removesuffix(".json")
+    if stem not in SCHEMA_NAMES or ref != f"{stem}.json":
+        raise ValueError(f"schema $ref {ref!r} names no shipped schema")
+    return _checker(stem)
+
+
+def _type(names):
+    names = [names] if isinstance(names, str) else list(names)
+    unknown = set(names) - set(_TYPES)
+    if unknown:
+        raise ValueError(f"schema types {sorted(unknown)} are not supported")
+    exact = frozenset().union(*(_EXACT[n] for n in names))
+    tests = [_TYPES[n] for n in names]
+    expected = ", ".join(map(repr, names))
+
+    def check(x):
+        if type(x) not in exact and not any(test(x) for test in tests):
+            raise _Mismatch("type", f"{reprlib.repr(x)} is not of type {expected}")
+
+    return check
+
+
+def _enum(values: list):
+    # JSON Schema compares true and 1 as different values, and 1.0 and 1 as
+    # equal; with no bool among the allowed values, no bool matches
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"schema enum {values!r} holds a value that is not a string or a number")
+    allowed = tuple(values)
+
+    def check(x):
+        if isinstance(x, bool) or x not in allowed:
+            raise _Mismatch("enum", f"{reprlib.repr(x)} is not one of {values!r}")
+
+    return check
+
+
+def _minimum(bound):
+    def check(x):
+        if _is_number(x) and x < bound:
+            raise _Mismatch("minimum", f"{x!r} is less than the minimum of {bound!r}")
+
+    return check
+
+
+def _object(schema: dict):
+    properties = {k: _compile(v) for k, v in schema.get("properties", {}).items()}
+    required = schema.get("required", [])
+    extra = schema.get("additionalProperties", True)
+    if extra is not True and extra is not False:
+        extra = _compile(extra)
+
+    def check(x):
+        if not isinstance(x, dict):
+            return
+        for key in required:
+            if key not in x:
+                raise _Mismatch("required", f"{key!r} is a required property")
+        for key, value in x.items():
+            sub = properties.get(key, extra)
+            if sub is True:
+                continue
+            if sub is False:
+                raise _Mismatch("additionalProperties", f"additional property {key!r} is not allowed")
+            try:
+                sub(value)
+            except _Mismatch as e:
+                e.path.append(key)
+                raise
+
+    return check
+
+
+def _array(schema: dict):
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems")
+    item_schema = schema.get("items")
+    items = None if item_schema is None else _compile(item_schema)
+    # integer items, perhaps bounded below, are checked in one pass when
+    # every item is exactly an int
+    int_items = items is not None and item_schema.get("type") == "integer" and (
+        set(item_schema) <= {"type", "minimum"})
+    least = item_schema.get("minimum") if int_items else None
+
+    def check(x):
+        if not isinstance(x, list):
+            return
+        if len(x) < lo:
+            raise _Mismatch("minItems", f"{reprlib.repr(x)} has fewer than {lo} items")
+        if hi is not None and len(x) > hi:
+            raise _Mismatch("maxItems", f"{reprlib.repr(x)} has more than {hi} items")
+        if items is None:
+            return
+        if int_items and _all_ints(x) and (least is None or not x or min(x) >= least):
+            return
+        for i, value in enumerate(x):
+            try:
+                items(value)
+            except _Mismatch as e:
+                e.path.append(i)
+                raise
+
+    return check
+
+
+def _all_ints(values: list) -> bool:
+    """Whether every item of ``values`` is exactly a Python ``int``."""
+    return set(map(type, values)) <= {int}
+
+
+def _one_of(schemas: list):
+    branches = [_compile(s) for s in schemas]
+
+    def check(x):
+        matched = 0
+        for branch in branches:
+            try:
+                branch(x)
+            except _Mismatch:
+                continue
+            matched += 1
+        if matched != 1:
+            raise _Mismatch("oneOf", f"{reprlib.repr(x)} matches {matched} of {len(branches)} schemas, not one")
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +319,7 @@ def surface_from_json(obj: dict) -> SurfaceSpec:
 def partition_to_json(p: Partition) -> dict:
     out = {
         "surface": surface_to_json(p.complex.spec),
-        "labels": [int(x) for x in p.domains],
+        "labels": p.domains.tolist(),
     }
     if p.walls:
         out["walls"] = [sorted(int(w) for w in p.walls)]
@@ -128,7 +338,21 @@ def partition_from_json(obj: dict) -> Partition:
             walls.extend(group)
         else:
             walls.append(group)
-    return from_labels(c, obj["labels"], walls=walls)
+    return from_labels(c, _labels(obj["labels"]), walls=walls)
+
+
+def _labels(value) -> np.ndarray:
+    """A document's labels: one flat list of integers within int64."""
+    if not isinstance(value, list):
+        raise ValueError(f"partition labels must be a list of integers, got {type(value).__name__}")
+    if not _all_ints(value):
+        for v in value:
+            integer(v, "each of the partition labels")
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except OverflowError:
+        wide = next(v for v in value if not -(2**63) <= v < 2**63)
+        raise ValueError(f"partition labels must lie in the int64 range, got {wide}") from None
 
 
 def _edge_ids(value, what: str) -> list:

@@ -412,6 +412,14 @@ BLOCK_CYCLE = [0, 1, 66, 75, 17, 16, 73, 64]
      "surface is missing the field 'width'"),
     ("invariants", {**GOOD_PARTITION, "surface": {"surface": ["moebius"], "width": 2, "height": 2}},
      "unknown surface ['moebius']"),
+    ("invariants", {**GOOD_PARTITION, "labels": [[0, 0], [1, 1]]},
+     "each of the partition labels must be an integer, got [0, 0]"),
+    ("invariants", {**GOOD_PARTITION, "labels": None},
+     "partition labels must be a list of integers, got NoneType"),
+    ("invariants", {**GOOD_PARTITION, "labels": [0, 0, 2**70, 1]},
+     "partition labels must lie in the int64 range, got 1180591620717411303424"),
+    ("invariants", {**GOOD_PARTITION, "labels": [0, 0, True, 1]},
+     "each of the partition labels must be an integer, got True"),
     ("invariants", {**GOOD_PARTITION, "walls": 5}, "partition walls must be a list of edge ids, got int"),
     ("invariants", {**GOOD_PARTITION, "walls": None},
      "partition walls must be a list of edge ids, got NoneType"),
@@ -428,7 +436,8 @@ BLOCK_CYCLE = [0, 1, 66, 75, 17, 16, 73, 64]
     ("circle", {"surface": PROJECTIVE_8, "cycle": {"block": [1, 1, 3]}},
      "cycle block must be a list [i0, j0, i1, j1], got [1, 1, 3]"),
 ], ids=["list-partition", "list-surface", "no-labels", "no-surface", "no-width",
-        "list-surface-name", "int-walls", "null-walls",
+        "list-surface-name", "nested-labels", "null-labels", "wide-label", "bool-label",
+        "int-walls", "null-walls",
         "list-cycle", "no-cycle", "float-cycle-ids", "bool-cycle-id", "diagonal-midline",
         "float-block", "short-block"])
 def test_malformed_partition_document_is_a_usage_error(command, doc, message, tmp_path, capsys):
