@@ -35,9 +35,11 @@ EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
 
-def _emit(obj: dict, out: str | None, schema: str | None = None) -> None:
-    if schema:
+def _emit(obj: dict, out: str | None, schema: str) -> None:
+    try:
         jsonio.validate(schema, obj)
+    except jsonio.DocumentError as e:
+        raise InvariantViolation(f"emitted {e}") from e
     text = jsonio.dumps(obj)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -99,6 +101,8 @@ def cmd_sweep(args) -> int:
         args.theta_min + i * (args.theta_max - args.theta_min) / (args.count - 1)
         for i in range(args.count)
     ]
+    # an integral value goes in as an int, so bands can sweep its frequency m
+    thetas = [int(t) if t.is_integer() else t for t in thetas]
     res = sweep(args.family, thetas, beta=args.beta, config=_nodal_config(args))
     _emit(jsonio.sweep_to_json(res), args.out, schema="sweep")
     return EXIT_OK

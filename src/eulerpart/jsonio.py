@@ -1,24 +1,27 @@
 """JSON serialization for every wire format, plus schema checking.
 
-Every document the CLI emits is checked against the JSON Schema of its
-kind, shipped under ``eulerpart/schemas``; ``validate(name, obj)`` checks
-an object against a schema by file stem.  The schema files are the one
-statement of the format.  Each is compiled once, on first use, into a
+Every document the package reads or the CLI emits is checked against the
+JSON Schema of its kind, shipped under ``eulerpart/schemas``; the schema
+files are the one statement of each format.  ``validate(name, obj)``
+checks an object against a schema by file stem and raises
+``DocumentError``, a ``ValueError``, naming the kind, the JSON path and
+the failing keyword.  Each schema is compiled once, on first use, into a
 tree of small closures that implements exactly the keywords the shipped
 schemas use, with JSON Schema's (draft 2020-12) semantics; compiling
 refuses any other keyword, so a schema can never ask for a check that is
 silently skipped.  An array of integers is checked in one pass over its
 item types and one ``min``.  The tests hold the compiled checker to
-``jsonschema``, which stays the oracle; the package imports
-``jsonschema`` only to raise its ``ValidationError`` for a document that
-does not match.  Serialization is deterministic: callers should dump
-with ``sort_keys=True`` (the CLI does).
+``jsonschema``, the oracle; the package never imports it.
+Serialization is deterministic: callers should dump with
+``sort_keys=True`` (the CLI does).
 
-Loading checks the shape of a document: objects, required fields and
-lists, and a partition's labels as one flat list of integers.  Sizes and
-edge ids are checked where the library consumes them (``SurfaceSpec``,
-``from_labels``, ``plan_cut``, ``classify_circle_complement``), with the
-same messages for a document and for a caller.
+Every ``*_from_json`` loader validates its document first and then builds
+from the checked document.  What a schema cannot state stays with the
+library that consumes the value: sizes and the face cap (``SurfaceSpec``),
+edge ids and their range (``CellComplex.edge_ids``), and sizes, ids and
+frequencies given as integral floats such as ``2.0``, which JSON Schema
+counts as integers and ``errors.integer`` rejects.  Labels are only
+compared with each other, so a label ``2.0`` reads as ``2``.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .partition import (
 )
 
 SCHEMA_NAMES = (
-    "surface", "partition", "invariants", "verdict", "cover_report",
-    "complement", "transition", "sweep", "batch",
+    "surface", "partition", "cycle", "cut_path", "invariants", "verdict",
+    "cover_report", "complement", "transition", "sweep", "batch",
     "eigenfunction", "surgery", "nodal_result",
 )
 
@@ -57,18 +60,29 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+class DocumentError(ValueError):
+    """A document that does not match its schema: ``validator`` is the
+    failing keyword and ``path`` the keys and indices to the failing value."""
+
+    def __init__(self, message: str, validator: str, path: list):
+        super().__init__(message)
+        self.message = message
+        self.validator = validator
+        self.path = path
+
+
 def validate(name: str, obj) -> None:
-    """Raise jsonschema.ValidationError if obj does not match the schema."""
+    """Raise ``DocumentError`` if obj does not match the schema ``name``."""
     try:
         _checker(name)(obj)
     except _Mismatch as e:
-        import jsonschema
-
         path = list(reversed(e.path))
-        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-        raise jsonschema.ValidationError(
-            f"{where}: {e.message} ({e.keyword})", validator=e.keyword, path=path
-        ) from None
+        raise DocumentError(f"{name} {_where(path)}: {e.message} ({e.keyword})", e.keyword, path) from None
+
+
+def _where(path: list) -> str:
+    """A JSON path such as ``$.domains[1].chi`` from its keys and indices."""
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +280,18 @@ def _one_of(schemas: list):
     branches = [_compile(s) for s in schemas]
 
     def check(x):
-        matched = 0
+        # each branch's own mismatch at its path from x; holding the
+        # exceptions themselves would tie this frame into a reference cycle
+        misses = []
         for branch in branches:
             try:
                 branch(x)
-            except _Mismatch:
-                continue
-            matched += 1
-        if matched != 1:
+            except _Mismatch as e:
+                misses.append(f"{_where(e.path[::-1])}: {e.message}")
+        matched = len(branches) - len(misses)
+        if matched == 0:
+            raise _Mismatch("oneOf", f"matches none of {len(branches)} schemas: {'; '.join(misses)}")
+        if matched > 1:
             raise _Mismatch("oneOf", f"{reprlib.repr(x)} matches {matched} of {len(branches)} schemas, not one")
 
     return check
@@ -295,25 +313,11 @@ def surface_to_json(spec: SurfaceSpec) -> dict:
     }
 
 
-def _require_object(obj, what: str, *fields: str) -> None:
-    """Reject anything but a JSON object holding every required field."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    for name in fields:
-        if name not in obj:
-            raise ValueError(f"{what} is missing the field {name!r}")
-
-
-def surface_from_json(obj: dict) -> SurfaceSpec:
-    _require_object(obj, "surface", "width", "height")
-    if "surface" in obj:
-        return SurfaceSpec.named(obj["surface"], obj["width"], obj["height"])
-    return SurfaceSpec(
-        obj["width"],
-        obj["height"],
-        obj.get("x_gluing", "open"),
-        obj.get("y_gluing", "open"),
-    )
+def surface_from_json(doc) -> SurfaceSpec:
+    validate("surface", doc)
+    if "surface" in doc:
+        return SurfaceSpec.named(doc["surface"], doc["width"], doc["height"])
+    return SurfaceSpec(doc["width"], doc["height"], doc["x_gluing"], doc["y_gluing"])
 
 
 def partition_to_json(p: Partition) -> dict:
@@ -326,109 +330,63 @@ def partition_to_json(p: Partition) -> dict:
     return out
 
 
-def partition_from_json(obj: dict) -> Partition:
-    _require_object(obj, "partition", "surface", "labels")
-    c = build_complex(surface_from_json(obj["surface"]))
-    walls = []
-    raw_walls = obj.get("walls", [])
-    if not isinstance(raw_walls, list):
-        raise ValueError(f"partition walls must be a list of edge ids, got {type(raw_walls).__name__}")
-    for group in raw_walls:
-        if isinstance(group, list):
-            walls.extend(group)
-        else:
-            walls.append(group)
-    return from_labels(c, _labels(obj["labels"]), walls=walls)
-
-
-def _labels(value) -> np.ndarray:
-    """A document's labels: one flat list of integers within int64."""
-    if not isinstance(value, list):
-        raise ValueError(f"partition labels must be a list of integers, got {type(value).__name__}")
-    if not _all_ints(value):
-        for v in value:
-            integer(v, "each of the partition labels")
+def partition_from_json(doc) -> Partition:
+    validate("partition", doc)
+    c = build_complex(surface_from_json(doc["surface"]))
     try:
-        return np.asarray(value, dtype=np.int64)
+        # the schema's integers include integral floats such as 2.0, which
+        # convert exactly; labels are only compared with each other
+        labels = np.asarray(doc["labels"], dtype=np.int64)
     except OverflowError:
-        wide = next(v for v in value if not -(2**63) <= v < 2**63)
-        raise ValueError(f"partition labels must lie in the int64 range, got {wide}") from None
-
-
-def _edge_ids(value, what: str) -> list:
-    """A JSON list of edge ids, checked by ``CellComplex.edge_ids`` where
-    the library consumes them."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list of edge ids, got {type(value).__name__}")
-    return value
+        raise ValueError(f"partition labels must lie in the int64 range, got {max(doc['labels'])}") from None
+    walls = [e for group in doc.get("walls", []) for e in group]
+    return from_labels(c, labels, walls=walls)
 
 
 def cut_path_from_json(doc) -> list:
     """The edge ids of a cut-path document: ``{"edges": [...]}`` or a bare list."""
-    if isinstance(doc, list):
-        return _edge_ids(doc, "cut path")
-    _require_object(doc, "cut path", "edges")
-    return _edge_ids(doc["edges"], "cut path")
+    validate("cut_path", doc)
+    return doc if isinstance(doc, list) else doc["edges"]
 
 
 def cycle_from_json(doc) -> tuple[CellComplex, list]:
     """The complex and edge ids of a cycle document; ``cycle`` is a list of
-    edge ids or one of the descriptions ``_cycle_from_description`` reads."""
-    _require_object(doc, "cycle document", "surface", "cycle")
+    edge ids, ``{"midline": "horizontal" | "vertical"}`` or
+    ``{"block": [i0, j0, i1, j1]}``, the boundary of a block of faces."""
+    validate("cycle", doc)
     c = build_complex(surface_from_json(doc["surface"]))
     cycle = doc["cycle"]
-    if isinstance(cycle, dict):
-        return c, _cycle_from_description(c, cycle)
-    return c, _edge_ids(cycle, "cycle")
-
-
-def _cycle_from_description(c: CellComplex, desc: dict) -> list[int]:
-    """Grid conveniences: ``{"midline": "horizontal" | "vertical"}`` and
-    ``{"block": [i0, j0, i1, j1]}``, the boundary of a block of faces."""
+    if isinstance(cycle, list):
+        return c, cycle
     W, H = c.spec.width, c.spec.height
-    if "midline" in desc:
-        if desc["midline"] == "horizontal":
-            return [c.horizontal_edge(i, H // 2) for i in range(W)]
-        if desc["midline"] == "vertical":
-            return [c.vertical_edge(W // 2, j) for j in range(H)]
-        raise ValueError(f"cycle midline must be 'horizontal' or 'vertical', got {desc['midline']!r}")
-    if "block" in desc:
-        block = desc["block"]
-        if not isinstance(block, list) or len(block) != 4:
-            raise ValueError(f"cycle block must be a list [i0, j0, i1, j1], got {block!r}")
-        i0, j0, i1, j1 = (integer(v, "cycle block corner") for v in block)
-        edges = [c.horizontal_edge(i, j0) for i in range(i0, i1)]
-        edges += [c.vertical_edge(i1, j) for j in range(j0, j1)]
-        edges += [c.horizontal_edge(i, j1) for i in range(i1 - 1, i0 - 1, -1)]
-        edges += [c.vertical_edge(i0, j) for j in range(j1 - 1, j0 - 1, -1)]
-        return edges
-    raise ValueError("cycle description needs 'midline' or 'block'")
+    if cycle.get("midline") == "horizontal":
+        return c, [c.horizontal_edge(i, H // 2) for i in range(W)]
+    if cycle.get("midline") == "vertical":
+        return c, [c.vertical_edge(W // 2, j) for j in range(H)]
+    i0, j0, i1, j1 = (integer(v, "cycle block corner") for v in cycle["block"])
+    edges = [c.horizontal_edge(i, j0) for i in range(i0, i1)]
+    edges += [c.vertical_edge(i1, j) for j in range(j0, j1)]
+    edges += [c.horizontal_edge(i, j1) for i in range(i1 - 1, i0 - 1, -1)]
+    edges += [c.vertical_edge(i0, j) for j in range(j1 - 1, j0 - 1, -1)]
+    return c, edges
 
 
 # ---------------------------------------------------------------------------
 # eigenfunctions
 
 
-def eigenfunction_from_json(obj: dict) -> Eigenfunction:
+def eigenfunction_from_json(doc) -> Eigenfunction:
     """A family member or an explicit term list; values are checked, never coerced."""
-    _require_object(obj, "eigenfunction")
-    if "family" in obj:
-        return family(obj["family"], obj)
-    _require_object(obj, "eigenfunction", "terms")
-    if not isinstance(obj["terms"], list):
-        raise ValueError(f"eigenfunction terms must be a list, got {type(obj['terms']).__name__}")
-    return Eigenfunction(terms=tuple(_term_from_json(t) for t in obj["terms"]))
+    validate("eigenfunction", doc)
+    if "family" in doc:
+        return family(doc["family"], doc)
+    return Eigenfunction(terms=tuple(
+        Term(finite_real(t["c"], "term coefficient c"), _factor_from_json(t["fx"]), _factor_from_json(t["fy"]))
+        for t in doc["terms"]
+    ))
 
 
-def _term_from_json(t) -> Term:
-    _require_object(t, "eigenfunction term", "c", "fx", "fy")
-    return Term(
-        finite_real(t["c"], "term coefficient c"), _factor_from_json(t["fx"]), _factor_from_json(t["fy"])
-    )
-
-
-def _factor_from_json(fac) -> Factor:
-    _require_object(fac, "term factor", "k", "m")
+def _factor_from_json(fac: dict) -> Factor:
     return Factor(
         fac["k"],
         integer(fac["m"], "factor frequency m"),

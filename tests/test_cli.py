@@ -223,18 +223,40 @@ def test_invariant_violation_exit_code(bands3_file, monkeypatch, capsys):
     assert "invariant violation: patched failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value,field", [
-    ("labels", [0.7, 0.2, 1.9, 1.1], "labels"),
-    ("labels", ["1", "1", "0", "0"], "labels"),
-    ("surface", {"surface": "rectangle", "width": 2.9, "height": 2}, "surface width"),
-], ids=["float-labels", "string-labels", "float-width"])
-def test_non_integer_input_is_a_usage_error(key, value, field, tmp_path, capsys):
+def test_an_emitted_document_that_fails_its_schema_exits_1(bands3_file, monkeypatch, capsys):
+    # the program's own output is checked like any document; a mismatch is its own fault
+    from eulerpart import jsonio
+
+    emit = jsonio.invariants_to_json
+
+    def without_kappa(*args):
+        doc = emit(*args)
+        del doc["kappa"]
+        return doc
+
+    monkeypatch.setattr(jsonio, "invariants_to_json", without_kappa)
+    assert main(["invariants", str(bands3_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant violation: emitted invariants $: 'kappa' is a required property (required)" in captured.err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("labels", [0.7, 0.2, 1.9, 1.1], "partition $.labels[0]: 0.7 is not of type 'integer' (type)"),
+    ("labels", ["1", "1", "0", "0"], "partition $.labels[0]: '1' is not of type 'integer' (type)"),
+    ("surface", {"surface": "rectangle", "width": 2.9, "height": 2},
+     "partition $.surface: matches none of 2 schemas: $.width: 2.9 is not of type 'integer'"),
+    # JSON Schema counts 2.0 as an integer; SurfaceSpec does not
+    ("surface", {"surface": "rectangle", "width": 2.0, "height": 2}, "surface width must be an integer, got 2.0"),
+    ("labels", [0, 0, 1e20, 1], "partition labels must lie in the int64 range, got 1e+20"),
+], ids=["float-labels", "string-labels", "float-width", "integral-float-width", "wide-float-label"])
+def test_non_integer_input_is_a_usage_error(key, value, message, tmp_path, capsys):
     doc = {"surface": {"surface": "rectangle", "width": 2, "height": 2}, "labels": [0, 0, 1, 1]}
     doc[key] = value
     f = tmp_path / "p.json"
     f.write_text(json.dumps(doc))
     assert main(["invariants", str(f)]) == 2
-    assert f"{field} must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_nodal_rejects_zero_resolution(capsys):
@@ -382,6 +404,13 @@ def test_sweep_bands_rejects_float_values(capsys):
     assert "bands parameter m must be an integer, got 0.02" in capsys.readouterr().err
 
 
+def test_sweep_bands_over_integral_values(capsys):
+    code, doc = run(["sweep", "--family", "bands", "--theta-min", "3", "--theta-max", "7", "--count", "3",
+                     "--n", "16"], capsys)
+    assert code == 0
+    assert [(row["theta"], row["stable"]) for row in doc["rows"]] == [(3.0, True), (5.0, True), (7.0, True)]
+
+
 @pytest.mark.parametrize("name,deltas", [("torus", (-1, 0)), ("klein", (0, 1))])
 def test_cut_on_closed_surface_may_change_delta(name, deltas, tmp_path, capsys):
     # a meridian does not separate a closed surface, so delta is not invariant
@@ -404,42 +433,43 @@ BLOCK_CYCLE = [0, 1, 66, 75, 17, 16, 73, 64]
 
 
 @pytest.mark.parametrize("command,doc,message", [
-    ("invariants", [1, 2], "partition must be a JSON object, got list"),
-    ("invariants", {**GOOD_PARTITION, "surface": [2, 2]}, "surface must be a JSON object, got list"),
-    ("invariants", {"surface": GOOD_PARTITION["surface"]}, "partition is missing the field 'labels'"),
-    ("invariants", {"labels": [0, 0, 1, 1]}, "partition is missing the field 'surface'"),
+    ("invariants", [1, 2], "partition $: [1, 2] is not of type 'object' (type)"),
+    ("invariants", {**GOOD_PARTITION, "surface": [2, 2]},
+     "partition $.surface: matches none of 2 schemas: $: [2, 2] is not of type 'object'"),
+    ("invariants", {"surface": GOOD_PARTITION["surface"]}, "partition $: 'labels' is a required property (required)"),
+    ("invariants", {"labels": [0, 0, 1, 1]}, "partition $: 'surface' is a required property (required)"),
     ("invariants", {**GOOD_PARTITION, "surface": {"surface": "rectangle", "height": 2}},
-     "surface is missing the field 'width'"),
+     "partition $.surface: matches none of 2 schemas: $: 'width' is a required property"),
     ("invariants", {**GOOD_PARTITION, "surface": {"surface": ["moebius"], "width": 2, "height": 2}},
-     "unknown surface ['moebius']"),
+     "partition $.surface: matches none of 2 schemas: $.surface: ['moebius'] is not one of"),
     ("invariants", {**GOOD_PARTITION, "labels": [[0, 0], [1, 1]]},
-     "each of the partition labels must be an integer, got [0, 0]"),
-    ("invariants", {**GOOD_PARTITION, "labels": None},
-     "partition labels must be a list of integers, got NoneType"),
+     "partition $.labels[0]: [0, 0] is not of type 'integer' (type)"),
+    ("invariants", {**GOOD_PARTITION, "labels": None}, "partition $.labels: None is not of type 'array' (type)"),
     ("invariants", {**GOOD_PARTITION, "labels": [0, 0, 2**70, 1]},
      "partition labels must lie in the int64 range, got 1180591620717411303424"),
     ("invariants", {**GOOD_PARTITION, "labels": [0, 0, True, 1]},
-     "each of the partition labels must be an integer, got True"),
-    ("invariants", {**GOOD_PARTITION, "walls": 5}, "partition walls must be a list of edge ids, got int"),
-    ("invariants", {**GOOD_PARTITION, "walls": None},
-     "partition walls must be a list of edge ids, got NoneType"),
-    ("circle", [1, 2], "cycle document must be a JSON object, got list"),
-    ("circle", {"surface": PROJECTIVE_8}, "cycle document is missing the field 'cycle'"),
+     "partition $.labels[2]: True is not of type 'integer' (type)"),
+    ("invariants", {**GOOD_PARTITION, "walls": 5}, "partition $.walls: 5 is not of type 'array' (type)"),
+    ("invariants", {**GOOD_PARTITION, "walls": None}, "partition $.walls: None is not of type 'array' (type)"),
+    ("circle", [1, 2], "cycle $: [1, 2] is not of type 'object' (type)"),
+    ("circle", {"surface": PROJECTIVE_8}, "cycle $: 'cycle' is a required property (required)"),
     ("circle", {"surface": PROJECTIVE_8, "cycle": [float(e) for e in BLOCK_CYCLE]},
      "cycle edge id must be an integer, got 0.0"),
     ("circle", {"surface": PROJECTIVE_8, "cycle": [True if e == 1 else e for e in BLOCK_CYCLE]},
-     "cycle edge id must be an integer, got True"),
+     "cycle $.cycle: matches none of 3 schemas: $[1]: True is not of type 'integer'"),
     ("circle", {"surface": PROJECTIVE_8, "cycle": {"midline": "diagonal"}},
-     "cycle midline must be 'horizontal' or 'vertical', got 'diagonal'"),
+     "$.midline: 'diagonal' is not one of ['horizontal', 'vertical']"),
     ("circle", {"surface": PROJECTIVE_8, "cycle": {"block": [1, 1, 3.5, 3]}},
-     "cycle block corner must be an integer, got 3.5"),
+     "$.block[2]: 3.5 is not of type 'integer' (oneOf)"),
     ("circle", {"surface": PROJECTIVE_8, "cycle": {"block": [1, 1, 3]}},
-     "cycle block must be a list [i0, j0, i1, j1], got [1, 1, 3]"),
+     "$.block: [1, 1, 3] has fewer than 4 items (oneOf)"),
+    ("circle", {"surface": PROJECTIVE_8, "cycle": {"block": [1, 1, 3.0, 3]}},
+     "cycle block corner must be an integer, got 3.0"),
 ], ids=["list-partition", "list-surface", "no-labels", "no-surface", "no-width",
         "list-surface-name", "nested-labels", "null-labels", "wide-label", "bool-label",
         "int-walls", "null-walls",
         "list-cycle", "no-cycle", "float-cycle-ids", "bool-cycle-id", "diagonal-midline",
-        "float-block", "short-block"])
+        "float-block", "short-block", "integral-float-block"])
 def test_malformed_partition_document_is_a_usage_error(command, doc, message, tmp_path, capsys):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
@@ -480,14 +510,18 @@ def test_readme_cli_lines_parse():
     assert commands == set(subparsers.choices)
 
 
-@pytest.mark.parametrize("wrap", [lambda edges: {"edges": edges}, lambda edges: edges],
+@pytest.mark.parametrize("wrap,where", [(lambda edges: {"edges": edges}, "$.edges[0]"), (lambda edges: edges, "$[0]")],
                          ids=["object", "bare-list"])
-def test_float_cut_path_is_a_usage_error(wrap, tmp_path, capsys):
+def test_float_cut_path_is_a_usage_error(wrap, where, tmp_path, capsys):
     c = build_complex(SurfaceSpec.moebius(6, 6))
     pf = tmp_path / "p.json"
     pf.write_text(dumps(partition_to_json(from_labels(c, np.zeros(36, dtype=int)))))
     path = tmp_path / "path.json"
     path.write_text(json.dumps(wrap([c.horizontal_edge(i, 3) + 0.4 for i in range(6)])))
+    assert main(["cut", str(pf), "--path", str(path)]) == 2
+    assert f"{where}: {c.horizontal_edge(0, 3) + 0.4} is not of type 'integer'" in capsys.readouterr().err
+    # JSON Schema counts 18.0 as an integer; plan_cut does not
+    path.write_text(json.dumps(wrap([c.horizontal_edge(i, 3) + 0.0 for i in range(6)])))
     assert main(["cut", str(pf), "--path", str(path)]) == 2
     assert "cut path edge id must be an integer, got" in capsys.readouterr().err
 

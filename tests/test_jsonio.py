@@ -40,18 +40,27 @@ def test_surface_roundtrip():
     assert jsonio.surface_from_json(doc) == custom
 
 
-@pytest.mark.parametrize("field,value", [("width", 4.9), ("height", 4.0), ("width", "4"), ("height", True)])
-def test_surface_size_must_be_an_integer(field, value):
+@pytest.mark.parametrize("field,value,message", [
+    ("width", 4.9, "surface $: matches none of 2 schemas: $.width: 4.9 is not of type 'integer'"),
+    # JSON Schema counts 4.0 as an integer; SurfaceSpec does not
+    ("height", 4.0, "surface height must be an integer, got 4.0"),
+    ("width", "4", "$.width: '4' is not of type 'integer'"),
+    ("height", True, "$.height: True is not of type 'integer'"),
+], ids=["width-4.9", "height-4.0", "width-4", "height-True"])
+def test_surface_size_must_be_an_integer(field, value, message):
     # a width of 4.9 must be rejected, not truncated to 4
     doc = {"surface": "moebius", "width": 4, "height": 4, field: value}
-    with pytest.raises(ValueError, match=f"surface {field} must be an integer"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         jsonio.surface_from_json(doc)
 
 
 def test_wall_ids_must_be_integers():
     doc = jsonio.partition_to_json(bands3_partition())
     doc["walls"] = [[12.5]]
-    with pytest.raises(ValueError, match="wall edge id must be an integer"):
+    with pytest.raises(ValueError, match=re.escape("partition $.walls[0][0]: 12.5 is not of type 'integer'")):
+        jsonio.partition_from_json(doc)
+    doc["walls"] = [[12.0]]  # an integer to JSON Schema, not to the library
+    with pytest.raises(ValueError, match="wall edge id must be an integer, got 12.0"):
         jsonio.partition_from_json(doc)
 
 
@@ -75,15 +84,17 @@ def test_partition_with_walls_roundtrip():
     assert invariants(q).key() == invariants(p).key()
 
 
-def test_walls_accept_flat_lists():
+def test_walls_reject_flat_lists():
+    # partition.json holds walls as a list of lists of edge ids, and only that
     c = build_complex(SurfaceSpec.moebius(6, 6))
     p0 = from_labels(c, np.zeros(36, dtype=int))
     path = [c.horizontal_edge(i, 3) for i in range(6)]
     p = cut(p0, path)
     doc = jsonio.partition_to_json(p)
     doc["walls"] = sorted(int(w) for w in p.walls)  # flat form
-    q = jsonio.partition_from_json(doc)
-    assert q.walls == p.walls
+    with pytest.raises(jsonio.DocumentError, match=re.escape("partition $.walls[0]: ")) as raised:
+        jsonio.partition_from_json(doc)
+    assert raised.value.validator == "type"
 
 
 def test_eigenfunction_json_forms():
@@ -151,33 +162,49 @@ def test_dumps_deterministic():
 
 
 def test_schema_rejects_bad_documents():
-    import jsonschema
-
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(jsonio.DocumentError, match=re.escape("surface $: matches none of 2 schemas: $.surface:")):
         jsonio.validate("surface", {"surface": "sphere", "width": 4, "height": 4})
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(jsonio.DocumentError, match=re.escape("invariants $: 'surface' is a required property (required)")):
         jsonio.validate("invariants", {"kappa": 1})
 
 
 _SIN2 = {"k": "sin", "m": 2}
 
 
+# the schema's oneOf tries the term list first, then the family form
+_NO_FAMILY = "; $: 'family' is a required property (oneOf)"
+
+
 @pytest.mark.parametrize("terms,message", [
-    ([{"c": "1.0", "fx": _SIN2, "fy": _SIN2}], "term coefficient c must be a number, got '1.0'"),
-    ([{"c": 1.0, "fx": {"k": "sin", "m": 2.7}, "fy": _SIN2}], "factor frequency m must be an integer, got 2.7"),
-    ([{"c": 1.0, "fx": _SIN2, "fy": {"k": "sin", "m": "3"}}], "factor frequency m must be an integer, got '3'"),
-    ([{"c": True, "fx": _SIN2, "fy": _SIN2}], "term coefficient c must be a number, got True"),
-    ([{"c": 1.0, "fx": {"k": "sin", "m": True}, "fy": _SIN2}], "factor frequency m must be an integer, got True"),
+    ([{"c": "1.0", "fx": _SIN2, "fy": _SIN2}], "$.terms[0].c: '1.0' is not of type 'number'" + _NO_FAMILY),
+    ([{"c": 1.0, "fx": {"k": "sin", "m": 2.7}, "fy": _SIN2}],
+     "$.terms[0].fx.m: 2.7 is not of type 'integer'" + _NO_FAMILY),
+    ([{"c": 1.0, "fx": _SIN2, "fy": {"k": "sin", "m": "3"}}],
+     "$.terms[0].fy.m: '3' is not of type 'integer'" + _NO_FAMILY),
+    # JSON Schema counts 2.0 as an integer; the factor does not
+    ([{"c": 1.0, "fx": {"k": "sin", "m": 2.0}, "fy": _SIN2}], "factor frequency m must be an integer, got 2.0"),
+    ([{"c": True, "fx": _SIN2, "fy": _SIN2}], "$.terms[0].c: True is not of type 'number'" + _NO_FAMILY),
+    ([{"c": 1.0, "fx": {"k": "sin", "m": True}, "fy": _SIN2}],
+     "$.terms[0].fx.m: True is not of type 'integer'" + _NO_FAMILY),
     ([{"c": math.nan, "fx": _SIN2, "fy": _SIN2}], "term coefficient c must be finite, got nan"),
     ([{"c": 1.0, "fx": _SIN2, "fy": {"k": "sin", "m": 2, "p": math.inf}}], "factor phase p must be finite, got inf"),
-    ([[1.0, 2, 3]], "eigenfunction term must be a JSON object, got list"),
-    ([{"c": 1.0, "fx": _SIN2}], "eigenfunction term is missing the field 'fy'"),
-    ({"c": 1.0, "fx": _SIN2, "fy": _SIN2}, "eigenfunction terms must be a list, got dict"),
-], ids=["string-c", "float-m", "string-m", "bool-c", "bool-m", "nan-c", "inf-phase",
+    ([[1.0, 2, 3]], "$.terms[0]: [1.0, 2, 3] is not of type 'object'" + _NO_FAMILY),
+    ([{"c": 1.0, "fx": _SIN2}], "$.terms[0]: 'fy' is a required property" + _NO_FAMILY),
+    ({"c": 1.0, "fx": _SIN2, "fy": _SIN2}, "$.terms: {'c': 1.0, 'fx': {'k': 'sin', 'm': 2}, 'fy': {'k': 'sin', 'm': 2}} "
+     "is not of type 'array'" + _NO_FAMILY),
+], ids=["string-c", "float-m", "string-m", "integral-float-m", "bool-c", "bool-m", "nan-c", "inf-phase",
         "list-term", "no-fy", "dict-terms"])
 def test_eigenfunction_terms_are_checked_not_coerced(terms, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         jsonio.eigenfunction_from_json({"terms": terms})
+
+
+def test_integral_float_labels_read_as_their_integers():
+    # partition.json's labels are JSON Schema integers, which include 1.0
+    doc = {"surface": {"surface": "rectangle", "width": 2, "height": 2}, "labels": [0.0, 0.0, 1.0, 1]}
+    p = jsonio.partition_from_json(doc)
+    assert p.domains.tolist() == [0, 0, 1, 1]
+    assert p.domains.dtype.kind == "i"
 
 
 def test_wide_labels_round_trip_as_distinct_domains():

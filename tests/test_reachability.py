@@ -13,6 +13,10 @@ The second scan lists every module other than ``errors`` that names
 ``numbers.Integral`` or raises an error whose message says "must be an
 integer": such a module checks integers itself instead of calling
 ``errors.integer``.  Docstrings are not raised, so they do not count.
+
+The third scan lists every module that imports ``jsonschema`` or
+``referencing``, at any depth: documents are checked by the schemas
+compiled in ``jsonio``, and ``jsonschema`` is a test dependency only.
 """
 
 import ast
@@ -115,3 +119,39 @@ def test_the_scan_reports_a_private_integer_check():
         "message": 'def f(v, what):\n    raise ValueError(f"{what} must be an integer, got {v!r}")\n',
     }
     assert own_integer_checks(sources) == {"attr", "imported", "message"}
+
+
+#: test-only packages: the oracle for the compiled schema checks
+TEST_ONLY = {"jsonschema", "referencing"}
+
+
+def importers_of_test_only(sources: dict[str, str]) -> set[str]:
+    """Modules of ``sources`` that import a package of ``TEST_ONLY``."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in TEST_ONLY for name in names):
+                found.add(module)
+    return found
+
+
+def test_no_module_imports_jsonschema_or_referencing():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert importers_of_test_only(sources) == set()
+
+
+def test_the_scan_reports_an_import_of_jsonschema():
+    sources = {
+        "top": "import jsonschema\n",
+        "nested": "def f():\n    import jsonschema.exceptions\n",
+        "from": "from referencing import Registry\n",
+        "relative": "from .referencing import x\n",
+        "named": 'NAME = "jsonschema"\n',
+    }
+    assert importers_of_test_only(sources) == {"top", "nested", "from"}

@@ -2,12 +2,13 @@
 
 ``jsonio.validate`` runs a checker compiled from each shipped schema file.
 Here every schema's checker must agree with ``Draft202012Validator`` on
-accept or reject: on a valid document of each kind, emitted by the CLI,
-and on hypothesis mutations of it (wrong types, ``bool`` and ``1.0`` for
-integers, extra and missing keys, enum near-misses, surfaces that match
-neither ``oneOf`` branch, short and long rows).  A few synthetic schemas
-cover what the shipped documents cannot reach, such as a value that
-matches both ``oneOf`` branches.
+accept or reject: on a valid document of each kind, emitted by the CLI
+or read by it, and on hypothesis mutations of it (wrong types, ``bool``
+and ``1.0`` for integers, extra and missing keys, enum near-misses,
+surfaces that match neither ``oneOf`` branch, short and long rows).  Every
+loader must refuse each mutated document the oracle rejects.  A few
+synthetic schemas cover what the shipped documents cannot reach, such as
+a value that matches both ``oneOf`` branches.
 """
 
 import copy
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from referencing import Registry, Resource
 
 import eulerpart
-from eulerpart import jsonio
+from eulerpart import SurfaceSpec, build_complex, jsonio
 from eulerpart.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -37,8 +38,8 @@ REGISTRY = Registry().with_resources(
     for name in jsonio.SCHEMA_NAMES
 )
 
-# the command that emits each kind of document; the partition, surface and
-# eigenfunction documents are read, not emitted
+# the command that emits each kind of document; the partition, surface,
+# cycle, cut-path and eigenfunction documents are read, not emitted
 EMITTERS = {
     "invariants": ["invariants", str(MOEBIUS_8)],
     "verdict": ["verify", str(MOEBIUS_8)],
@@ -54,7 +55,7 @@ EMITTERS = {
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    """One valid document of each of the twelve kinds."""
+    """One valid document of each of the fourteen kinds."""
     tmp = tmp_path_factory.mktemp("docs")
     cycle = tmp / "cycle.json"
     cycle.write_text(json.dumps(PROJECTIVE_CYCLE))
@@ -67,6 +68,9 @@ def documents(tmp_path_factory):
     docs["partition"] = partition
     docs["surface"] = partition["surface"]
     docs["eigenfunction"] = {"family": "phi", "beta": 0.5236, "theta": 1.2}
+    docs["cycle"] = PROJECTIVE_CYCLE
+    moebius = build_complex(SurfaceSpec.moebius(8, 8))
+    docs["cut_path"] = {"edges": [moebius.horizontal_edge(i, 4) for i in range(8)]}
     # a failure, so that the batch document reaches partition.json through $ref
     docs["batch"]["failures"] = [partition]
     assert set(docs) == set(jsonio.SCHEMA_NAMES)
@@ -88,7 +92,7 @@ def compiled_accepts(schema: dict, doc) -> bool:
 def validate_accepts(name: str, doc) -> bool:
     try:
         jsonio.validate(name, doc)
-    except jsonschema.ValidationError:
+    except jsonio.DocumentError:
         return False
     return True
 
@@ -148,6 +152,31 @@ def test_mutated_documents_agree_with_jsonschema(name, documents, data):
     assert validate_accepts(name, doc) == oracle_accepts(jsonio.load_schema(name), doc), doc
 
 
+#: the loader of each kind of document the CLI reads
+LOADERS = {
+    "partition": jsonio.partition_from_json,
+    "surface": jsonio.surface_from_json,
+    "cycle": jsonio.cycle_from_json,
+    "cut_path": jsonio.cut_path_from_json,
+    "eigenfunction": jsonio.eigenfunction_from_json,
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_document_the_oracle_rejects_does_not_load(name, documents, data):
+    doc = data.draw(mutated(documents[name]))
+    if oracle_accepts(jsonio.load_schema(name), doc):
+        try:
+            LOADERS[name](doc)
+        except ValueError:
+            pass  # a value the library refuses, such as an edge id out of range
+    else:
+        with pytest.raises(ValueError):
+            LOADERS[name](doc)
+
+
 @pytest.mark.parametrize("name,edit", [
     ("invariants", lambda d: d.update(kappa=True)),
     ("invariants", lambda d: d.update(beta=1.0)),
@@ -178,6 +207,15 @@ def test_mutated_documents_agree_with_jsonschema(name, documents, data):
     ("cover_report", lambda d: d["preimage_counts"].append(2.0)),
     ("eigenfunction", lambda d: d.update(terms=[])),
     ("eigenfunction", lambda d: d.pop("family")),
+    ("cycle", lambda d: d.update(cycle={"midline": "horizontal", "block": [0, 0, 2, 2]})),
+    ("cycle", lambda d: d.update(cycle={"block": [0, 0, 2]})),
+    ("cycle", lambda d: d.update(cycle={"block": [0, 0, 2, 2.0]})),
+    ("cycle", lambda d: d.update(cycle=[0, True])),
+    ("cycle", lambda d: d.update(cycle=[0, -1])),
+    ("cycle", lambda d: d["surface"].update(x_gluing="open")),
+    ("cut_path", lambda d: d["edges"].append(1.0)),
+    ("cut_path", lambda d: d["edges"].append(None)),
+    ("cut_path", lambda d: d.update(path=[])),
 ])
 def test_near_misses_agree_with_jsonschema(name, edit, documents):
     doc = copy.deepcopy(documents[name])
@@ -226,19 +264,55 @@ def test_an_unknown_type_or_reference_is_refused_at_compile_time():
 def test_a_mismatch_names_the_path_and_the_keyword(documents):
     doc = copy.deepcopy(documents["invariants"])
     doc["domains"][1]["chi"] = "2"
-    with pytest.raises(jsonschema.ValidationError) as raised:
+    with pytest.raises(jsonio.DocumentError) as raised:
         jsonio.validate("invariants", doc)
-    assert str(raised.value.message) == "$.domains[1].chi: '2' is not of type 'integer' (type)"
+    assert raised.value.message == "invariants $.domains[1].chi: '2' is not of type 'integer' (type)"
+    assert str(raised.value) == raised.value.message
     assert raised.value.validator == "type"
     assert list(raised.value.path) == ["domains", 1, "chi"]
 
 
+def test_a_one_of_mismatch_names_each_branch_at_its_path():
+    doc = {"surface": {"surface": "moebius", "width": 4.9, "height": 4}, "labels": [0] * 16}
+    with pytest.raises(jsonio.DocumentError) as raised:
+        jsonio.validate("partition", doc)
+    assert raised.value.message == (
+        "partition $.surface: matches none of 2 schemas: $.width: 4.9 is not of type 'integer'; "
+        "$: 'x_gluing' is a required property (oneOf)")
+    assert raised.value.path == ["surface"]
+
+
+GOOD_PARTITION = {"surface": {"surface": "rectangle", "width": 2, "height": 2}, "labels": [0, 0, 1, 1]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({**GOOD_PARTITION, "labels": [0, -1, 1, 1]},
+     "partition $.labels[1]: -1 is less than the minimum of 0 (minimum)"),
+    ({**GOOD_PARTITION, "extra": 0}, "partition $: additional property 'extra' is not allowed"),
+    ({**GOOD_PARTITION, "surface": {"width": 2, "height": 2}},
+     "partition $.surface: matches none of 2 schemas: $: 'surface' is a required property; "
+     "$: 'x_gluing' is a required property (oneOf)"),
+    ({**GOOD_PARTITION, "surface": {"surface": "rectangle", "width": 2, "height": 2, "x_gluing": "open"}},
+     "partition $.surface: matches none of 2 schemas: $: additional property 'x_gluing' is not allowed; "
+     "$: 'y_gluing' is a required property (oneOf)"),
+], ids=["negative-label", "extra-key", "no-gluings", "name-and-gluing"])
+def test_a_partition_the_schema_rejects_is_a_usage_error(doc, message, tmp_path, capsys):
+    # each of these once loaded and exited 0
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc))
+    assert main(["invariants", str(f)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_a_successful_emit_imports_neither_jsonschema_nor_referencing(tmp_path):
     out = tmp_path / "invariants.json"
+    bad = tmp_path / "null-labels.json"
+    bad.write_text(json.dumps({**GOOD_PARTITION, "labels": None}))
     script = (
         "import sys\n"
         "from eulerpart.cli import main\n"
         f"assert main(['invariants', {str(MOEBIUS_8)!r}, '--out', {str(out)!r}]) == 0\n"
+        f"assert main(['invariants', {str(bad)!r}]) == 2\n"
         "print([m for m in ('jsonschema', 'referencing') if m in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(eulerpart.__file__).parents[1])}
