@@ -33,7 +33,6 @@ from .errors import (
     EulerPartError,
     InstabilityError,
     InvariantViolation,
-    NormalizationError,
     ResolutionError,
     SymmetryError,
 )

@@ -19,6 +19,7 @@ from .errors import EulerPartError, InstabilityError, InvariantViolation, Resolu
 from .explore import batch_verify, bisect_transition, check_batch_size, sweep
 from .nodal import FAMILIES, NodalConfig, family, stable_invariants
 from .partition import (
+    NORMALIZE_FACTOR,
     classify_circle_complement,
     cut,
     domain_reports,
@@ -143,13 +144,13 @@ def cmd_circle(args) -> int:
 def cmd_normalize(args) -> int:
     p = _load_partition(args.partition)
     before = invariants(p)
-    q = normalize(p, refine_factor=args.refine_factor)
+    q = normalize(p)
     out = {
         "operation": "normalize",
         "partition": jsonio.partition_to_json(q),
         "before": jsonio.invariants_to_json(before),
         "after": jsonio.invariants_to_json(invariants(q)),
-        "refine_factor": args.refine_factor,
+        "refine_factor": NORMALIZE_FACTOR,
     }
     _emit(out, args.out, schema="surgery")
     return EXIT_OK
@@ -253,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("normalize", help="normalize a partition file")
     sp.add_argument("partition")
-    sp.add_argument("--refine-factor", type=int, default=3, dest="refine_factor")
     add_out(sp)
     sp.set_defaults(func=cmd_normalize)
 

@@ -53,7 +53,3 @@ class SymmetryError(EulerPartError):
 
 class CutError(EulerPartError):
     """Proposed cut path violates an admissibility condition."""
-
-
-class NormalizationError(EulerPartError):
-    """Normalization cannot proceed at the current refinement factor."""

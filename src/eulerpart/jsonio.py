@@ -315,6 +315,12 @@ def surface_to_json(spec: SurfaceSpec) -> dict:
 
 def surface_from_json(doc) -> SurfaceSpec:
     validate("surface", doc)
+    return _surface(doc)
+
+
+def _surface(doc: dict) -> SurfaceSpec:
+    """The spec of a surface document already checked, on its own or as
+    the ``$ref`` of an enclosing document."""
     if "surface" in doc:
         return SurfaceSpec.named(doc["surface"], doc["width"], doc["height"])
     return SurfaceSpec(doc["width"], doc["height"], doc["x_gluing"], doc["y_gluing"])
@@ -332,7 +338,7 @@ def partition_to_json(p: Partition) -> dict:
 
 def partition_from_json(doc) -> Partition:
     validate("partition", doc)
-    c = build_complex(surface_from_json(doc["surface"]))
+    c = build_complex(_surface(doc["surface"]))
     try:
         # the schema's integers include integral floats such as 2.0, which
         # convert exactly; labels are only compared with each other
@@ -354,7 +360,7 @@ def cycle_from_json(doc) -> tuple[CellComplex, list]:
     edge ids, ``{"midline": "horizontal" | "vertical"}`` or
     ``{"block": [i0, j0, i1, j1]}``, the boundary of a block of faces."""
     validate("cycle", doc)
-    c = build_complex(surface_from_json(doc["surface"]))
+    c = build_complex(_surface(doc["surface"]))
     cycle = doc["cycle"]
     if isinstance(cycle, list):
         return c, cycle

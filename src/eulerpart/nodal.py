@@ -201,8 +201,9 @@ def rasterize(f: Eigenfunction, surface: str, n: int) -> Partition:
     """Partition an n x n grid by the sign of f at face centers.
 
     Raises ResolutionError when a face center lands on the zero set, and
-    SymmetryError, before any complex is built, when f fails the surface's
-    symmetry gate: a residual above ``SYM_TOL``, or NaN.  The residual is
+    SymmetryError when f fails the surface's symmetry gate: a residual
+    above ``SYM_TOL``, or NaN.  Neither builds a complex, so a level a
+    ladder steps past takes no slot of the shared complexes.  The residual is
     computed on the first rasterization of f on a surface and kept on f, so
     the levels of a ``stable_invariants`` ladder share one check.
     """
@@ -215,7 +216,8 @@ def rasterize(f: Eigenfunction, surface: str, n: int) -> Partition:
         raise SymmetryError(
             f"{f.name or 'function'} violates the {surface} symmetry: residual {res:.3e}"
         )
-    c = build_complex(SurfaceSpec.named(surface, n, n))
+    # the spec checks the face cap before the n^2 evaluation
+    spec = SurfaceSpec.named(surface, n, n)
     h = math.pi / n
     xc = (np.arange(n) + 0.5) * h
     yc = (np.arange(n) + 0.5) * h
@@ -225,7 +227,7 @@ def rasterize(f: Eigenfunction, surface: str, n: int) -> Partition:
         raise ResolutionError(
             f"{bad} face-center samples on the zero set at n={n}", n=n, n_bad=bad
         )
-    return from_labels(c, (vals > 0).astype(ID_DTYPE).ravel())
+    return from_labels(build_complex(spec), (vals > 0).astype(ID_DTYPE).ravel())
 
 
 def _rasterize_perturbed(f, surface, n, history):

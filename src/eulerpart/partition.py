@@ -63,7 +63,7 @@ from .complexes import (
     components,
     edge_components,
 )
-from .errors import CutError, InvariantViolation, NormalizationError, integer
+from .errors import CutError, InvariantViolation, integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,16 +646,13 @@ def check_chi_sigma(p: Partition) -> ChiSigmaReport:
 # normalization
 
 
+#: the refinement factor of ``normalize``: each coarse face becomes 3 x 3
+NORMALIZE_FACTOR = 3
+
+
 def is_normal(p: Partition) -> bool:
     """True iff every domain meets one corner sector at each of its vertices."""
     return len(closure_tables(p).non_normal_pairs) == 0
-
-
-def offending_vertices(p: Partition) -> list[int]:
-    """Interior vertices where some domain occupies two or more sectors."""
-    pairs = closure_tables(p).non_normal_pairs
-    interior = ~p.complex.vertex_is_boundary
-    return sorted({int(v) for v, _d in pairs if interior[v]})
 
 
 def refine(p: Partition, factor: int) -> Partition:
@@ -676,49 +673,39 @@ def refine(p: Partition, factor: int) -> Partition:
     return from_labels(fine, labels)
 
 
-def normalize(p: Partition, refine_factor: int = 3) -> Partition:
-    """Make every domain locally connected around each boundary vertex.
+def normalize(p: Partition) -> Partition:
+    """Make every domain meet each vertex in one corner sector.
 
-    Offending vertices (a domain occupying two opposite sectors) are
-    removed by refining the grid and relabelling the face star of each
-    offending vertex to a fresh domain.  delta and omega are preserved;
-    this is asserted on the output.
+    The grid is refined by ``NORMALIZE_FACTOR`` and the face star of every
+    *offending* vertex (a vertex where a domain meets two or more sectors)
+    becomes a fresh domain, all in one relabelling.  One pass is enough.
+    After refinement by 3 a fine vertex that is not the image of a coarse
+    vertex lies inside a coarse face or a coarse edge, so it is neither
+    singular nor offending.  Images of distinct coarse vertices are at
+    least 3 fine steps apart, across the seams too, since every seam map
+    sends multiples of 3 to multiples of 3: the stars are disjoint and no
+    star touches another singular vertex.  After the relabelling each
+    offending vertex lies inside its star's domain, and every vertex on the
+    star's rim meets the star in one sector and each other domain in one
+    sector, so no new offending vertex appears.  delta and omega are
+    preserved and the output is normal; both are asserted.
     """
     if p.walls:
         raise ValueError("normalization applies to wall-free partitions")
-    refine_factor = integer(refine_factor, "refine_factor")
-    if refine_factor < 3:
-        raise ValueError("refine_factor must be >= 3")
     before = invariants(p)
     if is_normal(p):
         return p
-    q = refine(p, refine_factor)
-    for _round in range(8):
-        off = offending_vertices(q)
-        if not off:
-            break
-        bg = boundary_graph(q)
-        singular = bg.singular_vertices
-        labels = q.domains.copy()
-        next_id = q.n_domains
-        c = q.complex
-        # the corner slots over the offending vertices, grouped by vertex
-        corners = c.face_vertices.ravel()
-        slots = np.flatnonzero(np.isin(corners, off))
-        slots = slots[np.argsort(corners.take(slots), kind="stable")]
-        stars = np.split(slots // 4, np.searchsorted(corners.take(slots), off[1:]))
-        for v, faces in zip(off, stars):
-            star_vertices = set(c.face_vertices[faces].ravel().tolist()) - {v}
-            if star_vertices & singular:
-                raise NormalizationError(
-                    f"face star of vertex {v} touches another singular point; "
-                    f"re-run with a larger refine_factor"
-                )
-            labels[faces] = next_id
-            next_id += 1
-        q = from_labels(c, labels)
-    else:
-        raise NormalizationError("normalization did not terminate")
+    q = refine(p, NORMALIZE_FACTOR)
+    c = q.complex
+    # a surface boundary vertex meets at most two faces, so it never offends
+    off = _unique(closure_tables(q).non_normal_pairs[:, 0])
+    # every corner slot over an offending vertex takes the fresh id of its vertex
+    corners = c.face_vertices.ravel()
+    rank = off.searchsorted(corners).clip(max=len(off) - 1)
+    star = off.take(rank) == corners
+    labels = q.domains.copy()
+    labels[np.flatnonzero(star) // 4] = q.n_domains + rank[star]
+    q = from_labels(c, labels)
     after = invariants(q)
     if after.delta != before.delta or after.omega != before.omega:
         raise InvariantViolation(

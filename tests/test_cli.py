@@ -148,6 +148,13 @@ def test_normalize_command(tmp_path, capsys):
     assert code == 0
     assert doc["after"]["kappa"] == doc["before"]["kappa"] + 1
     assert doc["after"]["delta"] == doc["before"]["delta"]
+    assert doc["refine_factor"] == 3
+
+
+def test_normalize_takes_no_refine_factor(bands3_file, capsys):
+    # normalization always refines by 3; the factor is not an option
+    assert main(["normalize", str(bands3_file), "--refine-factor", "4"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_render_command(bands3_file, tmp_path, capsys):

@@ -16,7 +16,6 @@ from eulerpart import (
     build_complex,
     classify_circle_complement,
     from_labels,
-    normalize,
     plan_cut,
     refine,
 )
@@ -34,14 +33,6 @@ BLOCK = ([PROJECTIVE.horizontal_edge(i, 2) for i in (2, 3)] + [PROJECTIVE.vertic
          + [PROJECTIVE.horizontal_edge(i, 4) for i in (3, 2)] + [PROJECTIVE.vertical_edge(2, j) for j in (3, 2)])
 
 
-def _s_shape():
-    """A 4x3 rectangle whose label-0 domain meets one interior vertex in two sectors."""
-    lab = np.ones((3, 4), dtype=int)
-    for i, j in [(1, 0), (0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1)]:
-        lab[j, i] = 0
-    return from_labels(build_complex(SurfaceSpec.rectangle(4, 3)), lab.ravel())
-
-
 #: field -> (a valid value, what the entry point keeps of it)
 ENTRY_POINTS = {
     "surface width": (4, lambda v: SurfaceSpec(v, 4).width),
@@ -55,7 +46,6 @@ ENTRY_POINTS = {
     "bands parameter m": (3, lambda v: family("bands", {"m": v}).terms[0].fx.freq),
     "cell_px": (4, lambda v: _scene(from_labels(MOEBIUS, ZEROS), v).cell_px),
     "refinement factor": (2, lambda v: refine(from_labels(MOEBIUS, ZEROS), v).complex.spec.width),
-    "refine_factor": (3, lambda v: normalize(_s_shape(), v).complex.spec.width),
     "resolution": (8, lambda v: NodalConfig(n=v).n),
     "max_refine": (2, lambda v: NodalConfig(max_refine=v).max_refine),
     "wall edge id": (ROW[0], lambda v: min(from_labels(MOEBIUS, ZEROS, walls=[v, *ROW[1:]]).walls)),

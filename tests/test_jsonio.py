@@ -73,6 +73,28 @@ def test_partition_roundtrip():
     assert invariants(p).key() == invariants(q).key()
 
 
+@pytest.mark.parametrize(
+    "name, load, doc",
+    [
+        ("partition", jsonio.partition_from_json, jsonio.partition_to_json(bands3_partition())),
+        ("cycle", jsonio.cycle_from_json, {"surface": {"surface": "projective", "width": 8, "height": 8},
+                                           "cycle": {"midline": "horizontal"}}),
+    ],
+)
+def test_a_load_checks_its_document_once(monkeypatch, name, load, doc):
+    # the document's schema checks its surface through $ref, so the nested
+    # surface is read without a second check
+    checked, validate = [], jsonio.validate
+
+    def counting(schema, obj):
+        checked.append(schema)
+        return validate(schema, obj)
+
+    monkeypatch.setattr(jsonio, "validate", counting)
+    load(doc)
+    assert checked == [name]
+
+
 def test_partition_with_walls_roundtrip():
     c = build_complex(SurfaceSpec.moebius(6, 6))
     p0 = from_labels(c, np.zeros(36, dtype=int))

@@ -184,6 +184,23 @@ def test_exact_zero_sample_raises():
     assert sr.report.key() == (4, 0, 3, 0)
 
 
+def test_a_level_with_a_zero_sample_builds_no_complex(monkeypatch):
+    import eulerpart.nodal
+
+    built, build = [], eulerpart.nodal.build_complex
+
+    def counting_build(spec):
+        built.append((spec.width, spec.height))
+        return build(spec)
+
+    monkeypatch.setattr(eulerpart.nodal, "build_complex", counting_build)
+    # 15x15 samples sin(2x) at x = pi/2 and is stepped past to 16x16
+    f = Eigenfunction(terms=(Term(1.0, Factor("sin", 2), Factor("sin", 2)),))
+    sr = stable_invariants(f, "rectangle", NodalConfig(n=15))
+    assert [n for n, *_ in sr.levels] == [16, 32]
+    assert built == [(16, 16), (32, 32)]
+
+
 def test_sign_rasterization_nu_even():
     for theta in (0.3, 0.9, 1.2):
         p = rasterize(phi_family(PI / 6, theta), "moebius", 48)

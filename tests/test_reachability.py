@@ -25,7 +25,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eulerpart"
 
 #: unreferenced on purpose: the ``SurfaceSpec`` preset constructors are
-#: public API, and the eigenfunction JSON pair waits on the nodal document path
+#: public API, ``surface_from_json`` loads a top-level surface document (a
+#: partition or cycle reads its surface, checked by its own schema's
+#: ``$ref``, without a second check), and the eigenfunction JSON pair waits
+#: on the nodal document path
 ALLOWED = {
     "complexes.SurfaceSpec.rectangle",
     "complexes.SurfaceSpec.cylinder",
@@ -34,6 +37,7 @@ ALLOWED = {
     "complexes.SurfaceSpec.klein",
     "complexes.SurfaceSpec.projective",
     "jsonio.eigenfunction_from_json",
+    "jsonio.surface_from_json",
     "jsonio.eigenfunction_to_json",
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from eulerpart import (
     verify_euler,
 )
 from eulerpart.explore import RandomSpec, random_partition
+from eulerpart.partition import closure_tables
 
 from cutgen import random_admissible_cut
 
@@ -83,6 +85,42 @@ def test_normalize_classifications_well_defined():
             assert rep.genus >= 0
         else:
             assert rep.crosscaps >= 1
+
+
+GLUINGS = ("open", "periodic", "reversed")
+
+
+def _normalize_corpus():
+    """Arbitrary 2-4-labellings and 2-4-source flood fills on all nine gluing
+    pairs, from 2x2 to 12x9."""
+    rng = np.random.default_rng(2005)
+    for xg, yg in itertools.product(GLUINGS, GLUINGS):
+        for w, h in [(2, 2), (3, 2), (2, 3), (4, 3), (5, 4), (7, 5), (12, 9)]:
+            c = build_complex(SurfaceSpec(w, h, xg, yg))
+            for k in (2, 3, 4):
+                for seed in range(3):
+                    yield from_labels(c, rng.integers(0, k, w * h))
+                    yield random_partition(c, RandomSpec(seed=seed, k=k))
+
+
+def test_normalize_corpus_splits_off_one_disk_per_offending_vertex():
+    done = 0
+    for p in _normalize_corpus():
+        if is_normal(p):
+            continue
+        fine = refine(p, 3)
+        pinched = np.unique(closure_tables(fine).non_normal_pairs[:, 0])
+        # a surface boundary vertex meets at most two faces, so it never offends
+        assert not fine.complex.vertex_is_boundary[pinched].any()
+        before = invariants(p)
+        q = normalize(p)
+        after = invariants(q)
+        assert is_normal(q)
+        assert (after.delta, after.omega, after.beta) == (before.delta, before.omega, before.beta)
+        assert after.kappa == before.kappa + len(pinched)
+        assert after.sigma == before.sigma + len(pinched)
+        done += 1
+    assert done >= 200
 
 
 def test_normalize_rejects_walls():
