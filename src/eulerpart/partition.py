@@ -30,15 +30,17 @@ domain are glued only along shared non-wall edges interior to the domain,
 so each domain becomes a combinatorial surface with boundary regardless
 of pinch points or walls in the ambient embedding.  This is the closure
 for which chi(surface) + sigma equals the sum of the closed domain Euler
-characteristics.  Past one count of faces per domain, its cost follows
-the *unglued sides*, both sides of each boundary-set edge and every
-surface-boundary side: a domain has as many sectors at the vertices
-they meet as it has unglued sides, and one labelling of the corner slots
-there, which come from the unglued sides and one round of the complex's
-``slot_partners``, gives the boundary cycles; every other vertex is one
-sector, counted from the slot totals and the complex's ``odd_vertices``,
-an O(W + H) table, not scanned (see ``_ClosureTables``).  The boundary
-graph checks only the vertices of the boundary set.
+characteristics.  Its cost follows the *unglued sides*, both sides of
+each boundary-set edge and every surface-boundary side: a domain has as
+many sectors at the vertices they meet as it has unglued sides, and one
+labelling of the corner slots there, which come from the unglued sides
+and one round of the complex's ``slot_partners`` and are numbered
+through one scratch index rather than sorted and searched, gives the
+boundary cycles; every other vertex is one sector, counted from the slot
+totals and the complex's ``odd_vertices``, an O(W + H) table, not
+scanned; and the faces per domain come from the labelling's row runs,
+kept on the partition (see ``_ClosureTables``).  The boundary graph
+checks only the vertices of the boundary set.
 
 Nothing here gathers over every interior edge.  The grid-interior edges
 of a face labelling are two boolean slices of the ``(H, W)`` label grid,
@@ -76,10 +78,11 @@ class Partition:
     walls: frozenset
     orientable: np.ndarray       # (n_domains,) orientability bit per domain
     boundary_set: np.ndarray     # increasing ids of boundary-set edges (domain changes and walls)
+    faces_per_domain: np.ndarray  # (n_domains,) int64 face count per domain
 
     def __post_init__(self):
         # a partition's invariants are cached, so its arrays must not change
-        for a in (self.domains, self.orientable, self.boundary_set):
+        for a in (self.domains, self.orientable, self.boundary_set, self.faces_per_domain):
             a.flags.writeable = False
 
     @cached_property
@@ -134,9 +137,9 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
         if c.edge_is_boundary[w]:
             raise ValueError(f"wall edge {w} lies on the surface boundary")
     wall_arr = np.fromiter(wall_ids, dtype=ID_DTYPE, count=len(wall_ids))
-    domains, n_domains, orientable, bset = _label_domains(c, labels, wall_arr)
+    domains, n_domains, orientable, bset, faces = _label_domains(c, labels, wall_arr)
     p = Partition(complex=c, domains=domains, n_domains=n_domains, walls=wall_ids,
-                  orientable=orientable, boundary_set=bset)
+                  orientable=orientable, boundary_set=bset, faces_per_domain=faces)
     # every vertex of the boundary set must be a genuine crossing, junction,
     # or a transversal hit on the boundary; a caller's wall that dangles is
     # rejected there as malformed input
@@ -145,7 +148,8 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
 
 
 def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
-    """(domains, n_domains, orientable bits, boundary set) in one labelling pass.
+    """(domains, n_domains, orientable bits, boundary set, faces per domain)
+    in one labelling pass.
 
     Glued edges join equal-label faces across non-wall interior edges.  On
     the face grid ``L = labels.reshape(H, W)`` the grid-interior edges are
@@ -164,13 +168,18 @@ def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
     work grows with the label changes, not with the faces.  Runs are
     numbered in the order of their faces, so pieces come out numbered by
     their smallest face.  The glued edges of parity -1 lie on
-    the reversed seams and join pieces into domains, numbered by their
-    smallest piece, so domain ids follow each domain's smallest face.
-    Every edge of the piece graph reverses orientation, so a domain is
-    orientable iff its piece graph is bipartite (Harary's balance test):
-    in the double graph over two sheets per piece, each such edge joins
-    opposite sheets, and a domain is non-orientable iff some piece meets
-    its own other sheet.
+    the reversed seams and join pieces into domains.  Every edge of the
+    piece graph reverses orientation, so a domain is orientable iff its
+    piece graph is bipartite (Harary's balance test): in the double graph
+    over two sheets per piece, each such edge joins opposite sheets, and a
+    domain is non-orientable iff some piece meets its own other sheet.
+    That one labelling of the sheets also gives the domains: a domain is
+    one sheet component or two, and the one that holds its smallest piece
+    on sheet 0 holds its smallest node, so it has the smaller label on
+    every piece of the domain.  The domain of piece ``p`` is the dense rank
+    of ``min(sheet[p], sheet[p + n])``, which numbers domains by their
+    smallest piece, and so by their smallest face.  The faces per domain
+    are the run lengths summed per domain, O(runs).
 
     The boundary set is every unglued interior edge, read from the same
     masks: an unglued side joins two labels, and so two domains, or is a
@@ -214,15 +223,31 @@ def _label_domains(c: CellComplex, labels: np.ndarray, walls: np.ndarray):
     flip = sg & (spar < 0)
     if not flip.any():
         # nothing reverses: pieces are domains and every domain is balanced
-        return np.repeat(run_label, run_lengths), n_pieces, np.ones(n_pieces, dtype=bool), bset
+        return (np.repeat(run_label, run_lengths), n_pieces, np.ones(n_pieces, dtype=bool), bset,
+                _faces_per(run_label, run_lengths, n_pieces))
     pa, pb = run_label.take(ra[flip]), run_label.take(rb[flip])
-    n_domains, piece_domain = components(n_pieces, pa, pb)
-    _n, sheet = components(
+    n_sheets, sheet = components(
         2 * n_pieces, np.concatenate([pa, pa + n_pieces]), np.concatenate([pb + n_pieces, pb])
     )
+    # the sheet component of a domain's smallest piece on sheet 0 holds its
+    # smallest node, so it has the domain's smaller label on every piece
+    low = np.minimum(sheet[:n_pieces], sheet[n_pieces:])
+    first = np.zeros(n_sheets, dtype=bool)
+    first[low] = True
+    rank = np.cumsum(first, dtype=ID_DTYPE) - 1
+    piece_domain = rank.take(low)
+    n_domains = int(rank[-1]) + 1
     orientable = np.ones(n_domains, dtype=bool)
     orientable[piece_domain[sheet[:n_pieces] == sheet[n_pieces:]]] = False
-    return np.repeat(piece_domain.take(run_label), run_lengths), n_domains, orientable, bset
+    run_domain = piece_domain.take(run_label)
+    return (np.repeat(run_domain, run_lengths), n_domains, orientable, bset,
+            _faces_per(run_domain, run_lengths, n_domains))
+
+
+def _faces_per(run_domain: np.ndarray, run_lengths: np.ndarray, n: int) -> np.ndarray:
+    """Faces per domain from the row runs: O(runs), exact, since run lengths
+    sum to the face count, far below 2**53."""
+    return np.bincount(run_domain, weights=run_lengths, minlength=n).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +460,22 @@ class _ClosureTables:
     and every surface-boundary side.
 
     The work follows the unglued sides; nothing here reads every face or
-    every vertex past the per-domain face count.  The vertex links of these
-    quotient grids are connected, so at a vertex that an unglued side meets
-    every sector runs between two unglued ends, the corner slots of the
-    unglued sides: a domain's sectors at those vertices number its unglued
-    sides, and it meets two or more sectors at a vertex iff four or more of
-    its unglued ends lie there.  One labelling of the slots at those
-    vertices (``_touched_slots``), joined across glued partners and along
+    every vertex, and the faces per domain come with the partition
+    (``Partition.faces_per_domain``).  The vertex links of these quotient
+    grids are connected, so at a vertex that an unglued side meets every
+    sector runs between two unglued ends, the corner slots of the unglued
+    sides: a domain's sectors at those vertices number its unglued sides,
+    and it meets two or more sectors at a vertex iff four or more of its
+    unglued ends lie there.  The *touched* slots, those over the vertices
+    the unglued sides meet, are the unglued ends and one round of
+    ``slot_partners`` from them: the slots over a vertex form a cycle or a
+    path of at most four, and the ends over it hold two neighbours of the
+    cycle, across a boundary-set edge, or both ends of the path, on the
+    surface boundary.  They are numbered through one scratch index over
+    the 4F slots (``_slot_index``), never sorted or searched, and every
+    glued partner looked up through it is checked, in O(touched), to have
+    been indexed; one that was not is an invariant violation.  One
+    labelling of the touched slots, joined across glued partners and along
     each unglued side, gives the boundary cycles.  Every other vertex is
     one sector, counted, not scanned: every face has four slots, such a
     vertex has four unless it is one of the complex's ``odd_vertices``, and
@@ -459,26 +493,41 @@ class _ClosureTables:
         bdy = c.boundary_edges
 
         # unglued sides; (face, side) runs from corner slot side to side + 1
-        side_face = np.concatenate([c.edge_faces[bset].ravel(), c.edge_faces[bdy, 0]])
-        side = np.concatenate([c.edge_sides[bset].ravel(), c.edge_sides[bdy, 0]])
+        # (take, not a 2-d fancy index, and intp ids: both are several times
+        # faster gathers on numpy 2.4)
+        side_face = np.concatenate(
+            [c.edge_faces.take(bset, axis=0).ravel(), c.edge_faces[:, 0].take(bdy)]
+        ).astype(np.intp)
+        side = np.concatenate([c.edge_sides.take(bset, axis=0).ravel(), c.edge_sides[:, 0].take(bdy)])
         side_domain = dom.take(side_face)
-        ends = np.concatenate([4 * side_face + side, 4 * side_face + (side + 1) % 4])
-        slots = _touched_slots(c, ends)
-        faces, corners = np.divmod(slots, 4)
-        partner = c.slot_partners[slots]
+        ends = np.concatenate([4 * side_face + side, 4 * side_face + ((side + 1) & 3)])
+        # one round of partners, each end's across its other side, since
+        # across its unglued side lies another end or -1: an end that starts
+        # its unglued side (column 0) reads column 1, one that ends it column 0
+        other = c.slot_partners.ravel().take(2 * ends + np.repeat(np.array([1, 0], dtype=ends.dtype), len(side)))
+        slots, index = _slot_index(4 * c.n_faces, np.concatenate([ends, other]))
+        faces = slots >> 2
+        partner = c.slot_partners.take(slots, axis=0)
         slot_domain = dom.take(faces)
-        glued = (partner >= 0) & (dom[partner // 4] == slot_domain[:, None])
+        glued = (partner >= 0) & (dom.take(partner >> 2) == slot_domain[:, None])
         if p.walls:
+            corners = slots & 3
             sides = c.face_edges[faces[:, None], np.stack([corners, (corners + 3) % 4], axis=1)]
             glued &= ~p.wall_mask[sides]
-        rows = np.broadcast_to(np.arange(len(slots))[:, None], glued.shape)
+        pairs = np.flatnonzero(glued)
+        across = partner.ravel().take(pairs)
+        at = index.take(across)
+        # the index holds only what was written: a partner off the touched
+        # slots reads a stale entry, which does not lead back to it
+        if not np.array_equal(slots.take(at, mode="clip"), across):
+            raise InvariantViolation("a glued partner of a touched corner slot lies off the touched slots")
         # a boundary cycle runs through sectors over glued partners and
         # from sector to sector along the unglued sides
-        at = slots.searchsorted(ends)
+        end_at = index.take(ends)
         n_cyc, cyc = components(
             len(slots),
-            np.concatenate([rows[glued], at[: len(side)]]),
-            np.concatenate([slots.searchsorted(partner[glued]), at[len(side):]]),
+            np.concatenate([pairs >> 1, end_at[: len(side)]]),
+            np.concatenate([at, end_at[len(side):]]),
         )
         cycle_domain = np.empty(n_cyc, dtype=ID_DTYPE)
         cycle_domain[cyc] = slot_domain
@@ -488,7 +537,7 @@ class _ClosureTables:
 
         # per-domain face, glued-edge and abstract vertex counts; each face
         # has four sides, and every glued edge takes two of them
-        self.faces_per_domain = np.bincount(dom, minlength=n)
+        self.faces_per_domain = p.faces_per_domain
         sides_per_domain = np.bincount(side_domain, minlength=n)
         self.glued_per_domain = (4 * self.faces_per_domain - sides_per_domain) // 2
         # each untouched vertex holds four slots of its domain, less the
@@ -529,18 +578,24 @@ class _ClosureTables:
         return np.stack(np.divmod(keys, self.n_domains), axis=1)
 
 
-def _touched_slots(c: CellComplex, ends: np.ndarray) -> np.ndarray:
-    """The corner slots over the vertices that an unglued side meets,
-    increasing, from the two corner slots of each unglued side.
+def _slot_index(n_slots: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, index)``: the distinct non-negative entries of ``slots``
+    and a scratch index over ``0..n_slots-1`` with ``index[distinct[k]] == k``.
 
-    One round of ``slot_partners`` from these ends completes every vertex:
-    the slots over a vertex form a cycle or a path of at most four, and the
-    ends over it hold two neighbours of the cycle, across a boundary-set
-    edge, or both ends of the path, on the surface boundary.
+    The index is ``np.empty``: it is written and read only at the given
+    slots, never scanned, so the cost follows ``slots``, not ``n_slots``.
+    Where entries repeat a slot, exactly one of them finds its own position
+    in the index after the first write, whichever write survived, and it
+    keeps the slot.  An entry of the index that was never written holds
+    garbage; a caller that looks up other slots must check them.
     """
-    slots = _unique(np.concatenate([ends, c.slot_partners[ends].ravel()]))
-    # a side on the surface boundary has partner -1
-    return slots[1:] if slots.size and slots[0] < 0 else slots
+    slots = slots[slots >= 0]
+    index = np.empty(n_slots, dtype=ID_DTYPE)
+    pos = np.arange(len(slots), dtype=ID_DTYPE)
+    index[slots] = pos
+    distinct = slots[index.take(slots) == pos]
+    index[distinct] = np.arange(len(distinct), dtype=ID_DTYPE)
+    return distinct, index
 
 
 def _unique(a: np.ndarray) -> np.ndarray:

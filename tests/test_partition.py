@@ -15,16 +15,20 @@ from eulerpart import (
     build_complex,
     check_chi_sigma,
     domain_reports,
+    double_cover,
     from_labels,
     invariants,
     is_normal,
+    lift_partition,
+    normalize,
     orientability_bits,
     random_partition,
+    refine,
     verify_euler,
 )
 from eulerpart.complexes import (OPEN, PERIODIC, PRESETS, REVERSED, boundary_components, components,
                                  edge_components, subgraph_component_count)
-from eulerpart.partition import VERDICT_MODES, _touched_slots, closure_tables
+from eulerpart.partition import VERDICT_MODES, _slot_index, closure_tables
 
 from cutgen import random_admissible_cut
 from edgerows import interior_rows
@@ -491,8 +495,10 @@ def test_closure_reads_the_boundary_set_not_every_slot_and_vertex(name, size):
         bset, bdy = p.boundary_set, c.boundary_edges
         f = np.concatenate([c.edge_faces[bset].ravel(), c.edge_faces[bdy, 0]])
         s = np.concatenate([c.edge_sides[bset].ravel(), c.edge_sides[bdy, 0]])
-        slots = _touched_slots(c, np.concatenate([4 * f + s, 4 * f + (s + 1) % 4]))
-        assert np.array_equal(slots, np.flatnonzero(touched[fv]))
+        ends = np.concatenate([4 * f + s, 4 * f + (s + 1) % 4])
+        slots, index = _slot_index(4 * c.n_faces, np.concatenate([ends, c.slot_partners[ends].ravel()]))
+        assert np.array_equal(np.sort(slots), np.flatnonzero(touched[fv]))
+        assert np.array_equal(index[slots], np.arange(len(slots)))
         one_slot = np.empty(c.n_vertices, dtype=np.int64)
         one_slot[fv] = np.arange(4 * c.n_faces)
         scan = np.bincount(p.domains[f], minlength=n)
@@ -535,6 +541,105 @@ def test_closure_rejects_slots_that_do_not_fill_whole_vertices():
     p = from_labels(c, np.zeros(c.n_faces, dtype=np.int64))
     with pytest.raises(InvariantViolation, match="do not fill whole vertices"):
         closure_tables(p)
+
+
+@pytest.mark.parametrize("name", SURFACES)
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5)])
+def test_closure_index_check_catches_a_dropped_partner_round(name, size, monkeypatch):
+    # the closure indexes the unglued ends, then one round of their
+    # partners, as the two halves of one array; with the round dropped,
+    # the scratch index holds garbage at the partners it skipped, and the
+    # closure must either find every glued partner among the ends anyway
+    # and count right, or raise, never miscount or read out of range
+    from eulerpart import partition
+
+    real = partition._slot_index
+    monkeypatch.setattr(partition, "_slot_index", lambda n, slots: real(n, slots[: len(slots) // 2]))
+    raised = checked = 0
+    for p in _closure_corpus(name, size):
+        want = _slot_graph_closure(p)
+        try:
+            got = partition._ClosureTables(p)
+        except InvariantViolation as e:
+            assert "lies off the touched slots" in str(e)
+            raised += 1
+            continue
+        checked += 1
+        assert np.array_equal(got.vertices_per_domain, want["vertices"])
+        assert np.array_equal(got.cycles_per_domain, want["cycles"])
+        assert np.array_equal(got.non_normal_pairs, want["non_normal"])
+    assert checked  # the single domain of a closed surface has no unglued end
+    if (name, size) == ("moebius", (7, 5)):
+        assert raised
+    # a slot over a vertex with two corner slots has one partner in both
+    # columns; the index is written twice there and must still hold one entry
+    sp = build_complex(SurfaceSpec.named(name, *size)).slot_partners
+    assert np.any((sp[:, 0] == sp[:, 1]) & (sp[:, 0] >= 0)) == (name == "projective")
+
+
+def _face_count_cases(name, size):
+    """(partition, reference surface or None): the labelling corpus, walled
+    partitions included, then the cover lifts of its first partitions where
+    the surface has a double cover, and ``refine`` and ``normalize`` of its
+    first wall-free ones.  Walled partitions get no reference, which knows
+    no walls."""
+    spec = SurfaceSpec(*size, *GLUING_PAIRS[name])
+    ref = RefSurface(spec.width, spec.height, spec.x_gluing, spec.y_gluing)
+    cs = double_cover(build_complex(spec)) if spec.kind in ("moebius", "klein") and spec.y_gluing == REVERSED else None
+    cover_ref = cs and RefSurface(cs.cover.spec.width, cs.cover.spec.height, cs.cover.spec.x_gluing,
+                                  cs.cover.spec.y_gluing)
+    kinds = {}
+    for k, p in enumerate(_closure_corpus(name, size)):
+        yield p, None if p.walls else ref
+        kinds["walled"] = kinds.get("walled", 0) + bool(p.walls)
+        if cs is not None and k < 6:
+            lifted = lift_partition(cs, from_labels(cs.base, p.domains, walls=p.walls))
+            yield lifted, None if lifted.walls else cover_ref
+            kinds["lift"] = True
+        if not p.walls and k < 3:
+            for q in (refine(p, 2), normalize(p)):
+                s = q.complex.spec
+                yield q, RefSurface(s.width, s.height, s.x_gluing, s.y_gluing)
+            kinds["refine"] = True
+    assert kinds["refine"] and kinds.get("lift", cs is None) and (kinds["walled"] or size == (2, 2))
+
+
+@pytest.mark.parametrize("name", list(GLUING_PAIRS))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (33, 17), (32, 32), (2, 3)])
+def test_faces_per_domain_from_the_runs(name, size):
+    # the face counts summed over the labelling's row runs, against a count
+    # of every face and against the reference's domains
+    for p, ref in _face_count_cases(name, size):
+        faces = p.faces_per_domain
+        assert not faces.flags.writeable
+        assert faces.dtype == np.int64 and faces.shape == (p.n_domains,)
+        assert np.array_equal(faces, np.bincount(p.domains, minlength=p.n_domains))
+        if ref is not None:
+            ref_domain, _bits = ref_domains(ref, p.domains.tolist())
+            assert faces.tolist() == np.bincount(list(ref_domain.values())).tolist()
+        assert closure_tables(p).faces_per_domain is faces
+
+
+def _assert_reference_domains(c, labels):
+    s = c.spec
+    p = from_labels(c, labels)
+    ref_domain, ref_bits = ref_domains(RefSurface(s.width, s.height, s.x_gluing, s.y_gluing), list(labels))
+    assert p.domains.tolist() == [ref_domain[(i, j)] for j in range(s.height) for i in range(s.width)]
+    assert orientability_bits(p).tolist() == ref_bits
+
+
+@pytest.mark.parametrize("name", ["moebius", "klein", "projective"])
+def test_sheet_labelling_gives_the_reference_domains(name):
+    # on a surface with a reversed seam the domains are read off the sheet
+    # labelling, by the dense rank of each piece's smaller sheet label;
+    # every orientable domain of two or more pieces has two sheet
+    # components, so raw sheet labels would leave gaps in the domain ids.
+    # test_one_pass_labelling_matches_signed_double_graph checks the
+    # labelling corpus against the reference; this adds every 2-labelling
+    # of the 3x3 grid
+    c = build_complex(SurfaceSpec.named(name, 3, 3))
+    for bits in itertools.product((0, 1), repeat=8):
+        _assert_reference_domains(c, [*bits, 0])
 
 
 # -- one-pass domains and orientation against the signed double graph -------
