@@ -558,7 +558,7 @@ def _seam_orbits(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orbits are numbered in increasing order of it.  A raw id no seam
     touches is an orbit of its own.
     """
-    nodes, labels = _touched_components(n, pairs)
+    nodes, labels = touched_components(n, pairs)
     first = np.diff(np.maximum.accumulate(labels), prepend=-1) > 0
     keep = np.ones(n, dtype=bool)
     keep[nodes] = first
@@ -761,11 +761,11 @@ def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(verts, labels)``: the touched canonical vertices in
     increasing order and the component id of each.
     """
-    ev = c.edge_vertices[np.asarray(edge_ids, dtype=ID_DTYPE)]
-    return _touched_components(c.n_vertices, ev.T)
+    ev = c.edge_vertices.take(np.asarray(edge_ids, dtype=ID_DTYPE), axis=0)
+    return touched_components(c.n_vertices, ev.T)
 
 
-def _touched_components(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def touched_components(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``components`` of the edges ``ends[0, k]-ends[1, k]`` over the nodes
     ``0..n-1`` they touch: the touched nodes in increasing order and the
     component id of each."""

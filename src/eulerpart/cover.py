@@ -38,7 +38,7 @@ import numpy as np
 
 from .complexes import ID_DTYPE, SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec, build_complex
 from .errors import InvariantViolation
-from .partition import Partition, boundary_union, from_labels, invariants
+from .partition import Partition, boundary_graph, from_labels, invariants
 
 COVERABLE = {"moebius": "cylinder", "klein": "torus"}
 
@@ -236,12 +236,13 @@ def cover_bookkeeping(cs: CoverStructure, p: Partition) -> CoverReport:
 
 def _cover_boundary_joined(lifted: Partition) -> bool:
     """Do the two cover boundary circles share a component of the lifted
-    boundary set united with the cover boundary?  Reads the labelling that
-    the lift's beta already made."""
+    boundary set united with the cover boundary?  Reads the lift's census
+    of that union, which its beta already read."""
     c = lifted.complex
     if c.spec.closed:
         return False
-    verts, comp = boundary_union(lifted)
+    bg = boundary_graph(lifted)
+    verts, comp = bg.union_vertices, bg.union_labels
     # the cylinder cover's boundary circles are the seams x=0 and x=W
     lo = c.vertex_id(0, 0)
     hi = c.vertex_id(c.spec.width, 0)

@@ -415,7 +415,7 @@ class BatchResult:
     k_range: tuple
     verdict_mode: str            # pass_fail / conjecture / report_only
     passes: int
-    failures: tuple              # serialized counterexample partitions
+    failures: tuple              # counterexample partitions
     defect_histogram: dict
     chi_sigma_ok: int
     cover_checked: int
@@ -432,7 +432,7 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     """Run seeded random partitions through every applicable check.
 
     On surfaces with a proven formula any wrong defect is a failure and
-    the partition is serialized for replay.  On conjecture / report-only
+    the partition is kept for replay.  On conjecture / report-only
     surfaces the defect histogram is the result.  The chi-sigma identity
     is checked everywhere; on moebius and klein the two orientability
     routes are compared per domain and the cover bookkeeping asserted.
@@ -440,8 +440,6 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     ``k_range`` must hold integers with 1 <= k_min <= k_max, and ``size``
     must pass ``check_batch_size``, all before anything is built or drawn.
     """
-    from .jsonio import partition_to_json
-
     seed, count = _check_seed_and_count(seed, count, "count")
     size = check_batch_size(size)
     k_lo, k_hi = k_range
@@ -485,7 +483,7 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
         if ok:
             passes += 1
         else:
-            failures.append(partition_to_json(p))
+            failures.append(p)
     return BatchResult(
         surface=surface,
         count=count,

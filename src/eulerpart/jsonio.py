@@ -533,7 +533,7 @@ def batch_to_json(b: BatchResult) -> dict:
         "k_range": list(b.k_range),
         "verdict_mode": b.verdict_mode,
         "passes": b.passes,
-        "failures": list(b.failures),
+        "failures": [partition_to_json(p) for p in b.failures],
         "defect_histogram": {str(k): v for k, v in b.defect_histogram.items()},
         "chi_sigma_ok": b.chi_sigma_ok,
         "cover_checked": b.cover_checked,

@@ -39,8 +39,10 @@ through one scratch index rather than sorted and searched, gives the
 boundary cycles; every other vertex is one sector, counted from the slot
 totals and the complex's ``odd_vertices``, an O(W + H) table, not
 scanned; and the faces per domain come from the labelling's row runs,
-kept on the partition (see ``_ClosureTables``).  The boundary graph
-checks only the vertices of the boundary set.
+kept on the partition (see ``_ClosureTables``).  The boundary graph is
+the one census of X, the boundary set united with the surface boundary:
+one gather of X's edge ends and one labelling of its vertices give the
+checks, sigma and beta, and read only the vertices of X.
 
 Nothing here gathers over every interior edge.  The grid-interior edges
 of a face labelling are two boolean slices of the ``(H, W)`` label grid,
@@ -63,7 +65,7 @@ from .complexes import (
     boundary_components,
     build_complex,
     components,
-    edge_components,
+    touched_components,
 )
 from .errors import CutError, InvariantViolation, integer
 
@@ -101,13 +103,6 @@ class Partition:
     @cached_property
     def _boundary_graph(self) -> "BoundaryGraph":
         return _compute_boundary_graph(self)
-
-    @cached_property
-    def _boundary_union(self) -> tuple[np.ndarray, np.ndarray]:
-        c = self.complex
-        verts, labels = edge_components(c, np.concatenate([self.boundary_set, c.boundary_edges]))
-        verts.flags.writeable = labels.flags.writeable = False
-        return verts, labels
 
     @cached_property
     def _closure(self) -> "_ClosureTables":
@@ -256,18 +251,22 @@ def _faces_per(run_domain: np.ndarray, run_lengths: np.ndarray, n: int) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class BoundaryGraph:
-    """The boundary-set subgraph with its vertex census.
+    """The census of X, the boundary set united with the surface boundary.
 
     ``degree[v]`` is the number of boundary-set edges at vertex ``v`` (an
-    edge whose two ends meet at ``v`` counts twice).  An interior vertex
+    edge whose two ends meet at ``v`` counts twice).  ``union_vertices``
+    are the vertices X's edges touch, increasing, and ``union_labels`` the
+    component of X holding each, numbered by its smallest vertex: beta,
+    sigma and the checks all read this one labelling.  An interior vertex
     of degree nu >= 3 is singular with index nu - 2; a surface-boundary
     vertex of degree rho >= 1 (rho is always 1) is singular with index
-    rho.  The singular vertex arrays are sorted, and they and ``degree``
-    are read-only.
+    rho.  The singular vertex arrays are sorted, and every array is
+    read-only.
     """
 
-    edge_ids: np.ndarray          # boundary-set edges
     degree: np.ndarray            # (V,) boundary-set edges at each vertex
+    union_vertices: np.ndarray    # vertices of X, increasing
+    union_labels: np.ndarray      # component of X at each of them
     singular_interior: np.ndarray  # interior vertices with degree >= 3
     singular_boundary: np.ndarray  # surface-boundary vertices with degree >= 1
     sigma: int                    # half the singular index sum
@@ -283,46 +282,39 @@ def boundary_graph(p: Partition) -> BoundaryGraph:
 
 def _compute_boundary_graph(p: Partition) -> BoundaryGraph:
     c = p.complex
-    ids = p.boundary_set
-    ends = c.edge_vertices[ids]
-    degree = np.bincount(ends.ravel(), minlength=c.n_vertices)
-    # every check reads only the vertices the boundary set touches, found
-    # among its edges' ends rather than by a scan of every vertex
-    touched = _unique(ends)
-    deg = degree[touched]
-    on_bdy = c.vertex_is_boundary[touched]
+    # X's edge ends in one gather: the boundary set's rows first, then the
+    # surface boundary's
+    ends = c.edge_vertices.take(np.concatenate([p.boundary_set, c.boundary_edges]), axis=0)
+    degree = np.bincount(ends[: len(p.boundary_set)].ravel(), minlength=c.n_vertices)
+    verts, labels = touched_components(c.n_vertices, ends.T)
+    # every check reads only the vertices of X, never a scan of every vertex
+    deg = degree.take(verts)
+    on_bdy = c.vertex_is_boundary.take(verts)
     dangling = (deg == 1) & ~on_bdy
     if dangling.any():
         # label changes alone never leave a dangling end, so one at a wall
         # is the caller's malformed input
         walls = np.flatnonzero(p.wall_mask)
-        wall_ends = c.edge_vertices[walls]
+        wall_ends = c.edge_vertices.take(walls, axis=0)
         bad = (degree[wall_ends] == 1) & ~c.vertex_is_boundary[wall_ends]
         if bad.any():
             k, end = np.argwhere(bad)[0]
             raise ValueError(f"wall edge {walls[k]} has a dangling end at interior vertex {wall_ends[k, end]}")
         raise InvariantViolation(
-            f"boundary set has dangling ends at interior vertices {touched[dangling][:4].tolist()}"
+            f"boundary set has dangling ends at interior vertices {verts[dangling][:4].tolist()}"
         )
     if np.any(deg[on_bdy] > 1):
         raise InvariantViolation("boundary vertex met by more than one interior edge")
 
     interior_singular = (deg >= 3) & ~on_bdy
-    sing_i = touched[interior_singular]
-    sing_b = touched[on_bdy]
+    sing_i = verts[interior_singular]
+    sing_b = verts[on_bdy & (deg > 0)]
     index_sum = int(deg[interior_singular].sum()) - 2 * len(sing_i) + int(deg[on_bdy].sum())
     if index_sum % 2:
         raise InvariantViolation(f"odd singular index sum {index_sum}")
-    for a in (degree, sing_i, sing_b):
+    for a in (degree, verts, labels, sing_i, sing_b):
         a.flags.writeable = False
-    return BoundaryGraph(ids, degree, sing_i, sing_b, sigma=index_sum // 2)
-
-
-def boundary_union(p: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """``(verts, labels)``: one component labelling of the boundary set
-    united with the surface boundary, over the vertices its edges touch
-    (increasing), computed once per partition and read-only."""
-    return p._boundary_union
+    return BoundaryGraph(degree, verts, labels, sing_i, sing_b, sigma=index_sum // 2)
 
 
 def orientability_bits(p: Partition) -> np.ndarray:
@@ -354,15 +346,15 @@ class InvariantReport:
         return (self.kappa, self.beta, self.sigma, self.omega)
 
 
-def _beta_counts(p: Partition) -> tuple[int, int]:
-    """(beta, beta_interior) from one labelling of the boundary set united
-    with the surface boundary.  A component of the union that holds no
+def _beta_counts(c: CellComplex, bg: BoundaryGraph) -> tuple[int, int]:
+    """(beta, beta_interior) from the census's labelling of X, the boundary
+    set united with the surface boundary.  A component of X that holds no
     surface-boundary vertex is a boundary-set component off the surface
     boundary, so beta_interior counts those."""
-    c = p.complex
-    verts, comp = boundary_union(p)
+    comp = bg.union_labels
     n = int(comp.max()) + 1 if comp.size else 0
-    beta_i = n - int(np.count_nonzero(np.bincount(comp[c.vertex_is_boundary[verts]], minlength=n)))
+    on_bdy = c.vertex_is_boundary.take(bg.union_vertices)
+    beta_i = n - int(np.count_nonzero(np.bincount(comp[on_bdy], minlength=n)))
     return n - boundary_components(c), beta_i
 
 
@@ -373,7 +365,7 @@ def invariants(p: Partition) -> InvariantReport:
 
 def _compute_invariants(p: Partition) -> InvariantReport:
     bg = boundary_graph(p)
-    beta, beta_i = _beta_counts(p)
+    beta, beta_i = _beta_counts(p.complex, bg)
     bits = orientability_bits(p)
     omega = 0 if bool(bits.all()) else 1
     if p.complex.spec.orientable and omega:
@@ -574,7 +566,9 @@ class _ClosureTables:
         before them.
         """
         keys = np.sort(self._end_keys)
-        keys = _unique(keys[3:][keys[3:] == keys[:-3]])
+        keys = keys[3:][keys[3:] == keys[:-3]]
+        # still sorted, so a key's repeats follow it; keys are never negative
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         return np.stack(np.divmod(keys, self.n_domains), axis=1)
 
 
@@ -596,16 +590,6 @@ def _slot_index(n_slots: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray
     distinct = slots[index.take(slots) == pos]
     index[distinct] = np.arange(len(distinct), dtype=ID_DTYPE)
     return distinct, index
-
-
-def _unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique(a)`` by one sort and one compaction: on numpy 2.4 the
-    sort alone is many times faster than ``np.unique``."""
-    s = np.sort(a, axis=None)
-    keep = np.empty(s.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
 
 
 def closure_tables(p: Partition) -> _ClosureTables:
@@ -752,14 +736,17 @@ def normalize(p: Partition) -> Partition:
         return p
     q = refine(p, NORMALIZE_FACTOR)
     c = q.complex
-    # a surface boundary vertex meets at most two faces, so it never offends
-    off = _unique(closure_tables(q).non_normal_pairs[:, 0])
-    # every corner slot over an offending vertex takes the fresh id of its vertex
-    corners = c.face_vertices.ravel()
-    rank = off.searchsorted(corners).clip(max=len(off) - 1)
-    star = off.take(rank) == corners
+    # a surface boundary vertex meets at most two faces, so it never offends;
+    # a vertex listed for two domains keeps the one id its last write left
+    off = closure_tables(q).non_normal_pairs[:, 0]
+    fresh = np.full(c.n_vertices, -1, dtype=ID_DTYPE)
+    fresh[off] = q.n_domains + np.arange(len(off), dtype=ID_DTYPE)
+    # every corner slot over an offending vertex takes the fresh id of its
+    # vertex; the stars are disjoint, so no face takes two
+    corner = fresh.take(c.face_vertices.ravel())
+    star = corner >= 0
     labels = q.domains.copy()
-    labels[np.flatnonzero(star) // 4] = q.n_domains + rank[star]
+    labels[np.flatnonzero(star) >> 2] = corner[star]
     q = from_labels(c, labels)
     after = invariants(q)
     if after.delta != before.delta or after.omega != before.omega:

@@ -78,7 +78,7 @@ def _scene(p: Partition, cell_px: int) -> _Scene:
 
     bg = boundary_graph(p)
     strokes = [
-        (px(c.edge_segments(bg.edge_ids[~p.wall_mask[bg.edge_ids]])), BOUNDARY_PX, 0, False),
+        (px(c.edge_segments(p.boundary_set[~p.wall_mask[p.boundary_set]])), BOUNDARY_PX, 0, False),
         (px(c.edge_segments(sorted(p.walls))), BOUNDARY_PX, 0, True),
         (px(c.edge_segments(c.boundary_edges)), FRAME_PX, 40, False),
     ]

@@ -101,6 +101,34 @@ def test_random_check_command(capsys):
     assert doc["defect_histogram"] == {"0": 10}
 
 
+def test_random_check_writes_a_failing_partition(capsys, monkeypatch):
+    # a batch keeps its failing partitions and writes them only in the
+    # batch document; the first chi-sigma check is forced to fail
+    import dataclasses
+
+    from eulerpart import explore, jsonio
+    from eulerpart.partition import check_chi_sigma
+
+    seen = []
+
+    def failing_once(p):
+        seen.append(p)
+        return dataclasses.replace(check_chi_sigma(p), holds=len(seen) > 1)
+
+    monkeypatch.setattr(explore, "check_chi_sigma", failing_once)
+    res = explore.batch_verify("moebius", 3, seed=7, k_range=(1, 4), size=12)
+    assert res.failures == (seen[0],) and res.passes == 2
+    doc = jsonio.batch_to_json(res)
+    assert doc["failures"] == [partition_to_json(seen[0])]
+    jsonio.validate("batch", doc)
+
+    seen.clear()
+    code, doc = run(["random-check", "--surface", "moebius", "--count", "3",
+                     "--seed", "7", "--k-max", "4", "--size", "12"], capsys)
+    assert code == 1
+    assert doc["failures"] == [partition_to_json(seen[0])]
+
+
 def test_cover_check_on_file(bands3_file, capsys):
     code, doc = run(["cover-check", bands3_file], capsys)
     assert code == 0

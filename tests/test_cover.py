@@ -287,28 +287,25 @@ def test_face_maps_match_the_coordinate_formulas(name, size):
 
 
 def test_cover_bookkeeping_labels_the_lifted_union_once(monkeypatch):
-    # beta of the lift and the joined-circles check read one labelling of
-    # (lifted boundary set united with the cover boundary)
-    import sys
-
-    from eulerpart.complexes import edge_components
+    # beta of the lift and the joined-circles check read one census of X
+    # (lifted boundary set united with the cover boundary), and the base's
+    # census is made once, when its partition is labelled
+    from eulerpart import partition
 
     cs = double_cover(build_complex(SurfaceSpec.moebius(8, 8)))
-    p = random_partition(cs.base, RandomSpec(seed=3, k=4))
+    assert cs.base.n_vertices != cs.cover.n_vertices
     labelled = []
 
-    def counting(c, edge_ids):
-        labelled.append(c)
-        return edge_components(c, edge_ids)
+    def counting(n, ends):
+        labelled.append(n)
+        return touched_components(n, ends)
 
-    # every package module that binds the labelling
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("eulerpart") and getattr(mod, "edge_components", None) is edge_components:
-            monkeypatch.setattr(mod, "edge_components", counting)
+    touched_components = partition.touched_components
+    monkeypatch.setattr(partition, "touched_components", counting)
+    p = random_partition(cs.base, RandomSpec(seed=3, k=4))
+    assert labelled == [cs.base.n_vertices]
     rep = cover_bookkeeping(cs, p)
-    assert sum(c is cs.cover for c in labelled) == 1
-    assert sum(c is cs.base for c in labelled) == 1
-    assert len(labelled) == 2
+    assert labelled == [cs.base.n_vertices, cs.cover.n_vertices]
     assert cover_bookkeeping(cs, p) == rep
     assert len(labelled) == 2
 

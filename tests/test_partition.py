@@ -164,7 +164,7 @@ def test_one_domain_boundary_graph_empty():
     c = build_complex(SurfaceSpec.moebius(4, 4))
     p = from_labels(c, np.zeros(16, dtype=int))
     bg = boundary_graph(p)
-    assert len(bg.edge_ids) == 0
+    assert len(p.boundary_set) == 0
     assert bg.sigma == 0
     assert not bg.singular_vertices
 
@@ -765,6 +765,60 @@ def test_degree_census_matches_dict_census(name):
             assert bg.singular_vertices == {v for v, _ in sing_i + sing_b}
             seen_singular |= bool(sing_i)
     assert seen_singular
+
+
+def _walked_union(p):
+    """X, the boundary set united with the surface boundary, walked in
+    Python: its vertices from a dict over ``edge_vertices`` and its
+    components by a BFS over its edges.  Returns (sorted vertices, set of
+    components as frozensets)."""
+    c = p.complex
+    adj = {}
+    for e in p.boundary_set.tolist() + c.boundary_edges.tolist():
+        a, b = c.edge_vertices[e].tolist()
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    comps, seen = set(), set()
+    for v in sorted(adj):
+        if v in seen:
+            continue
+        comp, queue = {v}, [v]
+        while queue:
+            for w in adj[queue.pop()] - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        comps.add(frozenset(comp))
+    return sorted(adj), comps
+
+
+@pytest.mark.parametrize("name", list(GLUING_PAIRS))
+def test_union_census_matches_a_walk_of_x(name):
+    # the boundary graph's vertices and labels of X agree with a dict walk
+    # and a BFS, on walled partitions and on cover lifts too
+    import dataclasses
+
+    coverable = name in ("moebius", "klein")
+    n_lifts = 0
+    for size in [(2, 2), (3, 2), (7, 5), (33, 17)]:
+        cs = double_cover(build_complex(SurfaceSpec(*size, *GLUING_PAIRS[name]))) if coverable else None
+        for c, labels, walls in _labelling_corpus(name, size):
+            p = from_labels(c, labels, walls=walls)
+            for q in (p, lift_partition(cs, p)) if cs else (p,):
+                bg = boundary_graph(q)
+                walked_verts, walked_comps = _walked_union(q)
+                assert bg.union_vertices.tolist() == walked_verts
+                groups = {}
+                for v, k in zip(bg.union_vertices.tolist(), bg.union_labels.tolist()):
+                    groups.setdefault(k, set()).add(v)
+                assert {frozenset(g) for g in groups.values()} == walked_comps
+                # components are numbered by their smallest vertex
+                assert list(groups) == list(range(len(groups)))
+                for f in dataclasses.fields(bg):
+                    a = getattr(bg, f.name)
+                    assert not isinstance(a, np.ndarray) or not a.flags.writeable, f.name
+                n_lifts += q is not p
+    assert bool(n_lifts) == coverable
 
 
 def test_verdict_modes_cover_every_surface():
