@@ -185,30 +185,6 @@ class SurfaceSpec:
             raise ValueError(f"unknown surface {name!r}; presets: {sorted(PRESETS)}")
         return cls(width, height, *PRESETS[name])
 
-    @classmethod
-    def rectangle(cls, width: int, height: int) -> "SurfaceSpec":
-        return cls.named("rectangle", width, height)
-
-    @classmethod
-    def cylinder(cls, width: int, height: int) -> "SurfaceSpec":
-        return cls.named("cylinder", width, height)
-
-    @classmethod
-    def moebius(cls, width: int, height: int) -> "SurfaceSpec":
-        return cls.named("moebius", width, height)
-
-    @classmethod
-    def torus(cls, width: int, height: int) -> "SurfaceSpec":
-        return cls.named("torus", width, height)
-
-    @classmethod
-    def klein(cls, width: int, height: int) -> "SurfaceSpec":
-        return cls.named("klein", width, height)
-
-    @classmethod
-    def projective(cls, width: int, height: int) -> "SurfaceSpec":
-        return cls.named("projective", width, height)
-
 
 def _grid_index(what: str, i, j, ni: int, nj: int) -> int:
     """``j * ni + i`` of integer raw coordinates with 0 <= i < ni and
@@ -459,6 +435,41 @@ class CellComplex:
         columns[...] = across_columns
         out[self._seam_raw] = seams
         return out
+
+    def raw_edge_slots(self, raw: np.ndarray, which: int) -> np.ndarray:
+        """Side slots ``4*face + side`` of the first (``which`` = 0) or the
+        second (1) face of interior raw edges, given in increasing raw id
+        order as ``raw_edge_values`` lays them out.
+
+        A horizontal raw edge has the face below it, side N, first and the
+        face above it, side S, second; a vertical one the face to its left,
+        side E, and then the face to its right, side W.  A glued seam edge,
+        given at its smaller raw id, takes its slot from ``edge_faces`` and
+        ``edge_sides``.
+        """
+        W, H = self.spec.width, self.spec.height
+        HOFF = W * (H + 1)  # vertical raw edges start here
+        h = raw.searchsorted(HOFF)
+        # four times the face above a horizontal raw edge, which is its id,
+        # and right of a vertical one, which is its id past HOFF less its row
+        slot = 4 * raw
+        vertical = slot[h:]
+        vertical -= 4 * HOFF
+        vertical -= vertical // (4 * (W + 1)) * 4
+        # the first face is W faces below or one face left of the second
+        if which == 0:
+            slot[:h] += SIDE_N - 4 * W
+            vertical += SIDE_E - 4
+        else:
+            slot[:h] += SIDE_S
+            vertical += SIDE_W
+        seam = self._seam_raw
+        at = raw.searchsorted(seam)
+        hit = at < len(raw)
+        hit[hit] = raw.take(at[hit]) == seam[hit]
+        ids = self.seam_adjacency[3][hit]
+        slot[at[hit]] = 4 * self.edge_faces[ids, which] + self.edge_sides[ids, which]
+        return slot
 
     def grid_interior_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge ids of the grid-interior sides, as views of ``edge_map``.
@@ -755,16 +766,6 @@ def csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ptr, idx
 
 
-def edge_components(c: CellComplex, edge_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Components of an edge subgraph over the vertices its edges touch.
-
-    Returns ``(verts, labels)``: the touched canonical vertices in
-    increasing order and the component id of each.
-    """
-    ev = c.edge_vertices.take(np.asarray(edge_ids, dtype=ID_DTYPE), axis=0)
-    return touched_components(c.n_vertices, ev.T)
-
-
 def touched_components(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``components`` of the edges ``ends[0, k]-ends[1, k]`` over the nodes
     ``0..n-1`` they touch: the touched nodes in increasing order and the
@@ -783,7 +784,8 @@ def subgraph_component_count(c: CellComplex, edge_ids: np.ndarray) -> int:
     Components are counted over the vertices actually touched by the given
     edges; isolated vertices of the ambient complex do not contribute.
     """
-    _verts, labels = edge_components(c, edge_ids)
+    ends = c.edge_vertices.take(np.asarray(edge_ids, dtype=ID_DTYPE), axis=0)
+    _nodes, labels = touched_components(c.n_vertices, ends.T)
     return int(labels.max()) + 1 if labels.size else 0
 
 

@@ -17,10 +17,6 @@ from scipy.sparse.csgraph._traversal import _breadth_first_directed
 from .complexes import (
     ID_DTYPE,
     MAX_FACES,
-    SIDE_E,
-    SIDE_N,
-    SIDE_S,
-    SIDE_W,
     CellComplex,
     SurfaceSpec,
     build_complex,
@@ -141,40 +137,18 @@ def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np
     to depth d + 1.  The depth steps are slices of the face grid, plus the
     seam edges of ``seam_adjacency``; ``CellComplex.raw_edge_values`` lays
     them out over the raw edges, whose order is edge order, so the rows
-    come in edge order without a sort.  Each row's slot follows from its
-    raw edge id by grid arithmetic: a horizontal raw edge has the face
-    below it, side N, first and the face above it, side S, second; a
-    vertical one the face to its left, side E, and then the face to its
-    right, side W.  The glued seam edges take their slots from
-    ``seam_adjacency``.  One stable counting sort (``csr``) groups the rows
-    of both directions by round.
+    come in edge order without a sort, and ``CellComplex.raw_edge_slots``
+    gives each row's slot from its raw edge.  One stable counting sort
+    (``csr``) groups the rows of both directions by round.
     """
     W, H = c.spec.width, c.spec.height
-    HOFF = W * (H + 1)  # vertical raw edges start here
     d = depth.reshape(H, W)
-    fa, fb, _par, ids = c.seam_adjacency
+    fa, fb, _par, _ids = c.seam_adjacency
     # per raw edge, the second face's depth less the first's: a first-face
     # row (up or right across the grid) runs where it is 1, a second-face
     # row where it is -1
-    seam_step = depth.take(fb) - depth.take(fa)
-    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], seam_step, 0)
-    seam_rows = 4 * c.edge_faces.take(ids, axis=0) + c.edge_sides.take(ids, axis=0)
-    parts = []
-    # the first face is W faces below or one face left of the second
-    for which, sign, h_side, v_side in ((0, 1, SIDE_N - 4 * W, SIDE_E - 4), (1, -1, SIDE_S, SIDE_W)):
-        raw = (step == sign).nonzero()[0]
-        h = raw.searchsorted(HOFF)
-        # four times the face above a horizontal raw edge, which is its id,
-        # and right of a vertical one, which is its id past HOFF less its row
-        slot = 4 * raw
-        vertical = slot[h:]
-        vertical -= 4 * HOFF
-        vertical -= vertical // (4 * (W + 1)) * 4
-        vertical += v_side
-        slot[:h] += h_side
-        seam = (seam_step == sign).nonzero()[0]
-        slot[raw.searchsorted(c._seam_raw[seam])] = seam_rows[seam, which]
-        parts.append(slot)
+    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa), 0)
+    parts = [c.raw_edge_slots((step == sign).nonzero()[0], which) for which, sign in ((0, 1), (1, -1))]
     del step
     rows = np.concatenate(parts).astype(ID_DTYPE)
     # a row's round is its source face's depth; the last layer has no

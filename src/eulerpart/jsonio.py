@@ -16,12 +16,14 @@ Serialization is deterministic: callers should dump with
 ``sort_keys=True`` (the CLI does).
 
 Every ``*_from_json`` loader validates its document first and then builds
-from the checked document.  What a schema cannot state stays with the
-library that consumes the value: sizes and the face cap (``SurfaceSpec``),
-edge ids and their range (``CellComplex.edge_ids``), and sizes, ids and
-frequencies given as integral floats such as ``2.0``, which JSON Schema
-counts as integers and ``errors.integer`` rejects.  Labels are only
-compared with each other, so a label ``2.0`` reads as ``2``.
+from the checked document.  A surface has no loader of its own: partition
+and cycle documents read theirs through the surface schema's ``$ref``.
+What a schema cannot state stays with the library that consumes the
+value: sizes and the face cap (``SurfaceSpec``), edge ids and their range
+(``CellComplex.edge_ids``), and sizes and ids given as integral floats
+such as ``2.0``, which JSON Schema counts as integers and
+``errors.integer`` rejects.  Labels are only compared with each other, so
+a label ``2.0`` reads as ``2``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .complexes import PRESETS, CellComplex, SurfaceSpec, build_complex
 from .cover import CoverReport
 from .errors import integer
 from .explore import BatchResult, SweepResult, TransitionEstimate
-from .nodal import Eigenfunction, Factor, Term, family, finite_real
 from .partition import (
     ComplementClass,
     DomainReport,
@@ -51,7 +52,7 @@ from .partition import (
 SCHEMA_NAMES = (
     "surface", "partition", "cycle", "cut_path", "invariants", "verdict",
     "cover_report", "complement", "transition", "sweep", "batch",
-    "eigenfunction", "surgery", "nodal_result",
+    "surgery", "nodal_result",
 )
 
 
@@ -313,14 +314,9 @@ def surface_to_json(spec: SurfaceSpec) -> dict:
     }
 
 
-def surface_from_json(doc) -> SurfaceSpec:
-    validate("surface", doc)
-    return _surface(doc)
-
-
 def _surface(doc: dict) -> SurfaceSpec:
-    """The spec of a surface document already checked, on its own or as
-    the ``$ref`` of an enclosing document."""
+    """The spec of a surface checked as the ``$ref`` of an enclosing
+    document."""
     if "surface" in doc:
         return SurfaceSpec.named(doc["surface"], doc["width"], doc["height"])
     return SurfaceSpec(doc["width"], doc["height"], doc["x_gluing"], doc["y_gluing"])
@@ -375,42 +371,6 @@ def cycle_from_json(doc) -> tuple[CellComplex, list]:
     edges += [c.horizontal_edge(i, j1) for i in range(i1 - 1, i0 - 1, -1)]
     edges += [c.vertical_edge(i0, j) for j in range(j1 - 1, j0 - 1, -1)]
     return c, edges
-
-
-# ---------------------------------------------------------------------------
-# eigenfunctions
-
-
-def eigenfunction_from_json(doc) -> Eigenfunction:
-    """A family member or an explicit term list; values are checked, never coerced."""
-    validate("eigenfunction", doc)
-    if "family" in doc:
-        return family(doc["family"], doc)
-    return Eigenfunction(terms=tuple(
-        Term(finite_real(t["c"], "term coefficient c"), _factor_from_json(t["fx"]), _factor_from_json(t["fy"]))
-        for t in doc["terms"]
-    ))
-
-
-def _factor_from_json(fac: dict) -> Factor:
-    return Factor(
-        fac["k"],
-        integer(fac["m"], "factor frequency m"),
-        finite_real(fac.get("p", 0.0), "factor phase p"),
-    )
-
-
-def eigenfunction_to_json(f: Eigenfunction) -> dict:
-    return {
-        "terms": [
-            {
-                "c": t.coeff,
-                "fx": {"k": t.fx.kind, "m": t.fx.freq, "p": t.fx.phase},
-                "fy": {"k": t.fy.kind, "m": t.fy.freq, "p": t.fy.phase},
-            }
-            for t in f.terms
-        ]
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ _TIMINGS = {}
 @pytest.fixture(scope="module")
 def moebius_corpus():
     t0 = time.time()
-    c = build_complex(SurfaceSpec.moebius(32, 32))
+    c = build_complex(SurfaceSpec.named("moebius", 32, 32))
     root = np.random.SeedSequence(20240717)
     out = []
     for i, child in enumerate(root.spawn(MOEBIUS_COUNT)):
@@ -69,7 +69,7 @@ def moebius_corpus():
 
 @pytest.fixture(scope="module")
 def rectangle_corpus():
-    c = build_complex(SurfaceSpec.rectangle(32, 32))
+    c = build_complex(SurfaceSpec.named("rectangle", 32, 32))
     root = np.random.SeedSequence(987654)
     out = []
     for i, child in enumerate(root.spawn(RECT_COUNT)):
@@ -181,7 +181,7 @@ def test_criterion_4_orientability_oracles(moebius_corpus, moebius_cover_reports
         counts = np.asarray(rep.preimage_counts)
         ok &= bool(np.all((counts == 1) | (counts == 2)))
         ok &= bool(np.array_equal(counts == 2, orientability_bits(p)))
-    c = build_complex(SurfaceSpec.klein(32, 32))
+    c = build_complex(SurfaceSpec.named("klein", 32, 32))
     cs = double_cover(c)
     root = np.random.SeedSequence(31415)
     for i, child in enumerate(root.spawn(KLEIN_COUNT)):
@@ -233,8 +233,8 @@ def test_criterion_6_surgery_invariance(moebius_corpus, rectangle_corpus, nodal_
     rng = np.random.default_rng(2718281828)
     cuts_done = 0
     complexes = {
-        "moebius": build_complex(SurfaceSpec.moebius(12, 12)),
-        "rectangle": build_complex(SurfaceSpec.rectangle(12, 12)),
+        "moebius": build_complex(SurfaceSpec.named("moebius", 12, 12)),
+        "rectangle": build_complex(SurfaceSpec.named("rectangle", 12, 12)),
     }
     while cuts_done < 200:
         name = ("moebius", "rectangle")[cuts_done % 2]
@@ -295,7 +295,7 @@ def test_criterion_8_transition_bracketing():
 
 
 def test_criterion_9_projective_circles():
-    c = build_complex(SurfaceSpec.projective(10, 10))
+    c = build_complex(SurfaceSpec.named("projective", 10, 10))
     rng = np.random.default_rng(5551)
     ok = True
     for _ in range(50):

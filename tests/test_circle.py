@@ -14,7 +14,7 @@ def block_cycle(c, i0, j0, i1, j1):
 
 @pytest.fixture(scope="module")
 def proj():
-    return build_complex(SurfaceSpec.projective(8, 8))
+    return build_complex(SurfaceSpec.named("projective", 8, 8))
 
 
 def test_contractible_cycle_disk_plus_moebius(proj):
@@ -85,7 +85,7 @@ def test_rejects_non_simple_cycle(proj):
 
 
 def test_rejects_wrong_surface():
-    c = build_complex(SurfaceSpec.torus(6, 6))
+    c = build_complex(SurfaceSpec.named("torus", 6, 6))
     with pytest.raises(ValueError):
         classify_circle_complement(c, block_cycle(c, 1, 1, 3, 3))
 

@@ -21,7 +21,7 @@ from eulerpart.render import MAX_PIXELS
 
 @pytest.fixture()
 def bands3_file(tmp_path):
-    c = build_complex(SurfaceSpec.moebius(12, 12))
+    c = build_complex(SurfaceSpec.named("moebius", 12, 12))
     x = (np.arange(12) + 0.5) * math.pi / 12
     p = from_labels(c, np.tile((np.sin(3 * x) > 0).astype(int), (12, 1)).ravel())
     path = tmp_path / "bands3.json"
@@ -49,7 +49,7 @@ def test_verify_command(bands3_file, capsys):
 
 
 def test_verify_report_only_torus(tmp_path, capsys):
-    c = build_complex(SurfaceSpec.torus(6, 6))
+    c = build_complex(SurfaceSpec.named("torus", 6, 6))
     p = from_labels(c, np.zeros(36, dtype=int))
     f = tmp_path / "t.json"
     f.write_text(dumps(partition_to_json(p)))
@@ -152,7 +152,7 @@ def test_circle_command(tmp_path, capsys):
 
 
 def test_cut_command(tmp_path, capsys):
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     p = from_labels(c, np.zeros(36, dtype=int))
     pf = tmp_path / "p.json"
     pf.write_text(dumps(partition_to_json(p)))
@@ -166,7 +166,7 @@ def test_cut_command(tmp_path, capsys):
 
 
 def test_normalize_command(tmp_path, capsys):
-    c = build_complex(SurfaceSpec.rectangle(4, 3))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 3))
     lab = np.ones(12, dtype=int)
     for i, j in [(1, 0), (0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1)]:
         lab[j * 4 + i] = 0
@@ -235,7 +235,7 @@ def test_usage_errors(capsys, tmp_path):
 
 def test_dangling_wall_is_a_usage_error(tmp_path, capsys):
     # a caller's wall that ends mid-surface is malformed input, not a failed invariant
-    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 4))
     wall = int(c.vertical_edge(2, 1))
     doc = {"surface": {"surface": "rectangle", "width": 4, "height": 4},
            "labels": [0] * 16,
@@ -424,6 +424,10 @@ PINNED_STDOUT = {
     "normalize": (
         ["normalize", str(DATA / "moebius_8x8.json")],
         "e1be3a31c732ab4fedf0f66afe5b4057331378b054f610d11295b24ba2e7e907"),
+    # the one pinned document with walls: the path crosses the boundary set once
+    "cut": (
+        ["cut", str(DATA / "moebius_8x8.json"), "--path", str(DATA / "moebius_8x8_path.json")],
+        "167e0bf6ccf6d1becd977b3778addbe772ef74b8f3654684b223303551394d80"),
 }
 
 
@@ -548,7 +552,7 @@ def test_readme_cli_lines_parse():
 @pytest.mark.parametrize("wrap,where", [(lambda edges: {"edges": edges}, "$.edges[0]"), (lambda edges: edges, "$[0]")],
                          ids=["object", "bare-list"])
 def test_float_cut_path_is_a_usage_error(wrap, where, tmp_path, capsys):
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     pf = tmp_path / "p.json"
     pf.write_text(dumps(partition_to_json(from_labels(c, np.zeros(36, dtype=int)))))
     path = tmp_path / "path.json"
@@ -593,7 +597,7 @@ def test_cycle_edge_id_out_of_range_is_a_usage_error(edge, tmp_path, capsys):
 
 
 def test_cut_path_edge_id_out_of_range_is_a_usage_error(tmp_path, capsys):
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     pf = tmp_path / "p.json"
     pf.write_text(dumps(partition_to_json(from_labels(c, np.zeros(36, dtype=int)))))
     path = tmp_path / "path.json"

@@ -34,19 +34,19 @@ def test_boundary_component_table(name, size):
 
 
 def test_rectangle_2x2_counts():
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 2, 2))
     assert (c.n_vertices, c.n_edges, c.n_faces) == (9, 12, 4)
 
 
 def test_moebius_boundary_is_one_cycle_of_2h_edges():
     for W, H in ((4, 6), (6, 6), (5, 3)):
-        c = build_complex(SurfaceSpec.moebius(W, H))
+        c = build_complex(SurfaceSpec.named("moebius", W, H))
         assert len(c.boundary_edges) == 2 * H
         assert boundary_components(c) == 1
 
 
 def test_projective_4x4_closed():
-    c = build_complex(SurfaceSpec.projective(4, 4))
+    c = build_complex(SurfaceSpec.named("projective", 4, 4))
     assert c.euler_characteristic == 1
     assert len(c.boundary_edges) == 0
 
@@ -87,7 +87,7 @@ def test_parity_product_around_interior_vertices(name):
 
 
 def test_grid_helpers_roundtrip():
-    c = build_complex(SurfaceSpec.moebius(4, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 4, 4))
     # the reversed y-seam identifies top and bottom horizontal edges
     assert c.horizontal_edge(0, 4) == c.horizontal_edge(3, 0)
     assert c.vertex_id(0, 4) == c.vertex_id(4, 0)
@@ -125,9 +125,9 @@ def test_decoding_inverts_the_grid_helpers(name):
 
 def test_size_validation():
     with pytest.raises(ValueError):
-        SurfaceSpec.rectangle(1, 5)
+        SurfaceSpec.named("rectangle", 1, 5)
     with pytest.raises(ValueError):
-        SurfaceSpec.rectangle(5, 1)
+        SurfaceSpec.named("rectangle", 5, 1)
     with pytest.raises(ValueError):
         SurfaceSpec(3, 3, "open", "weird")
     with pytest.raises(ValueError):
@@ -141,10 +141,10 @@ def test_kind_detection_is_order_free():
 
 
 def test_spec_flags():
-    assert SurfaceSpec.torus(3, 3).orientable
-    assert not SurfaceSpec.klein(3, 3).orientable
-    assert SurfaceSpec.klein(3, 3).closed
-    assert not SurfaceSpec.moebius(4, 4).closed
+    assert SurfaceSpec.named("torus", 3, 3).orientable
+    assert not SurfaceSpec.named("klein", 3, 3).orientable
+    assert SurfaceSpec.named("klein", 3, 3).closed
+    assert not SurfaceSpec.named("moebius", 4, 4).closed
 
 
 def test_components_numbered_by_smallest_node():
@@ -211,7 +211,7 @@ def test_components_matches_public_scipy():
 def test_components_matches_public_scipy_on_large_domain_graph():
     from eulerpart.complexes import components
 
-    c = build_complex(SurfaceSpec.moebius(512, 512))
+    c = build_complex(SurfaceSpec.named("moebius", 512, 512))
     fa, fb, _par, _ids = interior_rows(c)
     labels = np.random.default_rng(3).integers(0, 3, size=c.n_faces)
     glued = labels[fa] == labels[fb]
@@ -259,7 +259,7 @@ def test_validate_rejects_flipped_parity():
     from eulerpart import InvariantViolation
     from eulerpart.complexes import _validate_complex
 
-    c = build_complex(SurfaceSpec.moebius(6, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 4))
     interior_end = ~c.vertex_is_boundary[c.edge_vertices]
     ids = interior_edges(c)
     e = ids[np.any(interior_end[ids], axis=1)][0]
@@ -309,13 +309,13 @@ def test_slot_partners_reject_mismatched_corners():
 
     from eulerpart import InvariantViolation
 
-    c = build_complex(SurfaceSpec.torus(4, 4))
+    c = build_complex(SurfaceSpec.named("torus", 4, 4))
     fv = c.face_vertices.copy()
     fv[5] = np.roll(fv[5], 1)
     with pytest.raises(InvariantViolation, match="corner matching"):
         dataclasses.replace(c, face_vertices=fv).slot_partners
     # a face on the reversed y-seam of a klein grid: face 1 lies in row 0
-    k = build_complex(SurfaceSpec.klein(4, 4))
+    k = build_complex(SurfaceSpec.named("klein", 4, 4))
     fv = k.face_vertices.copy()
     fv[1] = np.roll(fv[1], 1)
     with pytest.raises(InvariantViolation, match="corner matching"):
@@ -375,10 +375,10 @@ def test_seam_adjacency_holds_the_glued_seam_edges(size, gluings):
 
 
 def test_build_complex_shares_one_complex_per_spec():
-    spec = SurfaceSpec.klein(7, 5)
+    spec = SurfaceSpec.named("klein", 7, 5)
     assert build_complex(spec) is build_complex(spec)
-    assert build_complex(SurfaceSpec.klein(7, 5)) is build_complex(spec)
-    assert build_complex(SurfaceSpec.klein(5, 7)) is not build_complex(spec)
+    assert build_complex(SurfaceSpec.named("klein", 7, 5)) is build_complex(spec)
+    assert build_complex(SurfaceSpec.named("klein", 5, 7)) is not build_complex(spec)
 
 
 def _arrays_and_tables(c):
@@ -470,7 +470,7 @@ def test_validate_rejects_wide_id_tables(field):
     from eulerpart import InvariantViolation
     from eulerpart.complexes import _validate_complex
 
-    c = build_complex(SurfaceSpec.moebius(6, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 4))
     _validate_complex(c)
     wide = dataclasses.replace(c, **{field: getattr(c, field).astype(np.int64)})
     with pytest.raises(InvariantViolation, match=f"{field} holds int64"):
@@ -484,7 +484,7 @@ def test_validate_cover_rejects_wide_projections(field):
     from eulerpart import InvariantViolation, double_cover
     from eulerpart.cover import _validate_cover
 
-    cs = double_cover(build_complex(SurfaceSpec.klein(6, 4)))
+    cs = double_cover(build_complex(SurfaceSpec.named("klein", 6, 4)))
     below = cs.edge_projection[cs.cover.face_edges]
     _validate_cover(cs, below)
     wide = dataclasses.replace(cs, **{field: getattr(cs, field).astype(np.int64)})
@@ -524,9 +524,9 @@ def test_validate_rejects_wrong_boundary_count():
     from eulerpart.complexes import _validate_complex
 
     # chi is 0 on both, so only the boundary count tells them apart
-    c = build_complex(SurfaceSpec.moebius(6, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 4))
     with pytest.raises(InvariantViolation, match="1 boundary components for cylinder, expected 2"):
-        _validate_complex(dataclasses.replace(c, spec=SurfaceSpec.cylinder(6, 4)))
+        _validate_complex(dataclasses.replace(c, spec=SurfaceSpec.named("cylinder", 6, 4)))
 
 
 @pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
@@ -564,6 +564,20 @@ def test_grid_interior_edges_join_grid_neighbours(size, gluings):
         assert np.shares_memory(ids, c.edge_map) and not ids.flags.writeable
     every = np.concatenate([between_rows.ravel(), between_cols.ravel(), c.seam_adjacency[3]])
     assert np.array_equal(np.sort(every), interior_edges(c))
+
+
+@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
+                         ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (7, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_raw_edge_slots_are_the_edge_incidences(size, gluings):
+    # every interior raw edge, and every third one, as raw_edge_values lays
+    # them out: the slots are each edge's (face, side) incidences
+    c = build_complex(SurfaceSpec(*size, *gluings))
+    interior = np.flatnonzero(c.raw_edge_values(1, 1, 1, 0))
+    for raw in (interior, interior[::3], interior[:0]):
+        e = c.edge_map[raw]
+        for which in (0, 1):
+            assert np.array_equal(c.raw_edge_slots(raw, which), 4 * c.edge_faces[e, which] + c.edge_sides[e, which])
 
 
 def _sorted_incidence_build(spec):
@@ -740,7 +754,7 @@ def test_grid_size_cap():
     # sizes reached today: 512² covers, the 2048² cover, and the deepest
     # default nodal ladder (64 doubled five times, each level perturbed +10)
     for w, h in ((512, 1024), (2048, 4096), (2678, 2678), (2, MAX_FACES // 2)):
-        assert SurfaceSpec.cylinder(w, h).width == w
+        assert SurfaceSpec.named("cylinder", w, h).width == w
     for w, h in ((2, MAX_FACES // 2 + 1), (1_000_000, 16), (1_000_000, 1_000_000)):
         with pytest.raises(ValueError, match=f"{w}x{h} grid has {w * h} faces"):
-            SurfaceSpec.moebius(w, h)
+            SurfaceSpec.named("moebius", w, h)

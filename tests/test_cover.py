@@ -23,22 +23,22 @@ from eulerpart.complexes import ID_DTYPE
 
 
 def bands(m, n):
-    c = build_complex(SurfaceSpec.moebius(n, n))
+    c = build_complex(SurfaceSpec.named("moebius", n, n))
     x = (np.arange(n) + 0.5) * math.pi / n
     return c, from_labels(c, np.tile((np.sin(m * x) > 0).astype(int), (n, 1)).ravel())
 
 
 def test_double_cover_of_moebius_is_cylinder():
-    c = build_complex(SurfaceSpec.moebius(6, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 4))
     cs = double_cover(c)
     assert cs.cover.spec.kind == "cylinder"
-    assert cs.cover.spec == SurfaceSpec.cylinder(6, 8)
+    assert cs.cover.spec == SurfaceSpec.named("cylinder", 6, 8)
     assert cs.cover.euler_characteristic == 0
     assert boundary_components(cs.cover) == 2
 
 
 def test_double_cover_of_klein_is_torus():
-    c = build_complex(SurfaceSpec.klein(6, 4))
+    c = build_complex(SurfaceSpec.named("klein", 6, 4))
     cs = double_cover(c)
     assert cs.cover.spec.kind == "torus"
     assert cs.cover.euler_characteristic == 0
@@ -46,7 +46,7 @@ def test_double_cover_of_klein_is_torus():
 
 
 def test_deck_involution_free_and_compatible():
-    cs = double_cover(build_complex(SurfaceSpec.moebius(5, 3)))
+    cs = double_cover(build_complex(SurfaceSpec.named("moebius", 5, 3)))
     a, pi = cs.face_deck, cs.face_projection
     n = len(a)
     assert np.array_equal(a[a], np.arange(n))
@@ -57,13 +57,13 @@ def test_deck_involution_free_and_compatible():
 
 def test_cover_rejects_other_surfaces():
     with pytest.raises(ValueError):
-        double_cover(build_complex(SurfaceSpec.rectangle(4, 4)))
+        double_cover(build_complex(SurfaceSpec.named("rectangle", 4, 4)))
     with pytest.raises(ValueError):
-        double_cover(build_complex(SurfaceSpec.torus(4, 4)))
+        double_cover(build_complex(SurfaceSpec.named("torus", 4, 4)))
 
 
 def test_lift_one_domain():
-    c = build_complex(SurfaceSpec.moebius(6, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 4))
     cs = double_cover(c)
     p = from_labels(c, np.zeros(24, dtype=int))
     lifted = lift_partition(cs, p)
@@ -101,7 +101,7 @@ def test_bands5_bookkeeping():
 
 
 def test_one_domain_bookkeeping():
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     cs = double_cover(c)
     p = from_labels(c, np.zeros(36, dtype=int))
     rep = cover_bookkeeping(cs, p)
@@ -125,7 +125,7 @@ def test_random_partitions_cover_agreement(name):
 
 def test_klein_can_host_two_moebius_domains():
     # the Klein bottle splits into two bands, both non-orientable
-    c = build_complex(SurfaceSpec.klein(6, 6))
+    c = build_complex(SurfaceSpec.named("klein", 6, 6))
     lab = np.zeros((6, 6), dtype=int)
     lab[3:, :] = 1
     p = from_labels(c, lab.ravel())
@@ -136,7 +136,7 @@ def test_klein_can_host_two_moebius_domains():
 
 
 def test_lift_preserves_walls():
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     cs = double_cover(c)
     p0 = from_labels(c, np.zeros(36, dtype=int))
     from eulerpart import cut
@@ -292,7 +292,7 @@ def test_cover_bookkeeping_labels_the_lifted_union_once(monkeypatch):
     # census is made once, when its partition is labelled
     from eulerpart import partition
 
-    cs = double_cover(build_complex(SurfaceSpec.moebius(8, 8)))
+    cs = double_cover(build_complex(SurfaceSpec.named("moebius", 8, 8)))
     assert cs.base.n_vertices != cs.cover.n_vertices
     labelled = []
 
@@ -320,7 +320,7 @@ def test_partition_and_cover_build_no_edge_tables():
     for table in ("adjacency", "directed_adjacency"):
         assert not hasattr(CellComplex, table), table
     _shared_complex.cache_clear()  # the cover complex must be fresh too
-    c = _build_complex(SurfaceSpec.moebius(9, 7))
+    c = _build_complex(SurfaceSpec.named("moebius", 9, 7))
     labels = np.random.default_rng(5).integers(0, 3, size=c.n_faces)
     p = from_labels(c, labels)
     invariants(p)
@@ -332,7 +332,7 @@ def test_partition_and_cover_build_no_edge_tables():
         assert "seam_adjacency" in cx.__dict__
         assert "edge_raw_representatives" not in cx.__dict__, cx.spec
     # a first fill on a fresh complex
-    fresh = _build_complex(SurfaceSpec.klein(8, 6))
+    fresh = _build_complex(SurfaceSpec.named("klein", 8, 6))
     random_partition(fresh, RandomSpec(seed=3, k=4))
     assert "face_neighbours" in fresh.__dict__
     assert "edge_raw_representatives" not in fresh.__dict__

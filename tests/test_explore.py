@@ -31,14 +31,14 @@ PI = math.pi
 
 
 def test_random_partition_k1():
-    c = build_complex(SurfaceSpec.moebius(8, 8))
+    c = build_complex(SurfaceSpec.named("moebius", 8, 8))
     p = random_partition(c, RandomSpec(seed=1, k=1))
     r = invariants(p)
     assert (r.kappa, r.beta, r.sigma) == (1, 0, 0)
 
 
 def test_random_partition_reproducible():
-    c = build_complex(SurfaceSpec.moebius(32, 32))
+    c = build_complex(SurfaceSpec.named("moebius", 32, 32))
     a = random_partition(c, RandomSpec(seed=42, k=5))
     b = random_partition(c, RandomSpec(seed=42, k=5))
     assert np.array_equal(a.domains, b.domains)
@@ -49,11 +49,11 @@ def test_random_partition_reproducible():
 
 def test_random_partition_regression_fixture():
     # recorded after the first run; guards the generator's determinism
-    c = build_complex(SurfaceSpec.moebius(32, 32))
+    c = build_complex(SurfaceSpec.named("moebius", 32, 32))
     r = invariants(random_partition(c, RandomSpec(seed=42, k=5)))
     assert r.key() == (5, 0, 5, 0)
     assert r.delta == 0
-    cr = build_complex(SurfaceSpec.rectangle(32, 32))
+    cr = build_complex(SurfaceSpec.named("rectangle", 32, 32))
     rr = invariants(random_partition(cr, RandomSpec(seed=42, k=5)))
     assert rr.key() == (5, 0, 4, 0)
     assert rr.defect == 1
@@ -242,14 +242,14 @@ def test_flood_fill_rejects_an_unreached_face():
 
     # a copy of a complex whose every side is a self-loop: the traversal
     # reaches the one source and stops
-    c = dataclasses.replace(build_complex(SurfaceSpec.rectangle(3, 2)))
+    c = dataclasses.replace(build_complex(SurfaceSpec.named("rectangle", 3, 2)))
     c.__dict__["face_neighbours"] = np.repeat(np.arange(c.n_faces, dtype=np.int32), 4).reshape(c.n_faces, 4)
     with pytest.raises(InvariantViolation, match="flood fill left unlabelled faces"):
         _face_depths(c, np.array([0]))
 
 
 def test_random_partition_k_validation():
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 2, 2))
     with pytest.raises(ValueError):
         random_partition(c, RandomSpec(seed=0, k=5))
     with pytest.raises(ValueError):
@@ -284,14 +284,14 @@ def test_random_spec_rejects_a_negative_seed():
 
 
 def test_random_spec_accepts_numpy_integers():
-    c = build_complex(SurfaceSpec.klein(6, 5))
+    c = build_complex(SurfaceSpec.named("klein", 6, 5))
     spec = RandomSpec(seed=np.uint64(7), k=np.int32(4))
     assert np.array_equal(random_partition(c, spec).domains,
                           random_partition(c, RandomSpec(seed=7, k=4)).domains)
 
 
 def test_random_partition_has_k_domains_usually():
-    c = build_complex(SurfaceSpec.rectangle(16, 16))
+    c = build_complex(SurfaceSpec.named("rectangle", 16, 16))
     for seed in range(5):
         p = random_partition(c, RandomSpec(seed=seed, k=7))
         # flood fill keeps sources connected; re-splitting cannot merge them

@@ -23,8 +23,8 @@ from eulerpart.explore import RandomSpec, batch_verify, check_batch_size
 from eulerpart.nodal import family
 from eulerpart.render import _scene
 
-MOEBIUS = build_complex(SurfaceSpec.moebius(6, 6))
-PROJECTIVE = build_complex(SurfaceSpec.projective(8, 8))
+MOEBIUS = build_complex(SurfaceSpec.named("moebius", 6, 6))
+PROJECTIVE = build_complex(SurfaceSpec.named("projective", 8, 8))
 ZEROS = np.zeros(36, dtype=int)
 #: a wall-free cycle across the moebius grid, admissible as walls and as a cut path
 ROW = [MOEBIUS.horizontal_edge(i, 3) for i in range(6)]
@@ -36,7 +36,7 @@ BLOCK = ([PROJECTIVE.horizontal_edge(i, 2) for i in (2, 3)] + [PROJECTIVE.vertic
 #: field -> (a valid value, what the entry point keeps of it)
 ENTRY_POINTS = {
     "surface width": (4, lambda v: SurfaceSpec(v, 4).width),
-    "surface height": (4, lambda v: SurfaceSpec.moebius(4, v).height),
+    "surface height": (4, lambda v: SurfaceSpec.named("moebius", 4, v).height),
     "seed": (7, lambda v: RandomSpec(seed=v, k=2).seed),
     "k": (2, lambda v: RandomSpec(seed=0, k=v).k),
     "size": (4, check_batch_size),

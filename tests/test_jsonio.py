@@ -23,25 +23,27 @@ from eulerpart.nodal import NodalConfig, evaluate
 
 
 def bands3_partition():
-    c = build_complex(SurfaceSpec.moebius(12, 12))
+    c = build_complex(SurfaceSpec.named("moebius", 12, 12))
     x = (np.arange(12) + 0.5) * math.pi / 12
     return from_labels(c, np.tile((np.sin(3 * x) > 0).astype(int), (12, 1)).ravel())
 
 
+def surface_partition(surface: dict, n_faces: int = 16) -> dict:
+    """A one-domain partition document on ``surface``: a partition reads
+    its surface through the surface schema's ``$ref``."""
+    return {"surface": surface, "labels": [0] * n_faces}
+
+
 def test_surface_roundtrip():
-    for name in ("rectangle", "moebius", "projective"):
-        spec = SurfaceSpec.named(name, 6, 4)
+    specs = [SurfaceSpec.named(name, 6, 4) for name in ("rectangle", "moebius", "projective")]
+    for spec in specs + [SurfaceSpec(6, 4, "periodic", "open")]:
         doc = jsonio.surface_to_json(spec)
         jsonio.validate("surface", doc)
-        assert jsonio.surface_from_json(doc) == spec
-    custom = SurfaceSpec(4, 4, "periodic", "open")
-    doc = jsonio.surface_to_json(custom)
-    jsonio.validate("surface", doc)
-    assert jsonio.surface_from_json(doc) == custom
+        assert jsonio.partition_from_json(surface_partition(doc, 24)).complex.spec == spec
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("width", 4.9, "surface $: matches none of 2 schemas: $.width: 4.9 is not of type 'integer'"),
+    ("width", 4.9, "partition $.surface: matches none of 2 schemas: $.width: 4.9 is not of type 'integer'"),
     # JSON Schema counts 4.0 as an integer; SurfaceSpec does not
     ("height", 4.0, "surface height must be an integer, got 4.0"),
     ("width", "4", "$.width: '4' is not of type 'integer'"),
@@ -51,7 +53,7 @@ def test_surface_size_must_be_an_integer(field, value, message):
     # a width of 4.9 must be rejected, not truncated to 4
     doc = {"surface": "moebius", "width": 4, "height": 4, field: value}
     with pytest.raises(ValueError, match=re.escape(message)):
-        jsonio.surface_from_json(doc)
+        jsonio.partition_from_json(surface_partition(doc))
 
 
 def test_wall_ids_must_be_integers():
@@ -96,7 +98,7 @@ def test_a_load_checks_its_document_once(monkeypatch, name, load, doc):
 
 
 def test_partition_with_walls_roundtrip():
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     p0 = from_labels(c, np.zeros(36, dtype=int))
     p = cut(p0, [c.horizontal_edge(i, 3) for i in range(6)])
     doc = jsonio.partition_to_json(p)
@@ -108,7 +110,7 @@ def test_partition_with_walls_roundtrip():
 
 def test_walls_reject_flat_lists():
     # partition.json holds walls as a list of lists of edge ids, and only that
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     p0 = from_labels(c, np.zeros(36, dtype=int))
     path = [c.horizontal_edge(i, 3) for i in range(6)]
     p = cut(p0, path)
@@ -117,26 +119,6 @@ def test_walls_reject_flat_lists():
     with pytest.raises(jsonio.DocumentError, match=re.escape("partition $.walls[0]: ")) as raised:
         jsonio.partition_from_json(doc)
     assert raised.value.validator == "type"
-
-
-def test_eigenfunction_json_forms():
-    f = jsonio.eigenfunction_from_json({"family": "phi", "beta": 0.5236, "theta": 1.2})
-    g = jsonio.eigenfunction_from_json(
-        {
-            "terms": [
-                {"c": math.cos(1.2), "fx": {"k": "sin", "m": 2, "p": 0.0},
-                 "fy": {"k": "sin", "m": 3, "p": 0.0}},
-                {"c": math.sin(1.2), "fx": {"k": "sin", "m": 3, "p": 0.0},
-                 "fy": {"k": "sin", "m": 2, "p": 0.5236}},
-            ]
-        }
-    )
-    xs = np.linspace(0.2, 2.8, 9)
-    assert np.allclose(evaluate(f, xs, xs[::-1]), evaluate(g, xs, xs[::-1]), atol=1e-15)
-    doc = jsonio.eigenfunction_to_json(f)
-    jsonio.validate("eigenfunction", doc)
-    h = jsonio.eigenfunction_from_json(doc)
-    assert np.allclose(evaluate(f, xs, xs), evaluate(h, xs, xs), atol=1e-15)
 
 
 def test_report_schemas():
@@ -155,7 +137,7 @@ def test_report_schemas():
     jsonio.validate("cover_report", cdoc)
     assert cdoc["kappa_star"] == 3
 
-    proj = build_complex(SurfaceSpec.projective(8, 8))
+    proj = build_complex(SurfaceSpec.named("projective", 8, 8))
     cyc = [proj.horizontal_edge(i, 4) for i in range(8)]
     xdoc = jsonio.complement_to_json(classify_circle_complement(proj, cyc))
     jsonio.validate("complement", xdoc)
@@ -188,37 +170,6 @@ def test_schema_rejects_bad_documents():
         jsonio.validate("surface", {"surface": "sphere", "width": 4, "height": 4})
     with pytest.raises(jsonio.DocumentError, match=re.escape("invariants $: 'surface' is a required property (required)")):
         jsonio.validate("invariants", {"kappa": 1})
-
-
-_SIN2 = {"k": "sin", "m": 2}
-
-
-# the schema's oneOf tries the term list first, then the family form
-_NO_FAMILY = "; $: 'family' is a required property (oneOf)"
-
-
-@pytest.mark.parametrize("terms,message", [
-    ([{"c": "1.0", "fx": _SIN2, "fy": _SIN2}], "$.terms[0].c: '1.0' is not of type 'number'" + _NO_FAMILY),
-    ([{"c": 1.0, "fx": {"k": "sin", "m": 2.7}, "fy": _SIN2}],
-     "$.terms[0].fx.m: 2.7 is not of type 'integer'" + _NO_FAMILY),
-    ([{"c": 1.0, "fx": _SIN2, "fy": {"k": "sin", "m": "3"}}],
-     "$.terms[0].fy.m: '3' is not of type 'integer'" + _NO_FAMILY),
-    # JSON Schema counts 2.0 as an integer; the factor does not
-    ([{"c": 1.0, "fx": {"k": "sin", "m": 2.0}, "fy": _SIN2}], "factor frequency m must be an integer, got 2.0"),
-    ([{"c": True, "fx": _SIN2, "fy": _SIN2}], "$.terms[0].c: True is not of type 'number'" + _NO_FAMILY),
-    ([{"c": 1.0, "fx": {"k": "sin", "m": True}, "fy": _SIN2}],
-     "$.terms[0].fx.m: True is not of type 'integer'" + _NO_FAMILY),
-    ([{"c": math.nan, "fx": _SIN2, "fy": _SIN2}], "term coefficient c must be finite, got nan"),
-    ([{"c": 1.0, "fx": _SIN2, "fy": {"k": "sin", "m": 2, "p": math.inf}}], "factor phase p must be finite, got inf"),
-    ([[1.0, 2, 3]], "$.terms[0]: [1.0, 2, 3] is not of type 'object'" + _NO_FAMILY),
-    ([{"c": 1.0, "fx": _SIN2}], "$.terms[0]: 'fy' is a required property" + _NO_FAMILY),
-    ({"c": 1.0, "fx": _SIN2, "fy": _SIN2}, "$.terms: {'c': 1.0, 'fx': {'k': 'sin', 'm': 2}, 'fy': {'k': 'sin', 'm': 2}} "
-     "is not of type 'array'" + _NO_FAMILY),
-], ids=["string-c", "float-m", "string-m", "integral-float-m", "bool-c", "bool-m", "nan-c", "inf-phase",
-        "list-term", "no-fy", "dict-terms"])
-def test_eigenfunction_terms_are_checked_not_coerced(terms, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        jsonio.eigenfunction_from_json({"terms": terms})
 
 
 def test_integral_float_labels_read_as_their_integers():

@@ -27,7 +27,7 @@ from eulerpart import (
     verify_euler,
 )
 from eulerpart.complexes import (OPEN, PERIODIC, PRESETS, REVERSED, boundary_components, components,
-                                 edge_components, subgraph_component_count)
+                                 subgraph_component_count, touched_components)
 from eulerpart.partition import VERDICT_MODES, _slot_index, closure_tables
 
 from cutgen import random_admissible_cut
@@ -42,14 +42,14 @@ GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (
 
 def moebius_bands(m, n=12):
     """Sign partition of sin(m x) on an n x n moebius grid."""
-    c = build_complex(SurfaceSpec.moebius(n, n))
+    c = build_complex(SurfaceSpec.named("moebius", n, n))
     x = (np.arange(n) + 0.5) * math.pi / n
     labels = np.tile((np.sin(m * x) > 0).astype(int), (n, 1)).ravel()
     return from_labels(c, labels)
 
 
 def rect_sin2x_sin3y(n=12):
-    c = build_complex(SurfaceSpec.rectangle(n, n))
+    c = build_complex(SurfaceSpec.named("rectangle", n, n))
     t = (np.arange(n) + 0.5) * math.pi / n
     vals = np.sin(2 * t)[None, :] * np.sin(3 * t)[:, None]
     return from_labels(c, (vals > 0).astype(int).ravel())
@@ -59,20 +59,20 @@ def rect_sin2x_sin3y(n=12):
 
 
 def test_single_label_single_domain():
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 2, 2))
     p = from_labels(c, [0, 0, 0, 0])
     assert p.n_domains == 1
 
 
 def test_diagonal_labels_resplit():
     # diagonal squares share no edge, so each becomes its own domain
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 2, 2))
     p = from_labels(c, [0, 1, 1, 0])
     assert p.n_domains == 4
 
 
 def test_domain_ids_scan_order():
-    c = build_complex(SurfaceSpec.rectangle(3, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 3, 2))
     p = from_labels(c, [7, 7, 3, 3, 3, 7])
     # domain 0 owns face 0; ids increase with the smallest face index
     assert p.domains[0] == 0
@@ -85,7 +85,7 @@ def test_moebius_bands3_two_domains():
 
 
 def test_labels_must_be_total():
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 2, 2))
     with pytest.raises(ValueError):
         from_labels(c, [0, 1, 2])
 
@@ -94,7 +94,7 @@ def test_labels_must_be_total():
                          ids=["float", "string", "bool"])
 def test_labels_must_be_integers(labels):
     # never truncated or parsed: [0.7, 0.2, 1.9, 1.1] must not become [0, 0, 1, 1]
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 2, 2))
     with pytest.raises(ValueError, match="labels must be integers"):
         from_labels(c, labels)
 
@@ -102,7 +102,7 @@ def test_labels_must_be_integers(labels):
 def test_wide_labels_are_not_narrowed():
     # labels 0 and 2**32 agree in their low 32 bits; the two columns of a
     # 2x2 rectangle touch, so one domain would mean the labels were narrowed
-    c = build_complex(SurfaceSpec.rectangle(2, 2))
+    c = build_complex(SurfaceSpec.named("rectangle", 2, 2))
     p = from_labels(c, np.array([0, 2**32, 0, 2**32], dtype=np.int64))
     assert p.n_domains == 2 and p.domains.tolist() == [0, 1, 0, 1]
 
@@ -117,7 +117,7 @@ def test_partition_arrays_are_read_only():
 
 
 def test_wall_ids_validated():
-    c = build_complex(SurfaceSpec.rectangle(3, 3))
+    c = build_complex(SurfaceSpec.named("rectangle", 3, 3))
     boundary_edge = int(c.boundary_edges[0])
     with pytest.raises(ValueError):
         from_labels(c, np.zeros(9, dtype=int), walls=[boundary_edge])
@@ -126,7 +126,7 @@ def test_wall_ids_validated():
 
 
 def test_dangling_wall_rejected():
-    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 4))
     # single interior edge ending mid-surface on both sides: malformed input
     lone = c.vertical_edge(2, 1)
     with pytest.raises(ValueError, match=f"wall edge {lone} has a dangling end at interior vertex"):
@@ -150,7 +150,7 @@ def test_boundary_graph_keeps_its_dangling_end_check():
 
     from eulerpart.partition import _compute_boundary_graph
 
-    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 4))
     p = from_labels(c, np.zeros(16, dtype=int))
     lone = np.array([c.vertical_edge(2, 1)], dtype=np.int32)
     with pytest.raises(InvariantViolation, match="dangling ends at interior vertices"):
@@ -161,7 +161,7 @@ def test_boundary_graph_keeps_its_dangling_end_check():
 
 
 def test_one_domain_boundary_graph_empty():
-    c = build_complex(SurfaceSpec.moebius(4, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 4, 4))
     p = from_labels(c, np.zeros(16, dtype=int))
     bg = boundary_graph(p)
     assert len(p.boundary_set) == 0
@@ -179,7 +179,7 @@ def test_rect_sin2x_sin3y_singular_census():
 
 def test_interior_nu_in_range():
     rng = np.random.default_rng(5)
-    c = build_complex(SurfaceSpec.klein(6, 6))
+    c = build_complex(SurfaceSpec.named("klein", 6, 6))
     for _ in range(50):
         p = from_labels(c, rng.integers(0, 4, 36))
         bg = boundary_graph(p)
@@ -228,7 +228,7 @@ def test_beta_interior_on_bands():
 
 
 def test_verify_rectangle_one_domain():
-    c = build_complex(SurfaceSpec.rectangle(3, 3))
+    c = build_complex(SurfaceSpec.named("rectangle", 3, 3))
     v = verify_euler(from_labels(c, np.zeros(9, dtype=int)))
     assert v.status == "pass" and v.measured_defect == 1
 
@@ -239,7 +239,7 @@ def test_verify_moebius_bands3():
 
 
 def test_torus_two_parallel_circles_report_only():
-    c = build_complex(SurfaceSpec.torus(6, 6))
+    c = build_complex(SurfaceSpec.named("torus", 6, 6))
     labels = np.zeros((6, 6), dtype=int)
     labels[3:, :] = 1
     v = verify_euler(from_labels(c, labels.ravel()))
@@ -281,7 +281,7 @@ def test_bands5_has_two_cylinders():
 
 def test_moebius_domain_genus_and_crosscap_bounds():
     rng = np.random.default_rng(21)
-    c = build_complex(SurfaceSpec.moebius(8, 8))
+    c = build_complex(SurfaceSpec.named("moebius", 8, 8))
     for _ in range(40):
         p = from_labels(c, rng.integers(0, 4, 64))
         for r in domain_reports(p):
@@ -292,7 +292,7 @@ def test_moebius_domain_genus_and_crosscap_bounds():
 
 
 def test_domain_report_matches_domain_reports():
-    c = build_complex(SurfaceSpec.moebius(8, 8))
+    c = build_complex(SurfaceSpec.named("moebius", 8, 8))
     seen = []
     for seed in range(30):
         # two labels give pinched, non-normal and non-orientable domains
@@ -330,13 +330,13 @@ def test_chi_sigma_bands3():
 
 
 def test_chi_sigma_one_domain_moebius():
-    c = build_complex(SurfaceSpec.moebius(4, 4))
+    c = build_complex(SurfaceSpec.named("moebius", 4, 4))
     r = check_chi_sigma(from_labels(c, np.zeros(16, dtype=int)))
     assert r.holds and r.lhs == 0 and r.domain_chis == (0,)
 
 
 def test_chi_sigma_rejects_walls():
-    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 4))
     p = from_labels(c, np.arange(16) // 4, walls=())
     assert check_chi_sigma(p).holds
     from eulerpart import cut
@@ -534,7 +534,7 @@ def test_closure_rejects_slots_that_do_not_fill_whole_vertices():
     # two corner vertices of two slots, the only odd vertices off the
     # surface boundary: the untouched slots of the one domain no longer
     # divide by four
-    c = dataclasses.replace(build_complex(SurfaceSpec.projective(4, 3)))
+    c = dataclasses.replace(build_complex(SurfaceSpec.named("projective", 4, 3)))
     odd, odd_slot, odd_count = c.odd_vertices
     keep = np.arange(len(odd)) != np.flatnonzero(odd_count == 2)[0]
     c.__dict__["odd_vertices"] = (odd[keep], odd_slot[keep], odd_count[keep])
@@ -713,7 +713,7 @@ def _two_labelling_beta(p):
     c = p.complex
     ids = p.boundary_set
     beta = subgraph_component_count(c, np.concatenate([ids, c.boundary_edges])) - boundary_components(c)
-    verts, comp = edge_components(c, ids)
+    verts, comp = touched_components(c.n_vertices, c.edge_vertices[ids].T)
     return beta, len(np.setdiff1d(comp, comp[c.vertex_is_boundary[verts]]))
 
 

@@ -5,9 +5,8 @@ The scan parses each module of ``src/eulerpart`` and lists the module-level
 functions and classes and the methods of those classes whose name no
 ``Name`` or ``Attribute`` node of the package references.  ``__init__.py``
 only re-exports, so its references do not count, and dunder methods are
-called by Python itself.  A name that only tests reach is dead code; the
-allow-list holds the few kept on purpose, so a new dead name and a stale
-entry both fail.
+called by Python itself.  A name that only tests reach is dead code, so
+the scan must find none.
 
 The second scan lists every module other than ``errors`` that names
 ``numbers.Integral`` or raises an error whose message says "must be an
@@ -17,30 +16,18 @@ integer": such a module checks integers itself instead of calling
 The third scan lists every module that imports ``jsonschema`` or
 ``referencing``, at any depth: documents are checked by the schemas
 compiled in ``jsonio``, and ``jsonschema`` is a test dependency only.
+
+The fourth scan lists every attribute read ``x._name`` in a module that
+does not define ``_name`` while another module does: a module reads no
+other module's private names.  A definition is a ``def``, a class, an
+assignment (a dataclass field included) or an assignment to
+``self._name``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eulerpart"
-
-#: unreferenced on purpose: the ``SurfaceSpec`` preset constructors are
-#: public API, ``surface_from_json`` loads a top-level surface document (a
-#: partition or cycle reads its surface, checked by its own schema's
-#: ``$ref``, without a second check), and the eigenfunction JSON pair waits
-#: on the nodal document path
-ALLOWED = {
-    "complexes.SurfaceSpec.rectangle",
-    "complexes.SurfaceSpec.cylinder",
-    "complexes.SurfaceSpec.moebius",
-    "complexes.SurfaceSpec.torus",
-    "complexes.SurfaceSpec.klein",
-    "complexes.SurfaceSpec.projective",
-    "jsonio.eigenfunction_from_json",
-    "jsonio.surface_from_json",
-    "jsonio.eigenfunction_to_json",
-}
-
 
 def unreferenced(sources: dict[str, str]) -> set[str]:
     """``module.name`` or ``module.Class.method`` of every definition in
@@ -71,7 +58,7 @@ def unreferenced(sources: dict[str, str]) -> set[str]:
 def test_only_the_allowed_names_are_unreferenced():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert "complexes" in sources and "__init__" in sources
-    assert unreferenced(sources) == ALLOWED
+    assert unreferenced(sources) == set()
 
 
 def test_the_scan_reports_an_unreferenced_def():
@@ -159,3 +146,63 @@ def test_the_scan_reports_an_import_of_jsonschema():
         "named": 'NAME = "jsonschema"\n',
     }
     assert importers_of_test_only(sources) == {"top", "nested", "from"}
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module defines: its defs and classes, the
+    targets of its assignments and its ``self._name`` assignments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        names.add(sub.id)
+                    elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                        names.add(sub.attr)
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def foreign_private_reads(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) of every ``x._name`` read in a module of ``sources``
+    where ``_name`` is defined in another module and not in this one."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {module: private_definitions(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in defined.items() if other != module))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in elsewhere and node.attr not in defined[module]):
+                found.add((module, node.attr))
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert foreign_private_reads(sources) == set()
+
+
+def test_the_scan_reports_a_read_of_another_modules_private_name():
+    sources = {
+        "owner": (
+            "_TABLE = {}\n\n"
+            "def _helper():\n    return 0\n\n"
+            "class Box:\n"
+            "    _field: int = 0\n\n"
+            "    def __init__(self):\n        self._cache = None\n\n"
+            "    def size(self):\n        return self._cache\n"
+        ),
+        "reader": (
+            "import owner\n\n"
+            "def f(box):\n"
+            "    return owner._TABLE, owner._helper(), box._field, box._cache, box.__dict__\n"
+        ),
+        "own": "def _helper():\n    return 1\n\ndef g(m):\n    return m._helper()\n",
+        "writer": "def h(box):\n    box._cache = 1\n",
+    }
+    assert foreign_private_reads(sources) == {
+        ("reader", "_TABLE"), ("reader", "_helper"), ("reader", "_field"), ("reader", "_cache"),
+    }

@@ -14,7 +14,7 @@ from eulerpart.render import domain_color, render_ppm, render_svg
 
 
 def bands3():
-    c = build_complex(SurfaceSpec.moebius(12, 12))
+    c = build_complex(SurfaceSpec.named("moebius", 12, 12))
     x = (np.arange(12) + 0.5) * math.pi / 12
     return from_labels(c, np.tile((np.sin(3 * x) > 0).astype(int), (12, 1)).ravel())
 
@@ -61,7 +61,7 @@ def test_svg_contains_overlays():
 
 
 def test_walls_drawn_dashed():
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     p = cut(
         from_labels(c, np.zeros(36, dtype=int)),
         [c.horizontal_edge(i, 3) for i in range(6)],
@@ -71,7 +71,7 @@ def test_walls_drawn_dashed():
 
 
 def test_singular_points_circled():
-    c = build_complex(SurfaceSpec.rectangle(6, 6))
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
     lab = np.zeros((6, 6), dtype=int)
     lab[:3, :3], lab[:3, 3:], lab[3:, :3], lab[3:, 3:] = 0, 1, 2, 3
     p = from_labels(c, lab.ravel())
@@ -86,7 +86,7 @@ def test_palette_deterministic_and_distinct():
 
 
 def test_flat_rectangle_single_color():
-    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 4))
     p = from_labels(c, np.zeros(16, dtype=int))
     svg = render_svg(p).decode()
     fills = {part.split('"')[0] for part in svg.split('fill="#')[1:]}
@@ -111,7 +111,7 @@ def test_render_bytes_pinned(fmt):
 
 def _walled_moebius():
     # a domain change plus a dashed wall that crosses it
-    c = build_complex(SurfaceSpec.moebius(8, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 8, 6))
     lab = np.zeros((6, 8), dtype=int)
     lab[:, 4:] = 1
     p = from_labels(c, lab.ravel())
@@ -119,7 +119,7 @@ def _walled_moebius():
 
 
 def _quadrants(n):
-    c = build_complex(SurfaceSpec.rectangle(n, n))
+    c = build_complex(SurfaceSpec.named("rectangle", n, n))
     lab = np.zeros((n, n), dtype=int)
     h = n // 2
     lab[:h, h:], lab[h:, :h], lab[h:, h:] = 1, 2, 3

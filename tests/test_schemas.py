@@ -38,8 +38,8 @@ REGISTRY = Registry().with_resources(
     for name in jsonio.SCHEMA_NAMES
 )
 
-# the command that emits each kind of document; the partition, surface,
-# cycle, cut-path and eigenfunction documents are read, not emitted
+# the command that emits each kind of document; the partition, cycle and
+# cut-path documents are read, not emitted, and a surface only inside them
 EMITTERS = {
     "invariants": ["invariants", str(MOEBIUS_8)],
     "verdict": ["verify", str(MOEBIUS_8)],
@@ -55,7 +55,7 @@ EMITTERS = {
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    """One valid document of each of the fourteen kinds."""
+    """One valid document of each of the thirteen kinds."""
     tmp = tmp_path_factory.mktemp("docs")
     cycle = tmp / "cycle.json"
     cycle.write_text(json.dumps(PROJECTIVE_CYCLE))
@@ -67,9 +67,8 @@ def documents(tmp_path_factory):
     partition = json.loads(MOEBIUS_8.read_text())
     docs["partition"] = partition
     docs["surface"] = partition["surface"]
-    docs["eigenfunction"] = {"family": "phi", "beta": 0.5236, "theta": 1.2}
     docs["cycle"] = PROJECTIVE_CYCLE
-    moebius = build_complex(SurfaceSpec.moebius(8, 8))
+    moebius = build_complex(SurfaceSpec.named("moebius", 8, 8))
     docs["cut_path"] = {"edges": [moebius.horizontal_edge(i, 4) for i in range(8)]}
     # a failure, so that the batch document reaches partition.json through $ref
     docs["batch"]["failures"] = [partition]
@@ -107,7 +106,7 @@ def test_every_emitted_document_passes_both(name, documents):
 ANY_VALUE = [None, True, False, 0, 1, -1, 2, 1.0, 0.5, -2.5, "", "x", "1", "moebius", [], [0], [True], {}]
 # keys a mutation adds to an object: unknown ones and those of a sibling
 # oneOf branch or a neighbouring schema
-EXTRA_KEYS = ["extra", "surface", "x_gluing", "y_gluing", "terms", "family", "m", "walls", "domains", "error"]
+EXTRA_KEYS = ["extra", "surface", "x_gluing", "y_gluing", "family", "m", "walls", "domains", "error"]
 
 
 @st.composite
@@ -152,13 +151,18 @@ def test_mutated_documents_agree_with_jsonschema(name, documents, data):
     assert validate_accepts(name, doc) == oracle_accepts(jsonio.load_schema(name), doc), doc
 
 
+def _surface_in_partition(doc):
+    """Load a surface document the one way the package reads one: as the
+    surface of a partition document."""
+    return jsonio.partition_from_json({"surface": doc, "labels": [0]})
+
+
 #: the loader of each kind of document the CLI reads
 LOADERS = {
     "partition": jsonio.partition_from_json,
-    "surface": jsonio.surface_from_json,
+    "surface": _surface_in_partition,
     "cycle": jsonio.cycle_from_json,
     "cut_path": jsonio.cut_path_from_json,
-    "eigenfunction": jsonio.eigenfunction_from_json,
 }
 
 
@@ -205,8 +209,6 @@ def test_a_document_the_oracle_rejects_does_not_load(name, documents, data):
     ("nodal_result", lambda d: d["levels"][0].append(0)),
     ("cover_report", lambda d: d["preimage_counts"].append(True)),
     ("cover_report", lambda d: d["preimage_counts"].append(2.0)),
-    ("eigenfunction", lambda d: d.update(terms=[])),
-    ("eigenfunction", lambda d: d.pop("family")),
     ("cycle", lambda d: d.update(cycle={"midline": "horizontal", "block": [0, 0, 2, 2]})),
     ("cycle", lambda d: d.update(cycle={"block": [0, 0, 2]})),
     ("cycle", lambda d: d.update(cycle={"block": [0, 0, 2, 2.0]})),

@@ -26,7 +26,7 @@ from cutgen import random_admissible_cut
 
 def s_shape_partition():
     """A connected domain occupying two opposite sectors of one vertex."""
-    c = build_complex(SurfaceSpec.rectangle(4, 3))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 3))
     lab = np.ones(12, dtype=int)
     for i, j in [(1, 0), (0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1)]:
         lab[j * 4 + i] = 0
@@ -37,7 +37,7 @@ def s_shape_partition():
 
 
 def test_normalize_identity_on_normal_partition():
-    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 4))
     p = from_labels(c, (np.arange(16) // 8).astype(int))
     assert is_normal(p)
     assert normalize(p) is p
@@ -59,7 +59,7 @@ def test_normalize_s_shape_bookkeeping():
 
 def test_normalize_two_offending_vertices():
     # two disjoint copies of the S-shape, each with its own pinch vertex
-    c = build_complex(SurfaceSpec.rectangle(8, 3))
+    c = build_complex(SurfaceSpec.named("rectangle", 8, 3))
     lab = np.ones((3, 8), dtype=int)
     for i, j in [(1, 0), (0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1)]:
         lab[j, i] = 0
@@ -124,7 +124,7 @@ def test_normalize_corpus_splits_off_one_disk_per_offending_vertex():
 
 
 def test_normalize_rejects_walls():
-    c = build_complex(SurfaceSpec.rectangle(4, 4))
+    c = build_complex(SurfaceSpec.named("rectangle", 4, 4))
     p = from_labels(c, np.zeros(16, dtype=int), walls=())
     p2 = cut(p, [c.vertical_edge(2, 0), c.vertical_edge(2, 1),
                  c.vertical_edge(2, 2), c.vertical_edge(2, 3)])
@@ -145,7 +145,7 @@ def test_refine_preserves_invariants():
 
 
 def test_crosswise_cut_of_moebius_band():
-    c = build_complex(SurfaceSpec.moebius(6, 6))
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     p = from_labels(c, np.zeros(36, dtype=int))
     path = [c.horizontal_edge(i, 3) for i in range(6)]
     planned = plan_cut(p, path)
@@ -161,7 +161,7 @@ def test_crosswise_cut_of_moebius_band():
 
 def test_cut_with_transversal_crossings():
     n = 12
-    c = build_complex(SurfaceSpec.moebius(n, n))
+    c = build_complex(SurfaceSpec.named("moebius", n, n))
     x = (np.arange(n) + 0.5) * math.pi / n
     p = from_labels(c, np.tile((np.sin(3 * x) > 0).astype(int), (n, 1)).ravel())
     path = [c.horizontal_edge(i, 6) for i in range(n)]
@@ -172,7 +172,7 @@ def test_cut_with_transversal_crossings():
 
 
 def test_cut_joining_two_boundary_circles():
-    c = build_complex(SurfaceSpec.rectangle(8, 8))
+    c = build_complex(SurfaceSpec.named("rectangle", 8, 8))
     lab = np.zeros((8, 8), dtype=int)
     lab[2:6, 2:6] = 1
     p = from_labels(c, lab.ravel())
@@ -187,7 +187,7 @@ def test_cut_joining_two_boundary_circles():
 
 
 def test_closed_cycle_cut():
-    c = build_complex(SurfaceSpec.rectangle(6, 6))
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
     p = from_labels(c, np.zeros(36, dtype=int))
     cyc = ([c.horizontal_edge(i, 2) for i in (2, 3)]
            + [c.vertical_edge(4, j) for j in (2, 3)]
@@ -202,14 +202,14 @@ def test_closed_cycle_cut():
 
 
 def test_cut_rejects_dangling_path():
-    c = build_complex(SurfaceSpec.rectangle(6, 6))
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
     p = from_labels(c, np.zeros(36, dtype=int))
     with pytest.raises(CutError):
         plan_cut(p, [c.vertical_edge(3, 2)])  # both ends mid-surface
 
 
 def test_cut_rejects_path_on_boundary_set():
-    c = build_complex(SurfaceSpec.rectangle(6, 6))
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
     lab = (np.arange(36) // 18).astype(int)
     p = from_labels(c, lab)
     wall_edge = int(p.boundary_set[0])
@@ -226,7 +226,7 @@ def test_cut_rejects_singular_touch():
 
 
 def _pinwheel_partition():
-    c = build_complex(SurfaceSpec.rectangle(6, 6))
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
     lab = np.zeros((6, 6), dtype=int)
     lab[:3, :3], lab[:3, 3:], lab[3:, :3], lab[3:, 3:] = 0, 1, 2, 3
     return from_labels(c, lab.ravel())
@@ -234,7 +234,7 @@ def _pinwheel_partition():
 
 def test_cut_rejects_corner_crossing():
     # boundary set turning a corner cannot be crossed transversally
-    c = build_complex(SurfaceSpec.rectangle(6, 6))
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
     lab = np.zeros((6, 6), dtype=int)
     lab[:2, :2] = 1
     p = from_labels(c, lab.ravel())
@@ -244,7 +244,7 @@ def test_cut_rejects_corner_crossing():
 
 
 def test_cut_requires_simple_path():
-    c = build_complex(SurfaceSpec.rectangle(6, 6))
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
     p = from_labels(c, np.zeros(36, dtype=int))
     with pytest.raises(CutError):
         plan_cut(p, [c.horizontal_edge(1, 2), c.horizontal_edge(1, 2)])
@@ -298,7 +298,7 @@ def test_normalize_phi_fixture_classifications():
 def test_digon_cut_along_the_core_circle():
     # on a 2-row moebius grid the core circle is two parallel edges; the
     # closed cut opens the band into a cylinder
-    c = build_complex(SurfaceSpec.moebius(4, 2))
+    c = build_complex(SurfaceSpec.named("moebius", 4, 2))
     p = from_labels(c, np.zeros(8, dtype=int))
     digon = [c.vertical_edge(2, 0), c.vertical_edge(2, 1)]
     planned = plan_cut(p, digon)
