@@ -19,7 +19,7 @@ from eulerpart import (
 )
 from eulerpart import jsonio
 from eulerpart.explore import batch_verify, bisect_transition, sweep
-from eulerpart.nodal import NodalConfig, evaluate
+from eulerpart.nodal import NodalConfig
 
 
 def bands3_partition():

@@ -153,8 +153,10 @@ def test_mutated_documents_agree_with_jsonschema(name, documents, data):
 
 def _surface_in_partition(doc):
     """Load a surface document the one way the package reads one: as the
-    surface of a partition document."""
-    return jsonio.partition_from_json({"surface": doc, "labels": [0]})
+    surface of a one-domain partition document with one label per face."""
+    size = [doc.get("width"), doc.get("height")] if isinstance(doc, dict) else []
+    sized = len(size) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in size)
+    return jsonio.partition_from_json({"surface": doc, "labels": [0] * (size[0] * size[1] if sized else 1)})
 
 
 #: the loader of each kind of document the CLI reads
@@ -177,8 +179,11 @@ def test_a_document_the_oracle_rejects_does_not_load(name, documents, data):
         except ValueError:
             pass  # a value the library refuses, such as an edge id out of range
     else:
-        with pytest.raises(ValueError):
+        # only the schema or the surface may refuse it, not a label count
+        # that does not fit the surface
+        with pytest.raises(ValueError) as refused:
             LOADERS[name](doc)
+        assert "labels must cover" not in str(refused.value), doc
 
 
 @pytest.mark.parametrize("name,edit", [
