@@ -12,9 +12,7 @@ eigenfunctions, and the orientability transition of the phi family.
 """
 
 from .complexes import (
-    EXPECTED_BOUNDARY_COMPONENTS,
-    EXPECTED_CHI,
-    PRESETS,
+    SURFACES,
     CellComplex,
     SurfaceSpec,
     boundary_components,

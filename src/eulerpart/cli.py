@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .complexes import PRESETS
+from .complexes import SURFACES
 from .cover import COVERABLE, cover_bookkeeping, double_cover
 from .errors import EulerPartError, InstabilityError, InvariantViolation, ResolutionError
 from .explore import batch_verify, bisect_transition, check_batch_size, sweep
@@ -161,7 +161,7 @@ def cmd_cut(args) -> int:
     edges = jsonio.cut_path_from_json(_load_json(args.path))
     before = invariants(p)
     planned = plan_cut(p, edges)
-    q = cut(p, planned)
+    q = cut(p, edges)
     out = {
         "operation": "cut",
         "partition": jsonio.partition_to_json(q),
@@ -174,8 +174,10 @@ def cmd_cut(args) -> int:
 
 
 def cmd_render(args) -> int:
+    fmt = Path(args.out).suffix.lower()[1:]
+    if fmt not in ("ppm", "svg"):
+        raise EulerPartError(f"--out must end in .ppm or .svg, got {args.out!r}")
     p = _load_partition(args.partition)
-    fmt = "svg" if args.out.endswith(".svg") else "ppm"
     Path(args.out).write_bytes(render(p, args.cell_px, fmt=fmt))
     return EXIT_OK
 
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bisect)
 
     sp = sub.add_parser("random-check", help="seeded random partitions through all checks")
-    sp.add_argument("--surface", required=True, choices=list(PRESETS))
+    sp.add_argument("--surface", required=True, choices=list(SURFACES))
     add_batch(sp)
     sp.set_defaults(func=cmd_random_check)
 
@@ -290,6 +292,3 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -75,6 +75,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse._sparsetools import coo_tocsr
@@ -87,37 +88,27 @@ PERIODIC = "periodic"
 REVERSED = "reversed"
 GLUINGS = (OPEN, PERIODIC, REVERSED)
 
-#: preset name -> (x_gluing, y_gluing)
-PRESETS = {
-    "rectangle": (OPEN, OPEN),
-    "cylinder": (OPEN, PERIODIC),
-    "moebius": (OPEN, REVERSED),
-    "torus": (PERIODIC, PERIODIC),
-    "klein": (PERIODIC, REVERSED),
-    "projective": (REVERSED, REVERSED),
+
+class Surface(NamedTuple):
+    """The gluings of a preset surface and the topology they give."""
+
+    x_gluing: str
+    y_gluing: str
+    chi: int                     # exact Euler characteristic
+    boundary_circles: int
+
+
+#: preset name -> its gluings, Euler characteristic and boundary circles
+SURFACES = {
+    "rectangle": Surface(OPEN, OPEN, 1, 1),
+    "cylinder": Surface(OPEN, PERIODIC, 0, 2),
+    "moebius": Surface(OPEN, REVERSED, 0, 1),
+    "torus": Surface(PERIODIC, PERIODIC, 0, 0),
+    "klein": Surface(PERIODIC, REVERSED, 0, 0),
+    "projective": Surface(REVERSED, REVERSED, 1, 0),
 }
 
-_KIND_BY_GLUINGS = {tuple(sorted(v)): k for k, v in PRESETS.items()}
-
-#: exact Euler characteristic of each surface
-EXPECTED_CHI = {
-    "rectangle": 1,
-    "cylinder": 0,
-    "moebius": 0,
-    "torus": 0,
-    "klein": 0,
-    "projective": 1,
-}
-
-#: number of boundary circles of each surface
-EXPECTED_BOUNDARY_COMPONENTS = {
-    "rectangle": 1,
-    "cylinder": 2,
-    "moebius": 1,
-    "torus": 0,
-    "klein": 0,
-    "projective": 0,
-}
+_KIND_BY_GLUINGS = {tuple(sorted((v.x_gluing, v.y_gluing))): k for k, v in SURFACES.items()}
 
 #: complexes kept alive by ``build_complex``: the six presets at one size
 #: plus two covers, or a nodal refinement ladder (up to six sizes)
@@ -181,9 +172,10 @@ class SurfaceSpec:
 
     @classmethod
     def named(cls, name: str, width: int, height: int) -> "SurfaceSpec":
-        if not isinstance(name, str) or name not in PRESETS:
-            raise ValueError(f"unknown surface {name!r}; presets: {sorted(PRESETS)}")
-        return cls(width, height, *PRESETS[name])
+        if not isinstance(name, str) or name not in SURFACES:
+            raise ValueError(f"unknown surface {name!r}; presets: {sorted(SURFACES)}")
+        surface = SURFACES[name]
+        return cls(width, height, surface.x_gluing, surface.y_gluing)
 
 
 def _grid_index(what: str, i, j, ni: int, nj: int) -> int:
@@ -417,19 +409,18 @@ class CellComplex:
         j, i = np.divmod(raw, self.spec.width + 1)
         return np.column_stack([i, j])
 
-    def raw_edge_values(self, across_rows, across_columns, seams, fill: int) -> np.ndarray:
+    def raw_edge_values(self, across_rows, across_columns, seams) -> np.ndarray:
         """``ID_DTYPE`` values laid out over the raw edges, in raw order.
 
         ``across_rows[j, i]`` goes to the edge between faces (i, j) and
         (i, j + 1), ``across_columns[j, i]`` to the edge between faces
         (i, j) and (i + 1, j), ``seams[k]`` to the k-th glued seam edge of
-        ``seam_adjacency``, at its smaller raw id, and ``fill`` to every
-        other raw edge: the surface boundary and the larger raw id of each
-        seam pair.  Kept raw edges run in canonical edge order, so the
-        values of the interior edges, read where they are not ``fill``,
-        come in edge order.
+        ``seam_adjacency``, at its smaller raw id, and 0 to every other raw
+        edge: the surface boundary and the larger raw id of each seam pair.
+        Kept raw edges run in canonical edge order, so the values of the
+        interior edges, read where they are not 0, come in edge order.
         """
-        out = np.full(self.edge_map.size, fill, dtype=ID_DTYPE)
+        out = np.zeros(self.edge_map.size, dtype=ID_DTYPE)
         rows, columns = self._grid_sides(out)
         rows[...] = across_rows
         columns[...] = across_columns
@@ -684,14 +675,15 @@ def _validate_complex(c: CellComplex) -> None:
     if c.edge_sides.dtype != np.int8:
         raise InvariantViolation(f"edge_sides holds {c.edge_sides.dtype} values, expected int8")
     kind = c.spec.kind
-    if c.euler_characteristic != EXPECTED_CHI[kind]:
+    expected = SURFACES[kind]
+    if c.euler_characteristic != expected.chi:
         raise InvariantViolation(
-            f"chi = {c.euler_characteristic} for {kind}, expected {EXPECTED_CHI[kind]}"
+            f"chi = {c.euler_characteristic} for {kind}, expected {expected.chi}"
         )
-    if c.n_boundary_components != EXPECTED_BOUNDARY_COMPONENTS[kind]:
+    if c.n_boundary_components != expected.boundary_circles:
         raise InvariantViolation(
             f"{c.n_boundary_components} boundary components for {kind}, "
-            f"expected {EXPECTED_BOUNDARY_COMPONENTS[kind]}"
+            f"expected {expected.boundary_circles}"
         )
     # a loop around any interior vertex is contractible, so the parities of
     # its incident edges must multiply to +1 even at reversed seams: each

@@ -147,7 +147,7 @@ def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np
     # per raw edge, the second face's depth less the first's: a first-face
     # row (up or right across the grid) runs where it is 1, a second-face
     # row where it is -1
-    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa), 0)
+    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa))
     parts = [c.raw_edge_slots((step == sign).nonzero()[0], which) for which, sign in ((0, 1), (1, -1))]
     del step
     rows = np.concatenate(parts).astype(ID_DTYPE)

@@ -36,7 +36,7 @@ from importlib import resources
 
 import numpy as np
 
-from .complexes import PRESETS, CellComplex, SurfaceSpec, build_complex
+from .complexes import SURFACES, CellComplex, SurfaceSpec, build_complex
 from .cover import CoverReport
 from .errors import integer
 from .explore import BatchResult, SweepResult, TransitionEstimate
@@ -303,8 +303,8 @@ def _one_of(schemas: list):
 
 
 def surface_to_json(spec: SurfaceSpec) -> dict:
-    preset = PRESETS.get(spec.kind)
-    if preset == (spec.x_gluing, spec.y_gluing):
+    preset = SURFACES[spec.kind]
+    if (preset.x_gluing, preset.y_gluing) == (spec.x_gluing, spec.y_gluing):
         return {"surface": spec.kind, "width": spec.width, "height": spec.height}
     return {
         "width": spec.width,
@@ -412,11 +412,11 @@ def domain_report_to_json(d: DomainReport) -> dict:
 
 def verdict_to_json(v: Verdict) -> dict:
     return {
-        "surface": v.surface,
+        "surface": v.report.surface,
         "expected_defect": v.expected_defect,
         "measured_defect": v.measured_defect,
         "status": v.status,
-        "conjecture": v.conjecture,
+        "conjecture": v.status == "conjecture",
         "invariants": invariants_to_json(v.report),
     }
 

@@ -63,9 +63,6 @@ class Eigenfunction:
     # not change, so a ladder of rasterizations computes it once
     _residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __call__(self, x, y):
-        return evaluate(self, x, y)
-
 
 def evaluate(f: Eigenfunction, x, y):
     """Sum of c * fx(x) * fy(y) over the terms, numpy-broadcasting."""
@@ -258,7 +255,6 @@ class StableResult:
     report: InvariantReport
     partition: Partition
     n: int                       # resolution of the accepted level
-    n_coarse: int                # resolution of the agreeing coarser level
     levels: tuple                # (n, kappa, beta, sigma, omega) per level
 
 
@@ -267,7 +263,6 @@ def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig | None
     config = config or NodalConfig()
     history = []
     prev_key = None
-    prev_n = None
     n = config.n
     for _level in range(config.max_refine + 1):
         p = _rasterize_perturbed(f, surface, n, history)
@@ -275,11 +270,8 @@ def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig | None
         rep = invariants(p)
         history.append((actual_n, *rep.key()))
         if prev_key is not None and rep.key() == prev_key:
-            return StableResult(
-                report=rep, partition=p, n=actual_n, n_coarse=prev_n, levels=tuple(history)
-            )
+            return StableResult(report=rep, partition=p, n=actual_n, levels=tuple(history))
         prev_key = rep.key()
-        prev_n = actual_n
         n = 2 * actual_n
     raise InstabilityError(
         f"no agreement for {f.name or 'function'} on {surface} within "

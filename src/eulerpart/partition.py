@@ -67,7 +67,7 @@ from .complexes import (
     components,
     touched_components,
 )
-from .errors import CutError, InvariantViolation, integer
+from .errors import CutError, InvariantViolation
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,11 +407,9 @@ VERDICT_MODES = {
 
 @dataclass(frozen=True)
 class Verdict:
-    surface: str
     expected_defect: object      # int or None
     measured_defect: int
     status: str                  # pass / fail / report_only / conjecture
-    conjecture: bool
     report: InvariantReport
 
     @property
@@ -428,14 +426,13 @@ def verify_euler(p: Partition) -> Verdict:
     carry no claim and are always report-only.
     """
     rep = invariants(p)
-    kind = p.complex.spec.kind
-    mode, expected = VERDICT_MODES[kind]
+    mode, expected = VERDICT_MODES[rep.surface]
     measured = rep.defect
     if mode == "pass_fail":
         status = "pass" if measured == expected else "fail"
     else:
         status = mode
-    return Verdict(kind, expected, measured, status, mode == "conjecture", rep)
+    return Verdict(expected, measured, status, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -694,21 +691,16 @@ def is_normal(p: Partition) -> bool:
     return len(closure_tables(p).non_normal_pairs) == 0
 
 
-def refine(p: Partition, factor: int) -> Partition:
-    """Subdivide every face into factor x factor faces, copying labels."""
-    factor = integer(factor, "refinement factor")
-    if factor < 1:
-        raise ValueError("refinement factor must be >= 1")
-    if factor == 1:
-        return p
+def refine(p: Partition) -> Partition:
+    """Subdivide every face into ``NORMALIZE_FACTOR`` x ``NORMALIZE_FACTOR``
+    faces, copying labels."""
     if p.walls:
         raise ValueError("refinement of partitions with walls is not supported")
     spec = p.complex.spec
-    fine = build_complex(
-        SurfaceSpec(spec.width * factor, spec.height * factor, spec.x_gluing, spec.y_gluing)
-    )
+    k = NORMALIZE_FACTOR
+    fine = build_complex(SurfaceSpec(spec.width * k, spec.height * k, spec.x_gluing, spec.y_gluing))
     coarse = p.domains.reshape(spec.height, spec.width)
-    labels = np.kron(coarse, np.ones((factor, factor), dtype=ID_DTYPE)).ravel()
+    labels = np.kron(coarse, np.ones((k, k), dtype=ID_DTYPE)).ravel()
     return from_labels(fine, labels)
 
 
@@ -734,7 +726,7 @@ def normalize(p: Partition) -> Partition:
     before = invariants(p)
     if is_normal(p):
         return p
-    q = refine(p, NORMALIZE_FACTOR)
+    q = refine(p)
     c = q.complex
     # a surface boundary vertex meets at most two faces, so it never offends;
     # a vertex listed for two domains keeps the one id its last write left
@@ -769,15 +761,10 @@ class CutPath:
 
     ``crossings`` are the interior path vertices where the path meets the
     existing boundary set; each is a transversal crossing of a locally
-    straight boundary arc.  ``endpoints`` classifies the two path ends as
-    lying on the surface boundary or on the boundary set (empty for
-    cycles).
+    straight boundary arc.
     """
 
     edges: tuple
-    vertices: tuple
-    is_cycle: bool
-    endpoints: tuple             # ((vertex, "surface"|"boundary_set"), ...)
     crossings: tuple
 
     @property
@@ -862,31 +849,21 @@ def plan_cut(p: Partition, edges) -> CutPath:
             )
         crossings.append(int(v))
 
-    endpoints = []
     if not is_cycle:
         for v in (verts[0], verts[-1]):
             if v in singular:
                 raise CutError(f"path endpoint {v} is a singular vertex")
-            if c.vertex_is_boundary[v]:
-                endpoints.append((int(v), "surface"))
-            elif degree[v]:
-                endpoints.append((int(v), "boundary_set"))
-            else:
+            if not (c.vertex_is_boundary[v] or degree[v]):
                 raise CutError(
                     f"path endpoint {v} is neither on the surface boundary nor on "
                     f"the boundary set (dangling crack)"
                 )
-    return CutPath(
-        edges=tuple(edge_list),
-        vertices=tuple(int(v) for v in verts),
-        is_cycle=is_cycle,
-        endpoints=tuple(endpoints),
-        crossings=tuple(crossings),
-    )
+    return CutPath(edges=tuple(edge_list), crossings=tuple(crossings))
 
 
-def cut(p: Partition, path) -> Partition:
-    """Promote the path's edges to walls and re-split the domains.
+def cut(p: Partition, edges) -> Partition:
+    """Validate the edge ids with ``plan_cut`` against this partition,
+    promote them to walls and re-split the domains.
 
     On the surfaces with a proven formula (mode ``pass_fail`` in
     ``VERDICT_MODES``: rectangle, moebius) delta is constant, so a cut that
@@ -895,8 +872,7 @@ def cut(p: Partition, path) -> Partition:
     cycle can change delta (a torus meridian takes it from -1 to 0), and
     the cut partition is returned as it is.
     """
-    # a planned path is re-validated against this partition
-    path = plan_cut(p, path.edges if isinstance(path, CutPath) else path)
+    path = plan_cut(p, edges)
     before = invariants(p)
     out = from_labels(p.complex, p.domains, walls=p.walls | set(path.edges))
     after = invariants(out)

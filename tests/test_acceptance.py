@@ -245,7 +245,7 @@ def test_criterion_6_surgery_invariance(moebius_corpus, rectangle_corpus, nodal_
         planned = random_admissible_cut(p, rng)
         if planned is None:
             continue
-        q = cut(p, planned)
+        q = cut(p, planned.edges)
         ok &= invariants(q).delta == invariants(p).delta
         cuts_done += 1
     report(

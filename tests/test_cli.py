@@ -192,6 +192,18 @@ def test_render_command(bands3_file, tmp_path, capsys):
     out_svg = tmp_path / "img.svg"
     assert main(["render", str(bands3_file), "--out", str(out_svg)]) == 0
     assert out_svg.read_bytes().startswith(b"<svg")
+    # the format comes from the suffix in any case
+    out_upper = tmp_path / "upper.PPM"
+    assert main(["render", str(bands3_file), "--out", str(out_upper)]) == 0
+    assert out_upper.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["img.png", "img"])
+def test_render_rejects_an_unknown_suffix(name, bands3_file, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(["render", str(bands3_file), "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
 
 
 #: the smallest cell size whose render of a 12x12 grid, (12 s + 12)² pixels, is above the cap

@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from eulerpart import (
-    EXPECTED_BOUNDARY_COMPONENTS,
-    EXPECTED_CHI,
+    SURFACES,
     SurfaceSpec,
     boundary_components,
     build_complex,
 )
-from eulerpart.complexes import GLUINGS, OPEN, PERIODIC, PRESETS, REVERSED
+from eulerpart.complexes import GLUINGS, OPEN, PERIODIC, REVERSED
 from edgerows import interior_edges, interior_rows
 from reference import RefSurface
 
-ALL_SURFACES = sorted(EXPECTED_CHI)
+ALL_SURFACES = sorted(SURFACES)
 SIZES = [(2, 2), (3, 3), (4, 2), (2, 5), (6, 6), (5, 7)]
 #: (x_gluing, y_gluing) of the six presets and of the three transposed pairs
-GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
+GLUING_PAIRS = {**{name: (s.x_gluing, s.y_gluing) for name, s in SURFACES.items()},
+                "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
                 "reversed-periodic": (REVERSED, PERIODIC)}
 
 
@@ -23,14 +23,14 @@ GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (
 @pytest.mark.parametrize("size", SIZES)
 def test_chi_table(name, size):
     c = build_complex(SurfaceSpec.named(name, *size))
-    assert c.euler_characteristic == EXPECTED_CHI[name]
+    assert c.euler_characteristic == SURFACES[name].chi
 
 
 @pytest.mark.parametrize("name", ALL_SURFACES)
 @pytest.mark.parametrize("size", SIZES)
 def test_boundary_component_table(name, size):
     c = build_complex(SurfaceSpec.named(name, *size))
-    assert boundary_components(c) == EXPECTED_BOUNDARY_COMPONENTS[name]
+    assert boundary_components(c) == SURFACES[name].boundary_circles
 
 
 def test_rectangle_2x2_counts():
@@ -573,7 +573,7 @@ def test_raw_edge_slots_are_the_edge_incidences(size, gluings):
     # every interior raw edge, and every third one, as raw_edge_values lays
     # them out: the slots are each edge's (face, side) incidences
     c = build_complex(SurfaceSpec(*size, *gluings))
-    interior = np.flatnonzero(c.raw_edge_values(1, 1, 1, 0))
+    interior = np.flatnonzero(c.raw_edge_values(1, 1, 1))
     for raw in (interior, interior[::3], interior[:0]):
         e = c.edge_map[raw]
         for which in (0, 1):

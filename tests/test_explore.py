@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerpart import (
-    EXPECTED_CHI,
+    SURFACES,
     InstabilityError,
     InvariantViolation,
     NodalConfig,
@@ -88,7 +88,7 @@ def _scan_flood_fill(c, spec):
 _FULL_SCAN_CASES = [
     pytest.param(name, size, 3, id=f"size{i}-{name}")
     for i, size in enumerate([(2, 2), (7, 5), (32, 32), (33, 17)])
-    for name in sorted(EXPECTED_CHI)
+    for name in sorted(SURFACES)
 ] + [pytest.param(name, (128, 128), 2, id=f"size4-{name}") for name in ("klein", "moebius")]
 
 
@@ -124,10 +124,10 @@ def _three_layout_rows(c, depth, n_layers):
     d = depth.reshape(H, W)
     slot = 4 * np.arange(c.n_faces, dtype=ID_DTYPE).reshape(H, W)
     fa, fb, _par, ids = c.seam_adjacency
-    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa), 0)
+    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa))
     rows = np.concatenate([
-        c.raw_edge_values(slot[:-1] + SIDE_N, slot[:, :-1] + SIDE_E, 4 * fa + c.edge_sides[ids, 0], 0)[step == 1],
-        c.raw_edge_values(slot[1:] + SIDE_S, slot[:, 1:] + SIDE_W, 4 * fb + c.edge_sides[ids, 1], 0)[step == -1],
+        c.raw_edge_values(slot[:-1] + SIDE_N, slot[:, :-1] + SIDE_E, 4 * fa + c.edge_sides[ids, 0])[step == 1],
+        c.raw_edge_values(slot[1:] + SIDE_S, slot[:, 1:] + SIDE_W, 4 * fb + c.edge_sides[ids, 1])[step == -1],
     ])
     bounds, rows = csr(n_layers - 1, depth.take(rows >> 2), rows)
     return rows, bounds.tolist()
@@ -190,7 +190,7 @@ def test_pointer_jumped_roots_match_a_components_labelling(name, size, sources):
 
 @st.composite
 def _fill_cases(draw):
-    name = draw(st.sampled_from(sorted(EXPECTED_CHI)))
+    name = draw(st.sampled_from(sorted(SURFACES)))
     width, height = draw(st.integers(2, 9)), draw(st.integers(2, 9))
     k = draw(st.integers(1, width * height))
     return name, width, height, RandomSpec(seed=draw(st.integers(0, 2**64 - 1)), k=k)
@@ -224,7 +224,7 @@ def _public_depths(c, sources):
     return depth[:virtual]
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED_CHI))
+@pytest.mark.parametrize("name", sorted(SURFACES))
 def test_bfs_matches_public_scipy(name):
     for size in [(2, 2), (7, 5), (16, 9)]:
         c = build_complex(SurfaceSpec.named(name, *size))

@@ -17,7 +17,6 @@ from eulerpart import (
     classify_circle_complement,
     from_labels,
     plan_cut,
-    refine,
 )
 from eulerpart.explore import RandomSpec, batch_verify, check_batch_size
 from eulerpart.nodal import family
@@ -45,7 +44,6 @@ ENTRY_POINTS = {
     "k_max": (2, lambda v: batch_verify("torus", 1, 0, k_range=(1, v), size=4).k_range[1]),
     "bands parameter m": (3, lambda v: family("bands", {"m": v}).terms[0].fx.freq),
     "cell_px": (4, lambda v: _scene(from_labels(MOEBIUS, ZEROS), v).cell_px),
-    "refinement factor": (2, lambda v: refine(from_labels(MOEBIUS, ZEROS), v).complex.spec.width),
     "resolution": (8, lambda v: NodalConfig(n=v).n),
     "max_refine": (2, lambda v: NodalConfig(max_refine=v).max_refine),
     "wall edge id": (ROW[0], lambda v: min(from_labels(MOEBIUS, ZEROS, walls=[v, *ROW[1:]]).walls)),

@@ -214,7 +214,7 @@ def test_sign_rasterization_nu_even():
 def test_bands5_stable():
     sr = stable_invariants(bands_family(5), "moebius", NodalConfig(n=20))
     assert sr.report.key() == (3, 2, 0, 1)
-    assert sr.n == 2 * sr.n_coarse
+    assert sr.n == 2 * sr.levels[-2][0]
 
 
 def test_phi_small_theta_orientable():

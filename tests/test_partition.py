@@ -26,17 +26,18 @@ from eulerpart import (
     refine,
     verify_euler,
 )
-from eulerpart.complexes import (OPEN, PERIODIC, PRESETS, REVERSED, boundary_components, components,
+from eulerpart.complexes import (OPEN, PERIODIC, REVERSED, SURFACES, boundary_components, components,
                                  subgraph_component_count, touched_components)
+from eulerpart.jsonio import verdict_to_json
 from eulerpart.partition import VERDICT_MODES, _slot_index, closure_tables
 
 from cutgen import random_admissible_cut
 from edgerows import interior_rows
 from reference import RefSurface, ref_domains
 
-SURFACES = ["rectangle", "cylinder", "moebius", "torus", "klein", "projective"]
 #: (x_gluing, y_gluing) of the six presets and of the three transposed pairs
-GLUING_PAIRS = {**PRESETS, "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
+GLUING_PAIRS = {**{name: (s.x_gluing, s.y_gluing) for name, s in SURFACES.items()},
+                "periodic-open": (PERIODIC, OPEN), "reversed-open": (REVERSED, OPEN),
                 "reversed-periodic": (REVERSED, PERIODIC)}
 
 
@@ -253,7 +254,6 @@ def test_projective_and_klein_always_conjecture():
         c = build_complex(SurfaceSpec.named(name, 4, 4))
         v = verify_euler(from_labels(c, np.zeros(16, dtype=int)))
         assert v.status == "conjecture"
-        assert v.conjecture
 
 
 # -- domain reports ---------------------------------------------------------
@@ -597,7 +597,7 @@ def _face_count_cases(name, size):
             yield lifted, None if lifted.walls else cover_ref
             kinds["lift"] = True
         if not p.walls and k < 3:
-            for q in (refine(p, 2), normalize(p)):
+            for q in (refine(p), normalize(p)):
                 s = q.complex.spec
                 yield q, RefSurface(s.width, s.height, s.x_gluing, s.y_gluing)
             kinds["refine"] = True
@@ -835,7 +835,9 @@ def test_verify_euler_and_batch_verify_follow_the_mode_table(name):
     for seed in range(4):
         v = verify_euler(random_partition(c, RandomSpec(seed=seed, k=1 + seed)))
         assert v.expected_defect == expected
-        assert v.conjecture == (mode == "conjecture")
+        doc = verdict_to_json(v)
+        assert doc["conjecture"] == (mode == "conjecture")
+        assert doc["surface"] == name
         if mode == "pass_fail":
             assert v.status == ("pass" if v.measured_defect == expected else "fail")
         else:

@@ -22,12 +22,18 @@ does not define ``_name`` while another module does: a module reads no
 other module's private names.  A definition is a ``def``, a class, an
 assignment (a dataclass field included) or an assignment to
 ``self._name``.
+
+The fifth scan lists every field of a dataclass or ``NamedTuple`` of the
+package whose name no attribute read ``x.name`` names, in the package
+outside ``__init__`` or in the benchmark: a record field that nothing
+reads is dead data.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eulerpart"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "eulerpart"
 
 def unreferenced(sources: dict[str, str]) -> set[str]:
     """``module.name`` or ``module.Class.method`` of every definition in
@@ -207,3 +213,71 @@ def test_the_scan_reports_a_read_of_another_modules_private_name():
     assert foreign_private_reads(sources) == {
         ("reader", "_TABLE"), ("reader", "_helper"), ("reader", "_field"), ("reader", "_cache"),
     }
+
+
+def record_fields(tree: ast.Module) -> dict[str, str]:
+    """``Class.field`` -> field name of every annotated field of the
+    module's dataclasses and ``NamedTuple`` classes."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in decorators + node.bases}
+        if named & {"dataclass", "NamedTuple"}:
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    found[f"{node.name}.{member.target.id}"] = member.target.id
+    return found
+
+
+def unread_fields(sources: dict[str, str], readers: dict[str, str]) -> set[str]:
+    """``module.Class.field`` of every record field defined in ``sources``
+    (module name -> source) that no attribute load reads, in a module of
+    ``sources`` other than ``__init__`` or in ``readers``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {
+        f"{module}.{where}": name
+        for module, tree in trees.items() for where, name in record_fields(tree).items()
+    }
+    reading = [tree for module, tree in trees.items() if module != "__init__"]
+    reading += [ast.parse(source) for source in readers.values()]
+    read = {
+        node.attr for tree in reading for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {where for where, name in defined.items() if name not in read}
+
+
+def test_every_record_field_is_read():
+    # the benchmark hashes every field of a chi-sigma report through
+    # ``dataclasses.asdict``, so these two are read without an attribute
+    # load; deleting them would change the benchmark's digests
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    bench = {path.stem: path.read_text(encoding="utf-8") for path in (ROOT / "perfbench").glob("*.py")}
+    assert "partition" in sources and "workloads" in bench
+    assert unread_fields(sources, bench) == {
+        "partition.ChiSigmaReport.chi_surface", "partition.ChiSigmaReport.domain_chis",
+    }
+
+
+def test_the_scan_reports_an_unread_field():
+    sources = {
+        "__init__": "from .mod import Box, Pair, Plain\n",
+        "mod": (
+            "from dataclasses import dataclass\n"
+            "from typing import NamedTuple\n\n"
+            "@dataclass(frozen=True)\n"
+            "class Box:\n    size: int\n    spare: int\n\n"
+            "@dataclass\n"
+            "class Plain:\n    kept: int\n    written: int\n\n"
+            "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
+            "class Other:\n    note: int\n\n"
+            "def f(box, plain):\n"
+            "    plain.written = box.size\n"
+            "    return plain.kept\n"
+        ),
+    }
+    bench = {"bench": "def g(pair):\n    return pair.left\n"}
+    assert unread_fields(sources, bench) == {"mod.Box.spare", "mod.Plain.written", "mod.Pair.right"}
+    assert unread_fields(sources, {}) == {"mod.Box.spare", "mod.Plain.written", "mod.Pair.left", "mod.Pair.right"}

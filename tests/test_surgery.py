@@ -19,7 +19,7 @@ from eulerpart import (
     verify_euler,
 )
 from eulerpart.explore import RandomSpec, random_partition
-from eulerpart.partition import closure_tables
+from eulerpart.partition import _chain_edges, closure_tables
 
 from cutgen import random_admissible_cut
 
@@ -108,7 +108,7 @@ def test_normalize_corpus_splits_off_one_disk_per_offending_vertex():
     for p in _normalize_corpus():
         if is_normal(p):
             continue
-        fine = refine(p, 3)
+        fine = refine(p)
         pinched = np.unique(closure_tables(fine).non_normal_pairs[:, 0])
         # a surface boundary vertex meets at most two faces, so it never offends
         assert not fine.complex.vertex_is_boundary[pinched].any()
@@ -137,7 +137,7 @@ def test_refine_preserves_invariants():
     for name in ("rectangle", "moebius", "klein"):
         c = build_complex(SurfaceSpec.named(name, 4, 4))
         p = from_labels(c, rng.integers(0, 3, 16))
-        r, r3 = invariants(p), invariants(refine(p, 3))
+        r, r3 = invariants(p), invariants(refine(p))
         assert r.key() == r3.key()
 
 
@@ -149,9 +149,11 @@ def test_crosswise_cut_of_moebius_band():
     p = from_labels(c, np.zeros(36, dtype=int))
     path = [c.horizontal_edge(i, 3) for i in range(6)]
     planned = plan_cut(p, path)
-    assert not planned.is_cycle
+    assert planned.edges == tuple(path)
     assert planned.n_crossings == 0
-    assert {kind for _, kind in planned.endpoints} == {"surface"}
+    # an open path from the surface boundary to the surface boundary
+    verts, is_cycle = _chain_edges(c, path)
+    assert not is_cycle and c.vertex_is_boundary[[verts[0], verts[-1]]].all()
     q = cut(p, path)
     r = invariants(q)
     # the band opens into a rectangle: still one domain, now orientable
@@ -194,7 +196,8 @@ def test_closed_cycle_cut():
            + [c.horizontal_edge(i, 4) for i in (3, 2)]
            + [c.vertical_edge(2, j) for j in (3, 2)])
     planned = plan_cut(p, cyc)
-    assert planned.is_cycle and planned.endpoints == ()
+    assert planned.edges == tuple(cyc) and planned.n_crossings == 0
+    assert _chain_edges(c, cyc)[1]
     q = cut(p, cyc)
     r = invariants(q)
     assert r.key() == (2, 1, 0, 0)
@@ -262,7 +265,7 @@ def test_random_cuts_preserve_delta():
             planned = random_admissible_cut(p, rng)
             if planned is None:
                 continue
-            q = cut(p, planned)
+            q = cut(p, planned.edges)
             assert invariants(q).delta == invariants(p).delta
             done += 1
     assert done >= 4
@@ -301,8 +304,8 @@ def test_digon_cut_along_the_core_circle():
     c = build_complex(SurfaceSpec.named("moebius", 4, 2))
     p = from_labels(c, np.zeros(8, dtype=int))
     digon = [c.vertical_edge(2, 0), c.vertical_edge(2, 1)]
-    planned = plan_cut(p, digon)
-    assert planned.is_cycle
+    plan_cut(p, digon)
+    assert _chain_edges(c, digon)[1]
     q = cut(p, digon)
     r = invariants(q)
     assert r.key() == (1, 1, 0, 0)
