@@ -411,8 +411,9 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     is checked everywhere; on moebius and klein the two orientability
     routes are compared per domain and the cover bookkeeping asserted.
     ``seed`` and ``count`` are checked like ``RandomSpec``'s,
-    ``k_range`` must hold integers with 1 <= k_min <= k_max, and ``size``
-    must pass ``check_batch_size``, all before anything is built or drawn.
+    ``k_range`` must hold integers with 1 <= k_min <= k_max <= size**2,
+    and ``size`` must pass ``check_batch_size``, all before anything is
+    built or drawn.
     """
     seed, count = _check_seed_and_count(seed, count, "count")
     size = check_batch_size(size)
@@ -420,11 +421,10 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     k_lo, k_hi = integer(k_lo, "k_min"), integer(k_hi, "k_max")
     if not 1 <= k_lo <= k_hi:
         raise ValueError(f"k_min and k_max must satisfy 1 <= k_min <= k_max, got {k_lo} and {k_hi}")
+    if k_hi > size * size:
+        raise ValueError(f"k_max={k_hi} exceeds the {size * size} faces of the {size}x{size} grid")
     c = build_complex(SurfaceSpec.named(surface, size, size))
     cover = double_cover(c) if surface in COVERABLE else None
-
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(count)
 
     passes = 0
     failures = []
@@ -433,8 +433,10 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     cover_checked = 0
     omega_agree = 0
     max_n = 0
-    for i, child in enumerate(children):
-        sub_seed = int(child.generate_state(1)[0])
+    for i in range(count):
+        # item i's seed is the i-th child that SeedSequence(seed).spawn
+        # would give, drawn when it is needed
+        sub_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
         k = k_lo + i % (k_hi - k_lo + 1)
         p = random_partition(c, RandomSpec(seed=sub_seed, k=k))
         verdict = verify_euler(p)

@@ -30,19 +30,21 @@ domain are glued only along shared non-wall edges interior to the domain,
 so each domain becomes a combinatorial surface with boundary regardless
 of pinch points or walls in the ambient embedding.  This is the closure
 for which chi(surface) + sigma equals the sum of the closed domain Euler
-characteristics.  Its cost follows the *unglued sides*, both sides of
-each boundary-set edge and every surface-boundary side: a domain has as
-many sectors at the vertices they meet as it has unglued sides, and one
-labelling of the corner slots there, which come from the unglued sides
-and one round of the complex's ``slot_partners`` and are numbered
-through one scratch index rather than sorted and searched, gives the
-boundary cycles; every other vertex is one sector, counted from the slot
-totals and the complex's ``odd_vertices``, an O(W + H) table, not
-scanned; and the faces per domain come from the labelling's row runs,
-kept on the partition (see ``_ClosureTables``).  The boundary graph is
-the one census of X, the boundary set united with the surface boundary:
-one gather of X's edge ends and one labelling of its vertices give the
-checks, sigma and beta, and read only the vertices of X.
+characteristics.  Each chi is a combinatorial Gauss-Bonnet sum over
+counts the closure takes anyway: every face has four sides and four
+corner slots, so the faces cancel from V - E + F, and 4 chi is twice the
+domain's *unglued sides* (both sides of each boundary-set edge and every
+surface-boundary side), less its corner slots at the vertices those sides
+meet, plus 4 - k for each other vertex with k != 4 slots, read from the
+complex's ``odd_vertices``, an O(W + H) table, not scanned.  One
+labelling of the corner slots at the vertices the unglued sides meet,
+which come from the unglued sides and one round of the complex's
+``slot_partners`` and are numbered through one scratch index rather than
+sorted and searched, gives the boundary cycles (see ``_ClosureTables``).
+The boundary graph is the one census of X, the boundary set united with
+the surface boundary: one gather of X's edge ends and one labelling of
+its vertices give the checks, sigma and beta, and read only the vertices
+of X.
 
 Nothing here gathers over every interior edge.  The grid-interior edges
 of a face labelling are two boolean slices of the ``(H, W)`` label grid,
@@ -446,32 +448,38 @@ class _ClosureTables:
     non-wall edge interior to one domain; the orbits, a domain's *sectors*
     at a vertex of the complex, are the vertices of the abstract closed
     domains.  The *unglued sides* are both sides of each boundary-set edge
-    and every surface-boundary side.
+    and every surface-boundary side.  ``chi`` and ``boundary_cycles`` hold
+    each domain's Euler characteristic and boundary cycle count.
 
     The work follows the unglued sides; nothing here reads every face or
-    every vertex, and the faces per domain come with the partition
-    (``Partition.faces_per_domain``).  The vertex links of these quotient
-    grids are connected, so at a vertex that an unglued side meets every
-    sector runs between two unglued ends, the corner slots of the unglued
-    sides: a domain's sectors at those vertices number its unglued sides,
-    and it meets two or more sectors at a vertex iff four or more of its
-    unglued ends lie there.  The *touched* slots, those over the vertices
-    the unglued sides meet, are the unglued ends and one round of
-    ``slot_partners`` from them: the slots over a vertex form a cycle or a
-    path of at most four, and the ends over it hold two neighbours of the
-    cycle, across a boundary-set edge, or both ends of the path, on the
-    surface boundary.  They are numbered through one scratch index over
-    the 4F slots (``_slot_index``), never sorted or searched, and every
-    glued partner looked up through it is checked, in O(touched), to have
-    been indexed; one that was not is an invariant violation.  One
-    labelling of the touched slots, joined across glued partners and along
-    each unglued side, gives the boundary cycles.  Every other vertex is
-    one sector, counted, not scanned: every face has four slots, such a
-    vertex has four unless it is one of the complex's ``odd_vertices``, and
-    all of its slots lie in one domain, so a domain's untouched vertices
-    are its slots off the touched vertices, corrected by the slot counts of
-    its untouched odd vertices, over four; a remainder is an invariant
-    violation.
+    every vertex.  The vertex links of these quotient grids are connected,
+    so at a vertex that an unglued side meets every sector runs between
+    two unglued ends, the corner slots of the unglued sides: each such
+    sector is a boundary vertex of the closure, a domain has as many of
+    them as it has unglued sides, and it meets two or more sectors at a
+    vertex iff four or more of its unglued ends lie there.  The *touched*
+    slots, those over the vertices the unglued sides meet, are the
+    unglued ends and one round of ``slot_partners`` from them: the slots
+    over a vertex form a cycle or a path of at most four, and the ends
+    over it hold two neighbours of the cycle, across a boundary-set edge,
+    or both ends of the path, on the surface boundary.  They are numbered
+    through one scratch index over the 4F slots (``_slot_index``), never
+    sorted or searched, and every glued partner looked up through it is
+    checked, in O(touched), to have been indexed; one that was not is an
+    invariant violation.  One labelling of the touched slots, joined
+    across glued partners and along each unglued side, gives the boundary
+    cycles.
+
+    chi is a sum of corner curvatures, with no face, edge or vertex
+    total.  A vertex of the closure with k corner slots has curvature
+    1 - k/4, or 1/2 - k/4 on the closure's boundary; every face has four
+    slots, and its g glued edges and s unglued sides give 4F = 2g + s, so
+    the curvatures sum to V - E + F with E = g + s.  The boundary vertices
+    are the s sectors over the touched vertices.  Every other vertex is
+    interior and one sector of one domain, with four slots unless it is
+    one of the complex's ``odd_vertices``, so only those are curved:
+    4 chi = 2s - (touched slots) + the sum of 4 - k over the untouched odd
+    vertices.  A remainder mod 4 is an invariant violation.
     """
 
     def __init__(self, p: Partition):
@@ -524,34 +532,20 @@ class _ClosureTables:
         # int64, not ID_DTYPE: the key product vertex * n + domain reaches V * n
         self._end_keys = c.face_vertices.ravel().take(ends).astype(np.int64) * n + np.tile(side_domain, 2)
 
-        # per-domain face, glued-edge and abstract vertex counts; each face
-        # has four sides, and every glued edge takes two of them
-        self.faces_per_domain = p.faces_per_domain
-        sides_per_domain = np.bincount(side_domain, minlength=n)
-        self.glued_per_domain = (4 * self.faces_per_domain - sides_per_domain) // 2
-        # each untouched vertex holds four slots of its domain, less the
-        # shortfall of an odd one
+        # 4 chi = 2 (unglued sides) - (touched slots) + (4 - slots) summed
+        # over the untouched odd vertices, each per domain
         odd, odd_slot, odd_count = c.odd_vertices
         odd_free = (boundary_graph(p).degree.take(odd) == 0) & ~c.vertex_is_boundary.take(odd)
         shortfall = np.bincount(dom.take(odd_slot[odd_free] // 4), weights=4 - odd_count[odd_free], minlength=n)
-        untouched, rest = np.divmod(
-            4 * self.faces_per_domain - np.bincount(slot_domain, minlength=n) + shortfall.astype(np.int64), 4
+        self.chi, rest = np.divmod(
+            2 * np.bincount(side_domain, minlength=n) - np.bincount(slot_domain, minlength=n)
+            + shortfall.astype(np.int64), 4
         )
         if rest.any():
             raise InvariantViolation(
                 f"domain {int(np.flatnonzero(rest)[0])}: slots off the touched vertices do not fill whole vertices"
             )
-        self.vertices_per_domain = sides_per_domain + untouched
-        self.cycles_per_domain = np.bincount(cycle_domain, minlength=n)
-
-    def chi(self, d: int) -> int:
-        f = int(self.faces_per_domain[d])
-        g = int(self.glued_per_domain[d])
-        v = int(self.vertices_per_domain[d])
-        return v - (4 * f - g) + f
-
-    def boundary_cycles(self, d: int) -> int:
-        return int(self.cycles_per_domain[d])
+        self.boundary_cycles = np.bincount(cycle_domain, minlength=n)
 
     @cached_property
     def non_normal_pairs(self) -> np.ndarray:
@@ -613,40 +607,30 @@ class DomainReport:
 
 
 def domain_reports(p: Partition) -> list[DomainReport]:
-    """Classify every closed domain as a surface with boundary."""
+    """Classify every closed domain as a surface with boundary.
+
+    With q boundary circles, 2 - q - chi is twice the genus of an
+    orientable domain and the crosscap count of a non-orientable one; a
+    value that is neither is an invariant violation.
+    """
     tables = closure_tables(p)
     bits = orientability_bits(p)
+    rest = 2 - tables.boundary_cycles - tables.chi
+    bad = np.where(bits, (rest < 0) | (rest % 2 == 1), rest < 1)
+    if bad.any():
+        d = int(np.flatnonzero(bad)[0])
+        kind = "an orientable" if bits[d] else "a non-orientable"
+        raise InvariantViolation(
+            f"domain {d}: chi={tables.chi[d]}, q={tables.boundary_cycles[d]} not {kind} surface"
+        )
     non_normal = set(tables.non_normal_pairs[:, 1].tolist())
-    return [_domain_report(tables, bool(bits[d]), d not in non_normal, d) for d in range(p.n_domains)]
-
-
-def _domain_report(tables: _ClosureTables, orientable: bool, normal: bool, d: int) -> DomainReport:
-    chi = tables.chi(d)
-    q = tables.boundary_cycles(d)
-    if orientable:
-        g2 = 2 - q - chi
-        if g2 < 0 or g2 % 2:
-            raise InvariantViolation(
-                f"domain {d}: chi={chi}, q={q} not an orientable surface"
-            )
-        genus, crosscaps = g2 // 2, None
-    else:
-        cc = 2 - q - chi
-        if cc < 1:
-            raise InvariantViolation(
-                f"domain {d}: chi={chi}, q={q} not a non-orientable surface"
-            )
-        genus, crosscaps = None, cc
-    return DomainReport(
-        domain=d,
-        n_faces=int(tables.faces_per_domain[d]),
-        chi=chi,
-        orientable=orientable,
-        boundary_circles=q,
-        genus=genus,
-        crosscaps=crosscaps,
-        normal=normal,
-    )
+    rows = zip(p.faces_per_domain.tolist(), tables.chi.tolist(), bits.tolist(),
+               tables.boundary_cycles.tolist(), rest.tolist())
+    return [
+        DomainReport(domain=d, n_faces=f, chi=chi, orientable=o, boundary_circles=q,
+                     genus=r // 2 if o else None, crosscaps=None if o else r, normal=d not in non_normal)
+        for d, (f, chi, o, q, r) in enumerate(rows)
+    ]
 
 
 @dataclass(frozen=True)
@@ -665,7 +649,7 @@ def check_chi_sigma(p: Partition) -> ChiSigmaReport:
         raise ValueError("chi-sigma check applies to wall-free partitions")
     tables = closure_tables(p)
     sigma = boundary_graph(p).sigma
-    chis = tuple(tables.chi(d) for d in range(p.n_domains))
+    chis = tuple(tables.chi.tolist())
     lhs = p.complex.euler_characteristic + sigma
     rhs = sum(chis)
     return ChiSigmaReport(

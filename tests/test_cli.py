@@ -386,6 +386,21 @@ def test_random_check_rejects_a_bad_k_range_before_building(capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("command", ["random-check", "cover-check"])
+@pytest.mark.parametrize("count", ["3", "100"])
+def test_batch_commands_reject_k_max_above_the_faces_before_building(command, count, capsys, monkeypatch):
+    # the refusal must not depend on --count: without the up-front check a
+    # batch too short to reach k = 5 exits 0, and a longer one fails at its
+    # fifth item
+    from eulerpart import explore
+
+    built = []
+    monkeypatch.setattr(explore, "build_complex", lambda spec: built.append(spec))
+    assert main([command, "--surface", "moebius", "--size", "2", "--k-max", "5", "--count", count]) == 2
+    assert "error: k_max=5 exceeds the 4 faces of the 2x2 grid" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["random-check", "cover-check"])
 @pytest.mark.parametrize("size,message", [
     ("0", "--size must be at least 2, got 0"),
     ("1", "--size must be at least 2, got 1"),
@@ -559,6 +574,15 @@ def test_readme_cli_lines_parse():
     commands = {ap.parse_args(shlex.split(ln)[1:]).command for ln in lines}
     subparsers = next(a for a in ap._actions if a.dest == "command")
     assert commands == set(subparsers.choices)
+
+
+def test_readme_library_block_runs():
+    # the README's library entry-point block must import only names that exist
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library entry points", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert "domain_reports" in namespace
 
 
 @pytest.mark.parametrize("wrap,where", [(lambda edges: {"edges": edges}, "$.edges[0]"), (lambda edges: edges, "$[0]")],

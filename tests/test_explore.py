@@ -423,14 +423,36 @@ def test_batch_conjecture_modes():
     (2, 1, "k_max must be an integer, got True", (1, True)),
     (2, 1, "k_min and k_max must satisfy 1 <= k_min <= k_max, got 0 and 10", (0, 10)),
     (2, 1, "k_min and k_max must satisfy 1 <= k_min <= k_max, got 4 and 3", (4, 3)),
+    # two items never reach k = 2000, so only an up-front check refuses it
+    (2, 1, "k_max=2000 exceeds the 1024 faces of the 32x32 grid", (1, 2000)),
 ], ids=["float-seed", "bool-seed", "negative-seed", "float-count", "bool-count",
-        "float-k-min", "bool-k-max", "zero-k-min", "k-min-above-k-max"])
+        "float-k-min", "bool-k-max", "zero-k-min", "k-min-above-k-max", "k-max-above-the-faces"])
 def test_batch_rejects_bad_seed_and_count_before_any_draw(count, seed, message, k_range, monkeypatch):
     from eulerpart import explore
 
     monkeypatch.setattr(explore, "build_complex", None)  # nothing may be built or drawn
     with pytest.raises(ValueError, match=re.escape(message)):
         batch_verify("moebius", count, seed, k_range=k_range)
+
+
+def test_batch_verify_draws_each_seed_in_its_item(monkeypatch):
+    # item i's seed is the i-th child of SeedSequence(seed).spawn, drawn in
+    # its own iteration: spawn would build the whole list before the first item
+    from eulerpart import explore
+
+    want = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(7).spawn(5)]
+
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("batch_verify spawned its seed list")
+
+    seeds = []
+    real = explore.random_partition
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    monkeypatch.setattr(explore, "random_partition", lambda c, spec: seeds.append(spec.seed) or real(c, spec))
+    res = batch_verify("moebius", 5, seed=7, k_range=(1, 4), size=8)
+    assert seeds == want
+    assert res.passes == 5 and res.chi_sigma_ok == 5
 
 
 def test_batch_chi_sigma_everywhere():

@@ -412,6 +412,11 @@ def _slot_graph_closure(p):
     }
 
 
+def _slot_graph_chi(want):
+    """V - E + F of the slot graph's closure, with E = 4F - (glued edges)."""
+    return want["vertices"] - (4 * want["faces"] - want["glued"]) + want["faces"]
+
+
 def _labelling_corpus(name, size):
     """(complex, labels, walls): the constant labelling, seeded arbitrary
     labellings (pinched, non-normal and multiply connected domains occur)
@@ -470,10 +475,9 @@ def test_closure_tables_match_slot_graph(name, size):
         n_walled += bool(p.walls)
         got = closure_tables(p)
         want = _slot_graph_closure(p)
-        assert np.array_equal(got.faces_per_domain, want["faces"])
-        assert np.array_equal(got.glued_per_domain, want["glued"])
-        assert np.array_equal(got.vertices_per_domain, want["vertices"])
-        assert np.array_equal(got.cycles_per_domain, want["cycles"])
+        assert np.array_equal(p.faces_per_domain, want["faces"])
+        assert np.array_equal(got.chi, _slot_graph_chi(want))
+        assert np.array_equal(got.boundary_cycles, want["cycles"])
         assert np.array_equal(got.non_normal_pairs, want["non_normal"])
     if size != (2, 2):
         assert n_walled > 0
@@ -483,9 +487,10 @@ def test_closure_tables_match_slot_graph(name, size):
 @pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (12, 9)])
 def test_closure_reads_the_boundary_set_not_every_slot_and_vertex(name, size):
     # the touched slots from the unglued sides and one partner round, against
-    # a scan of every corner slot; the abstract vertex counts, one per
-    # unglued side and the untouched vertices counted from the odd
-    # vertices, against the unglued sides plus a scan of every other vertex
+    # a scan of every corner slot; chi, from the corner curvature at the
+    # touched slots and the untouched odd vertices, against V - E + F with
+    # the abstract vertices counted as the unglued sides plus a scan of
+    # every other vertex
     n_walled = 0
     for p in _closure_corpus(name, size):
         n_walled += bool(p.walls)
@@ -503,7 +508,9 @@ def test_closure_reads_the_boundary_set_not_every_slot_and_vertex(name, size):
         one_slot[fv] = np.arange(4 * c.n_faces)
         scan = np.bincount(p.domains[f], minlength=n)
         scan += np.bincount(p.domains[one_slot[~touched] // 4], minlength=n)
-        assert np.array_equal(closure_tables(p).vertices_per_domain, scan)
+        faces = np.bincount(p.domains, minlength=n)
+        edges = (4 * faces + np.bincount(p.domains[f], minlength=n)) // 2
+        assert np.array_equal(closure_tables(p).chi, scan - edges + faces)
     if size != (2, 2):
         assert n_walled > 0
 
@@ -544,6 +551,41 @@ def test_closure_rejects_slots_that_do_not_fill_whole_vertices():
 
 
 @pytest.mark.parametrize("name", SURFACES)
+def test_one_domain_closure_is_the_whole_surface(name):
+    # the closure of the one domain is the surface itself; the projective
+    # plane has no unglued side, so its chi of 1 comes only from its two
+    # untouched cone points of two corner slots each
+    for size in [(2, 2), (3, 2), (7, 5), (12, 9)]:
+        c = build_complex(SurfaceSpec.named(name, *size))
+        p = from_labels(c, np.zeros(c.n_faces, dtype=np.int64))
+        tables = closure_tables(p)
+        assert tables.chi.tolist() == [SURFACES[name].chi], size
+        assert tables.boundary_cycles.tolist() == [SURFACES[name].boundary_circles], size
+        if name == "projective":
+            assert p.boundary_set.size == 0 and c.boundary_edges.size == 0
+            assert c.odd_vertices[2].tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("band,shift,kind", [
+    ("outer", 1, "an orientable"), ("outer", -1, "an orientable"), ("core", 1, "a non-orientable"),
+], ids=["orientable-negative", "orientable-odd", "non-orientable"])
+def test_domain_reports_name_the_first_domain_that_fits_no_surface(band, shift, kind, monkeypatch):
+    # three bands on the moebius strip: an orientable outer band (chi 0,
+    # q 2) and the non-orientable core band (chi 0, q 1); a closure chi
+    # moved by one leaves 2 - q - chi negative or odd on the outer band and
+    # below one on the core band
+    p = moebius_bands(3)
+    d = int(np.flatnonzero(p.orientable == (band == "outer"))[0])
+    tables = closure_tables(p)
+    chi = tables.chi.copy()
+    chi[d] += shift
+    monkeypatch.setattr(tables, "chi", chi)
+    q = int(tables.boundary_cycles[d])
+    with pytest.raises(InvariantViolation, match=f"^domain {d}: chi={chi[d]}, q={q} not {kind} surface$"):
+        domain_reports(p)
+
+
+@pytest.mark.parametrize("name", SURFACES)
 @pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5)])
 def test_closure_index_check_catches_a_dropped_partner_round(name, size, monkeypatch):
     # the closure indexes the unglued ends, then one round of their
@@ -565,8 +607,8 @@ def test_closure_index_check_catches_a_dropped_partner_round(name, size, monkeyp
             raised += 1
             continue
         checked += 1
-        assert np.array_equal(got.vertices_per_domain, want["vertices"])
-        assert np.array_equal(got.cycles_per_domain, want["cycles"])
+        assert np.array_equal(got.chi, _slot_graph_chi(want))
+        assert np.array_equal(got.boundary_cycles, want["cycles"])
         assert np.array_equal(got.non_normal_pairs, want["non_normal"])
     assert checked  # the single domain of a closed surface has no unglued end
     if (name, size) == ("moebius", (7, 5)):
@@ -617,7 +659,6 @@ def test_faces_per_domain_from_the_runs(name, size):
         if ref is not None:
             ref_domain, _bits = ref_domains(ref, p.domains.tolist())
             assert faces.tolist() == np.bincount(list(ref_domain.values())).tolist()
-        assert closure_tables(p).faces_per_domain is faces
 
 
 def _assert_reference_domains(c, labels):
