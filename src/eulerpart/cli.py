@@ -161,7 +161,7 @@ def cmd_cut(args) -> int:
     edges = jsonio.cut_path_from_json(_load_json(args.path))
     before = invariants(p)
     planned = plan_cut(p, edges)
-    q = cut(p, edges)
+    q = cut(planned)
     out = {
         "operation": "cut",
         "partition": jsonio.partition_to_json(q),

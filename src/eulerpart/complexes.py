@@ -52,11 +52,11 @@ and across the seam edges, so the graph grows with the label changes.
 Relations between the two faces of an interior edge are slices of the face
 grid, except across the O(W + H) glued seam edges, which
 ``CellComplex.seam_adjacency`` lists; a complex caches no table with a
-row per edge.  The flood fill walks ``CellComplex.face_neighbours``, the
-face across each side of every face, made of the same slices and the seam
-table.  The domain closures read ``CellComplex.slot_partners``, the
+row per edge.  The domain closures read ``CellComplex.slot_partners``, the
 corner slot across each side of each corner, only at the slots of the
-boundary set, and count the other vertices from
+boundary set, and the flood fill walks ``CellComplex.face_neighbours``,
+the face across each side of every face, read from the same table.  The
+closures count the other vertices from
 ``CellComplex.odd_vertices``: only a raw vertex on the grid frame can lack
 a face or be identified with another, so that table is read from the
 frame, O(W + H), and no table has a row per vertex.
@@ -262,23 +262,16 @@ class CellComplex:
     def face_neighbours(self) -> np.ndarray:
         """(F, 4) face across each side S, E, N, W of every face, ``ID_DTYPE``.
 
-        A side on the surface boundary holds the face itself.  Slices of the
-        face grid give every grid-interior side, and the glued seam edges of
-        ``seam_adjacency`` are written in one by one, so the table needs no
-        per-edge pass.
+        Side ``s`` starts at corner ``s``, so the face across it holds that
+        corner's column-0 partner in ``slot_partners``: the table is that
+        column shifted down to faces, with the face itself written at the
+        O(W + H) sides on the surface boundary.
         """
-        W, H = self.spec.width, self.spec.height
-        faces = np.arange(self.n_faces, dtype=ID_DTYPE).reshape(H, W)
-        grid = np.empty((H, W, 4), dtype=ID_DTYPE)
-        grid[1:, :, SIDE_S], grid[0, :, SIDE_S] = faces[:-1], faces[0]
-        grid[:-1, :, SIDE_N], grid[-1, :, SIDE_N] = faces[1:], faces[-1]
-        grid[:, 1:, SIDE_W], grid[:, 0, SIDE_W] = faces[:, :-1], faces[:, 0]
-        grid[:, :-1, SIDE_E], grid[:, -1, SIDE_E] = faces[:, 1:], faces[:, -1]
-        out = grid.reshape(self.n_faces, 4)
-        fa, fb, _par, ids = self.seam_adjacency
-        out[fa, self.edge_sides[ids, 0]] = fb
-        out[fb, self.edge_sides[ids, 1]] = fa
-        return _read_only(out)
+        out = self.slot_partners[:, 0] >> 2
+        ids = self.boundary_edges
+        faces = self.edge_faces[ids, 0]
+        out[4 * faces + self.edge_sides[ids, 0]] = faces
+        return _read_only(out.reshape(self.n_faces, 4))
 
     @cached_property
     def slot_partners(self) -> np.ndarray:

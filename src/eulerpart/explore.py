@@ -322,14 +322,18 @@ def bisect_transition(beta: float, tol: float = 1e-3,
     """Bracket the orientability transition of the phi family in theta.
 
     Starts from ``BISECT_BRACKET``, which requires omega = 0 at its low
-    end and omega = 1 at its high end, and needs a positive ``tol``.
-    Midpoints that fail to stabilize are skipped by probing nearby offsets;
-    if no probe in a step stabilizes the bracket cannot shrink further and
-    an InstabilityError is raised.
+    end and omega = 1 at its high end, and needs a ``tol`` of at least the
+    float spacing at the bracket's high end, a width two adjacent floats in
+    the bracket always reach.  Midpoints that fail to stabilize are skipped
+    by probing nearby offsets; if no probe in a step stabilizes the bracket
+    cannot shrink further and an InstabilityError is raised.
     """
-    # the bracket stops shrinking at adjacent floats, so tol <= 0 never ends
+    # the bracket stops shrinking at adjacent floats, so a smaller tol never ends
     if not tol > 0:
         raise ValueError("tol must be positive")
+    spacing = math.ulp(BISECT_BRACKET[1])
+    if tol < spacing:
+        raise ValueError(f"tol {tol!r} is below the float spacing {spacing!r} at the bracket's high end")
 
     def stable_omega(theta: float) -> tuple[int, int]:
         sr = stable_invariants(phi_family(beta, theta), "moebius", config)

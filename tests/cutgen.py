@@ -27,12 +27,14 @@ def _incidence(p):
     return bset, walls, by_vertex
 
 
-def _walk(p, rng, bset, by_vertex, max_len=64):
+def _walk(p, rng, bset, by_vertex, max_len=64, straight=True):
+    """Edges of a random walk between admissible endpoints, or None; with
+    ``straight=False`` it may also turn where it meets the boundary set."""
     c = p.complex
     from eulerpart import boundary_graph
 
     bg = boundary_graph(p)
-    singular = bg.singular_vertices
+    singular = {*bg.singular_interior.tolist(), *bg.singular_boundary.tolist()}
 
     def b_degree(v):
         return sum(1 for e in by_vertex[v] if e in bset)
@@ -58,7 +60,7 @@ def _walk(p, rng, bset, by_vertex, max_len=64):
             e for e in options
             if int(c.edge_vertices[e][0] if c.edge_vertices[e][1] == v else c.edge_vertices[e][1]) not in seen
         ]
-        if b_degree(v) == 2 and edges:
+        if straight and b_degree(v) == 2 and edges:
             # mid-path crossing: must continue straight through
             arrive_h = bool(c.edge_is_horizontal[edges[-1]])
             options = [e for e in options if bool(c.edge_is_horizontal[e]) == arrive_h]

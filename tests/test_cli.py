@@ -165,6 +165,29 @@ def test_cut_command(tmp_path, capsys):
     assert doc["n_crossings"] == 0
 
 
+def test_cut_command_plans_once(tmp_path, capsys, monkeypatch):
+    from eulerpart import cli, partition
+
+    calls = []
+
+    def counting(p, edges):
+        calls.append(list(edges))
+        return plan(p, edges)
+
+    plan = partition.plan_cut
+    monkeypatch.setattr(cli, "plan_cut", counting)
+    monkeypatch.setattr(partition, "plan_cut", counting)
+    c = build_complex(SurfaceSpec.named("moebius", 6, 6))
+    pf = tmp_path / "p.json"
+    pf.write_text(dumps(partition_to_json(from_labels(c, np.zeros(36, dtype=int)))))
+    path = tmp_path / "path.json"
+    edges = [c.horizontal_edge(i, 3) for i in range(6)]
+    path.write_text(json.dumps({"edges": edges}))
+    code, doc = run(["cut", pf, "--path", path], capsys)
+    assert code == 0 and doc["n_crossings"] == 0
+    assert calls == [edges]
+
+
 def test_normalize_command(tmp_path, capsys):
     c = build_complex(SurfaceSpec.named("rectangle", 4, 3))
     lab = np.ones(12, dtype=int)
@@ -360,6 +383,16 @@ def test_sweep_rejects_count_below_two(count, capsys):
 def test_bisect_rejects_zero_tol(capsys):
     assert main(["bisect", "--beta", "0.5236", "--tol", "0"]) == 2
     assert "tol" in capsys.readouterr().err
+
+
+def test_bisect_rejects_tol_below_the_float_spacing_before_any_stabilization(capsys, monkeypatch):
+    from eulerpart import explore
+
+    calls = []
+    monkeypatch.setattr(explore, "stable_invariants", lambda *args, **kwargs: calls.append(args))
+    assert main(["bisect", "--beta", "0.5236", "--tol", "1e-16"]) == 2
+    assert "tol 1e-16 is below the float spacing" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["random-check", "cover-check"])

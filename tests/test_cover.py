@@ -139,10 +139,10 @@ def test_lift_preserves_walls():
     c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     cs = double_cover(c)
     p0 = from_labels(c, np.zeros(36, dtype=int))
-    from eulerpart import cut
+    from eulerpart import cut, plan_cut
 
     path = [c.horizontal_edge(i, 3) for i in range(6)]
-    p = cut(p0, path)
+    p = cut(plan_cut(p0, path))
     lifted = lift_partition(cs, p)
     assert len(lifted.walls) == 2 * len(p.walls)
     assert invariants(lifted).sigma == 2 * invariants(p).sigma

@@ -379,6 +379,41 @@ def test_bisect_rejects_nonpositive_tol(tol):
         bisect_transition(0.5236, tol=tol)
 
 
+def _exact_oracle(monkeypatch):
+    """Replace the stabilization with omega = [theta > arctan(2/3)], exact
+    in floats, and return the list of thetas it is asked for."""
+    from types import SimpleNamespace
+
+    from eulerpart import explore
+
+    asked = []
+
+    def stable(theta, surface, config=None):
+        asked.append(theta)
+        return SimpleNamespace(report=SimpleNamespace(omega=int(theta > math.atan(2 / 3))), n=48)
+
+    # the family member is its theta, which the fake stabilization reads
+    monkeypatch.setattr(explore, "phi_family", lambda beta, theta: theta)
+    monkeypatch.setattr(explore, "stable_invariants", stable)
+    return asked
+
+
+def test_bisect_ends_at_the_float_spacing(monkeypatch):
+    asked = _exact_oracle(monkeypatch)
+    est = bisect_transition(PI / 6, tol=1e-15)
+    assert est.theta_low < math.atan(2 / 3) < est.theta_high
+    assert est.width <= 1e-15 and est.evaluations == len(asked) < 60
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-300, math.ulp(PI / 2 - 0.05) / 2])
+def test_bisect_rejects_tol_below_the_float_spacing(tol, monkeypatch):
+    # the bracket stops shrinking at adjacent floats, so this tol never ends
+    asked = _exact_oracle(monkeypatch)
+    with pytest.raises(ValueError, match=f"^tol {re.escape(repr(tol))} is below the float spacing "):
+        bisect_transition(PI / 6, tol=tol)
+    assert asked == []
+
+
 def test_bisect_no_sign_change_rejected(monkeypatch):
     from eulerpart import explore
 

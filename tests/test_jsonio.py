@@ -15,6 +15,7 @@ from eulerpart import (
     double_cover,
     from_labels,
     invariants,
+    plan_cut,
     verify_euler,
 )
 from eulerpart import jsonio
@@ -100,7 +101,7 @@ def test_a_load_checks_its_document_once(monkeypatch, name, load, doc):
 def test_partition_with_walls_roundtrip():
     c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     p0 = from_labels(c, np.zeros(36, dtype=int))
-    p = cut(p0, [c.horizontal_edge(i, 3) for i in range(6)])
+    p = cut(plan_cut(p0, [c.horizontal_edge(i, 3) for i in range(6)]))
     doc = jsonio.partition_to_json(p)
     jsonio.validate("partition", doc)
     q = jsonio.partition_from_json(doc)
@@ -113,7 +114,7 @@ def test_walls_reject_flat_lists():
     c = build_complex(SurfaceSpec.named("moebius", 6, 6))
     p0 = from_labels(c, np.zeros(36, dtype=int))
     path = [c.horizontal_edge(i, 3) for i in range(6)]
-    p = cut(p0, path)
+    p = cut(plan_cut(p0, path))
     doc = jsonio.partition_to_json(p)
     doc["walls"] = sorted(int(w) for w in p.walls)  # flat form
     with pytest.raises(jsonio.DocumentError, match=re.escape("partition $.walls[0]: ")) as raised:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eulerpart import (
-    RandomSpec, SurfaceSpec, build_complex, cut, from_labels, jsonio, random_partition, render,
+    RandomSpec, SurfaceSpec, build_complex, cut, from_labels, jsonio, plan_cut, random_partition, render,
 )
 from eulerpart.render import domain_color, render_ppm, render_svg
 
@@ -62,10 +62,10 @@ def test_svg_contains_overlays():
 
 def test_walls_drawn_dashed():
     c = build_complex(SurfaceSpec.named("moebius", 6, 6))
-    p = cut(
+    p = cut(plan_cut(
         from_labels(c, np.zeros(36, dtype=int)),
         [c.horizontal_edge(i, 3) for i in range(6)],
-    )
+    ))
     svg = render_svg(p).decode()
     assert "stroke-dasharray" in svg
 
@@ -115,7 +115,7 @@ def _walled_moebius():
     lab = np.zeros((6, 8), dtype=int)
     lab[:, 4:] = 1
     p = from_labels(c, lab.ravel())
-    return cut(p, [c.horizontal_edge(i, 3) for i in range(4)])
+    return cut(plan_cut(p, [c.horizontal_edge(i, 3) for i in range(4)]))
 
 
 def _quadrants(n):
