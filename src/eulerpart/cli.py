@@ -35,6 +35,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
+#: the most parameter values one ``sweep`` takes, checked before any is made;
+#: each value costs at least two rasterizations
+MAX_SWEEP_COUNT = 100_000
+
 
 def _emit(obj: dict, out: str | None, schema: str) -> None:
     try:
@@ -98,6 +102,8 @@ def cmd_nodal(args) -> int:
 def cmd_sweep(args) -> int:
     if args.count < 2:
         raise EulerPartError("--count must be at least 2")
+    if args.count > MAX_SWEEP_COUNT:
+        raise EulerPartError(f"--count {args.count} is above the cap of {MAX_SWEEP_COUNT}")
     thetas = [
         args.theta_min + i * (args.theta_max - args.theta_min) / (args.count - 1)
         for i in range(args.count)
@@ -116,7 +122,7 @@ def cmd_bisect(args) -> int:
 
 
 def cmd_random_check(args) -> int:
-    check_batch_size(args.size, "--size")
+    check_batch_size(args.size, args.surface, "--size")
     res = batch_verify(
         args.surface, args.count, args.seed,
         k_range=(args.k_min, args.k_max), size=args.size,

@@ -420,41 +420,6 @@ class CellComplex:
         out[self._seam_raw] = seams
         return out
 
-    def raw_edge_slots(self, raw: np.ndarray, which: int) -> np.ndarray:
-        """Side slots ``4*face + side`` of the first (``which`` = 0) or the
-        second (1) face of interior raw edges, given in increasing raw id
-        order as ``raw_edge_values`` lays them out.
-
-        A horizontal raw edge has the face below it, side N, first and the
-        face above it, side S, second; a vertical one the face to its left,
-        side E, and then the face to its right, side W.  A glued seam edge,
-        given at its smaller raw id, takes its slot from ``edge_faces`` and
-        ``edge_sides``.
-        """
-        W, H = self.spec.width, self.spec.height
-        HOFF = W * (H + 1)  # vertical raw edges start here
-        h = raw.searchsorted(HOFF)
-        # four times the face above a horizontal raw edge, which is its id,
-        # and right of a vertical one, which is its id past HOFF less its row
-        slot = 4 * raw
-        vertical = slot[h:]
-        vertical -= 4 * HOFF
-        vertical -= vertical // (4 * (W + 1)) * 4
-        # the first face is W faces below or one face left of the second
-        if which == 0:
-            slot[:h] += SIDE_N - 4 * W
-            vertical += SIDE_E - 4
-        else:
-            slot[:h] += SIDE_S
-            vertical += SIDE_W
-        seam = self._seam_raw
-        at = raw.searchsorted(seam)
-        hit = at < len(raw)
-        hit[hit] = raw.take(at[hit]) == seam[hit]
-        ids = self.seam_adjacency[3][hit]
-        slot[at[hit]] = 4 * self.edge_faces[ids, which] + self.edge_sides[ids, which]
-        return slot
-
     def grid_interior_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge ids of the grid-interior sides, as views of ``edge_map``.
 

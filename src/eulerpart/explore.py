@@ -17,6 +17,10 @@ from scipy.sparse.csgraph._traversal import _breadth_first_directed
 from .complexes import (
     ID_DTYPE,
     MAX_FACES,
+    SIDE_E,
+    SIDE_N,
+    SIDE_S,
+    SIDE_W,
     CellComplex,
     SurfaceSpec,
     build_complex,
@@ -54,15 +58,22 @@ class RandomSpec:
         object.__setattr__(self, "k", k)
 
 
-def check_batch_size(size, name: str = "size") -> int:
+def check_batch_size(size, surface: str, name: str = "size") -> int:
     """``size`` as a Python int; a batch grid size that is not an integer
     (``bool`` included), is below 2, or gives a ``size x size`` grid above
-    ``MAX_FACES`` raises a ``ValueError`` naming the field."""
+    ``MAX_FACES`` raises a ``ValueError`` naming the field, and so does one
+    whose double cover, ``2 * size**2`` faces, is above it when the batch
+    builds that cover, on a ``surface`` in ``COVERABLE``."""
     size = integer(size, name)
     if size < 2:
         raise ValueError(f"{name} must be at least 2, got {size}")
     if size * size > MAX_FACES:
         raise ValueError(f"{name} {size} gives {size * size} faces, above the cap of {MAX_FACES}")
+    if surface in COVERABLE and 2 * size * size > MAX_FACES:
+        raise ValueError(
+            f"{name} {size} gives {2 * size * size} faces in the double cover of {surface}, "
+            f"above the cap of {MAX_FACES}"
+        )
     return size
 
 
@@ -134,23 +145,26 @@ def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np
 
     A row is the slot ``4*face + side`` of its source face's side, so
     ``face_neighbours`` gives its target.  Round d's rows run from depth d
-    to depth d + 1.  The depth steps are slices of the face grid, plus the
-    seam edges of ``seam_adjacency``; ``CellComplex.raw_edge_values`` lays
-    them out over the raw edges, whose order is edge order, so the rows
-    come in edge order without a sort, and ``CellComplex.raw_edge_slots``
-    gives each row's slot from its raw edge.  One stable counting sort
-    (``csr``) groups the rows of both directions by round.
+    to depth d + 1.  ``CellComplex.raw_edge_values`` lays three tables out
+    over the raw edges, whose order is edge order: the depth steps, the
+    first faces' slots and the second faces' slots, each from slices of
+    the face grid plus the seam edges of ``seam_adjacency``.  The rows are
+    the first faces' slots where the step is 1 and the second faces' slots
+    where it is -1, so they come in edge order without a sort.  One stable
+    counting sort (``csr``) groups the rows of both directions by round.
     """
     W, H = c.spec.width, c.spec.height
     d = depth.reshape(H, W)
-    fa, fb, _par, _ids = c.seam_adjacency
-    # per raw edge, the second face's depth less the first's: a first-face
-    # row (up or right across the grid) runs where it is 1, a second-face
-    # row where it is -1
+    slot = 4 * np.arange(c.n_faces, dtype=ID_DTYPE).reshape(H, W)
+    fa, fb, _par, ids = c.seam_adjacency
+    # per raw edge, the second face's depth less the first's: the first
+    # face is below or left of the second across the grid
     step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa))
-    parts = [c.raw_edge_slots((step == sign).nonzero()[0], which) for which, sign in ((0, 1), (1, -1))]
+    rows = np.concatenate([
+        c.raw_edge_values(slot[:-1] + SIDE_N, slot[:, :-1] + SIDE_E, 4 * fa + c.edge_sides[ids, 0])[step == 1],
+        c.raw_edge_values(slot[1:] + SIDE_S, slot[:, 1:] + SIDE_W, 4 * fb + c.edge_sides[ids, 1])[step == -1],
+    ])
     del step
-    rows = np.concatenate(parts).astype(ID_DTYPE)
     # a row's round is its source face's depth; the last layer has no
     # outward rows, so there are n_layers - 1 rounds
     bounds, rows = csr(n_layers - 1, depth.take(rows >> 2), rows)
@@ -420,7 +434,7 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     built or drawn.
     """
     seed, count = _check_seed_and_count(seed, count, "count")
-    size = check_batch_size(size)
+    size = check_batch_size(size, surface)
     k_lo, k_hi = k_range
     k_lo, k_hi = integer(k_lo, "k_min"), integer(k_hi, "k_max")
     if not 1 <= k_lo <= k_hi:

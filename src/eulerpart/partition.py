@@ -787,6 +787,13 @@ def plan_cut(p: Partition, edges) -> CutPath:
     crossing (degree 2 at a path-interior vertex) the path takes the two
     edges the boundary set leaves free, so the set turns a corner there iff
     exactly one of the path's two edges is horizontal.
+
+    No path on the preset grids passes through a singular vertex: such a
+    vertex has at most four edges, two of them the path's and off the
+    boundary set, and a surface-boundary vertex has at most one interior
+    edge.  The check stays: the path is caller input, and the check states
+    the rule itself instead of leaning on the presets' vertex counts and on
+    the checks before it.
     """
     c = p.complex
     edge_list = c.edge_ids(edges, "cut path edge id")

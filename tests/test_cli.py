@@ -380,6 +380,26 @@ def test_sweep_rejects_count_below_two(count, capsys):
     assert "--count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "above-the-cap"])
+def test_sweep_checks_count_against_the_cap_before_any_value(over, capsys, monkeypatch):
+    from eulerpart import cli
+
+    class Swept(Exception):
+        pass
+
+    def spy(family, thetas, **kwargs):
+        raise Swept(len(thetas))
+
+    monkeypatch.setattr(cli, "sweep", spy)
+    count = cli.MAX_SWEEP_COUNT + over
+    if over:
+        assert main(["sweep", "--count", str(count)]) == 2
+        assert f"--count {count} is above the cap of {cli.MAX_SWEEP_COUNT}" in capsys.readouterr().err
+    else:
+        with pytest.raises(Swept, match=f"^{count}$"):
+            main(["sweep", "--count", str(count)])
+
+
 def test_bisect_rejects_zero_tol(capsys):
     assert main(["bisect", "--beta", "0.5236", "--tol", "0"]) == 2
     assert "tol" in capsys.readouterr().err
@@ -438,6 +458,7 @@ def test_batch_commands_reject_k_max_above_the_faces_before_building(command, co
     ("0", "--size must be at least 2, got 0"),
     ("1", "--size must be at least 2, got 1"),
     ("100000", "--size 100000 gives 10000000000 faces, above the cap"),
+    ("2049", "--size 2049 gives 8396802 faces in the double cover of moebius, above the cap"),
 ])
 def test_batch_commands_reject_a_bad_size_before_building(command, size, message, capsys, monkeypatch):
     from eulerpart import explore
@@ -449,6 +470,26 @@ def test_batch_commands_reject_a_bad_size_before_building(command, size, message
     assert main([command, "--count", "1", "--size", size]
                 + (["--surface", "moebius"] if command == "random-check" else [])) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,surface,size", [
+    ("cover-check", "moebius", 2048), ("random-check", "klein", 2048), ("random-check", "torus", 2049),
+])
+def test_batch_commands_reach_the_build_within_the_face_cap(command, surface, size, monkeypatch):
+    # a 2048x4096 cover is at the face cap, and a torus batch builds no
+    # cover; the spy stops at the first build, so nothing this large is built
+    from eulerpart import explore
+
+    class Built(Exception):
+        pass
+
+    def spy(spec):
+        raise Built(spec.width, spec.height)
+
+    monkeypatch.setattr(explore, "build_complex", spy)
+    with pytest.raises(Built) as built:
+        main([command, "--surface", surface, "--size", str(size), "--count", "1"])
+    assert built.value.args == (size, size)
 
 
 DATA = Path(__file__).parent / "data"

@@ -566,20 +566,6 @@ def test_grid_interior_edges_join_grid_neighbours(size, gluings):
     assert np.array_equal(np.sort(every), interior_edges(c))
 
 
-@pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
-                         ids=lambda g: "-".join(g))
-@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (7, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
-def test_raw_edge_slots_are_the_edge_incidences(size, gluings):
-    # every interior raw edge, and every third one, as raw_edge_values lays
-    # them out: the slots are each edge's (face, side) incidences
-    c = build_complex(SurfaceSpec(*size, *gluings))
-    interior = np.flatnonzero(c.raw_edge_values(1, 1, 1))
-    for raw in (interior, interior[::3], interior[:0]):
-        e = c.edge_map[raw]
-        for which in (0, 1):
-            assert np.array_equal(c.raw_edge_slots(raw, which), 4 * c.edge_faces[e, which] + c.edge_sides[e, which])
-
-
 def _sorted_incidence_build(spec):
     """The complex built by sorting the 4F face-side incidences by edge.
 

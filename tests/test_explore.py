@@ -20,7 +20,7 @@ from eulerpart import (
     random_partition,
     sweep,
 )
-from eulerpart.complexes import GLUINGS, ID_DTYPE, SIDE_E, SIDE_N, SIDE_S, SIDE_W, components, csr
+from eulerpart.complexes import GLUINGS, components
 from eulerpart.explore import _UNREACHED, _claim_trees, _face_depths, _rows_by_round
 from edgerows import interior_rows
 
@@ -116,34 +116,37 @@ def test_random_partition_matches_round_oracle_on_every_gluing(size, gluings):
             assert np.array_equal(random_partition(c, spec).domains, expected), (k, seed)
 
 
-def _three_layout_rows(c, depth, n_layers):
-    """The rows by round as three raw-edge layouts found them: the depth
-    steps, then the first-face and the second-face row slots laid out over
-    the raw edges and read where the step is 1 and -1."""
-    W, H = c.spec.width, c.spec.height
-    d = depth.reshape(H, W)
-    slot = 4 * np.arange(c.n_faces, dtype=ID_DTYPE).reshape(H, W)
-    fa, fb, _par, ids = c.seam_adjacency
-    step = c.raw_edge_values(d[1:] - d[:-1], d[:, 1:] - d[:, :-1], depth.take(fb) - depth.take(fa))
+def _per_edge_rows(c, depth, n_layers):
+    """The rows by round from one row per interior edge: the first face's
+    slot where the second face is one step deeper, in edge order, then the
+    second face's slot where the first is, and a stable sort by the source
+    face's depth."""
+    fa, fb, _par, ids = interior_rows(c)
+    step = depth[fb] - depth[fa]
     rows = np.concatenate([
-        c.raw_edge_values(slot[:-1] + SIDE_N, slot[:, :-1] + SIDE_E, 4 * fa + c.edge_sides[ids, 0])[step == 1],
-        c.raw_edge_values(slot[1:] + SIDE_S, slot[:, 1:] + SIDE_W, 4 * fb + c.edge_sides[ids, 1])[step == -1],
+        (4 * fa + c.edge_sides[ids, 0])[step == 1],
+        (4 * fb + c.edge_sides[ids, 1])[step == -1],
     ])
-    bounds, rows = csr(n_layers - 1, depth.take(rows >> 2), rows)
-    return rows, bounds.tolist()
+    rounds = depth[rows >> 2]
+    order = np.argsort(rounds, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rounds, minlength=n_layers - 1))])
+    return rows[order], bounds.tolist()
 
 
 @pytest.mark.parametrize("gluings", [(gx, gy) for gx in GLUINGS for gy in GLUINGS],
                          ids=lambda g: "-".join(g))
-@pytest.mark.parametrize("size", [(2, 2), (3, 2), (7, 5), (12, 9)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("size", [(2, 2), (3, 2), (2, 3), (5, 2), (7, 5), (8, 6), (12, 9), (33, 17)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
 def test_row_slots_by_grid_arithmetic_match_the_three_layouts(size, gluings):
+    # the package's three raw-edge layouts of grid slices and seam slots
+    # against one row per interior edge
     c = build_complex(SurfaceSpec(*size, *gluings))
     for seed in range(6):
         rng = np.random.default_rng(seed)
         sources = rng.choice(c.n_faces, size=int(rng.integers(1, c.n_faces + 1)), replace=False)
         depth, n_layers = _face_depths(c, sources)
         rows, bounds = _rows_by_round(c, depth, n_layers)
-        want_rows, want_bounds = _three_layout_rows(c, depth, n_layers)
+        want_rows, want_bounds = _per_edge_rows(c, depth, n_layers)
         assert rows.tolist() == want_rows.tolist() and bounds == want_bounds, seed
 
 
@@ -269,6 +272,7 @@ def test_random_spec_rejects_non_integers(field, seed, k):
     (0, "size must be at least 2, got 0"), (1, "size must be at least 2, got 1"),
     (True, "size must be an integer, got True"), (2.0, "size must be an integer, got 2.0"),
     (100_000, "size 100000 gives 10000000000 faces, above the cap of 8388608"),
+    (2049, "size 2049 gives 8396802 faces in the double cover of moebius, above the cap of 8388608"),
 ])
 def test_batch_verify_checks_size_before_building(size, message, monkeypatch):
     from eulerpart import explore
@@ -412,6 +416,18 @@ def test_bisect_rejects_tol_below_the_float_spacing(tol, monkeypatch):
     with pytest.raises(ValueError, match=f"^tol {re.escape(repr(tol))} is below the float spacing "):
         bisect_transition(PI / 6, tol=tol)
     assert asked == []
+
+
+@pytest.mark.parametrize("tol,n", [
+    (1e-2, 32), (1e-3, 32), (1e-3, 64),
+    pytest.param(1e-3, 48, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 15: the n = 48 ladder accepts omega = 1 below arctan(2/3)")),
+])
+def test_bisect_bracket_contains_the_exact_transition(tol, n):
+    # at beta = 0.5236 the nodal set meets the boundary in a double zero at
+    # theta = arctan(2/3), where omega steps from 0 to 1
+    est = bisect_transition(0.5236, tol=tol, config=NodalConfig(n=n))
+    assert est.theta_low < math.atan(2 / 3) < est.theta_high
 
 
 def test_bisect_no_sign_change_rejected(monkeypatch):

@@ -38,7 +38,7 @@ ENTRY_POINTS = {
     "surface height": (4, lambda v: SurfaceSpec.named("moebius", 4, v).height),
     "seed": (7, lambda v: RandomSpec(seed=v, k=2).seed),
     "k": (2, lambda v: RandomSpec(seed=0, k=v).k),
-    "size": (4, check_batch_size),
+    "size": (4, lambda v: check_batch_size(v, "torus")),
     "count": (1, lambda v: batch_verify("torus", v, 0, size=4).count),
     "k_min": (1, lambda v: batch_verify("torus", 1, 0, k_range=(v, 2), size=4).k_range[0]),
     "k_max": (2, lambda v: batch_verify("torus", 1, 0, k_range=(1, v), size=4).k_range[1]),

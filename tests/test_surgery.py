@@ -295,6 +295,22 @@ def test_plan_cut_names_the_rejected_branch(case):
         plan_cut(p, edges)
 
 
+def test_plan_cut_rejects_a_path_through_a_singular_vertex(monkeypatch):
+    # no preset path reaches this check, so the boundary graph is faked:
+    # degree 3 at the middle vertex of a path across the blank rectangle
+    from types import SimpleNamespace
+
+    from eulerpart import partition
+
+    c = build_complex(SurfaceSpec.named("rectangle", 6, 6))
+    p = from_labels(c, np.zeros(36, dtype=int))
+    degree = partition.boundary_graph(p).degree.copy()
+    degree[c.vertex_id(3, 3)] = 3
+    monkeypatch.setattr(partition, "boundary_graph", lambda q: SimpleNamespace(degree=degree))
+    with pytest.raises(CutError, match=f"^path passes through singular vertex {c.vertex_id(3, 3)}$"):
+        plan_cut(p, [c.horizontal_edge(i, 3) for i in range(6)])
+
+
 def _walked_crossings(p, edges):
     """The crossings of an admissible cut path, or None: an ordered walk
     over Python sets, which shares no code with ``plan_cut``."""
