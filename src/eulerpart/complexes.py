@@ -34,11 +34,13 @@ raw edge has the face below it (side N) and then the face above it (side
 S), a vertical one the face to its left (side E) and then the face to its
 right (side W).  A grid-border edge has one incidence, in slot 0; a glued
 seam pair joins the lone incidences of its two raw edges, smaller face
-first.  ``face_edges`` and ``face_vertices`` are reshaped slices of
-``edge_map`` and ``vertex_map``.  The kept raw edges run in canonical edge
-order, so the per-edge tables (``edge_faces``, ``edge_sides``,
-``edge_vertices``) are raw-edge tables read at the kept raw ids with one
-``take``.
+first.  The face tables ``face_edges`` and ``face_vertices`` are reshaped
+slices of ``edge_map`` and ``vertex_map``, so a complex stores neither:
+they are properties, stacked on first read, and the build checks its edge
+incidences with one count per side slice.  The kept raw edges run in
+canonical edge order, so the per-edge tables (``edge_faces``,
+``edge_sides``, ``edge_vertices``) are raw-edge tables read at the kept
+raw ids with one ``take``.
 
 ``components`` is the one graph primitive of the package: every count of
 domains, pieces, corner orbits, boundary cycles and boundary-set arcs is a
@@ -197,6 +199,14 @@ class CellComplex:
     edges); ``edge_sides`` holds the side of each incident face the edge
     occupies; ``edge_parity`` is +1 where the two incident charts agree in
     orientation across the edge and -1 across a reversed seam.
+
+    The face tables ``face_edges`` and ``face_vertices`` are not stored:
+    they are slices of ``edge_map`` and ``vertex_map``, stacked and cached
+    on first read.  Only the closures of a partition with walls and
+    ``normalize`` read them; the build, the covers, ``slot_partners`` and
+    the closures' end slots read the side slices (``face_side_grids``), a
+    transient stack (``face_vertex_table``) or single slots in closed form
+    (``slot_vertices``), so a random partition and its cover cache neither.
     """
 
     spec: SurfaceSpec
@@ -210,8 +220,6 @@ class CellComplex:
     edge_is_horizontal: np.ndarray  # (E,) True for x-direction edges
     edge_is_boundary: np.ndarray  # (E,) bool
     vertex_is_boundary: np.ndarray  # (V,) bool
-    face_edges: np.ndarray        # (F, 4) edge id per side S,E,N,W
-    face_vertices: np.ndarray     # (F, 4) vertex id per corner SW,SE,NE,NW
     vertex_map: np.ndarray        # raw vertex id -> canonical id
     edge_map: np.ndarray          # raw edge id -> canonical id
 
@@ -224,6 +232,27 @@ class CellComplex:
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
+
+    @cached_property
+    def face_edges(self) -> np.ndarray:
+        """(F, 4) edge id per side S, E, N, W, in ``edge_map``'s dtype."""
+        return _read_only(np.stack(face_side_grids(self.spec, self.edge_map), axis=-1).reshape(self.n_faces, 4))
+
+    @cached_property
+    def face_vertices(self) -> np.ndarray:
+        """(F, 4) vertex id per corner SW, SE, NE, NW, in ``vertex_map``'s dtype."""
+        return _read_only(face_vertex_table(self))
+
+    def slot_vertices(self, slots: np.ndarray) -> np.ndarray:
+        """The vertex under each corner slot ``4*face + corner``.
+
+        Corner k of face (i, j) is raw vertex (j + k//2)(W+1) + i +
+        [0, 1, 1, 0][k], and j(W+1) + i = face + face // W, so the vertex
+        is one ``take`` of ``vertex_map``.
+        """
+        W = self.spec.width
+        faces = slots >> 2
+        return self.vertex_map.take(faces + faces // W + np.array([0, 1, W + 2, W + 1])[slots & 3])
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
@@ -282,33 +311,34 @@ class CellComplex:
         column 0 holds the slot over the same vertex in the face across
         side ``c``, column 1 the one across side ``c - 1``, and -1 marks a
         side on the surface boundary.  Across a grid-interior side the
-        partners are slices of the face grid: the NE and NW corners of a
+        partner is a fixed offset from the slot: the NE and NW corners of a
         face meet the SE and SW corners of the face above, and its SE and
-        NE corners the SW and NW corners of the face to its right.  Only
-        the seam edges are matched edge by edge, by underlying vertex.
+        NE corners the SW and NW corners of the face to its right, so the
+        table is one broadcast add with the grid frame's sides set to -1.
+        Only the seam edges are matched edge by edge, by underlying vertex,
+        read from a transient ``face_vertex_table``.
         """
         W, H = self.spec.width, self.spec.height
-        g = self.face_vertices.reshape(H, W, 4)
+        fv = face_vertex_table(self)
+        g = fv.reshape(H, W, 4)
         if not (np.array_equal(g[:-1, :, 2], g[1:, :, 1]) and np.array_equal(g[:-1, :, 3], g[1:, :, 0])
                 and np.array_equal(g[:, :-1, 1], g[:, 1:, 0]) and np.array_equal(g[:, :-1, 2], g[:, 1:, 3])):
             raise InvariantViolation("edge corner matching failed")
-        slot = 4 * np.arange(self.n_faces, dtype=ID_DTYPE).reshape(H, W)
-        grid = np.full((H, W, 4, 2), -1, dtype=ID_DTYPE)
-        # across side N of the face below and side S of the face above
-        grid[:-1, :, 2, 0] = slot[1:] + 1
-        grid[:-1, :, 3, 1] = slot[1:]
-        grid[1:, :, 0, 0] = slot[:-1] + 3
-        grid[1:, :, 1, 1] = slot[:-1] + 2
-        # across side E of the left face and side W of the right face
-        grid[:, :-1, 1, 0] = slot[:, 1:]
-        grid[:, :-1, 2, 1] = slot[:, 1:] + 3
-        grid[:, 1:, 3, 0] = slot[:, :-1] + 2
-        grid[:, 1:, 0, 1] = slot[:, :-1] + 1
+        # slot 4f + k looks across side k (column 0) and side k - 1 (column
+        # 1) to the slot over the same vertex in the face below (f - W), to
+        # the right (f + 1), above (f + W) or to the left (f - 1)
+        offsets = np.array([[3 - 4 * W, -3], [4, 2 - 4 * W], [4 * W + 1, 7], [-2, 4 * W]], dtype=ID_DTYPE)
+        grid = np.arange(0, 4 * self.n_faces, 4, dtype=ID_DTYPE).reshape(H, W, 1, 1) + offsets
+        # the sides on the grid frame: S of row 0, N of row H-1, W of column
+        # 0 and E of column W-1
+        grid[0, :, 0, 0] = grid[0, :, 1, 1] = -1
+        grid[-1, :, 2, 0] = grid[-1, :, 3, 1] = -1
+        grid[:, 0, 3, 0] = grid[:, 0, 0, 1] = -1
+        grid[:, -1, 1, 0] = grid[:, -1, 2, 1] = -1
         out = grid.reshape(4 * self.n_faces, 2)
 
         fa, fb, _par, ids = self.seam_adjacency
         sa, sb = self.edge_sides[ids, 0], self.edge_sides[ids, 1]
-        fv = self.face_vertices
         ca, cb = sa, (sa + 1) % 4
         da, db = sb, (sb + 1) % 4
         # match the two corners of each seam edge by underlying vertex
@@ -452,6 +482,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def face_side_grids(spec: SurfaceSpec, edge_map: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The edge id on side S, E, N and W of every face, as four ``(H, W)``
+    views of a raw-edge array ``edge_map``."""
+    W, H = spec.width, spec.height
+    HOFF = W * (H + 1)  # vertical raw edges start here
+    emh, emv = edge_map[:HOFF].reshape(H + 1, W), edge_map[HOFF:].reshape(H, W + 1)
+    return emh[:H], emv[:, 1:], emh[1:], emv[:, :W]
+
+
+def face_vertex_table(c: CellComplex) -> np.ndarray:
+    """A fresh, writeable (F, 4) table of the vertex id per corner SW, SE,
+    NE, NW of every face, stacked from slices of ``vertex_map``."""
+    W, H = c.spec.width, c.spec.height
+    vm = c.vertex_map.reshape(H + 1, W + 1)
+    return np.stack([vm[:H, :W], vm[:H, 1:], vm[1:, 1:], vm[1:, :W]], axis=-1).reshape(c.n_faces, 4)
+
+
 def build_complex(spec: SurfaceSpec) -> CellComplex:
     """The canonical cell complex of a quotient grid surface.
 
@@ -546,12 +593,7 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     kept = np.flatnonzero(ekeep)
     n_edges = len(kept)
 
-    # face tables from slices of the raw numbering
     vm = vertex_map.reshape(H + 1, W + 1)
-    emh = edge_map[:HOFF].reshape(H + 1, W)
-    emv = edge_map[HOFF:].reshape(H, W + 1)
-    face_edges = np.stack([emh[:H], emv[:, 1:], emh[1:], emv[:, :W]], axis=-1).reshape(n_faces, 4)
-    face_vertices = np.stack([vm[:H, :W], vm[:H, 1:], vm[1:, 1:], vm[1:, :W]], axis=-1).reshape(n_faces, 4)
 
     # the one or two faces of every raw edge, in (f, s) lex order: the face
     # below a horizontal edge (side N) before the one above it (side S), the
@@ -579,8 +621,9 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
 
     edge_is_boundary = edge_faces[:, 1] < 0
     # two face sides name an interior edge, one a boundary edge
-    counts = np.bincount(face_edges.ravel(), minlength=n_edges)
-    counts += edge_is_boundary
+    counts = edge_is_boundary.astype(np.intp)
+    for side in face_side_grids(spec, edge_map):
+        counts += np.bincount(side.ravel(), minlength=n_edges)
     if np.any(counts != 2):
         raise InvariantViolation("edge incident to zero or more than two faces")
 
@@ -616,8 +659,6 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
         edge_is_horizontal=edge_is_horizontal,
         edge_is_boundary=edge_is_boundary,
         vertex_is_boundary=vertex_is_boundary,
-        face_edges=face_edges,
-        face_vertices=face_vertices,
         vertex_map=vertex_map,
         edge_map=edge_map,
     )
@@ -626,7 +667,7 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
 
 
 def _validate_complex(c: CellComplex) -> None:
-    for name in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map", "edge_map"):
+    for name in ("edge_vertices", "edge_faces", "vertex_map", "edge_map"):
         dtype = getattr(c, name).dtype
         if dtype != ID_DTYPE:
             raise InvariantViolation(f"{name} holds {dtype} ids, expected {np.dtype(ID_DTYPE)}")
@@ -705,7 +746,9 @@ def csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndar
     The sort is stable: the columns of row r are ``idx[ptr[r]:ptr[r + 1]]``
     in input order, so it also groups values by an integer key.  It does no
     bounds checking and no duplicate summing: ``rows`` and ``cols`` must be
-    ``ID_DTYPE`` arrays of one length, with every row in ``0..n-1``.
+    ``ID_DTYPE`` arrays of one length, with every row in ``0..n-1``, which
+    each caller checks first (``components`` its endpoints, the flood fill
+    its round keys).
     """
     m = len(rows)
     # the sort moves a value with each pair; they are never read, so one

@@ -6,12 +6,13 @@ map sends a cover face ``(i, j)`` with ``j >= H`` to the base face
 ``(W-1-i, j-H)``, and the deck involution is
 ``(i, j) -> (W-1-i, (j+H) mod 2H)``.
 
-Edges project through the face tables of the two complexes, so the cover
-needs no raw edge numbering of its own: side ``s`` of a cover face lies
-over side ``s`` of the base face below it, except that on the mirrored
-upper sheet E and W swap.  A cover edge projects to the base edge that
-its first face (``edge_faces[e, 0]``) sees, and an edge between two cover
-faces must be seen as the same base edge from both.
+Edges project through the face side slices of the two complexes
+(``face_side_grids``), so the cover needs no raw edge numbering and no
+face table of its own: side ``s`` of a cover face lies over side ``s`` of
+the base face below it, except that on the mirrored upper sheet E and W
+swap.  A cover edge projects to the base edge that its first face
+(``edge_faces[e, 0]``) sees, and an edge between two cover faces must be
+seen as the same base edge from both.
 
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
@@ -36,11 +37,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import ID_DTYPE, SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec, build_complex
+from .complexes import (
+    ID_DTYPE,
+    SIDE_E,
+    SIDE_N,
+    SIDE_S,
+    SIDE_W,
+    CellComplex,
+    SurfaceSpec,
+    build_complex,
+    face_side_grids,
+)
 from .errors import InvariantViolation
 from .partition import Partition, boundary_graph, from_labels, invariants
 
 COVERABLE = {"moebius": "cylinder", "klein": "torus"}
+
+#: base side -> the side of the mirrored upper-sheet face over it
+_MIRRORED_SIDE = {SIDE_S: SIDE_S, SIDE_E: SIDE_W, SIDE_N: SIDE_N, SIDE_W: SIDE_E}
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +88,13 @@ def double_cover(c: CellComplex) -> CoverStructure:
     face_projection = np.concatenate([straight, mirrored])
     face_deck = np.concatenate([mirrored + c.n_faces, mirrored])
 
-    # on the mirrored sheet E and W swap
+    # the base edge below each cover face side, written one base side slice
+    # at a time; on the mirrored sheet E and W swap
     below = np.empty((2 * c.n_faces, 4), dtype=ID_DTYPE)
-    below[:c.n_faces] = c.face_edges
-    upper, mirror = below[c.n_faces:].reshape(H, W, 4), c.face_edges.reshape(H, W, 4)[:, ::-1]
-    for side, base_side in ((SIDE_S, SIDE_S), (SIDE_E, SIDE_W), (SIDE_N, SIDE_N), (SIDE_W, SIDE_E)):
-        upper[..., side] = mirror[..., base_side]
+    lower, upper = below.reshape(2, H, W, 4)
+    for base_side, grid in enumerate(face_side_grids(c.spec, c.edge_map)):
+        lower[..., base_side] = grid
+        upper[..., _MIRRORED_SIDE[base_side]] = grid[:, ::-1]
     # each cover edge projects as its first face sees it, at slot 4*face + side
     first = np.multiply(cover.edge_faces[:, 0], 4, dtype=np.intp)
     first += cover.edge_sides[:, 0]
@@ -111,9 +126,11 @@ def _validate_cover(cs: CoverStructure, below: np.ndarray) -> None:
     if np.any(np.bincount(pi, minlength=cs.base.n_faces) != 2):
         raise InvariantViolation("base face without exactly two preimages")
     # every face side must read back the projection of its edge, so the two
-    # faces of an edge see one base edge
-    if not np.array_equal(cs.edge_projection.take(cs.cover.face_edges), below):
-        raise InvariantViolation("the two faces of a cover edge project it differently")
+    # faces of an edge see one base edge; one cover side slice at a time,
+    # so no cover face table is made
+    for side, grid in enumerate(face_side_grids(cs.cover.spec, cs.cover.edge_map)):
+        if not np.array_equal(cs.edge_projection.take(grid), below[:, side].reshape(grid.shape)):
+            raise InvariantViolation("the two faces of a cover edge project it differently")
     if not np.all((cs.cover.edge_parity == 1) | cs.cover.edge_is_boundary):
         raise InvariantViolation("cover complex is not orientable")
 

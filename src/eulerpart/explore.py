@@ -166,8 +166,12 @@ def _rows_by_round(c: CellComplex, depth: np.ndarray, n_layers: int) -> tuple[np
     ])
     del step
     # a row's round is its source face's depth; the last layer has no
-    # outward rows, so there are n_layers - 1 rounds
-    bounds, rows = csr(n_layers - 1, depth.take(rows >> 2), rows)
+    # outward rows, so there are n_layers - 1 rounds.  ``csr`` checks no
+    # key, and one past the last round would write past its tables
+    rounds = depth.take(rows >> 2)
+    if rounds.size and rounds.max() >= n_layers - 1:
+        raise InvariantViolation("a flood-fill row leaves a face of the last layer")
+    bounds, rows = csr(n_layers - 1, rounds, rows)
     # numpy shuffles intp items fastest
     return rows.astype(np.intp), bounds.tolist()
 

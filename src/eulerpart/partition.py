@@ -526,7 +526,7 @@ class _ClosureTables:
         cycle_domain[cyc] = slot_domain
         self.n_domains = n
         # int64, not ID_DTYPE: the key product vertex * n + domain reaches V * n
-        self._end_keys = c.face_vertices.ravel().take(ends).astype(np.int64) * n + np.tile(side_domain, 2)
+        self._end_keys = c.slot_vertices(ends).astype(np.int64) * n + np.tile(side_domain, 2)
 
         # 4 chi = 2 (unglued sides) - (touched slots) + (4 - slots) summed
         # over the untouched odd vertices, each per domain

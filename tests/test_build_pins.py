@@ -1,8 +1,8 @@
 """Byte pins of every complex and cover table.
 
-sha256 of every ``CellComplex`` field, and of every ``CoverStructure`` map,
-over the nine gluing pairs (the six presets among them) at a few sizes,
-taken before the build was last rewritten: a rewrite of the build must
+sha256 of every ``CellComplex`` field and face table, and of every
+``CoverStructure`` map, over the nine gluing pairs (the six presets among
+them) at a few sizes, taken before the build was last rewritten: a rewrite of the build must
 leave every table, dtype and shape as it was.
 """
 
@@ -27,12 +27,27 @@ def _feed(h, value):
         h.update(repr(value).encode())
 
 
+#: the tables the digests cover, in the order they were pinned: the
+#: dataclass fields, with the face tables, now properties, in their old place
+PINNED_TABLES = (
+    "spec", "n_vertices", "n_edges", "n_faces", "edge_vertices", "edge_faces", "edge_sides",
+    "edge_parity", "edge_is_horizontal", "edge_is_boundary", "vertex_is_boundary",
+    "face_edges", "face_vertices", "vertex_map", "edge_map",
+)
+
+
 def _complex_digest(c: CellComplex) -> str:
     h = hashlib.sha256()
-    for f in fields(c):
-        h.update(f.name.encode())
-        _feed(h, getattr(c, f.name))
+    for name in PINNED_TABLES:
+        h.update(name.encode())
+        _feed(h, getattr(c, name))
     return h.hexdigest()
+
+
+def test_pinned_tables_are_the_fields_and_the_face_tables():
+    assert [f.name for f in fields(CellComplex)] == [
+        name for name in PINNED_TABLES if name not in ("face_edges", "face_vertices")
+    ]
 
 
 # one digest per size over the complexes of all nine gluing pairs, in
@@ -77,3 +92,49 @@ def test_cover_maps_pinned(size):
         for table in ("face_projection", "face_deck", "edge_projection"):
             _feed(h, getattr(cs, table))
     assert h.hexdigest() == PINNED_COVERS[size]
+
+
+def _strided_slot_partners(c: CellComplex) -> np.ndarray:
+    """``slot_partners`` as the strided build made it: a -1 table with the
+    eight grid-interior partner slices written one by one, then the seam
+    edges matched by underlying vertex."""
+    W, H = c.spec.width, c.spec.height
+    slot = 4 * np.arange(c.n_faces, dtype=np.int32).reshape(H, W)
+    grid = np.full((H, W, 4, 2), -1, dtype=np.int32)
+    grid[:-1, :, 2, 0] = slot[1:] + 1
+    grid[:-1, :, 3, 1] = slot[1:]
+    grid[1:, :, 0, 0] = slot[:-1] + 3
+    grid[1:, :, 1, 1] = slot[:-1] + 2
+    grid[:, :-1, 1, 0] = slot[:, 1:]
+    grid[:, :-1, 2, 1] = slot[:, 1:] + 3
+    grid[:, 1:, 3, 0] = slot[:, :-1] + 2
+    grid[:, 1:, 0, 1] = slot[:, :-1] + 1
+    out = grid.reshape(4 * c.n_faces, 2)
+    fa, fb, _par, ids = c.seam_adjacency
+    sa, sb = c.edge_sides[ids, 0], c.edge_sides[ids, 1]
+    fv = c.face_vertices
+    ca, cb, da, db = sa, (sa + 1) % 4, sb, (sb + 1) % 4
+    straight = fv[fa, ca] == fv[fb, da]
+    a0, a1, b0, b1 = 4 * fa + ca, 4 * fa + cb, 4 * fb + da, 4 * fb + db
+    out[a0, 0] = np.where(straight, b0, b1)
+    out[a1, 1] = np.where(straight, b1, b0)
+    out[b0, 0] = np.where(straight, a0, a1)
+    out[b1, 1] = np.where(straight, a1, a0)
+    return out
+
+
+@pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_broadcast_slot_partners_match_the_strided_build(size):
+    for x, y in PAIRS:
+        c = _build_complex(SurfaceSpec(*size, x, y))
+        got, want = c.slot_partners, _strided_slot_partners(c)
+        assert got.dtype == want.dtype and got.shape == want.shape, (x, y)
+        assert got.tobytes() == want.tobytes(), (x, y)
+
+
+@pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_closed_form_slot_vertices_match_the_face_table(size):
+    for x, y in PAIRS:
+        c = _build_complex(SurfaceSpec(*size, x, y))
+        slots = np.arange(4 * c.n_faces)
+        assert np.array_equal(c.slot_vertices(slots), c.face_vertices.ravel()), (x, y)

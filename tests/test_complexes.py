@@ -304,28 +304,39 @@ def test_odd_vertices_are_the_vertices_without_four_slots(size, name):
         assert odd.size  # a surface boundary has vertices of one or two slots
 
 
-def test_slot_partners_reject_mismatched_corners():
+def test_slot_partners_reject_mismatched_corners(monkeypatch):
     import dataclasses
 
     from eulerpart import InvariantViolation
+    from eulerpart import complexes
+
+    fresh = complexes.face_vertex_table
+
+    def partners_with(c, face, corners):
+        """``slot_partners`` of a copy of ``c`` whose transient face vertex
+        table holds, in ``face``'s row, the vertices at ``corners``."""
+        def table(cx):
+            fv = fresh(cx)
+            fv[face] = fv[face, corners]
+            return fv
+
+        monkeypatch.setattr(complexes, "face_vertex_table", table)
+        return dataclasses.replace(c).slot_partners
 
     c = build_complex(SurfaceSpec.named("torus", 4, 4))
-    fv = c.face_vertices.copy()
-    fv[5] = np.roll(fv[5], 1)
-    with pytest.raises(InvariantViolation, match="corner matching"):
-        dataclasses.replace(c, face_vertices=fv).slot_partners
-    # a face on the reversed y-seam of a klein grid: face 1 lies in row 0
     k = build_complex(SurfaceSpec.named("klein", 4, 4))
-    fv = k.face_vertices.copy()
-    fv[1] = np.roll(fv[1], 1)
+    want = k.slot_partners
+    rolled = [3, 0, 1, 2]
     with pytest.raises(InvariantViolation, match="corner matching"):
-        dataclasses.replace(k, face_vertices=fv).slot_partners
+        partners_with(c, 5, rolled)
+    # a face on the reversed y-seam of a klein grid: face 1 lies in row 0
+    with pytest.raises(InvariantViolation, match="corner matching"):
+        partners_with(k, 1, rolled)
     # the SW corner of face 0 touches only its two seam sides, so only the
     # seam edges see it
-    fv = k.face_vertices.copy()
-    fv[0, 0] = fv[0, 2]
     with pytest.raises(InvariantViolation, match="corner matching"):
-        dataclasses.replace(k, face_vertices=fv).slot_partners
+        partners_with(k, 0, [2, 1, 2, 3])
+    assert np.array_equal(partners_with(k, 0, [0, 1, 2, 3]), want)
 
 
 def _per_edge_slot_partners(c):
@@ -387,7 +398,8 @@ def _arrays_and_tables(c):
 
     out = [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)
            if isinstance(getattr(c, f.name), np.ndarray)]
-    out += [("boundary_edges", c.boundary_edges),
+    out += [("face_edges", c.face_edges), ("face_vertices", c.face_vertices),
+            ("boundary_edges", c.boundary_edges),
             ("slot_partners", c.slot_partners),
             ("edge_raw_representatives", c.edge_raw_representatives)]
     out += [(f"odd_vertices[{k}]", a) for k, a in enumerate(c.odd_vertices)]
@@ -400,7 +412,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 11 + 3 + 3 + 4 + 2
+    assert len(tables) == 9 + 2 + 3 + 3 + 4 + 2
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -462,8 +474,7 @@ def test_every_id_table_has_the_id_dtype(name):
             assert a.dtype == ID_DTYPE
 
 
-@pytest.mark.parametrize("field", ["edge_vertices", "edge_faces", "face_edges", "face_vertices",
-                                   "vertex_map", "edge_map", "edge_sides"])
+@pytest.mark.parametrize("field", ["edge_vertices", "edge_faces", "vertex_map", "edge_map", "edge_sides"])
 def test_validate_rejects_wide_id_tables(field):
     import dataclasses
 
@@ -475,6 +486,22 @@ def test_validate_rejects_wide_id_tables(field):
     wide = dataclasses.replace(c, **{field: getattr(c, field).astype(np.int64)})
     with pytest.raises(InvariantViolation, match=f"{field} holds int64"):
         _validate_complex(wide)
+
+
+@pytest.mark.parametrize("table, source", [("face_edges", "edge_map"), ("face_vertices", "vertex_map")],
+                         ids=["face_edges", "face_vertices"])
+def test_face_tables_take_their_map_dtype_and_are_read_only(table, source):
+    import dataclasses
+
+    c = build_complex(SurfaceSpec.named("moebius", 6, 4))
+    assert table not in {f.name for f in dataclasses.fields(c)}
+    assert getattr(c, table).dtype == getattr(c, source).dtype
+    assert not getattr(c, table).flags.writeable
+    # a complex with wide maps stacks wide face tables
+    wide = dataclasses.replace(c, **{source: getattr(c, source).astype(np.int64)})
+    assert getattr(wide, table).dtype == np.int64
+    assert np.array_equal(getattr(wide, table), getattr(c, table))
+    assert not getattr(wide, table).flags.writeable
 
 
 @pytest.mark.parametrize("field", ["face_projection", "face_deck", "edge_projection"])
@@ -573,6 +600,8 @@ def _sorted_incidence_build(spec):
     edge orbits from ``np.unique`` of the seam roots, edge slots from a
     stable ``argsort`` of the incidences (so slot 0 is the smaller face
     side in (f, s) lex order), endpoints from a raw endpoint table.
+    Returns the complex and the tables it computes that a complex does not
+    store: its face tables and each edge's raw members.
     """
     from eulerpart.complexes import (PERIODIC, REVERSED, SIDE_E, SIDE_N, SIDE_S, SIDE_W,
                                      CellComplex, components)
@@ -664,8 +693,7 @@ def _sorted_incidence_build(spec):
         spec=spec, n_vertices=n_vertices, n_edges=n_edges, n_faces=n_faces,
         edge_vertices=edge_vertices, edge_faces=edge_faces, edge_sides=edge_sides,
         edge_parity=edge_parity, edge_is_horizontal=uniq_e < HOFF, edge_is_boundary=~two,
-        vertex_is_boundary=vertex_is_boundary, face_edges=face_edges,
-        face_vertices=face_vertices, vertex_map=vertex_map, edge_map=edge_map,
+        vertex_is_boundary=vertex_is_boundary, vertex_map=vertex_map, edge_map=edge_map,
     )
     # raw members of each edge orbit, in increasing order, -1 padded
     by_edge = np.argsort(edge_map, kind="stable")
@@ -674,7 +702,7 @@ def _sorted_incidence_build(spec):
     for k in range(n_edges):
         members = by_edge[starts[k]:starts[k + 1]]
         reps[k, :len(members)] = members
-    return c, reps
+    return c, {"face_edges": face_edges, "face_vertices": face_vertices, "edge_raw_representatives": reps}
 
 
 ORACLE_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (6, 4), (5, 8), (33, 17), (128, 64)]
@@ -689,7 +717,7 @@ def test_closed_form_build_matches_sorted_incidences(size, name):
 
     spec = SurfaceSpec(*size, *GLUING_PAIRS[name])
     built = _build_complex(spec)
-    oracle, reps = _sorted_incidence_build(spec)
+    oracle, expected = _sorted_incidence_build(spec)
     for f in dataclasses.fields(built):
         a, b = getattr(built, f.name), getattr(oracle, f.name)
         if isinstance(a, np.ndarray):
@@ -699,8 +727,9 @@ def test_closed_form_build_matches_sorted_incidences(size, name):
     tables = _arrays_and_tables(built)
     assert len(tables) == len(_arrays_and_tables(oracle))
     for (what, a), (_, b) in zip(tables, _arrays_and_tables(oracle)):
-        if what == "edge_raw_representatives":
-            b = reps
+        # the oracle's own face tables and representatives, not its
+        # closed-form properties
+        b = expected.get(what, b)
         assert a.dtype == _built_dtype(what, b) and np.array_equal(a, b), what
 
 

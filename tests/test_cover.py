@@ -336,3 +336,42 @@ def test_partition_and_cover_build_no_edge_tables():
     random_partition(fresh, RandomSpec(seed=3, k=4))
     assert "face_neighbours" in fresh.__dict__
     assert "edge_raw_representatives" not in fresh.__dict__
+
+
+#: bytes a ``double_cover`` of a 128² grid may hold per base face under
+#: tracemalloc: the cover complex and the three maps measure about 142, and
+#: a cover whose complex stored its two (F, 4) face tables held about 206
+COVER_BYTES_PER_BASE_FACE = 160
+
+
+@pytest.mark.parametrize("name", ["moebius", "klein"])
+def test_a_random_item_caches_no_face_table(name):
+    import tracemalloc
+
+    from eulerpart import check_chi_sigma, domain_reports, verify_euler
+    from eulerpart.complexes import _shared_complex
+
+    # fresh shared complexes, so no earlier test has read a face table
+    _shared_complex.cache_clear()
+    c = build_complex(SurfaceSpec.named(name, 64, 64))
+    cs = double_cover(c)
+    p = random_partition(c, RandomSpec(seed=3, k=10))
+    verify_euler(p)
+    domain_reports(p)
+    check_chi_sigma(p)
+    cover_bookkeeping(cs, p)
+    assert np.array_equal(omega_via_cover(cs, p), orientability_bits(p))
+    for cx in (c, cs.cover):
+        assert "face_edges" not in vars(cx) and "face_vertices" not in vars(cx)
+
+    base = build_complex(SurfaceSpec.named(name, 128, 128))
+    _shared_complex.cache_clear()  # the cover complex is built inside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cs = double_cover(base)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / base.n_faces < COVER_BYTES_PER_BASE_FACE

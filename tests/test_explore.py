@@ -150,6 +150,47 @@ def test_row_slots_by_grid_arithmetic_match_the_three_layouts(size, gluings):
         assert rows.tolist() == want_rows.tolist() and bounds == want_bounds, seed
 
 
+#: the fill with the seam rows' slots mutated to 0: such a row's source is
+#: face 0, whose depth can be the last layer's, one past the last round
+_SEAM_SLOTS_AT_ZERO = """
+import inspect
+from eulerpart import InvariantViolation, RandomSpec, SurfaceSpec, build_complex, random_partition
+from eulerpart import explore
+
+source = inspect.getsource(explore._rows_by_round)
+for slots in ("4 * fa + c.edge_sides[ids, 0]", "4 * fb + c.edge_sides[ids, 1]"):
+    assert slots in source, slots
+    source = source.replace(slots, "0 * " + slots.split()[2])
+scope = dict(vars(explore))
+exec(source, scope)
+explore._rows_by_round = scope["_rows_by_round"]
+c = build_complex(SurfaceSpec.named("moebius", 8, 6))
+for seed in range(20):
+    try:
+        random_partition(c, RandomSpec(seed=seed, k=1))
+    except InvariantViolation as e:
+        print(seed, e)
+        break
+"""
+
+
+def test_a_round_key_past_the_last_round_raises_before_the_sort():
+    # without the check the counting sort writes out of bounds and can abort
+    # the interpreter, so the mutated fill runs in a child process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import eulerpart
+
+    env = {**os.environ, "PYTHONPATH": str(Path(eulerpart.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _SEAM_SLOTS_AT_ZERO], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "4 a flood-fill row leaves a face of the last layer"
+
+
 def _forest_labels(c, rows):
     """A ``components`` labelling of the claim forest: each claimed face
     joined to its claimant, the source of the first row that targets it."""
