@@ -203,10 +203,10 @@ class CellComplex:
     The face tables ``face_edges`` and ``face_vertices`` are not stored:
     they are slices of ``edge_map`` and ``vertex_map``, stacked and cached
     on first read.  Only the closures of a partition with walls and
-    ``normalize`` read them; the build, the covers, ``slot_partners`` and
-    the closures' end slots read the side slices (``face_side_grids``), a
-    transient stack (``face_vertex_table``) or single slots in closed form
-    (``slot_vertices``), so a random partition and its cover cache neither.
+    ``normalize`` read them; the build and the covers read the side slices
+    (``face_side_grids``), and ``slot_partners`` and the closures' end
+    slots read single slots in closed form (``slot_vertices``), so a
+    random partition and its cover cache neither.
     """
 
     spec: SurfaceSpec
@@ -241,7 +241,10 @@ class CellComplex:
     @cached_property
     def face_vertices(self) -> np.ndarray:
         """(F, 4) vertex id per corner SW, SE, NE, NW, in ``vertex_map``'s dtype."""
-        return _read_only(face_vertex_table(self))
+        W, H = self.spec.width, self.spec.height
+        vm = self.vertex_map.reshape(H + 1, W + 1)
+        corners = np.stack([vm[:H, :W], vm[:H, 1:], vm[1:, 1:], vm[1:, :W]], axis=-1)
+        return _read_only(corners.reshape(self.n_faces, 4))
 
     def slot_vertices(self, slots: np.ndarray) -> np.ndarray:
         """The vertex under each corner slot ``4*face + corner``.
@@ -315,15 +318,10 @@ class CellComplex:
         face meet the SE and SW corners of the face above, and its SE and
         NE corners the SW and NW corners of the face to its right, so the
         table is one broadcast add with the grid frame's sides set to -1.
-        Only the seam edges are matched edge by edge, by underlying vertex,
-        read from a transient ``face_vertex_table``.
+        Only the O(W + H) seam edges are matched edge by edge, by the
+        vertex under each corner slot (``slot_vertices``).
         """
         W, H = self.spec.width, self.spec.height
-        fv = face_vertex_table(self)
-        g = fv.reshape(H, W, 4)
-        if not (np.array_equal(g[:-1, :, 2], g[1:, :, 1]) and np.array_equal(g[:-1, :, 3], g[1:, :, 0])
-                and np.array_equal(g[:, :-1, 1], g[:, 1:, 0]) and np.array_equal(g[:, :-1, 2], g[:, 1:, 3])):
-            raise InvariantViolation("edge corner matching failed")
         # slot 4f + k looks across side k (column 0) and side k - 1 (column
         # 1) to the slot over the same vertex in the face below (f - W), to
         # the right (f + 1), above (f + W) or to the left (f - 1)
@@ -339,15 +337,13 @@ class CellComplex:
 
         fa, fb, _par, ids = self.seam_adjacency
         sa, sb = self.edge_sides[ids, 0], self.edge_sides[ids, 1]
-        ca, cb = sa, (sa + 1) % 4
-        da, db = sb, (sb + 1) % 4
+        a0, a1 = 4 * fa + sa, 4 * fa + (sa + 1) % 4
+        b0, b1 = 4 * fb + sb, 4 * fb + (sb + 1) % 4
         # match the two corners of each seam edge by underlying vertex
-        va, wa = fv[fa, ca], fv[fb, da]
+        va, vb, wa, wb = self.slot_vertices(np.stack([a0, a1, b0, b1]))
         straight = va == wa
-        if not np.all(np.where(straight, fv[fa, cb] == fv[fb, db], (va == fv[fb, db]) & (fv[fa, cb] == wa))):
+        if not np.all(np.where(straight, vb == wb, (va == wb) & (vb == wa))):
             raise InvariantViolation("edge corner matching failed")
-        a0, a1 = 4 * fa + ca, 4 * fa + cb
-        b0, b1 = 4 * fb + da, 4 * fb + db
         # a corner that starts its side looks across it from column 0
         out[a0, 0] = np.where(straight, b0, b1)
         out[a1, 1] = np.where(straight, b1, b0)
@@ -489,14 +485,6 @@ def face_side_grids(spec: SurfaceSpec, edge_map: np.ndarray) -> tuple[np.ndarray
     HOFF = W * (H + 1)  # vertical raw edges start here
     emh, emv = edge_map[:HOFF].reshape(H + 1, W), edge_map[HOFF:].reshape(H, W + 1)
     return emh[:H], emv[:, 1:], emh[1:], emv[:, :W]
-
-
-def face_vertex_table(c: CellComplex) -> np.ndarray:
-    """A fresh, writeable (F, 4) table of the vertex id per corner SW, SE,
-    NE, NW of every face, stacked from slices of ``vertex_map``."""
-    W, H = c.spec.width, c.spec.height
-    vm = c.vertex_map.reshape(H + 1, W + 1)
-    return np.stack([vm[:H, :W], vm[:H, 1:], vm[1:, 1:], vm[1:, :W]], axis=-1).reshape(c.n_faces, 4)
 
 
 def build_complex(spec: SurfaceSpec) -> CellComplex:

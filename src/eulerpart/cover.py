@@ -4,7 +4,11 @@ The cover of a ``W x H`` moebius grid is the ``W x 2H`` cylinder; the
 cover of a klein grid is the torus of the same dimensions.  The covering
 map sends a cover face ``(i, j)`` with ``j >= H`` to the base face
 ``(W-1-i, j-H)``, and the deck involution is
-``(i, j) -> (W-1-i, (j+H) mod 2H)``.
+``(i, j) -> (W-1-i, (j+H) mod 2H)``.  Both are closed forms of (W, H), so
+a ``CoverStructure`` stores neither: the lower sheet lies over the base
+grid as it is and the upper sheet over its mirror in x, which is how a
+lift lays out the base domains below the cover faces, with no index
+gather.
 
 Edges project through the face side slices of the two complexes
 (``face_side_grids``), so the cover needs no raw edge numbering and no
@@ -12,7 +16,9 @@ face table of its own: side ``s`` of a cover face lies over side ``s`` of
 the base face below it, except that on the mirrored upper sheet E and W
 swap.  A cover edge projects to the base edge that its first face
 (``edge_faces[e, 0]``) sees, and an edge between two cover faces must be
-seen as the same base edge from both.
+seen as the same base edge from both.  Only a lift with walls reads the
+edge projection, so it is built on the first such lift and cached on the
+``CoverStructure``.
 
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
@@ -21,7 +27,7 @@ across the reversed seams.  The preimage count reads each lifted domain's
 base domain back from every lifted face, so a lift that straddles two
 base domains is an invariant violation rather than a miscount.
 
-A lift and its preimage counts are computed together, from one gather of
+A lift and its preimage counts are computed together, from one layout of
 the base domains below the cover faces, and memoized per (cover, base
 partition) in a weak mapping held by the ``CoverStructure``: the
 bookkeeping and the orientability check share them, and both go when
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .complexes import (
     SIDE_W,
     CellComplex,
     SurfaceSpec,
+    _read_only,
     build_complex,
     face_side_grids,
 )
@@ -59,16 +67,37 @@ _MIRRORED_SIDE = {SIDE_S: SIDE_S, SIDE_E: SIDE_W, SIDE_N: SIDE_N, SIDE_W: SIDE_E
 
 @dataclass(frozen=True, eq=False)
 class CoverStructure:
+    """A base complex and the complex of its double cover.
+
+    The face projection and the deck map are the closed forms of the
+    module docstring; ``edge_projection`` is cached on first read.
+    """
+
     base: CellComplex
     cover: CellComplex
-    face_projection: np.ndarray   # cover face -> base face, ID_DTYPE like every id table
-    face_deck: np.ndarray         # cover face -> cover face, the involution
-    edge_projection: np.ndarray   # cover edge -> base edge
     # base partition -> (its lift, its preimage counts); an entry lives as
     # long as its base
     _lifts: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
+
+    @cached_property
+    def edge_projection(self) -> np.ndarray:
+        """cover edge -> base edge, ``ID_DTYPE``, read only by walled lifts."""
+        c, W, H = self.base, self.base.spec.width, self.base.spec.height
+        # the base edge below each cover face side, written one base side
+        # slice at a time; on the mirrored sheet E and W swap
+        below = np.empty((2 * c.n_faces, 4), dtype=ID_DTYPE)
+        lower, upper = below.reshape(2, H, W, 4)
+        for base_side, grid in enumerate(face_side_grids(c.spec, c.edge_map)):
+            lower[..., base_side] = grid
+            upper[..., _MIRRORED_SIDE[base_side]] = grid[:, ::-1]
+        # each cover edge projects as its first face sees it, at slot 4*face + side
+        first = np.multiply(self.cover.edge_faces[:, 0], 4, dtype=np.intp)
+        first += self.cover.edge_sides[:, 0]
+        projection = below.ravel().take(first)
+        _check_edge_projection(self.cover, projection, below)
+        return _read_only(projection)
 
 
 def double_cover(c: CellComplex) -> CoverStructure:
@@ -78,61 +107,24 @@ def double_cover(c: CellComplex) -> CoverStructure:
         raise ValueError(f"double cover supported for {sorted(COVERABLE)}, not {kind}")
     if c.spec.y_gluing != "reversed":
         raise ValueError("double cover construction expects the reversed seam in y")
-    W, H = c.spec.width, c.spec.height
-    cover = build_complex(SurfaceSpec.named(COVERABLE[kind], W, 2 * H))
-
-    # the lower sheet, cover faces below c.n_faces, lies over the base as it
-    # is; the upper sheet is mirrored in x, and the deck swaps the sheets
-    straight = np.arange(c.n_faces, dtype=ID_DTYPE)
-    mirrored = straight.reshape(H, W)[:, ::-1].ravel()
-    face_projection = np.concatenate([straight, mirrored])
-    face_deck = np.concatenate([mirrored + c.n_faces, mirrored])
-
-    # the base edge below each cover face side, written one base side slice
-    # at a time; on the mirrored sheet E and W swap
-    below = np.empty((2 * c.n_faces, 4), dtype=ID_DTYPE)
-    lower, upper = below.reshape(2, H, W, 4)
-    for base_side, grid in enumerate(face_side_grids(c.spec, c.edge_map)):
-        lower[..., base_side] = grid
-        upper[..., _MIRRORED_SIDE[base_side]] = grid[:, ::-1]
-    # each cover edge projects as its first face sees it, at slot 4*face + side
-    first = np.multiply(cover.edge_faces[:, 0], 4, dtype=np.intp)
-    first += cover.edge_sides[:, 0]
-    edge_projection = below.ravel().take(first)
-
-    cs = CoverStructure(
-        base=c,
-        cover=cover,
-        face_projection=face_projection,
-        face_deck=face_deck,
-        edge_projection=edge_projection,
-    )
-    _validate_cover(cs, below)
-    return cs
-
-
-def _validate_cover(cs: CoverStructure, below: np.ndarray) -> None:
-    for name in ("face_projection", "face_deck", "edge_projection"):
-        dtype = getattr(cs, name).dtype
-        if dtype != ID_DTYPE:
-            raise InvariantViolation(f"{name} holds {dtype} ids, expected {np.dtype(ID_DTYPE)}")
-    a, pi = cs.face_deck, cs.face_projection
-    if not np.array_equal(a.take(a), np.arange(len(a))):
-        raise InvariantViolation("deck map is not an involution")
-    if np.any(a == np.arange(len(a))):
-        raise InvariantViolation("deck map has a fixed face")
-    if not np.array_equal(pi.take(a), pi):
-        raise InvariantViolation("deck map does not commute with the projection")
-    if np.any(np.bincount(pi, minlength=cs.base.n_faces) != 2):
-        raise InvariantViolation("base face without exactly two preimages")
-    # every face side must read back the projection of its edge, so the two
-    # faces of an edge see one base edge; one cover side slice at a time,
-    # so no cover face table is made
-    for side, grid in enumerate(face_side_grids(cs.cover.spec, cs.cover.edge_map)):
-        if not np.array_equal(cs.edge_projection.take(grid), below[:, side].reshape(grid.shape)):
-            raise InvariantViolation("the two faces of a cover edge project it differently")
-    if not np.all((cs.cover.edge_parity == 1) | cs.cover.edge_is_boundary):
+    cover = build_complex(SurfaceSpec.named(COVERABLE[kind], c.spec.width, 2 * c.spec.height))
+    if not np.all((cover.edge_parity == 1) | cover.edge_is_boundary):
         raise InvariantViolation("cover complex is not orientable")
+    return CoverStructure(base=c, cover=cover)
+
+
+def _check_edge_projection(cover: CellComplex, projection: np.ndarray, below: np.ndarray) -> None:
+    """Every cover face side must read back the projection of its edge, so
+    the two faces of an edge see one base edge; ``below`` holds the base
+    edge under each side of each cover face.  One cover side slice at a
+    time, so no cover face table is made."""
+    if projection.dtype != ID_DTYPE:
+        raise InvariantViolation(
+            f"edge_projection holds {projection.dtype} ids, expected {np.dtype(ID_DTYPE)}"
+        )
+    for side, grid in enumerate(face_side_grids(cover.spec, cover.edge_map)):
+        if not np.array_equal(projection.take(grid), below[:, side].reshape(grid.shape)):
+            raise InvariantViolation("the two faces of a cover edge project it differently")
 
 
 def lift_partition(cs: CoverStructure, p: Partition) -> Partition:
@@ -157,16 +149,18 @@ def preimage_component_counts(cs: CoverStructure, p: Partition) -> np.ndarray:
 def _lift(cs: CoverStructure, p: Partition) -> tuple[Partition, np.ndarray]:
     """(lift, preimage counts) of a base partition, memoized in ``cs._lifts``.
 
-    The base domain below every cover face is gathered once and serves
-    both: it labels the lift, and it is read back from every lifted face,
-    so a lifted domain that straddles two base domains is an invariant
-    violation rather than a miscount.
+    The base domain below every cover face (the base labels, then their
+    mirror in x) is laid out once and serves both: it labels the lift, and
+    it is read back from every lifted face, so a lifted domain that
+    straddles two base domains is an invariant violation rather than a
+    miscount.
     """
     if p.complex is not cs.base and p.complex.spec != cs.base.spec:
         raise ValueError("partition does not live on the base of this cover")
     entry = cs._lifts.get(p)
     if entry is None:
-        below = p.domains.take(cs.face_projection)
+        d, W, H = p.domains, cs.base.spec.width, cs.base.spec.height
+        below = np.concatenate([d, d.reshape(H, W)[:, ::-1].ravel()])
         walls = np.flatnonzero(p.wall_mask.take(cs.edge_projection)) if p.walls else ()
         lifted = from_labels(cs.cover, below, walls=walls)
         base_of = np.empty(lifted.n_domains, dtype=ID_DTYPE)

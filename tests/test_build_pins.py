@@ -85,13 +85,29 @@ def test_complex_fields_pinned(size):
 
 @pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_cover_maps_pinned(size):
+    from test_cover import cover_face_maps
+
     h = hashlib.sha256()
     for name in ("moebius", "klein"):
         cs = double_cover(_build_complex(SurfaceSpec.named(name, *size)))
         h.update(_complex_digest(cs.cover).encode())
-        for table in ("face_projection", "face_deck", "edge_projection"):
-            _feed(h, getattr(cs, table))
+        # the face maps are closed forms; the edge projection is the cover's
+        face_projection, face_deck = cover_face_maps(*size)
+        for table in (face_projection, face_deck, cs.edge_projection):
+            _feed(h, table)
     assert h.hexdigest() == PINNED_COVERS[size]
+
+
+@pytest.mark.parametrize("gluings", PAIRS, ids=lambda g: "-".join(g))
+@pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_face_vertices_agree_across_grid_interior_sides(size, gluings):
+    # the NE and NW corners of a face are the SE and SW corners of the face
+    # above, and its SE and NE corners the SW and NW corners of the face to
+    # its right, which is what slot_partners' broadcast add assumes
+    c = _build_complex(SurfaceSpec(*size, *gluings))
+    g = c.face_vertices.reshape(size[1], size[0], 4)
+    assert np.array_equal(g[:-1, :, 2], g[1:, :, 1]) and np.array_equal(g[:-1, :, 3], g[1:, :, 0])
+    assert np.array_equal(g[:, :-1, 1], g[:, 1:, 0]) and np.array_equal(g[:, :-1, 2], g[:, 1:, 3])
 
 
 def _strided_slot_partners(c: CellComplex) -> np.ndarray:

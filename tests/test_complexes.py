@@ -308,30 +308,25 @@ def test_slot_partners_reject_mismatched_corners(monkeypatch):
     import dataclasses
 
     from eulerpart import InvariantViolation
-    from eulerpart import complexes
+    from eulerpart.complexes import CellComplex
 
-    fresh = complexes.face_vertex_table
+    fresh = CellComplex.slot_vertices
 
     def partners_with(c, face, corners):
-        """``slot_partners`` of a copy of ``c`` whose transient face vertex
-        table holds, in ``face``'s row, the vertices at ``corners``."""
-        def table(cx):
-            fv = fresh(cx)
-            fv[face] = fv[face, corners]
-            return fv
+        """``slot_partners`` of a copy of ``c`` whose corner slot reads
+        give, at ``face``'s corner k, the vertex at its corner ``corners[k]``."""
+        def slot_vertices(cx, slots):
+            f = slots >> 2
+            return fresh(cx, np.where(f == face, 4 * f + np.asarray(corners)[slots & 3], slots))
 
-        monkeypatch.setattr(complexes, "face_vertex_table", table)
+        monkeypatch.setattr(CellComplex, "slot_vertices", slot_vertices)
         return dataclasses.replace(c).slot_partners
 
-    c = build_complex(SurfaceSpec.named("torus", 4, 4))
     k = build_complex(SurfaceSpec.named("klein", 4, 4))
     want = k.slot_partners
-    rolled = [3, 0, 1, 2]
-    with pytest.raises(InvariantViolation, match="corner matching"):
-        partners_with(c, 5, rolled)
     # a face on the reversed y-seam of a klein grid: face 1 lies in row 0
     with pytest.raises(InvariantViolation, match="corner matching"):
-        partners_with(k, 1, rolled)
+        partners_with(k, 1, [3, 0, 1, 2])
     # the SW corner of face 0 touches only its two seam sides, so only the
     # seam edges see it
     with pytest.raises(InvariantViolation, match="corner matching"):
@@ -470,7 +465,7 @@ def test_every_id_table_has_the_id_dtype(name):
     assert closure_tables(p)._end_keys.dtype == np.int64
     if name in COVERABLE:
         cs = double_cover(c)
-        for a in (cs.face_projection, cs.face_deck, cs.edge_projection, lift_partition(cs, p).domains):
+        for a in (cs.edge_projection, lift_partition(cs, p).domains):
             assert a.dtype == ID_DTYPE
 
 
@@ -504,36 +499,32 @@ def test_face_tables_take_their_map_dtype_and_are_read_only(table, source):
     assert not getattr(wide, table).flags.writeable
 
 
-@pytest.mark.parametrize("field", ["face_projection", "face_deck", "edge_projection"])
+@pytest.mark.parametrize("field", ["edge_projection"])
 def test_validate_cover_rejects_wide_projections(field):
-    import dataclasses
-
     from eulerpart import InvariantViolation, double_cover
-    from eulerpart.cover import _validate_cover
+    from eulerpart.cover import _check_edge_projection
 
     cs = double_cover(build_complex(SurfaceSpec.named("klein", 6, 4)))
     below = cs.edge_projection[cs.cover.face_edges]
-    _validate_cover(cs, below)
-    wide = dataclasses.replace(cs, **{field: getattr(cs, field).astype(np.int64)})
+    _check_edge_projection(cs.cover, cs.edge_projection, below)
     with pytest.raises(InvariantViolation, match=f"{field} holds int64"):
-        _validate_cover(wide, below)
+        _check_edge_projection(cs.cover, getattr(cs, field).astype(np.int64), below)
 
 
 @pytest.mark.parametrize("name", ["moebius", "klein"])
-def test_validate_cover_rejects_a_misprojected_edge(name):
-    import dataclasses
-
-    from eulerpart import InvariantViolation, double_cover
+def test_validate_cover_rejects_a_misprojected_edge(name, monkeypatch):
+    from eulerpart import InvariantViolation, cover, double_cover
     from eulerpart.complexes import SIDE_S
-    from eulerpart.cover import _validate_cover
+    from eulerpart.cover import _check_edge_projection
 
-    cs = double_cover(build_complex(SurfaceSpec.named(name, 6, 4)))
+    base = build_complex(SurfaceSpec.named(name, 6, 4))
+    cs = double_cover(base)
     c, below = cs.cover, cs.edge_projection[cs.cover.face_edges]
-    _validate_cover(cs, below)
+    _check_edge_projection(c, cs.edge_projection, below)
     wrong = cs.edge_projection.copy()
     wrong[5] = (wrong[5] + 1) % cs.base.n_edges
     with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
-        _validate_cover(dataclasses.replace(cs, edge_projection=wrong), below)
+        _check_edge_projection(c, wrong, below)
     # the second face of an edge sees another base edge: across the grid
     # edge above face 0, then across a seam edge
     _fa, fb, _par, ids = c.seam_adjacency
@@ -541,7 +532,11 @@ def test_validate_cover_rejects_a_misprojected_edge(name):
         bad = below.copy()
         bad[face, side] = (bad[face, side] + 1) % cs.base.n_edges
         with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
-            _validate_cover(cs, bad)
+            _check_edge_projection(c, cs.edge_projection, bad)
+    # a build that does not swap E and W on the mirrored sheet
+    monkeypatch.setattr(cover, "_MIRRORED_SIDE", {s: s for s in range(4)})
+    with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
+        double_cover(base).edge_projection
 
 
 def test_validate_rejects_wrong_boundary_count():

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerpart import (
     RandomSpec,
@@ -20,6 +21,8 @@ from eulerpart import (
     random_partition,
 )
 from eulerpart.complexes import ID_DTYPE
+
+from test_build_pins import PIN_SIZES
 
 
 def bands(m, n):
@@ -43,16 +46,6 @@ def test_double_cover_of_klein_is_torus():
     assert cs.cover.spec.kind == "torus"
     assert cs.cover.euler_characteristic == 0
     assert boundary_components(cs.cover) == 0
-
-
-def test_deck_involution_free_and_compatible():
-    cs = double_cover(build_complex(SurfaceSpec.named("moebius", 5, 3)))
-    a, pi = cs.face_deck, cs.face_projection
-    n = len(a)
-    assert np.array_equal(a[a], np.arange(n))
-    assert np.all(a != np.arange(n))
-    assert np.array_equal(pi[a], pi)
-    assert np.all(np.bincount(pi) == 2)
 
 
 def test_cover_rejects_other_surfaces():
@@ -143,9 +136,12 @@ def test_lift_preserves_walls():
 
     path = [c.horizontal_edge(i, 3) for i in range(6)]
     p = cut(plan_cut(p0, path))
+    assert "edge_projection" not in vars(cs)
     lifted = lift_partition(cs, p)
     assert len(lifted.walls) == 2 * len(p.walls)
     assert invariants(lifted).sigma == 2 * invariants(p).sigma
+    # the walled lift built the edge projection, and it is the raw-grid one
+    assert np.array_equal(vars(cs)["edge_projection"], _edge_projection(c, cs.cover))
 
 
 def test_lift_is_shared_per_partition():
@@ -202,37 +198,30 @@ def test_preimage_count_rejects_a_lift_straddling_two_base_domains(monkeypatch):
         preimage_component_counts(cs, p)
 
 
-class _Unreadable:
-    """An index table that fails the test if a gather reads it."""
-
-    def __array__(self, *args, **kwargs):
-        raise AssertionError("face_projection read again")
-
-
-def test_preimage_counts_are_counted_once_per_partition():
+def test_preimage_counts_are_counted_once_per_partition(monkeypatch):
+    from eulerpart import cover
     from eulerpart.cover import preimage_component_counts
 
     c, p = bands(3, 12)
     cs = double_cover(c)
+    lifts = []
+
+    def counting(*args, **kwargs):
+        lifts.append(args[0])
+        return from_labels(*args, **kwargs)
+
+    monkeypatch.setattr(cover, "from_labels", counting)
     counts = preimage_component_counts(cs, p)
     with pytest.raises(ValueError, match="read-only"):
         counts[0] = 0
     # the lift and the counts are cached together, so no later call for
-    # this partition gathers the base domains below the cover faces again
-    object.__setattr__(cs, "face_projection", _Unreadable())
+    # this partition lifts it again
     assert preimage_component_counts(cs, p) is counts
     assert omega_via_cover(cs, p).tolist() == [True, False]
     assert cover_bookkeeping(cs, p).preimage_counts == (2, 1)
-    with pytest.raises(AssertionError, match="read again"):
-        preimage_component_counts(cs, from_labels(c, p.domains))
-
-
-def test_lift_rejects_an_out_of_range_projection():
-    c, p = bands(3, 12)
-    cs = double_cover(c)
-    object.__setattr__(cs, "face_projection", cs.face_projection + c.n_faces)
-    with pytest.raises(IndexError):
-        lift_partition(cs, p)
+    assert lifts == [cs.cover]
+    preimage_component_counts(cs, from_labels(c, p.domains))
+    assert lifts == [cs.cover, cs.cover]
 
 
 def _edge_projection(base, cover):
@@ -270,20 +259,61 @@ def test_edge_projection_matches_raw_grid_oracle(name, size):
     assert np.array_equal(cs.edge_projection, _edge_projection(cs.base, cs.cover))
 
 
-@pytest.mark.parametrize("size", [(2, 2), (3, 2), (5, 3), (7, 5), (32, 32)],
-                         ids=lambda s: f"{s[0]}x{s[1]}")
+def cover_face_maps(W, H):
+    """(projection, deck) of the faces of the W x 2H cover, as ``ID_DTYPE``.
+
+    Cover face (i, j) lies over (i, j) below the mid seam and over
+    (W-1-i, j-H) above it; the deck map is (W-1-i, (j+H) mod 2H).
+    """
+    j, i = np.divmod(np.arange(2 * W * H), W)
+    projection = np.where(j >= H, (j - H) * W + W - 1 - i, j * W + i)
+    deck = (j + H) % (2 * H) * W + W - 1 - i
+    return projection.astype(ID_DTYPE), deck.astype(ID_DTYPE)
+
+
+def _check_face_maps(name, W, H, seed):
+    """The closed-form face maps are a double cover, and the package's lift
+    and edge projection follow them."""
+    projection, deck = cover_face_maps(W, H)
+    faces = np.arange(2 * W * H)
+    # the deck is a fixed-point-free involution over the projection
+    assert np.array_equal(deck[deck], faces)
+    assert np.all(deck != faces)
+    assert np.array_equal(projection[deck], projection)
+    assert np.all(np.bincount(projection, minlength=W * H) == 2)
+
+    cs = double_cover(build_complex(SurfaceSpec.named(name, W, H)))
+    p = from_labels(cs.base, np.random.default_rng(seed).integers(0, 4, W * H))
+    over = p.domains[projection]
+    lifted = lift_partition(cs, p)
+    # each lifted face lies over the base domain of its projection
+    assert np.array_equal(lifted.domains, from_labels(cs.cover, over).domains)
+    # and deck-paired faces lie over the same base domain
+    base_of = np.empty(lifted.n_domains, dtype=ID_DTYPE)
+    base_of[lifted.domains] = over
+    assert np.array_equal(base_of[lifted.domains[deck]], over)
+
+    # the faces of every cover edge project onto the faces of its base edge
+    ef = cs.cover.edge_faces
+    got = np.where(ef >= 0, projection[ef], -1)
+    want = cs.base.edge_faces[cs.edge_projection]
+    assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+
+#: the build pins' sizes and a square one
+COVER_SIZES = sorted({*PIN_SIZES, (5, 3), (32, 32)})
+
+
+@pytest.mark.parametrize("size", COVER_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("name", ["moebius", "klein"])
 def test_face_maps_match_the_coordinate_formulas(name, size):
-    # cover face (i, j) lies over (i, j) below the mid seam and over
-    # (W-1-i, j-H) above it; the deck map is (W-1-i, (j+H) mod 2H)
-    cs = double_cover(build_complex(SurfaceSpec.named(name, *size)))
-    W, H = size
-    j, i = np.divmod(np.arange(2 * W * H), W)
-    upper = j >= H
-    projection = np.where(upper, (j - H) * W + W - 1 - i, j * W + i)
-    deck = (j + H) % (2 * H) * W + W - 1 - i
-    for got, want in ((cs.face_projection, projection), (cs.face_deck, deck)):
-        assert got.dtype == ID_DTYPE and np.array_equal(got, want)
+    _check_face_maps(name, *size, seed=sum(size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["moebius", "klein"]), st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**16))
+def test_face_maps_match_the_coordinate_formulas_on_any_grid(name, W, H, seed):
+    _check_face_maps(name, W, H, seed)
 
 
 def test_cover_bookkeeping_labels_the_lifted_union_once(monkeypatch):
@@ -339,9 +369,10 @@ def test_partition_and_cover_build_no_edge_tables():
 
 
 #: bytes a ``double_cover`` of a 128² grid may hold per base face under
-#: tracemalloc: the cover complex and the three maps measure about 142, and
-#: a cover whose complex stored its two (F, 4) face tables held about 206
-COVER_BYTES_PER_BASE_FACE = 160
+#: tracemalloc: its cover complex measures about 111; a cover that also
+#: stored its face and edge maps held about 143, and one whose complex
+#: stored its two (F, 4) face tables held about 206
+COVER_BYTES_PER_BASE_FACE = 120
 
 
 @pytest.mark.parametrize("name", ["moebius", "klein"])
@@ -363,6 +394,8 @@ def test_a_random_item_caches_no_face_table(name):
     assert np.array_equal(omega_via_cover(cs, p), orientability_bits(p))
     for cx in (c, cs.cover):
         assert "face_edges" not in vars(cx) and "face_vertices" not in vars(cx)
+    # a partition without walls reads no edge projection
+    assert "edge_projection" not in vars(cs)
 
     base = build_complex(SurfaceSpec.named(name, 128, 128))
     _shared_complex.cache_clear()  # the cover complex is built inside the trace
