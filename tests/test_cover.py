@@ -48,6 +48,22 @@ def test_double_cover_of_klein_is_torus():
     assert boundary_components(cs.cover) == 0
 
 
+def test_deck_involution_free_and_compatible():
+    cs = double_cover(build_complex(SurfaceSpec.named("moebius", 5, 3)))
+    pi, a = cover_face_maps(5, 3)
+    n = cs.cover.n_faces
+    assert len(a) == n
+    assert np.array_equal(a[a], np.arange(n))
+    assert np.all(a != np.arange(n))
+    assert np.array_equal(pi[a], pi)
+    assert np.all(np.bincount(pi) == 2)
+    # the deck map carries the cover's face adjacency onto itself
+    ef = cs.cover.edge_faces
+    inner = ef[(ef >= 0).all(axis=1)]
+    pairs = {tuple(sorted(e)) for e in inner.tolist()}
+    assert {tuple(sorted(e)) for e in a[inner].tolist()} == pairs
+
+
 def test_cover_rejects_other_surfaces():
     with pytest.raises(ValueError):
         double_cover(build_complex(SurfaceSpec.named("rectangle", 4, 4)))
