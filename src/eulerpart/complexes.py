@@ -34,13 +34,14 @@ raw edge has the face below it (side N) and then the face above it (side
 S), a vertical one the face to its left (side E) and then the face to its
 right (side W).  A grid-border edge has one incidence, in slot 0; a glued
 seam pair joins the lone incidences of its two raw edges, smaller face
-first.  The face tables ``face_edges`` and ``face_vertices`` are reshaped
-slices of ``edge_map`` and ``vertex_map``, so a complex stores neither:
-they are properties, stacked on first read, and the build checks its edge
-incidences with one count per side slice.  The kept raw edges run in
-canonical edge order, so the per-edge tables (``edge_faces``,
-``edge_sides``, ``edge_vertices``) are raw-edge tables read at the kept
-raw ids with one ``take``.
+first.  A complex stores no face table: the edge under each face side and
+the vertex under each face corner are one ``take`` of ``edge_map`` or
+``vertex_map`` at a raw id that is arithmetic on the slot
+(``CellComplex.slot_edges``, ``CellComplex.slot_vertices``), and the build
+checks its edge incidences with one count per side slice of ``edge_map``.
+The kept raw edges run in canonical edge order, so the per-edge tables
+(``edge_faces``, ``edge_sides``, ``edge_vertices``) are raw-edge tables
+read at the kept raw ids with one ``take``.
 
 ``components`` is the one graph primitive of the package: every count of
 domains, pieces, corner orbits, boundary cycles and boundary-set arcs is a
@@ -136,6 +137,10 @@ ID_DTYPE = np.int32
 # (s+1) % 4 in the cyclic corner order 0=SW, 1=SE, 2=NE, 3=NW.
 SIDE_S, SIDE_E, SIDE_N, SIDE_W = 0, 1, 2, 3
 
+#: side -> its grid segment (i0, j0, i1, j1) from the face's corner (i, j),
+#: lower-left end first
+_SIDE_SEGMENTS = np.array([[0, 0, 1, 0], [1, 0, 1, 1], [0, 1, 1, 1], [0, 0, 0, 1]])
+
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -200,13 +205,9 @@ class CellComplex:
     occupies; ``edge_parity`` is +1 where the two incident charts agree in
     orientation across the edge and -1 across a reversed seam.
 
-    The face tables ``face_edges`` and ``face_vertices`` are not stored:
-    they are slices of ``edge_map`` and ``vertex_map``, stacked and cached
-    on first read.  Only the closures of a partition with walls and
-    ``normalize`` read them; the build and the covers read the side slices
-    (``face_side_grids``), and ``slot_partners`` and the closures' end
-    slots read single slots in closed form (``slot_vertices``), so a
-    random partition and its cover cache neither.
+    No face table is stored or cached: every reader of a face side or
+    corner reads the slots it needs in closed form (``slot_edges``,
+    ``slot_vertices``), and the build reads side slices of ``edge_map``.
     """
 
     spec: SurfaceSpec
@@ -233,19 +234,6 @@ class CellComplex:
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
-    @cached_property
-    def face_edges(self) -> np.ndarray:
-        """(F, 4) edge id per side S, E, N, W, in ``edge_map``'s dtype."""
-        return _read_only(np.stack(face_side_grids(self.spec, self.edge_map), axis=-1).reshape(self.n_faces, 4))
-
-    @cached_property
-    def face_vertices(self) -> np.ndarray:
-        """(F, 4) vertex id per corner SW, SE, NE, NW, in ``vertex_map``'s dtype."""
-        W, H = self.spec.width, self.spec.height
-        vm = self.vertex_map.reshape(H + 1, W + 1)
-        corners = np.stack([vm[:H, :W], vm[:H, 1:], vm[1:, 1:], vm[1:, :W]], axis=-1)
-        return _read_only(corners.reshape(self.n_faces, 4))
-
     def slot_vertices(self, slots: np.ndarray) -> np.ndarray:
         """The vertex under each corner slot ``4*face + corner``.
 
@@ -256,6 +244,19 @@ class CellComplex:
         W = self.spec.width
         faces = slots >> 2
         return self.vertex_map.take(faces + faces // W + np.array([0, 1, W + 2, W + 1])[slots & 3])
+
+    def slot_edges(self, slots: np.ndarray) -> np.ndarray:
+        """The edge under side ``slot & 3`` of face ``slot >> 2``, for each
+        slot ``4*face + side``.
+
+        Side S of face f = jW + i is raw edge f, side N raw edge f + W, and
+        the vertical sides W and E are raw edges HOFF + f + j and one past
+        it, with j = f // W, so the edge is one ``take`` of ``edge_map``.
+        """
+        W, H = self.spec.width, self.spec.height
+        HOFF = W * (H + 1)  # vertical raw edges start here
+        faces, sides = slots >> 2, slots & 3
+        return self.edge_map.take(faces + np.array([0, HOFF + 1, W, HOFF])[sides] + (sides & 1) * (faces // W))
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
@@ -410,16 +411,17 @@ class CellComplex:
     def edge_segments(self, edge_ids) -> np.ndarray:
         """(N, 4) grid segments (i0, j0, i1, j1) of the given edges.
 
-        Each edge gives its smallest raw edge and then its seam partner, if
-        it has one, so a glued edge is drawn on both seams.
+        Each edge gives the side of its first face (``edge_faces[e, 0]``)
+        and then, where it is another segment, the side of its second face,
+        so a glued edge is drawn on both seams: its first face holds its
+        smallest raw edge.
         """
-        W, H = self.spec.width, self.spec.height
-        HOFF = W * (H + 1)  # vertical raw edges start here
-        raw = self.edge_raw_representatives[np.asarray(edge_ids, dtype=ID_DTYPE)].ravel()
-        raw = raw[raw >= 0].astype(np.int64)
-        vertical = raw >= HOFF
-        j, i = np.where(vertical, np.divmod(raw - HOFF, W + 1), np.divmod(raw, W))
-        return np.column_stack([i, j, i + ~vertical, j + vertical])
+        ids = np.asarray(edge_ids, dtype=ID_DTYPE)
+        faces = self.edge_faces.take(ids, axis=0)
+        j, i = np.divmod(faces, self.spec.width)
+        segments = np.stack([i, j, i, j], axis=-1) + _SIDE_SEGMENTS[self.edge_sides.take(ids, axis=0)]
+        second = (faces[:, 1] >= 0) & np.any(segments[:, 1] != segments[:, 0], axis=1)
+        return segments[np.column_stack([np.ones(len(ids), dtype=bool), second])]
 
     def vertex_points(self, vertex_ids) -> np.ndarray:
         """(N, 2) grid points (i, j) of every raw vertex over the given
@@ -462,29 +464,10 @@ class CellComplex:
         HOFF = W * (H + 1)  # vertical raw edges start here
         return raw[:HOFF].reshape(H + 1, W)[1:H], raw[HOFF:].reshape(H, W + 1)[:, 1:W]
 
-    @cached_property
-    def edge_raw_representatives(self) -> np.ndarray:
-        """(E, 2) raw edge ids of each edge: its orbit's smallest raw edge, where
-        the running maximum of ``edge_map`` rises, then its seam partner or -1."""
-        first = np.diff(np.maximum.accumulate(self.edge_map), prepend=-1) > 0
-        out = np.full((self.n_edges, 2), -1, dtype=ID_DTYPE)
-        out[:, 0] = np.flatnonzero(first)
-        out[self.edge_map[~first], 1] = np.flatnonzero(~first)
-        return _read_only(out)
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def face_side_grids(spec: SurfaceSpec, edge_map: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The edge id on side S, E, N and W of every face, as four ``(H, W)``
-    views of a raw-edge array ``edge_map``."""
-    W, H = spec.width, spec.height
-    HOFF = W * (H + 1)  # vertical raw edges start here
-    emh, emv = edge_map[:HOFF].reshape(H + 1, W), edge_map[HOFF:].reshape(H, W + 1)
-    return emh[:H], emv[:, 1:], emh[1:], emv[:, :W]
 
 
 def build_complex(spec: SurfaceSpec) -> CellComplex:
@@ -608,9 +591,11 @@ def _build_complex(spec: SurfaceSpec) -> CellComplex:
     del raw_faces, raw_sides
 
     edge_is_boundary = edge_faces[:, 1] < 0
-    # two face sides name an interior edge, one a boundary edge
+    # two face sides name an interior edge, one a boundary edge: count the
+    # edge on side S, E, N and W of every face, one (H, W) slice at a time
     counts = edge_is_boundary.astype(np.intp)
-    for side in face_side_grids(spec, edge_map):
+    emh, emv = edge_map[:HOFF].reshape(H + 1, W), edge_map[HOFF:].reshape(H, W + 1)
+    for side in (emh[:H], emv[:, 1:], emh[1:], emv[:, :W]):
         counts += np.bincount(side.ravel(), minlength=n_edges)
     if np.any(counts != 2):
         raise InvariantViolation("edge incident to zero or more than two faces")

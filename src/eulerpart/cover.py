@@ -10,15 +10,13 @@ grid as it is and the upper sheet over its mirror in x, which is how a
 lift lays out the base domains below the cover faces, with no index
 gather.
 
-Edges project through the face side slices of the two complexes
-(``face_side_grids``), so the cover needs no raw edge numbering and no
-face table of its own: side ``s`` of a cover face lies over side ``s`` of
-the base face below it, except that on the mirrored upper sheet E and W
-swap.  A cover edge projects to the base edge that its first face
-(``edge_faces[e, 0]``) sees, and an edge between two cover faces must be
-seen as the same base edge from both.  Only a lift with walls reads the
-edge projection, so it is built on the first such lift and cached on the
-``CoverStructure``.
+The cover needs no edge projection either.  Side ``s`` of a cover face
+lies over side ``s`` of the base face below it, except that on the
+mirrored upper sheet E and W swap, so a base wall, seen from its first
+face (``edge_faces[w, 0]``), lifts to the edge under that side of the
+lower-sheet face over it and the edge under the mirrored side of the
+upper-sheet face over it: two slots, read in closed form by the cover's
+``slot_edges``.
 
 A base domain is orientable iff its preimage in the cover splits into two
 components, which gives a second, independent route to the orientability
@@ -40,37 +38,26 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .complexes import (
-    ID_DTYPE,
-    SIDE_E,
-    SIDE_N,
-    SIDE_S,
-    SIDE_W,
-    CellComplex,
-    SurfaceSpec,
-    _read_only,
-    build_complex,
-    face_side_grids,
-)
+from .complexes import ID_DTYPE, SIDE_E, SIDE_N, SIDE_S, SIDE_W, CellComplex, SurfaceSpec, build_complex
 from .errors import InvariantViolation
 from .partition import Partition, boundary_graph, from_labels, invariants
 
 COVERABLE = {"moebius": "cylinder", "klein": "torus"}
 
 #: base side -> the side of the mirrored upper-sheet face over it
-_MIRRORED_SIDE = {SIDE_S: SIDE_S, SIDE_E: SIDE_W, SIDE_N: SIDE_N, SIDE_W: SIDE_E}
+_MIRRORED_SIDE = np.array([SIDE_S, SIDE_W, SIDE_N, SIDE_E], dtype=np.int8)
 
 
 @dataclass(frozen=True, eq=False)
 class CoverStructure:
     """A base complex and the complex of its double cover.
 
-    The face projection and the deck map are the closed forms of the
-    module docstring; ``edge_projection`` is cached on first read.
+    The face projection, the deck map and the lift of a wall are the
+    closed forms of the module docstring, so it holds only the two
+    complexes and its memo of lifts.
     """
 
     base: CellComplex
@@ -80,24 +67,6 @@ class CoverStructure:
     _lifts: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
-
-    @cached_property
-    def edge_projection(self) -> np.ndarray:
-        """cover edge -> base edge, ``ID_DTYPE``, read only by walled lifts."""
-        c, W, H = self.base, self.base.spec.width, self.base.spec.height
-        # the base edge below each cover face side, written one base side
-        # slice at a time; on the mirrored sheet E and W swap
-        below = np.empty((2 * c.n_faces, 4), dtype=ID_DTYPE)
-        lower, upper = below.reshape(2, H, W, 4)
-        for base_side, grid in enumerate(face_side_grids(c.spec, c.edge_map)):
-            lower[..., base_side] = grid
-            upper[..., _MIRRORED_SIDE[base_side]] = grid[:, ::-1]
-        # each cover edge projects as its first face sees it, at slot 4*face + side
-        first = np.multiply(self.cover.edge_faces[:, 0], 4, dtype=np.intp)
-        first += self.cover.edge_sides[:, 0]
-        projection = below.ravel().take(first)
-        _check_edge_projection(self.cover, projection, below)
-        return _read_only(projection)
 
 
 def double_cover(c: CellComplex) -> CoverStructure:
@@ -111,20 +80,6 @@ def double_cover(c: CellComplex) -> CoverStructure:
     if not np.all((cover.edge_parity == 1) | cover.edge_is_boundary):
         raise InvariantViolation("cover complex is not orientable")
     return CoverStructure(base=c, cover=cover)
-
-
-def _check_edge_projection(cover: CellComplex, projection: np.ndarray, below: np.ndarray) -> None:
-    """Every cover face side must read back the projection of its edge, so
-    the two faces of an edge see one base edge; ``below`` holds the base
-    edge under each side of each cover face.  One cover side slice at a
-    time, so no cover face table is made."""
-    if projection.dtype != ID_DTYPE:
-        raise InvariantViolation(
-            f"edge_projection holds {projection.dtype} ids, expected {np.dtype(ID_DTYPE)}"
-        )
-    for side, grid in enumerate(face_side_grids(cover.spec, cover.edge_map)):
-        if not np.array_equal(projection.take(grid), below[:, side].reshape(grid.shape)):
-            raise InvariantViolation("the two faces of a cover edge project it differently")
 
 
 def lift_partition(cs: CoverStructure, p: Partition) -> Partition:
@@ -161,7 +116,14 @@ def _lift(cs: CoverStructure, p: Partition) -> tuple[Partition, np.ndarray]:
     if entry is None:
         d, W, H = p.domains, cs.base.spec.width, cs.base.spec.height
         below = np.concatenate([d, d.reshape(H, W)[:, ::-1].ravel()])
-        walls = np.flatnonzero(p.wall_mask.take(cs.edge_projection)) if p.walls else ()
+        walls = ()
+        if p.walls:
+            # each wall from its first face f: the same side of cover face f,
+            # then the mirrored side of the upper-sheet face over f
+            w = np.flatnonzero(p.wall_mask)
+            f, s = cs.base.edge_faces[w, 0], cs.base.edge_sides[w, 0]
+            upper = cs.base.n_faces + f - f % W + W - 1 - f % W
+            walls = cs.cover.slot_edges(np.concatenate([4 * f + s, 4 * upper + _MIRRORED_SIDE[s]]))
         lifted = from_labels(cs.cover, below, walls=walls)
         base_of = np.empty(lifted.n_domains, dtype=ID_DTYPE)
         base_of[lifted.domains] = below

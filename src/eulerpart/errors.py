@@ -33,18 +33,9 @@ class InvariantViolation(EulerPartError):
 class ResolutionError(EulerPartError):
     """A sample landed on (or numerically too close to) the zero set."""
 
-    def __init__(self, message, n=None, n_bad=None):
-        super().__init__(message)
-        self.n = n
-        self.n_bad = n_bad
-
 
 class InstabilityError(EulerPartError):
     """Grid refinement did not reach agreement within the allowed levels."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
 
 
 class SymmetryError(EulerPartError):

@@ -28,7 +28,7 @@ from .complexes import (
 )
 from .cover import COVERABLE, cover_bookkeeping, double_cover, omega_via_cover
 from .errors import InstabilityError, InvariantViolation, integer
-from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, phi_family, stable_invariants
+from .nodal import FAMILIES, FAMILY_PARAMS, NodalConfig, stable_invariants
 from .nodal import family as family_member
 from .partition import (
     VERDICT_MODES,
@@ -344,7 +344,9 @@ def bisect_transition(beta: float, tol: float = 1e-3,
     float spacing at the bracket's high end, a width two adjacent floats in
     the bracket always reach.  Midpoints that fail to stabilize are skipped
     by probing nearby offsets; if no probe in a step stabilizes the bracket
-    cannot shrink further and an InstabilityError is raised.
+    cannot shrink further and an InstabilityError is raised.  Each probe
+    is built by ``nodal.family``, so a ``beta`` that is not a finite real
+    raises ``ValueError`` before anything is rasterized.
     """
     # the bracket stops shrinking at adjacent floats, so a smaller tol never ends
     if not tol > 0:
@@ -354,7 +356,7 @@ def bisect_transition(beta: float, tol: float = 1e-3,
         raise ValueError(f"tol {tol!r} is below the float spacing {spacing!r} at the bracket's high end")
 
     def stable_omega(theta: float) -> tuple[int, int]:
-        sr = stable_invariants(phi_family(beta, theta), "moebius", config)
+        sr = stable_invariants(family_member("phi", {"beta": beta, "theta": theta}), "moebius", config)
         return sr.report.omega, sr.n
 
     evaluations = 0
@@ -435,7 +437,9 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
     ``seed`` and ``count`` are checked like ``RandomSpec``'s,
     ``k_range`` must hold integers with 1 <= k_min <= k_max <= size**2,
     and ``size`` must pass ``check_batch_size``, all before anything is
-    built or drawn.
+    built or drawn.  An ``InvariantViolation`` raised for an item is raised
+    again with the batch's surface, size and seed and the item's index,
+    ``sub_seed`` and ``k`` added to its message, so the item can be replayed.
     """
     seed, count = _check_seed_and_count(seed, count, "count")
     size = check_batch_size(size, surface)
@@ -460,24 +464,30 @@ def batch_verify(surface: str, count: int, seed: int, k_range: tuple = (1, 10),
         # would give, drawn when it is needed
         sub_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
         k = k_lo + i % (k_hi - k_lo + 1)
-        p = random_partition(c, RandomSpec(seed=sub_seed, k=k))
-        verdict = verify_euler(p)
-        hist[verdict.measured_defect] = hist.get(verdict.measured_defect, 0) + 1
-        ok = verdict.status != "fail"
-        if check_chi_sigma(p).holds:
-            chi_ok += 1
-        else:
-            ok = False
-        if cover is not None:
-            rep = cover_bookkeeping(cover, p)  # asserts kappa*/sigma* internally
-            cover_checked += 1
-            max_n = max(max_n, rep.n_nonorientable)
-            if surface == "moebius" and rep.n_nonorientable > 1:
-                raise InvariantViolation("more than one non-orientable domain on moebius")
-            if np.array_equal(omega_via_cover(cover, p), orientability_bits(p)):
-                omega_agree += 1
+        try:
+            p = random_partition(c, RandomSpec(seed=sub_seed, k=k))
+            verdict = verify_euler(p)
+            hist[verdict.measured_defect] = hist.get(verdict.measured_defect, 0) + 1
+            ok = verdict.status != "fail"
+            if check_chi_sigma(p).holds:
+                chi_ok += 1
             else:
                 ok = False
+            if cover is not None:
+                rep = cover_bookkeeping(cover, p)  # asserts kappa*/sigma* internally
+                cover_checked += 1
+                max_n = max(max_n, rep.n_nonorientable)
+                if surface == "moebius" and rep.n_nonorientable > 1:
+                    raise InvariantViolation("more than one non-orientable domain on moebius")
+                if np.array_equal(omega_via_cover(cover, p), orientability_bits(p)):
+                    omega_agree += 1
+                else:
+                    ok = False
+        except InvariantViolation as e:
+            # random_partition(c, RandomSpec(sub_seed, k)) rebuilds the item
+            raise InvariantViolation(
+                f"{e} (surface {surface}, size {size}, seed {seed}, item {i}: sub_seed {sub_seed}, k {k})"
+            ) from e
         if ok:
             passes += 1
         else:

@@ -221,9 +221,7 @@ def rasterize(f: Eigenfunction, surface: str, n: int) -> Partition:
     vals = evaluate(f, xc[None, :], yc[:, None])  # row j, column i
     bad = int(np.sum(np.abs(vals) <= ZERO_TOL))
     if bad:
-        raise ResolutionError(
-            f"{bad} face-center samples on the zero set at n={n}", n=n, n_bad=bad
-        )
+        raise ResolutionError(f"{bad} face-center samples on the zero set at n={n}")
     return from_labels(build_complex(spec), (vals > 0).astype(ID_DTYPE).ravel())
 
 
@@ -240,8 +238,7 @@ def _rasterize_perturbed(f, surface, n, history):
         if size * size > MAX_FACES:
             raise InstabilityError(
                 f"no agreement for {f.name or 'function'} on {surface} below the cap of "
-                f"{MAX_FACES} faces, which the {size}x{size} level exceeds: {history}",
-                history=history,
+                f"{MAX_FACES} faces, which the {size}x{size} level exceeds: {history}"
             )
         try:
             return rasterize(f, surface, n=size)
@@ -275,6 +272,5 @@ def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig | None
         n = 2 * actual_n
     raise InstabilityError(
         f"no agreement for {f.name or 'function'} on {surface} within "
-        f"{config.max_refine} refinements: {history}",
-        history=history,
+        f"{config.max_refine} refinements: {history}"
     )

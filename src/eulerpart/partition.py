@@ -462,9 +462,11 @@ class _ClosureTables:
     through one scratch index over the 4F slots (``_slot_index``), never
     sorted or searched, and every glued partner looked up through it is
     checked, in O(touched), to have been indexed; one that was not is an
-    invariant violation.  One labelling of the touched slots, joined
-    across glued partners and along each unglued side, gives the boundary
-    cycles.
+    invariant violation.  A wall blocks the gluing across it: with walls,
+    the edges under the two sides of each touched slot are read in closed
+    form (``CellComplex.slot_edges``), so a walled closure reads no face
+    table either.  One labelling of the touched slots, joined across glued
+    partners and along each unglued side, gives the boundary cycles.
 
     chi is a sum of corner curvatures, with no face, edge or vertex
     total.  A vertex of the closure with k corner slots has curvature
@@ -504,8 +506,9 @@ class _ClosureTables:
         slot_domain = dom.take(faces)
         glued = (partner >= 0) & (dom.take(partner >> 2) == slot_domain[:, None])
         if p.walls:
-            corners = slots & 3
-            sides = c.face_edges[faces[:, None], np.stack([corners, (corners + 3) % 4], axis=1)]
+            # the edges under the two sides of each slot 4f + k: side k
+            # (column 0) and side k - 1 (column 1)
+            sides = c.slot_edges(np.stack([slots, (slots & -4) | ((slots - 1) & 3)], axis=1))
             glued &= ~p.wall_mask[sides]
         pairs = np.flatnonzero(glued)
         across = partner.ravel().take(pairs)
@@ -713,12 +716,16 @@ def normalize(p: Partition) -> Partition:
     off = closure_tables(q).non_normal_pairs[:, 0]
     fresh = np.full(c.n_vertices, -1, dtype=ID_DTYPE)
     fresh[off] = q.n_domains + np.arange(len(off), dtype=ID_DTYPE)
-    # every corner slot over an offending vertex takes the fresh id of its
-    # vertex; the stars are disjoint, so no face takes two
-    corner = fresh.take(c.face_vertices.ravel())
-    star = corner >= 0
+    # every face with a corner over an offending vertex takes the fresh id
+    # of its vertex, read corner by corner from the (H+1, W+1) raw vertex
+    # grid; the stars are disjoint, so no face takes two
+    W, H = c.spec.width, c.spec.height
+    at = fresh.take(c.vertex_map).reshape(H + 1, W + 1)
     labels = q.domains.copy()
-    labels[np.flatnonzero(star) >> 2] = corner[star]
+    grid = labels.reshape(H, W)
+    for corner in (at[:H, :W], at[:H, 1:], at[1:, 1:], at[1:, :W]):
+        star = corner >= 0
+        grid[star] = corner[star]
     q = from_labels(c, labels)
     after = invariants(q)
     if after.delta != before.delta or after.omega != before.omega:

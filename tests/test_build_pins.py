@@ -3,7 +3,9 @@
 sha256 of every ``CellComplex`` field and face table, and of every
 ``CoverStructure`` map, over the nine gluing pairs (the six presets among
 them) at a few sizes, taken before the build was last rewritten: a rewrite of the build must
-leave every table, dtype and shape as it was.
+leave every table, dtype and shape as it was.  The face tables and the
+cover's edge projection are no longer stored; they are hashed from the
+closed-form slot reads and from the raw-grid oracle of ``test_cover``.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from eulerpart import SurfaceSpec, double_cover
-from eulerpart.complexes import GLUINGS, CellComplex, _build_complex
+from eulerpart.complexes import GLUINGS, ID_DTYPE, CellComplex, _build_complex
 
 PIN_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (8, 3), (33, 17), (64, 31)]
 PAIRS = [(x, y) for x in GLUINGS for y in GLUINGS]
@@ -27,8 +29,16 @@ def _feed(h, value):
         h.update(repr(value).encode())
 
 
+def face_tables(c: CellComplex) -> dict:
+    """The (F, 4) edge under every face side S, E, N, W and vertex under
+    every face corner SW, SE, NE, NW, from the closed-form slot reads."""
+    slots = np.arange(4 * c.n_faces)
+    return {"face_edges": c.slot_edges(slots).reshape(c.n_faces, 4),
+            "face_vertices": c.slot_vertices(slots).reshape(c.n_faces, 4)}
+
+
 #: the tables the digests cover, in the order they were pinned: the
-#: dataclass fields, with the face tables, now properties, in their old place
+#: dataclass fields, with the face tables, once stored, in their old place
 PINNED_TABLES = (
     "spec", "n_vertices", "n_edges", "n_faces", "edge_vertices", "edge_faces", "edge_sides",
     "edge_parity", "edge_is_horizontal", "edge_is_boundary", "vertex_is_boundary",
@@ -38,9 +48,10 @@ PINNED_TABLES = (
 
 def _complex_digest(c: CellComplex) -> str:
     h = hashlib.sha256()
+    tables = face_tables(c)
     for name in PINNED_TABLES:
         h.update(name.encode())
-        _feed(h, getattr(c, name))
+        _feed(h, tables[name] if name in tables else getattr(c, name))
     return h.hexdigest()
 
 
@@ -48,6 +59,10 @@ def test_pinned_tables_are_the_fields_and_the_face_tables():
     assert [f.name for f in fields(CellComplex)] == [
         name for name in PINNED_TABLES if name not in ("face_edges", "face_vertices")
     ]
+    # the face tables are read, not stored
+    c = _build_complex(SurfaceSpec.named("klein", 5, 4))
+    for name, table in face_tables(c).items():
+        assert not hasattr(c, name) and table.dtype == ID_DTYPE, name
 
 
 # one digest per size over the complexes of all nine gluing pairs, in
@@ -63,7 +78,8 @@ PINNED_COMPLEXES = {
 }
 
 # one digest per size over the moebius and klein covers: the cover
-# complex's fields, then the face projection, deck and edge projection
+# complex's fields, then the face projection, deck and edge projection, as
+# ID_DTYPE ids
 PINNED_COVERS = {
     (2, 2): "be7232309e207cde7a4caa328f0073d88a2fc31bf6d9a718521c48307838e6e2",
     (3, 2): "f9cc7469b6b9f36d9b20d21055a116a0c180768a04b5f25e8ad8ab69ee2f5079",
@@ -85,15 +101,17 @@ def test_complex_fields_pinned(size):
 
 @pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_cover_maps_pinned(size):
-    from test_cover import cover_face_maps
+    from test_cover import _edge_projection, cover_face_maps
 
     h = hashlib.sha256()
     for name in ("moebius", "klein"):
         cs = double_cover(_build_complex(SurfaceSpec.named(name, *size)))
         h.update(_complex_digest(cs.cover).encode())
-        # the face maps are closed forms; the edge projection is the cover's
+        # the face maps are closed forms, the edge projection the raw-grid
+        # oracle's, cast from its int64 to the dtype it was pinned in
         face_projection, face_deck = cover_face_maps(*size)
-        for table in (face_projection, face_deck, cs.edge_projection):
+        edge_projection = _edge_projection(cs.base, cs.cover).astype(ID_DTYPE)
+        for table in (face_projection, face_deck, edge_projection):
             _feed(h, table)
     assert h.hexdigest() == PINNED_COVERS[size]
 
@@ -105,7 +123,7 @@ def test_face_vertices_agree_across_grid_interior_sides(size, gluings):
     # above, and its SE and NE corners the SW and NW corners of the face to
     # its right, which is what slot_partners' broadcast add assumes
     c = _build_complex(SurfaceSpec(*size, *gluings))
-    g = c.face_vertices.reshape(size[1], size[0], 4)
+    g = face_tables(c)["face_vertices"].reshape(size[1], size[0], 4)
     assert np.array_equal(g[:-1, :, 2], g[1:, :, 1]) and np.array_equal(g[:-1, :, 3], g[1:, :, 0])
     assert np.array_equal(g[:, :-1, 1], g[:, 1:, 0]) and np.array_equal(g[:, :-1, 2], g[:, 1:, 3])
 
@@ -128,7 +146,7 @@ def _strided_slot_partners(c: CellComplex) -> np.ndarray:
     out = grid.reshape(4 * c.n_faces, 2)
     fa, fb, _par, ids = c.seam_adjacency
     sa, sb = c.edge_sides[ids, 0], c.edge_sides[ids, 1]
-    fv = c.face_vertices
+    fv = face_tables(c)["face_vertices"]
     ca, cb, da, db = sa, (sa + 1) % 4, sb, (sb + 1) % 4
     straight = fv[fa, ca] == fv[fb, da]
     a0, a1, b0, b1 = 4 * fa + ca, 4 * fa + cb, 4 * fb + da, 4 * fb + db
@@ -150,7 +168,16 @@ def test_broadcast_slot_partners_match_the_strided_build(size):
 
 @pytest.mark.parametrize("size", PIN_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_closed_form_slot_vertices_match_the_face_table(size):
+    # the face tables as the complex stacked them, from side and corner
+    # slices of the raw edge and vertex grids
+    W, H = size
+    HOFF = W * (H + 1)
     for x, y in PAIRS:
         c = _build_complex(SurfaceSpec(*size, x, y))
-        slots = np.arange(4 * c.n_faces)
-        assert np.array_equal(c.slot_vertices(slots), c.face_vertices.ravel()), (x, y)
+        emh, emv = c.edge_map[:HOFF].reshape(H + 1, W), c.edge_map[HOFF:].reshape(H, W + 1)
+        vm = c.vertex_map.reshape(H + 1, W + 1)
+        want = {"face_edges": np.stack([emh[:H], emv[:, 1:], emh[1:], emv[:, :W]], axis=-1),
+                "face_vertices": np.stack([vm[:H, :W], vm[:H, 1:], vm[1:, 1:], vm[1:, :W]], axis=-1)}
+        for name, table in face_tables(c).items():
+            assert table.dtype == ID_DTYPE, (name, x, y)
+            assert np.array_equal(table, want[name].reshape(c.n_faces, 4)), (name, x, y)

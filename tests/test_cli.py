@@ -15,7 +15,7 @@ import pytest
 import eulerpart
 from eulerpart import SurfaceSpec, build_complex, from_labels
 from eulerpart.cli import build_parser, main
-from eulerpart.jsonio import dumps, partition_to_json
+from eulerpart.jsonio import dumps, partition_from_json, partition_to_json
 from eulerpart.render import MAX_PIXELS
 
 
@@ -551,6 +551,41 @@ def test_sweep_bands_over_integral_values(capsys):
     assert [(row["theta"], row["stable"]) for row in doc["rows"]] == [(3.0, True), (5.0, True), (7.0, True)]
 
 
+def _cut_document(out, capsys, partition, path):
+    """The partition of a ``cut`` run's output, written to ``out``."""
+    code, doc = run(["cut", partition, "--path", path], capsys)
+    assert code == 0
+    out.write_text(dumps(doc["partition"]))
+    return out
+
+
+def test_cover_check_on_walled_documents(tmp_path, capsys):
+    from eulerpart import double_cover, lift_partition
+    from test_cover import _walls_over
+
+    # the pinned moebius cut, and a klein meridian cut through a labelling
+    moebius = _cut_document(tmp_path / "moebius_cut.json", capsys,
+                            DATA / "moebius_8x8.json", DATA / "moebius_8x8_path.json")
+    # the meridian crosses the block's boundary twice
+    c = build_complex(SurfaceSpec.named("klein", 12, 12))
+    lab = np.zeros((12, 12), dtype=int)
+    lab[3:6, 2:9] = 1
+    pf = tmp_path / "k.json"
+    pf.write_text(dumps(partition_to_json(from_labels(c, lab.ravel()))))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps([c.vertical_edge(6, j) for j in range(12)]))
+    klein = _cut_document(tmp_path / "klein_cut.json", capsys, pf, path)
+    for document in (moebius, klein):
+        code, doc = run(["cover-check", document], capsys)
+        assert code == 0, document
+        assert doc["kappa_star"] == 2 * doc["kappa"] - doc["n_nonorientable"]
+        assert doc["sigma_star"] == 2 * doc["sigma"]
+        # the lifted walls are the cover edges over the document's walls
+        p = partition_from_json(json.loads(document.read_text()))
+        cs = double_cover(p.complex)
+        assert p.walls and lift_partition(cs, p).walls == _walls_over(cs, p)
+
+
 @pytest.mark.parametrize("name,deltas", [("torus", (-1, 0)), ("klein", (0, 1))])
 def test_cut_on_closed_surface_may_change_delta(name, deltas, tmp_path, capsys):
     # a meridian does not separate a closed surface, so delta is not invariant
@@ -627,6 +662,16 @@ def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
 def test_nodal_rejects_nan_parameters(capsys):
     assert main(["nodal", "--family", "phi", "--beta", "nan", "--theta", "1.2", "--n", "16"]) == 2
     assert "phi parameter beta must be finite, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_bisect_rejects_non_finite_beta(beta, capsys):
+    # the probes go through the family constructor, so beta is refused
+    # before any function is evaluated, as nodal and sweep refuse it
+    assert main(["bisect", "--beta", beta, "--n", "16"]) == 2
+    err = capsys.readouterr().err
+    assert f"phi parameter beta must be finite, got {beta}" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_help_runs_in_a_fresh_process():

@@ -57,9 +57,10 @@ def test_edge_face_incidence(name):
     two_sided = c.edge_faces[:, 1] >= 0
     assert np.array_equal(two_sided, ~c.edge_is_boundary)
     # every face lists each of its edges exactly once
+    face_edges = c.slot_edges(np.arange(4 * c.n_faces)).reshape(c.n_faces, 4)
     for f in range(c.n_faces):
         for s in range(4):
-            e = c.face_edges[f, s]
+            e = face_edges[f, s]
             slots = [(c.edge_faces[e, k], c.edge_sides[e, k]) for k in range(2)]
             assert (f, s) in slots
 
@@ -93,10 +94,10 @@ def test_grid_helpers_roundtrip():
     assert c.vertex_id(0, 4) == c.vertex_id(4, 0)
     # face sides point at the right edges
     f = 2 * 4 + 1  # face (1, 2): row-major, j*W + i
-    assert c.face_edges[f, 0] == c.horizontal_edge(1, 2)
-    assert c.face_edges[f, 2] == c.horizontal_edge(1, 3)
-    assert c.face_edges[f, 3] == c.vertical_edge(1, 2)
-    assert c.face_edges[f, 1] == c.vertical_edge(2, 2)
+    assert c.slot_edges(4 * f + 0) == c.horizontal_edge(1, 2)
+    assert c.slot_edges(4 * f + 2) == c.horizontal_edge(1, 3)
+    assert c.slot_edges(4 * f + 3) == c.vertical_edge(1, 2)
+    assert c.slot_edges(4 * f + 1) == c.vertical_edge(2, 2)
 
 
 @pytest.mark.parametrize("name", ALL_SURFACES)
@@ -273,8 +274,8 @@ def test_validate_rejects_flipped_parity():
 def test_slot_partners_pair_corners_over_one_vertex(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     partners = c.slot_partners
-    fv = c.face_vertices.ravel()
     slots = np.arange(4 * c.n_faces)
+    fv = c.slot_vertices(slots)
     for col in (0, 1):
         has = partners[:, col] >= 0
         # matched slots lie over the same vertex and match back
@@ -283,7 +284,7 @@ def test_slot_partners_pair_corners_over_one_vertex(name):
     # exactly the sides on the surface boundary have no partner
     f, corner = np.divmod(slots, 4)
     for col, side in ((0, corner), (1, (corner + 3) % 4)):
-        assert np.array_equal(partners[:, col] < 0, c.edge_is_boundary[c.face_edges[f, side]])
+        assert np.array_equal(partners[:, col] < 0, c.edge_is_boundary[c.slot_edges(4 * f + side)])
     odd, odd_slot, _count = c.odd_vertices
     assert np.array_equal(fv[odd_slot], odd)
 
@@ -293,11 +294,12 @@ def test_slot_partners_pair_corners_over_one_vertex(name):
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_odd_vertices_are_the_vertices_without_four_slots(size, name):
     c = build_complex(SurfaceSpec(*size, *GLUING_PAIRS[name]))
-    count = np.bincount(c.face_vertices.ravel(), minlength=c.n_vertices)
+    fv = c.slot_vertices(np.arange(4 * c.n_faces))
+    count = np.bincount(fv, minlength=c.n_vertices)
     odd, odd_slot, odd_count = c.odd_vertices
     assert np.array_equal(odd, np.flatnonzero(count != 4))
     assert np.array_equal(odd_count, count[odd])
-    assert np.array_equal(c.face_vertices.ravel()[odd_slot], odd)
+    assert np.array_equal(fv[odd_slot], odd)
     # the slots over a vertex form a cycle or a path of at most four
     assert count.max() == 4
     if c.spec.x_gluing == OPEN or c.spec.y_gluing == OPEN:
@@ -340,7 +342,7 @@ def _per_edge_slot_partners(c):
     ids = interior_edges(c)
     fa, fb = c.edge_faces[ids, 0], c.edge_faces[ids, 1]
     sa, sb = c.edge_sides[ids, 0], c.edge_sides[ids, 1]
-    fv = c.face_vertices
+    fv = c.slot_vertices(np.arange(4 * c.n_faces)).reshape(c.n_faces, 4)
     ca, cb = sa, (sa + 1) % 4
     da, db = sb, (sb + 1) % 4
     straight = fv[fa, ca] == fv[fb, da]
@@ -373,7 +375,7 @@ def test_seam_adjacency_holds_the_glued_seam_edges(size, gluings):
     # the edges whose orbit holds a second raw edge, with their adjacency rows
     c = build_complex(SurfaceSpec(*size, *gluings))
     fa, fb, par, ids = interior_rows(c)
-    seam = np.flatnonzero(c.edge_raw_representatives[:, 1] >= 0)
+    seam = np.flatnonzero(np.bincount(c.edge_map) == 2)
     rows = np.searchsorted(ids, seam)
     assert np.array_equal(ids[rows], seam)
     for got, want in zip(c.seam_adjacency, (fa[rows], fb[rows], par[rows], seam)):
@@ -393,10 +395,7 @@ def _arrays_and_tables(c):
 
     out = [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)
            if isinstance(getattr(c, f.name), np.ndarray)]
-    out += [("face_edges", c.face_edges), ("face_vertices", c.face_vertices),
-            ("boundary_edges", c.boundary_edges),
-            ("slot_partners", c.slot_partners),
-            ("edge_raw_representatives", c.edge_raw_representatives)]
+    out += [("boundary_edges", c.boundary_edges), ("slot_partners", c.slot_partners)]
     out += [(f"odd_vertices[{k}]", a) for k, a in enumerate(c.odd_vertices)]
     out += [(f"seam_adjacency[{k}]", a) for k, a in enumerate(c.seam_adjacency)]
     out += [("face_neighbours", c.face_neighbours), ("_seam_raw", c._seam_raw)]
@@ -407,7 +406,7 @@ def _arrays_and_tables(c):
 def test_shared_complex_is_read_only(name):
     c = build_complex(SurfaceSpec.named(name, 5, 4))
     tables = _arrays_and_tables(c)
-    assert len(tables) == 9 + 2 + 3 + 3 + 4 + 2
+    assert len(tables) == 9 + 2 + 3 + 4 + 2
     for what, a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -452,21 +451,21 @@ def test_every_id_table_has_the_id_dtype(name):
 
     c = build_complex(SurfaceSpec.named(name, 7, 6))
     tables = dict(_arrays_and_tables(c))
-    for what in ("edge_vertices", "edge_faces", "face_edges", "face_vertices", "vertex_map",
-                 "edge_map", "boundary_edges", "seam_adjacency[0]", "seam_adjacency[3]",
-                 "slot_partners", "odd_vertices[0]", "odd_vertices[1]", "edge_raw_representatives",
-                 "face_neighbours", "_seam_raw"):
+    for what in ("edge_vertices", "edge_faces", "vertex_map", "edge_map", "boundary_edges",
+                 "seam_adjacency[0]", "seam_adjacency[3]", "slot_partners", "odd_vertices[0]",
+                 "odd_vertices[1]", "face_neighbours", "_seam_raw"):
         assert what in tables and what not in _NON_ID_DTYPES
     for what, a in tables.items():
         assert a.dtype == _NON_ID_DTYPES.get(what, ID_DTYPE), what
+    slots = np.arange(4 * c.n_faces)
+    assert c.slot_edges(slots).dtype == c.slot_vertices(slots).dtype == ID_DTYPE
     p = random_partition(c, RandomSpec(seed=1, k=3))
     assert p.domains.dtype == p.boundary_set.dtype == ID_DTYPE
     # the (vertex, domain) key product reaches V * n_domains, beyond int32
     assert closure_tables(p)._end_keys.dtype == np.int64
     if name in COVERABLE:
         cs = double_cover(c)
-        for a in (cs.edge_projection, lift_partition(cs, p).domains):
-            assert a.dtype == ID_DTYPE
+        assert lift_partition(cs, p).domains.dtype == ID_DTYPE
 
 
 @pytest.mark.parametrize("field", ["edge_vertices", "edge_faces", "vertex_map", "edge_map", "edge_sides"])
@@ -483,60 +482,20 @@ def test_validate_rejects_wide_id_tables(field):
         _validate_complex(wide)
 
 
-@pytest.mark.parametrize("table, source", [("face_edges", "edge_map"), ("face_vertices", "vertex_map")],
-                         ids=["face_edges", "face_vertices"])
-def test_face_tables_take_their_map_dtype_and_are_read_only(table, source):
+@pytest.mark.parametrize("read, source", [("slot_edges", "edge_map"), ("slot_vertices", "vertex_map")],
+                         ids=["slot_edges", "slot_vertices"])
+def test_slot_reads_take_their_map_dtype(read, source):
     import dataclasses
 
     c = build_complex(SurfaceSpec.named("moebius", 6, 4))
-    assert table not in {f.name for f in dataclasses.fields(c)}
-    assert getattr(c, table).dtype == getattr(c, source).dtype
-    assert not getattr(c, table).flags.writeable
-    # a complex with wide maps stacks wide face tables
+    slots = np.arange(4 * c.n_faces)
+    assert getattr(c, read)(slots).dtype == getattr(c, source).dtype
+    # a complex with wide maps reads wide ids, the same values
     wide = dataclasses.replace(c, **{source: getattr(c, source).astype(np.int64)})
-    assert getattr(wide, table).dtype == np.int64
-    assert np.array_equal(getattr(wide, table), getattr(c, table))
-    assert not getattr(wide, table).flags.writeable
-
-
-@pytest.mark.parametrize("field", ["edge_projection"])
-def test_validate_cover_rejects_wide_projections(field):
-    from eulerpart import InvariantViolation, double_cover
-    from eulerpart.cover import _check_edge_projection
-
-    cs = double_cover(build_complex(SurfaceSpec.named("klein", 6, 4)))
-    below = cs.edge_projection[cs.cover.face_edges]
-    _check_edge_projection(cs.cover, cs.edge_projection, below)
-    with pytest.raises(InvariantViolation, match=f"{field} holds int64"):
-        _check_edge_projection(cs.cover, getattr(cs, field).astype(np.int64), below)
-
-
-@pytest.mark.parametrize("name", ["moebius", "klein"])
-def test_validate_cover_rejects_a_misprojected_edge(name, monkeypatch):
-    from eulerpart import InvariantViolation, cover, double_cover
-    from eulerpart.complexes import SIDE_S
-    from eulerpart.cover import _check_edge_projection
-
-    base = build_complex(SurfaceSpec.named(name, 6, 4))
-    cs = double_cover(base)
-    c, below = cs.cover, cs.edge_projection[cs.cover.face_edges]
-    _check_edge_projection(c, cs.edge_projection, below)
-    wrong = cs.edge_projection.copy()
-    wrong[5] = (wrong[5] + 1) % cs.base.n_edges
-    with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
-        _check_edge_projection(c, wrong, below)
-    # the second face of an edge sees another base edge: across the grid
-    # edge above face 0, then across a seam edge
-    _fa, fb, _par, ids = c.seam_adjacency
-    for face, side in [(c.spec.width, SIDE_S), (int(fb[0]), int(c.edge_sides[ids[0], 1]))]:
-        bad = below.copy()
-        bad[face, side] = (bad[face, side] + 1) % cs.base.n_edges
-        with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
-            _check_edge_projection(c, cs.edge_projection, bad)
-    # a build that does not swap E and W on the mirrored sheet
-    monkeypatch.setattr(cover, "_MIRRORED_SIDE", {s: s for s in range(4)})
-    with pytest.raises(InvariantViolation, match="the two faces of a cover edge project it differently"):
-        double_cover(base).edge_projection
+    assert getattr(wide, read)(slots).dtype == np.int64
+    assert np.array_equal(getattr(wide, read)(slots), getattr(c, read)(slots))
+    # and no complex keeps a face table
+    assert not {"face_edges", "face_vertices"} & (set(vars(c)) | set(vars(wide)))
 
 
 def test_validate_rejects_wrong_boundary_count():
@@ -562,7 +521,7 @@ def test_face_neighbours_match_edge_faces(size, gluings):
     assert nbr.dtype == np.int32 and nbr.shape == (c.n_faces, 4)
     for f in range(c.n_faces):
         for s in range(4):
-            e = c.face_edges[f, s]
+            e = c.slot_edges(4 * f + s)
             (fa, fb), (sa, sb) = c.edge_faces[e].tolist(), c.edge_sides[e].tolist()
             assert (f, s) in ((fa, sa), (fb, sb)), (f, s)
             want = f if fb < 0 else fb if (fa, sa) == (f, s) else fa
@@ -722,10 +681,21 @@ def test_closed_form_build_matches_sorted_incidences(size, name):
     tables = _arrays_and_tables(built)
     assert len(tables) == len(_arrays_and_tables(oracle))
     for (what, a), (_, b) in zip(tables, _arrays_and_tables(oracle)):
-        # the oracle's own face tables and representatives, not its
-        # closed-form properties
-        b = expected.get(what, b)
         assert a.dtype == _built_dtype(what, b) and np.array_equal(a, b), what
+    # the closed-form slot reads against the oracle's own face tables
+    slots = np.arange(4 * built.n_faces)
+    for what, read in (("face_edges", built.slot_edges), ("face_vertices", built.slot_vertices)):
+        a, b = read(slots).reshape(built.n_faces, 4), expected[what]
+        assert a.dtype == _built_dtype(what, b) and np.array_equal(a, b), what
+    # every edge's segments: each raw member of its orbit, in increasing raw order
+    reps = expected["edge_raw_representatives"]
+    raw = reps[reps >= 0]
+    HOFF = spec.width * (spec.height + 1)
+    vertical = raw >= HOFF
+    j, i = np.where(vertical, np.divmod(raw - HOFF, spec.width + 1), np.divmod(raw, spec.width))
+    want = np.column_stack([i, j, i + ~vertical, j + vertical])
+    got = built.edge_segments(np.arange(built.n_edges))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 ORBIT_SIZES = [(2, 2), (3, 2), (2, 3), (7, 5), (33, 17)]

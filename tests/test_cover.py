@@ -152,12 +152,12 @@ def test_lift_preserves_walls():
 
     path = [c.horizontal_edge(i, 3) for i in range(6)]
     p = cut(plan_cut(p0, path))
-    assert "edge_projection" not in vars(cs)
     lifted = lift_partition(cs, p)
     assert len(lifted.walls) == 2 * len(p.walls)
     assert invariants(lifted).sigma == 2 * invariants(p).sigma
-    # the walled lift built the edge projection, and it is the raw-grid one
-    assert np.array_equal(vars(cs)["edge_projection"], _edge_projection(c, cs.cover))
+    # the lifted walls are the cover edges over the base walls
+    assert lifted.walls == _walls_over(cs, p)
+    assert set(vars(cs)) == {"base", "cover", "_lifts"}
 
 
 def test_lift_is_shared_per_partition():
@@ -241,7 +241,8 @@ def test_preimage_counts_are_counted_once_per_partition(monkeypatch):
 
 
 def _edge_projection(base, cover):
-    """The raw-grid edge projection, kept as the oracle for the face-table one.
+    """The raw-grid edge projection, cover edge -> base edge, as int64: the
+    oracle for the lift of the walls.
 
     Horizontal cover edges of rows 0..H (row H is the mid seam) and vertical
     cover edges of rows below H project straight; above, the sheet is the
@@ -267,12 +268,28 @@ def _edge_projection(base, cover):
     return out
 
 
+def _walls_over(cs, p):
+    """The cover edges that the raw-grid edge projection sends onto a wall of ``p``."""
+    over = np.isin(_edge_projection(cs.base, cs.cover), np.fromiter(p.walls, dtype=np.int64))
+    return frozenset(np.flatnonzero(over).tolist())
+
+
 @pytest.mark.parametrize("size", [(2, 2), (3, 2), (5, 3), (6, 4), (7, 5), (32, 32)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("name", ["moebius", "klein"])
 def test_edge_projection_matches_raw_grid_oracle(name, size):
-    cs = double_cover(build_complex(SurfaceSpec.named(name, *size)))
-    assert np.array_equal(cs.edge_projection, _edge_projection(cs.base, cs.cover))
+    # walls along the boundary set of a random labelling, which never
+    # dangles, so both horizontal and vertical walls lift, seam edges
+    # among them
+    c = build_complex(SurfaceSpec.named(name, *size))
+    cs = double_cover(c)
+    rng = np.random.default_rng(sum(size))
+    walls = from_labels(c, rng.integers(0, 4, c.n_faces)).boundary_set
+    p = from_labels(c, rng.integers(0, 2, c.n_faces), walls=walls)
+    assert p.walls and c.edge_is_horizontal[walls].any() and not c.edge_is_horizontal[walls].all()
+    lifted = lift_partition(cs, p)
+    assert lifted.walls == _walls_over(cs, p)
+    assert len(lifted.walls) == 2 * len(p.walls)
 
 
 def cover_face_maps(W, H):
@@ -312,7 +329,7 @@ def _check_face_maps(name, W, H, seed):
     # the faces of every cover edge project onto the faces of its base edge
     ef = cs.cover.edge_faces
     got = np.where(ef >= 0, projection[ef], -1)
-    want = cs.base.edge_faces[cs.edge_projection]
+    want = cs.base.edge_faces[_edge_projection(cs.base, cs.cover)]
     assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
 
 
@@ -363,7 +380,7 @@ def test_partition_and_cover_build_no_edge_tables():
     from eulerpart import RandomSpec, domain_reports, random_partition
     from eulerpart.complexes import CellComplex, _build_complex, _shared_complex
 
-    for table in ("adjacency", "directed_adjacency"):
+    for table in ("adjacency", "directed_adjacency", "edge_raw_representatives"):
         assert not hasattr(CellComplex, table), table
     _shared_complex.cache_clear()  # the cover complex must be fresh too
     c = _build_complex(SurfaceSpec.named("moebius", 9, 7))
@@ -376,12 +393,10 @@ def test_partition_and_cover_build_no_edge_tables():
     omega_via_cover(cs, p)
     for cx in (c, cs.cover):
         assert "seam_adjacency" in cx.__dict__
-        assert "edge_raw_representatives" not in cx.__dict__, cx.spec
     # a first fill on a fresh complex
     fresh = _build_complex(SurfaceSpec.named("klein", 8, 6))
     random_partition(fresh, RandomSpec(seed=3, k=4))
     assert "face_neighbours" in fresh.__dict__
-    assert "edge_raw_representatives" not in fresh.__dict__
 
 
 #: bytes a ``double_cover`` of a 128² grid may hold per base face under
@@ -391,12 +406,17 @@ def test_partition_and_cover_build_no_edge_tables():
 COVER_BYTES_PER_BASE_FACE = 120
 
 
+#: per-face tables no complex or cover may cache
+_FACE_TABLES = {"face_edges", "face_vertices", "edge_raw_representatives", "edge_projection"}
+
+
 @pytest.mark.parametrize("name", ["moebius", "klein"])
 def test_a_random_item_caches_no_face_table(name):
     import tracemalloc
 
-    from eulerpart import check_chi_sigma, domain_reports, verify_euler
+    from eulerpart import check_chi_sigma, cut, domain_reports, is_normal, normalize, plan_cut, verify_euler
     from eulerpart.complexes import _shared_complex
+    from eulerpart.render import render
 
     # fresh shared complexes, so no earlier test has read a face table
     _shared_complex.cache_clear()
@@ -408,10 +428,21 @@ def test_a_random_item_caches_no_face_table(name):
     check_chi_sigma(p)
     cover_bookkeeping(cs, p)
     assert np.array_equal(omega_via_cover(cs, p), orientability_bits(p))
-    for cx in (c, cs.cover):
-        assert "face_edges" not in vars(cx) and "face_vertices" not in vars(cx)
-    # a partition without walls reads no edge projection
-    assert "edge_projection" not in vars(cs)
+    # the rare paths: a cut and its walled closure, lift and drawing, and
+    # the refinement of a non-normal partition
+    zero = from_labels(c, np.zeros(c.n_faces, dtype=int))
+    walled = cut(plan_cut(zero, [c.horizontal_edge(i, 32) for i in range(64)]))
+    domain_reports(walled)
+    cover_bookkeeping(cs, walled)
+    render(walled, 2, "svg")
+    lab = np.zeros((64, 64), dtype=int)
+    lab[:2, :2] = lab[2:4, 2:4] = 1  # two blocks that meet at one corner
+    pinched = from_labels(c, lab.ravel())
+    assert not is_normal(pinched)
+    fine = normalize(pinched)
+    for cx in (c, cs.cover, fine.complex):
+        assert not _FACE_TABLES & set(vars(cx)), cx.spec
+    assert set(vars(cs)) == {"base", "cover", "_lifts"}
 
     base = build_complex(SurfaceSpec.named(name, 128, 128))
     _shared_complex.cache_clear()  # the cover complex is built inside the trace

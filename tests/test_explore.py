@@ -438,7 +438,7 @@ def _exact_oracle(monkeypatch):
         return SimpleNamespace(report=SimpleNamespace(omega=int(theta > math.atan(2 / 3))), n=48)
 
     # the family member is its theta, which the fake stabilization reads
-    monkeypatch.setattr(explore, "phi_family", lambda beta, theta: theta)
+    monkeypatch.setattr(explore, "family_member", lambda name, params: params["theta"])
     monkeypatch.setattr(explore, "stable_invariants", stable)
     return asked
 
@@ -488,6 +488,33 @@ def test_batch_moebius_small():
     assert res.defect_histogram == {0: 30}
     assert res.omega_agreements == 30
     assert res.max_nonorientable <= 1
+
+
+def test_batch_item_violation_names_its_replay(monkeypatch):
+    from eulerpart import explore
+
+    seen = []
+
+    def bookkeeping(cs, p):
+        seen.append(p)
+        if len(seen) == 3:
+            raise InvariantViolation("sigma* = 1 != 2*0")
+        return real(cs, p)
+
+    real = explore.cover_bookkeeping
+    monkeypatch.setattr(explore, "cover_bookkeeping", bookkeeping)
+    with pytest.raises(InvariantViolation) as e:
+        batch_verify("klein", 5, seed=11, k_range=(2, 5), size=12)
+    message = str(e.value)
+    m = re.fullmatch(r"sigma\* = 1 != 2\*0 \(surface klein, size 12, seed 11, item 2: "
+                     r"sub_seed (\d+), k (\d+)\)", message)
+    assert m, message
+    assert isinstance(e.value.__cause__, InvariantViolation)
+    # the message's sub_seed and k rebuild the failing item's partition
+    sub_seed, k = int(m[1]), int(m[2])
+    assert k == 4
+    again = random_partition(build_complex(SurfaceSpec.named("klein", 12, 12)), RandomSpec(sub_seed, k))
+    assert np.array_equal(again.domains, seen[2].domains)
 
 
 def test_batch_rectangle_small():

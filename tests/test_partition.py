@@ -374,7 +374,7 @@ def _slot_graph_closure(p):
     ga, gb, glued = fa[keep], fb[keep], ids[keep]
     sa = c.edge_sides[glued, 0]
     sb = c.edge_sides[glued, 1]
-    fv = c.face_vertices
+    fv = c.slot_vertices(np.arange(4 * c.n_faces)).reshape(c.n_faces, 4)
     ca, cb = sa, (sa + 1) % 4
     da, db = sb, (sb + 1) % 4
     straight = fv[ga, ca] == fv[gb, da]
@@ -495,7 +495,7 @@ def test_closure_reads_the_boundary_set_not_every_slot_and_vertex(name, size):
     for p in _closure_corpus(name, size):
         n_walled += bool(p.walls)
         c, n = p.complex, p.n_domains
-        fv = c.face_vertices.ravel()
+        fv = c.slot_vertices(np.arange(4 * c.n_faces))
         touched = (boundary_graph(p).degree > 0) | c.vertex_is_boundary
         bset, bdy = p.boundary_set, c.boundary_edges
         f = np.concatenate([c.edge_faces[bset].ravel(), c.edge_faces[bdy, 0]])
