@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 all verdicts pass or are report-only, 1 a hard assertion or
-verdict failed, 2 usage error, 3 numerical instability.
+Exit codes: 0 all verdicts pass or are report-only, 1 an invariant
+violation or a failed verdict, 2 usage error, 3 numerical instability;
+any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from . import jsonio
 from .complexes import SURFACES
 from .cover import COVERABLE, cover_bookkeeping, double_cover
-from .errors import EulerPartError, InstabilityError, InvariantViolation, ResolutionError
+from .errors import EulerPartError, InstabilityError, InvariantViolation
 from .explore import batch_verify, bisect_transition, check_batch_size, sweep
 from .nodal import FAMILIES, NodalConfig, family, stable_invariants
 from .partition import (
@@ -288,13 +289,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InstabilityError, ResolutionError) as e:
+    except InstabilityError as e:
         print(f"unstable: {e}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (InvariantViolation, AssertionError) as e:
+    except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_FAIL
-    except (EulerPartError, ValueError, KeyError, OSError) as e:
+    except (EulerPartError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -276,8 +276,9 @@ def sweep(family: str, thetas, beta: float | None = None,
 
     The values vary the family's last parameter: ``theta`` for ``phi``
     (``beta`` fixed) and ``ex3b``, the integer ``m`` for ``bands``.  Rows
-    that fail to stabilize are marked rather than dropped.  Monotonicity
-    violations of the omega column are reported as findings.
+    that fail to stabilize, a level on the zero set included, are marked
+    with their error rather than dropped.  Monotonicity violations of the
+    omega column are reported as findings.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
@@ -342,11 +343,12 @@ def bisect_transition(beta: float, tol: float = 1e-3,
     Starts from ``BISECT_BRACKET``, which requires omega = 0 at its low
     end and omega = 1 at its high end, and needs a ``tol`` of at least the
     float spacing at the bracket's high end, a width two adjacent floats in
-    the bracket always reach.  Midpoints that fail to stabilize are skipped
-    by probing nearby offsets; if no probe in a step stabilizes the bracket
-    cannot shrink further and an InstabilityError is raised.  Each probe
-    is built by ``nodal.family``, so a ``beta`` that is not a finite real
-    raises ``ValueError`` before anything is rasterized.
+    the bracket always reach.  Midpoints that fail to stabilize, a level on
+    the zero set included, are skipped by probing nearby offsets, each
+    probe counted once in ``evaluations``; if no probe in a step stabilizes
+    the bracket cannot shrink further and an InstabilityError is raised.
+    Each probe is built by ``nodal.family``, so a ``beta`` that is not a
+    finite real raises ``ValueError`` before anything is rasterized.
     """
     # the bracket stops shrinking at adjacent floats, so a smaller tol never ends
     if not tol > 0:
@@ -359,46 +361,28 @@ def bisect_transition(beta: float, tol: float = 1e-3,
         sr = stable_invariants(family_member("phi", {"beta": beta, "theta": theta}), "moebius", config)
         return sr.report.omega, sr.n
 
-    evaluations = 0
-    resolutions = []
-
-    theta_low, theta_high = BISECT_BRACKET
-    w0, n0 = stable_omega(theta_low)
-    w1, n1 = stable_omega(theta_high)
-    evaluations += 2
-    resolutions += [n0, n1]
+    lo, hi = BISECT_BRACKET
+    (w0, n0), (w1, n1) = stable_omega(lo), stable_omega(hi)
     if w0 != 0 or w1 != 1:
-        raise ValueError(
-            f"no sign change: omega({theta_low:.4g})={w0}, omega({theta_high:.4g})={w1}"
-        )
-    lo, hi = theta_low, theta_high
+        raise ValueError(f"no sign change: omega({lo:.4g})={w0}, omega({hi:.4g})={w1}")
+    evaluations, resolutions = 2, [n0, n1]
     while hi - lo > tol:
         width = hi - lo
         for off in _PROBE_OFFSETS:
             mid = lo + width * (0.5 + off)
+            evaluations += 1
             try:
                 w, n = stable_omega(mid)
             except InstabilityError:
-                evaluations += 1
                 continue
-            evaluations += 1
             resolutions.append(n)
-            if w == 0:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if w == 0 else (lo, mid)
             break
         else:
             raise InstabilityError(
                 f"bracket ({lo:.6g}, {hi:.6g}) cannot shrink: every probe is unstable"
             )
-    return TransitionEstimate(
-        beta=beta,
-        theta_low=lo,
-        theta_high=hi,
-        resolutions=tuple(resolutions),
-        evaluations=evaluations,
-    )
+    return TransitionEstimate(beta, lo, hi, tuple(resolutions), evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ and a residual within ``SYM_TOL`` is the gate of ``rasterize``.
 
 Rasterization samples signs at face centers only.  A sample landing on
 the zero set (within ``ZERO_TOL``) raises ``ResolutionError`` rather than
-being tie-broken; callers perturb the resolution instead, which keeps the
-extracted boundary set an honest primal-edge subgraph.  ``stable_invariants``
-runs the rasterization at N, 2N, 4N, ... and accepts once two consecutive
-levels agree on (kappa, beta, sigma, omega).
+being tie-broken, which keeps the extracted boundary set an honest
+primal-edge subgraph.  ``stable_invariants``, the one ladder, steps each
+level past such samples, runs at N, 2N, 4N, ... until two consecutive
+levels agree on (kappa, beta, sigma, omega), and fails only with
+``InstabilityError``.
 """
 
 from __future__ import annotations
@@ -225,28 +226,6 @@ def rasterize(f: Eigenfunction, surface: str, n: int) -> Partition:
     return from_labels(build_complex(spec), (vals > 0).astype(ID_DTYPE).ravel())
 
 
-def _rasterize_perturbed(f, surface, n, history):
-    """Rasterize, stepping the resolution past exact-zero samples.
-
-    A size above ``MAX_FACES`` is never built: the ladder ends there as
-    unstable, with the levels it reached.
-    """
-    step = 2 if surface == "moebius" else 1
-    last = None
-    for k in range(6):
-        size = n + k * step
-        if size * size > MAX_FACES:
-            raise InstabilityError(
-                f"no agreement for {f.name or 'function'} on {surface} below the cap of "
-                f"{MAX_FACES} faces, which the {size}x{size} level exceeds: {history}"
-            )
-        try:
-            return rasterize(f, surface, n=size)
-        except ResolutionError as e:
-            last = e
-    raise last
-
-
 @dataclass(frozen=True)
 class StableResult:
     report: InvariantReport
@@ -256,21 +235,43 @@ class StableResult:
 
 
 def stable_invariants(f: Eigenfunction, surface: str, config: NodalConfig | None = None) -> StableResult:
-    """Invariants at increasing resolution until two levels agree."""
+    """Invariants at increasing resolution until two levels agree.
+
+    Each level doubles the last one's resolution and, past samples on the
+    zero set, steps it up to five times (by 2 on moebius, else 1).  A level
+    all on the zero set (chained from its last ``ResolutionError``), one
+    above ``MAX_FACES`` (never built) and no agreement within
+    ``max_refine`` doublings each raise ``InstabilityError``, naming the
+    levels reached.
+    """
     config = config or NodalConfig()
+    name = f.name or "function"
+    step = 2 if surface == "moebius" else 1
     history = []
-    prev_key = None
     n = config.n
     for _level in range(config.max_refine + 1):
-        p = _rasterize_perturbed(f, surface, n, history)
-        actual_n = p.complex.spec.width
+        for size in range(n, n + 6 * step, step):
+            if size * size > MAX_FACES:
+                raise InstabilityError(
+                    f"no agreement for {name} on {surface} below the cap of "
+                    f"{MAX_FACES} faces, which the {size}x{size} level exceeds: {history}"
+                )
+            try:
+                p = rasterize(f, surface, n=size)
+                break
+            except ResolutionError as e:
+                last = e
+        else:
+            raise InstabilityError(
+                f"no resolution of {name} on {surface} from n={n} to n={size} steps past the "
+                f"zero set: {history}"
+            ) from last
         rep = invariants(p)
-        history.append((actual_n, *rep.key()))
-        if prev_key is not None and rep.key() == prev_key:
-            return StableResult(report=rep, partition=p, n=actual_n, levels=tuple(history))
-        prev_key = rep.key()
-        n = 2 * actual_n
+        history.append((size, *rep.key()))
+        if len(history) > 1 and history[-2][1:] == history[-1][1:]:
+            return StableResult(report=rep, partition=p, n=size, levels=tuple(history))
+        n = 2 * size
     raise InstabilityError(
-        f"no agreement for {f.name or 'function'} on {surface} within "
+        f"no agreement for {name} on {surface} within "
         f"{config.max_refine} refinements: {history}"
     )

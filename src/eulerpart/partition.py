@@ -130,7 +130,7 @@ def from_labels(c: CellComplex, labels, walls=()) -> Partition:
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got {labels.dtype} values")
     wall_ids = frozenset(c.edge_ids(walls, "wall edge id"))
-    for w in wall_ids:
+    for w in sorted(wall_ids):
         if c.edge_is_boundary[w]:
             raise ValueError(f"wall edge {w} lies on the surface boundary")
     wall_arr = np.fromiter(wall_ids, dtype=ID_DTYPE, count=len(wall_ids))
@@ -445,7 +445,8 @@ class _ClosureTables:
     at a vertex of the complex, are the vertices of the abstract closed
     domains.  The *unglued sides* are both sides of each boundary-set edge
     and every surface-boundary side.  ``chi`` and ``boundary_cycles`` hold
-    each domain's Euler characteristic and boundary cycle count.
+    each domain's Euler characteristic and boundary cycle count; like every
+    table a partition caches, the arrays here are read-only.
 
     The work follows the unglued sides; nothing here reads every face or
     every vertex.  The vertex links of these quotient grids are connected,
@@ -545,6 +546,8 @@ class _ClosureTables:
                 f"domain {int(np.flatnonzero(rest)[0])}: slots off the touched vertices do not fill whole vertices"
             )
         self.boundary_cycles = np.bincount(cycle_domain, minlength=n)
+        for a in (self.chi, self.boundary_cycles, self._end_keys):
+            a.flags.writeable = False
 
     @cached_property
     def non_normal_pairs(self) -> np.ndarray:
@@ -559,7 +562,9 @@ class _ClosureTables:
         keys = keys[3:][keys[3:] == keys[:-3]]
         # still sorted, so a key's repeats follow it; keys are never negative
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        return np.stack(np.divmod(keys, self.n_domains), axis=1)
+        pairs = np.stack(np.divmod(keys, self.n_domains), axis=1)
+        pairs.flags.writeable = False
+        return pairs
 
 
 def _slot_index(n_slots: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

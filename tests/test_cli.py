@@ -76,6 +76,25 @@ def test_nodal_instability_exit_code(capsys):
     assert code == 3
 
 
+def test_nodal_on_the_zero_set_exits_unstable(capsys):
+    code = main(["nodal", "--family", "bands", "--m", "0", "--n", "8"])
+    assert code == 3
+    assert "zero set" in capsys.readouterr().err
+
+
+def test_a_bug_in_a_command_is_not_a_usage_error(bands3_file, monkeypatch):
+    # nothing in the package raises KeyError, so one is a bug: it
+    # propagates instead of exiting 2 as if the input were wrong
+    import eulerpart.cli
+
+    def broken(p):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(eulerpart.cli, "invariants", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["invariants", str(bands3_file)])
+
+
 def test_sweep_command(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     code = main(["sweep", "--family", "phi", "--beta", str(math.pi / 6),

@@ -11,6 +11,7 @@ from eulerpart import (
     InvariantViolation,
     NodalConfig,
     RandomSpec,
+    ResolutionError,
     SurfaceSpec,
     batch_verify,
     bisect_transition,
@@ -21,7 +22,7 @@ from eulerpart import (
     sweep,
 )
 from eulerpart.complexes import GLUINGS, components
-from eulerpart.explore import _UNREACHED, _claim_trees, _face_depths, _rows_by_round
+from eulerpart.explore import BISECT_BRACKET, _UNREACHED, _claim_trees, _face_depths, _rows_by_round
 from edgerows import interior_rows
 
 PI = math.pi
@@ -471,6 +472,28 @@ def test_bisect_bracket_contains_the_exact_transition(tol, n):
     assert est.theta_low < math.atan(2 / 3) < est.theta_high
 
 
+def test_bisect_skips_a_probe_on_the_zero_set(monkeypatch):
+    # the first midpoint lands on the zero set at every resolution of its
+    # first level; the bisection probes the next offset and counts both
+    from eulerpart import nodal, phi_family
+
+    lo, hi = BISECT_BRACKET
+    poisoned = phi_family(PI / 6, lo + (hi - lo) / 2).name
+    real, tried = nodal.rasterize, []
+
+    def rasterize(f, surface, n):
+        if f.name == poisoned:
+            tried.append(n)
+            raise ResolutionError(f"zero sample at n={n}")
+        return real(f, surface, n)
+
+    monkeypatch.setattr(nodal, "rasterize", rasterize)
+    est = bisect_transition(PI / 6, tol=1.0, config=NodalConfig(n=48))
+    assert tried == [48, 50, 52, 54, 56, 58]
+    assert est.evaluations == 4 and len(est.resolutions) == 3
+    assert lo <= est.theta_low < est.theta_high <= hi and est.width <= 1.0
+
+
 def test_bisect_no_sign_change_rejected(monkeypatch):
     from eulerpart import explore
 
@@ -587,6 +610,14 @@ def test_sweep_marks_unstable_rows():
     row = res.rows[0]
     assert not row.stable
     assert row.error
+
+
+def test_sweep_marks_a_row_on_the_zero_set():
+    # bands m = 0 is sin(0 x), zero at every sample of every resolution
+    res = sweep("bands", [-1, 0, 1], config=NodalConfig(n=16))
+    assert [r.theta for r in res.rows] == [-1.0, 0.0, 1.0]
+    assert [r.stable for r in res.rows] == [True, False, True]
+    assert "zero set" in res.rows[1].error and res.rows[1].omega is None
 
 
 def test_near_transition_resolves_to_a_valid_partition():

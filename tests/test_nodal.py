@@ -259,8 +259,40 @@ def test_stabilization_idempotent():
 
 
 def test_instability_reported():
-    with pytest.raises(InstabilityError):
+    with pytest.raises(InstabilityError) as info:
         stable_invariants(bands_family(3), "moebius", NodalConfig(n=8, max_refine=0))
+    assert str(info.value) == "no agreement for bands(m=3) on moebius within 0 refinements: [(8, 2, 1, 0, 1)]"
+
+
+def test_a_level_on_the_zero_set_is_unstable():
+    # sin(0 x) vanishes everywhere: every resolution of the first level lands
+    # on the zero set, and the ladder says so as an InstabilityError
+    with pytest.raises(InstabilityError) as info:
+        stable_invariants(bands_family(0), "moebius", NodalConfig(n=16))
+    assert str(info.value) == "no resolution of bands(m=0) on moebius from n=16 to n=26 steps past the zero set: []"
+    cause = info.value.__cause__
+    assert isinstance(cause, ResolutionError) and str(cause) == "676 face-center samples on the zero set at n=26"
+
+
+def test_a_later_level_on_the_zero_set_names_the_levels_reached(monkeypatch):
+    import eulerpart.nodal
+
+    real, tried = eulerpart.nodal.rasterize, []
+
+    def zero_from_16(f, surface, n):
+        tried.append(n)
+        if n >= 16:
+            raise ResolutionError(f"zero sample at n={n}")
+        return real(f, surface, n)
+
+    monkeypatch.setattr(eulerpart.nodal, "rasterize", zero_from_16)
+    with pytest.raises(InstabilityError) as info:
+        stable_invariants(bands_family(3), "moebius", NodalConfig(n=8))
+    assert str(info.value) == (
+        "no resolution of bands(m=3) on moebius from n=16 to n=26 steps past the zero set: [(8, 2, 1, 0, 1)]"
+    )
+    assert isinstance(info.value.__cause__, ResolutionError)
+    assert tried == [8, 16, 18, 20, 22, 24, 26]
 
 
 def test_chi_sigma_on_stable_fixtures():

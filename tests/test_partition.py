@@ -29,6 +29,7 @@ from eulerpart import (
 from eulerpart.complexes import (OPEN, PERIODIC, REVERSED, SURFACES, boundary_components, components,
                                  subgraph_component_count, touched_components)
 from eulerpart.jsonio import verdict_to_json
+from eulerpart.cover import preimage_component_counts
 from eulerpart.partition import VERDICT_MODES, _slot_index, closure_tables
 
 from cutgen import random_admissible_cut
@@ -115,6 +116,45 @@ def test_partition_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[-1]
     assert invariants(p).key() == (2, 1, 0, 1)
+
+
+def _cached_arrays(p, cs):
+    """``owner.name`` -> array of every array that ``p`` caches, with the
+    counts of its lift through ``cs``."""
+    invariants(p), p.wall_mask, closure_tables(p).non_normal_pairs  # fill the caches
+    found = {}
+    for owner, obj in (("p", p), ("boundary_graph", boundary_graph(p)), ("closure_tables", closure_tables(p))):
+        found.update((f"{owner}.{k}", v) for k, v in vars(obj).items() if isinstance(v, np.ndarray))
+    found["preimage_component_counts"] = preimage_component_counts(cs, p)
+    return found
+
+
+def test_every_array_a_partition_caches_is_read_only():
+    c = build_complex(SurfaceSpec.named("moebius", 16, 16))
+    p = random_partition(c, RandomSpec(1, 4))
+    arrays = _cached_arrays(p, double_cover(c))
+    assert sorted(arrays) == sorted(
+        [f"p.{k}" for k in ("domains", "orientable", "boundary_set", "faces_per_domain", "wall_mask")]
+        + [f"boundary_graph.{k}" for k in ("degree", "union_vertices", "union_labels",
+                                            "singular_interior", "singular_boundary")]
+        + [f"closure_tables.{k}" for k in ("chi", "boundary_cycles", "_end_keys", "non_normal_pairs")]
+        + ["preimage_component_counts"]
+    )
+    for what, a in arrays.items():
+        assert not a.flags.writeable, what
+    # a write would corrupt every later report of the shared partition
+    with pytest.raises(ValueError, match="read-only"):
+        closure_tables(p).chi[0] += 4
+    assert len(domain_reports(p)) == p.n_domains
+
+
+def test_walls_are_checked_in_increasing_order():
+    # edges 0 and 64 of a rectangle 8x8 both lie on the surface boundary;
+    # either order names the smaller
+    c = build_complex(SurfaceSpec.named("rectangle", 8, 8))
+    for walls in ([0, 64], [64, 0], c.boundary_edges[::-1].tolist()):
+        with pytest.raises(ValueError, match="^wall edge 0 lies on the surface boundary$"):
+            from_labels(c, np.zeros(64, dtype=int), walls=walls)
 
 
 def test_wall_ids_validated():

@@ -27,6 +27,13 @@ The fifth scan lists every field of a dataclass or ``NamedTuple`` of the
 package whose name no attribute read ``x.name`` names, in the package
 outside ``__init__`` or in the benchmark: a record field that nothing
 reads is dead data.
+
+The sixth scan lists every exception type that a handler of ``cli.main``
+names but that no ``raise`` of the package raises, itself or as a
+subclass: an exit code for an error nothing raises reports a bug as
+something else.  ``ValueError``, ``OSError`` and ``SystemExit`` are
+exempt, since the standard library, numpy and argparse raise them at the
+input boundary.
 """
 
 import ast
@@ -281,3 +288,68 @@ def test_the_scan_reports_an_unread_field():
     bench = {"bench": "def g(pair):\n    return pair.left\n"}
     assert unread_fields(sources, bench) == {"mod.Box.spare", "mod.Plain.written", "mod.Pair.right"}
     assert unread_fields(sources, {}) == {"mod.Box.spare", "mod.Plain.written", "mod.Pair.left", "mod.Pair.right"}
+
+
+#: raised at the input boundary by the standard library, numpy and argparse
+BOUNDARY_ERRORS = {"ValueError", "OSError", "SystemExit"}
+
+
+def _type_names(node) -> list[str]:
+    """The names of the exception types an ``except`` or ``raise`` names."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _type_names(elt)]
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return [name] if name else []
+
+
+def unraised_handlers(sources: dict[str, str]) -> set[str]:
+    """Exception types a handler of ``cli.main`` names that no ``raise`` in
+    ``sources`` raises, directly or through a subclass defined there."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    bases, raised = {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [name for base in node.bases for name in _type_names(base)]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(_type_names(node.exc))
+    todo = list(raised)
+    while todo:
+        for base in bases.get(todo.pop(), []):
+            if base not in raised:
+                raised.add(base)
+                todo.append(base)
+    main = next(node for node in trees["cli"].body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = {
+        name for node in ast.walk(main) if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in _type_names(node.type)
+    }
+    return handled - raised - BOUNDARY_ERRORS
+
+
+def test_every_handled_error_is_raised():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unraised_handlers(sources) == set()
+
+
+def test_the_scan_reports_a_handler_of_an_unraised_error():
+    sources = {
+        "errors": (
+            "class BaseError(Exception):\n    pass\n\n"
+            "class LeafError(BaseError):\n    pass\n\n"
+            "class OtherError(Exception):\n    pass\n"
+        ),
+        "work": "from . import errors\n\ndef f():\n    raise errors.LeafError('x')\n",
+        "cli": (
+            "def helper():\n    try:\n        pass\n    except LookupError:\n        pass\n\n"
+            "def main(argv=None):\n"
+            "    try:\n        parse(argv)\n    except SystemExit:\n        return 2\n"
+            "    try:\n        return run()\n"
+            "    except (BaseError, KeyError) as e:\n        return 2\n"
+            "    except OtherError:\n        return 1\n"
+            "    except (ValueError, OSError):\n        return 2\n"
+        ),
+    }
+    assert unraised_handlers(sources) == {"KeyError", "OtherError"}
